@@ -345,8 +345,12 @@ def crosscheck_constant_removed(spec: RepSpec, f: Poly) -> bool:
     certificate = certify_everywhere_stable(spec, f)
     if not certificate.certified:
         raise ValueError("constant-removed crosscheck expects a certified input")
-    base = extend(spec, f)
     reduced = f - Poly.const(spec.coord_names, f.constant_term())
+    return _constant_removed_agrees(spec, reduced, extend(spec, f))
+
+
+def _constant_removed_agrees(spec: RepSpec, reduced: Poly, base: TransferResult) -> bool:
+    """The comparison behind the crosscheck, given ``f``'s own extension."""
     affine_by_boundary = base.boundary is BoundaryClass.MISSES
     reduced_contains = extend(spec, reduced).f00.is_zero
     return affine_by_boundary == reduced_contains
@@ -523,8 +527,10 @@ def classify(
             )
 
     if f is not None and certified:
-        crosschecks.append(("constant-removed-boundary", crosscheck_constant_removed(spec, f)))
         reduced = f - Poly.const(spec.coord_names, f.constant_term())
+        crosschecks.append(
+            ("constant-removed-boundary", _constant_removed_agrees(spec, reduced, transfer_result))
+        )
         localized = localized_quotient_affine(spec, reduced, bounds.kmax)
         crosschecks.append(
             ("localized-power-duality", localized.found == (verdict is Verdict.AFFINE))

@@ -43,6 +43,11 @@ SCHEMA = "gaquot-report/1"
 
 COMMANDS = ("classify", "invariants", "transfer", "slice", "family-compare", "selftest")
 
+OUTPUTS = ("text", "structured")
+
+# job key, command-line flag attribute, default
+_BOUND_FIELDS = (("kmax", "kmax", 3), ("sliceDeg", "slice_deg", 3), ("invariantDeg", "inv_deg", 2))
+
 _EXIT_BY_VERDICT = {
     Verdict.AFFINE: 0,
     Verdict.STRICTLY_QUASI_AFFINE: 10,
@@ -56,29 +61,50 @@ def _require(condition: bool, message: str) -> None:
         raise JobError(message)
 
 
+def _parse_field(text, field: str, names: Sequence[str]):
+    _require(isinstance(text, str), f"{field} must be an expression string, got {text!r}")
+    return parse(text, names)
+
+
 def _spec_from_job(job: Dict) -> RepSpec:
     _require("representation" in job, "job is missing 'representation'")
-    return spec_from_blocks(job["representation"])
+    data = job["representation"]
+    _require(
+        isinstance(data, dict)
+        and isinstance(data.get("blocks"), list)
+        and all(isinstance(block, dict) for block in data["blocks"]),
+        f"representation must be an object with a 'blocks' list of objects, got {data!r}",
+    )
+    return spec_from_blocks(data)
 
 
 def _graph_from_job(data: Dict) -> GraphPresentation:
     for key in ("zvars", "free", "dependent"):
         _require(key in data, f"graph is missing {key!r}")
     zvars = tuple(data["zvars"])
-    dependent = {name: parse(text, zvars) for name, text in data["dependent"].items()}
+    dependent = {
+        name: _parse_field(text, f"graph.dependent.{name}", zvars)
+        for name, text in data["dependent"].items()
+    }
     return GraphPresentation(zvars=zvars, free=dict(data["free"]), dependent=dependent)
 
 
 def _bounds_from(job: Dict, args: argparse.Namespace) -> Bounds:
-    raw = dict(job.get("bounds") or {})
-    kmax = args.kmax if args.kmax is not None else int(raw.get("kmax", 3))
-    slice_degree = (
-        args.slice_deg if args.slice_deg is not None else int(raw.get("sliceDeg", 3))
-    )
-    invariant_degree = (
-        args.inv_deg if args.inv_deg is not None else int(raw.get("invariantDeg", 2))
-    )
-    return Bounds(kmax=kmax, slice_degree=slice_degree, invariant_degree=invariant_degree)
+    raw = job.get("bounds") or {}
+    _require(isinstance(raw, dict), f"bounds must be an object, got {raw!r}")
+    values = []
+    for key, flag, default in _BOUND_FIELDS:
+        value = getattr(args, flag)
+        field = "--" + flag.replace("_", "-")
+        if value is None:
+            field = f"bounds.{key}"
+            try:
+                value = int(raw.get(key, default))
+            except (TypeError, ValueError):
+                raise JobError(f"{field} must be an integer, got {raw[key]!r}") from None
+        _require(value >= 0, f"{field} must be non-negative, got {value}")
+        values.append(value)
+    return Bounds(*values)
 
 
 # ----------------------------------------------------------------------
@@ -89,7 +115,9 @@ Handled = Tuple[Dict, List[str], int]
 
 def _run_classify(job: Dict, bounds: Bounds) -> Handled:
     spec = _spec_from_job(job)
-    f = parse(job["polynomial"], spec.coord_names) if "polynomial" in job else None
+    f = None
+    if "polynomial" in job:
+        f = _parse_field(job["polynomial"], "polynomial", spec.coord_names)
     graph = _graph_from_job(job["graph"]) if "graph" in job else None
     report = classify(spec, f, graph, bounds)
     payload = report.to_dict()
@@ -148,7 +176,7 @@ def _run_invariants(job: Dict, bounds: Bounds) -> Handled:
 def _run_transfer(job: Dict, bounds: Bounds) -> Handled:
     spec = _spec_from_job(job)
     _require("polynomial" in job, "transfer needs 'polynomial'")
-    f = parse(job["polynomial"], spec.coord_names)
+    f = _parse_field(job["polynomial"], "polynomial", spec.coord_names)
     result = extend(spec, f)
     payload = {
         "bounds": bounds.as_dict(),
@@ -193,8 +221,8 @@ def _run_family_compare(job: Dict, bounds: Bounds) -> Handled:
         "family comparison needs 'parameters': a list of two expressions in t",
     )
     members = [
-        FamilyMember(spec, parse(text, ("t",)), job["delta"])
-        for text in job["parameters"]
+        FamilyMember(spec, _parse_field(text, f"parameters[{i}]", ("t",)), job["delta"])
+        for i, text in enumerate(job["parameters"])
     ]
     comparison = compare_family(members[0], members[1])
     payload = {
@@ -275,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--slice-deg", type=int, default=None, help="degree bound for slice search")
     parser.add_argument("--inv-deg", type=int, default=None, help="degree bound for kernel generators")
     parser.add_argument(
-        "--format", choices=("text", "structured"), default=None, help="report format"
+        "--format", choices=OUTPUTS, default=None, help="report format"
     )
     parser.add_argument(
         "--command",
@@ -329,12 +357,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.export_job:
             print(json.dumps(job, indent=2, sort_keys=True))
             return 0
+        output = job.get("output", "text")
+        _require(output in OUTPUTS, f"output must be one of {', '.join(OUTPUTS)}, got {output!r}")
         bounds = _bounds_from(job, args)
         payload, lines, code = run(job, bounds)
     except (GaquotError, ValueError, KeyError, OSError, json.JSONDecodeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    output = args.format if args.format is not None else job.get("output", "text")
+    if args.format is not None:
+        output = args.format
     if output == "structured":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

@@ -13,17 +13,27 @@ deterministic generator listings use this order.
 
 Coefficients are ``fractions.Fraction`` throughout, so every computed
 number is exact, in lowest terms, with positive denominator.
+
+Point evaluation, the hot path of witness search and boundary sampling,
+runs on a cached integer form instead: on first use a polynomial stores
+its coefficients scaled by their common denominator, and each call
+clears the point's denominators and sums plain ``int`` products before
+building one ``Fraction``.  The cache is safe because a ``Poly`` never
+changes after construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import NotDivisible, VariableTableMismatch
 
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
+# (D, ((c*D, ((var index, exponent), ...), degree), ...), top degree)
+IntForm = Tuple[int, Tuple[Tuple[int, Tuple[Tuple[int, int], ...], int], ...], int]
 
 
 def _as_fraction(value: Scalar) -> Fraction:
@@ -42,7 +52,7 @@ def grlex_key(exponent: Exponent) -> Tuple[int, Exponent]:
 class Poly:
     """Immutable sparse polynomial over a fixed variable table."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_int_form")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, Scalar]):
         vt = tuple(variables)
@@ -267,16 +277,61 @@ class Poly:
         return result
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
-        """Full evaluation at a rational point covering every variable."""
-        values = [_as_fraction(point[name]) for name in self.vars]
-        total = Fraction(0)
-        for exponent, coeff in self.terms.items():
+        """Full evaluation at a rational point covering every variable.
+
+        Exact integer kernel.  With ``D`` the common denominator of the
+        coefficients and ``q`` that of the point, each term ``c * x^e`` of
+        degree ``d`` contributes ``(c*D) * prod(n_i^e_i) * q^(top-d)``, where
+        ``n_i = x_i * q`` and ``top`` is the largest degree; the value is the
+        sum over ``D * q^top``.  The integer form of the polynomial (``D``,
+        the scaled coefficients with their non-zero ``(index, exponent)``
+        pairs and degrees, and ``top``) is built on the first call and kept.
+        Terms touching a zero coordinate are skipped.
+        """
+        numer: List[int] = []
+        denom: List[int] = []
+        for name in self.vars:
+            value = point[name]
+            if not isinstance(value, (int, Fraction)):
+                raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+            numer.append(value.numerator)
+            denom.append(value.denominator)
+        try:
+            form = self._int_form
+        except AttributeError:  # slot left unset so construction stays as cheap as before
+            form = self._compile_int_form()
+            object.__setattr__(self, "_int_form", form)
+        scale, int_terms, top = form
+        q = lcm(*denom)
+        if q != 1:
+            numer = [n * (q // d) for n, d in zip(numer, denom)]
+            q_powers = [1]
+            for _ in range(top):
+                q_powers.append(q_powers[-1] * q)
+        total = 0
+        for coeff, factors, degree in int_terms:
             acc = coeff
-            for val, e in zip(values, exponent):
-                if e:
-                    acc *= val ** e
-            total += acc
-        return total
+            for index, e in factors:
+                n = numer[index]
+                if not n:
+                    break
+                acc *= n if e == 1 else n ** e
+            else:
+                total += acc if q == 1 else acc * q_powers[top - degree]
+        return Fraction(total, scale if q == 1 else scale * q_powers[top])
+
+    def _compile_int_form(self) -> IntForm:
+        scale = lcm(*(c.denominator for c in self.terms.values()))
+        int_terms = tuple(
+            (
+                c.numerator * (scale // c.denominator),
+                tuple((i, x) for i, x in enumerate(e) if x),
+                sum(e),
+            )
+            for e, c in self.terms.items()
+        )
+        top = max((degree for _, _, degree in int_terms), default=0)
+        return scale, int_terms, top
 
     def partial(self, name: str) -> "Poly":
         idx = self.vars.index(name)

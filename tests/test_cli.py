@@ -164,3 +164,44 @@ class TestJobFiles:
         code, _, err = _run(capsys, "--job", str(job_path))
         assert code == 1
         assert "dance" in err
+
+
+class TestMalformedJobs:
+    """Each fault ends with exit 1 and an ``error:`` line naming the field."""
+
+    WINKELMANN = {
+        "command": "classify",
+        "representation": {"blocks": [{"vblock": 3}], "normalization": "section5"},
+        "polynomial": "w2*w5 - w3*w4 - w0 + 1",
+    }
+
+    def _run_job(self, tmp_path, capsys, **changes):
+        job_path = tmp_path / "job.json"
+        job_path.write_text(json.dumps({**self.WINKELMANN, **changes}))
+        code, out, err = _run(capsys, "--job", str(job_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        return err
+
+    def test_valid_job_still_runs(self, tmp_path, capsys):
+        job_path = tmp_path / "job.json"
+        job_path.write_text(json.dumps({**self.WINKELMANN, "bounds": {"kmax": 0, "sliceDeg": 0}}))
+        code, _, _ = _run(capsys, "--job", str(job_path))
+        assert code == 10
+
+    def test_non_string_polynomial(self, tmp_path, capsys):
+        assert "polynomial" in self._run_job(tmp_path, capsys, polynomial=5)
+
+    def test_non_object_representation(self, tmp_path, capsys):
+        assert "representation" in self._run_job(tmp_path, capsys, representation="V")
+
+    def test_negative_bounds(self, tmp_path, capsys):
+        err = self._run_job(tmp_path, capsys, bounds={"kmax": -2, "sliceDeg": -1})
+        assert "bounds.kmax" in err
+        err = self._run_job(tmp_path, capsys, bounds={"sliceDeg": -1})
+        assert "bounds.sliceDeg" in err
+
+    def test_unknown_output(self, tmp_path, capsys):
+        err = self._run_job(tmp_path, capsys, output="yaml")
+        assert "output" in err and "yaml" in err

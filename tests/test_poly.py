@@ -174,6 +174,66 @@ class TestSubstitution:
             x.evaluate({"x": 1, "y": 0})
 
 
+points = st.fixed_dictionaries(
+    {
+        name: st.one_of(
+            st.just(0),
+            st.integers(min_value=-5, max_value=5),
+            st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        )
+        for name in XYZ
+    }
+)
+
+
+class TestIntegerKernel:
+    """``evaluate`` runs on a cached integer form; it must stay exact."""
+
+    @given(polys, points)
+    def test_matches_substitution_at_mixed_points(self, p, point):
+        value = p.evaluate(point)
+        assert type(value) is Fraction
+        assert value == p.substitute(dict(point)).constant_term()
+
+    @given(polys, st.lists(points, min_size=2, max_size=8))
+    def test_cached_form_matches_a_fresh_poly(self, p, many):
+        for point in many:
+            fresh = Poly(p.vars, dict(p.terms))
+            assert p.evaluate(point) == fresh.evaluate(point)
+
+    def test_non_integer_coefficients_and_denominators(self):
+        p = Poly(
+            XYZ, {(2, 0, 0): Fraction(1, 6), (0, 1, 1): Fraction(-3, 4), (0, 0, 0): Fraction(5, 9)}
+        )
+        point = {"x": Fraction(3, 2), "y": Fraction(-2, 5), "z": 7}
+        # x^2/6 - 3*y*z/4 + 5/9 at x = 3/2, y*z = -14/5
+        expected = Fraction(3, 8) + Fraction(21, 10) + Fraction(5, 9)
+        assert p.evaluate(point) == expected
+        assert p.evaluate(point) == expected  # second call uses the cached form
+
+    def test_zero_coordinate_skips_terms(self):
+        x, y, z = ring(XYZ)
+        p = x * y * z + 3 * y ** 2 - Fraction(1, 2)
+        assert p.evaluate({"x": Fraction(1, 3), "y": 0, "z": 5}) == Fraction(-1, 2)
+        assert p.evaluate({"x": 0, "y": Fraction(2, 3), "z": 0}) == Fraction(5, 6)
+
+    def test_zero_and_constant_polynomials(self):
+        point = {"x": Fraction(1, 2), "y": -3, "z": 0}
+        zero = Poly.zero(XYZ).evaluate(point)
+        assert type(zero) is Fraction and zero == 0
+        const = Poly.const(XYZ, Fraction(-7, 3)).evaluate(point)
+        assert type(const) is Fraction and const == Fraction(-7, 3)
+        assert type(Poly.const(XYZ, 4).evaluate({"x": 1, "y": 1, "z": 1})) is Fraction
+
+    def test_empty_variable_table(self):
+        assert Poly.const((), Fraction(2, 3)).evaluate({}) == Fraction(2, 3)
+
+    def test_float_coordinate_rejected(self):
+        x, y, _ = ring(XYZ)
+        with pytest.raises(TypeError):
+            (x + y).evaluate({"x": 1, "y": 0.5, "z": 0})
+
+
 class TestCalculusAndShaping:
     @given(polys, polys)
     def test_partial_satisfies_leibniz(self, p, q):
