@@ -14,12 +14,17 @@ polynomials the derivation kills use the operator identity
 explicit preimage ``E(q)/weight`` and a nonzero weight-zero component
 is a proof of non-membership.  The generic per-degree linear solver
 handles everything else and doubles as an independent oracle in tests.
+
+The same grading splits the kernel computation: a derivation with a
+weight grading maps each weight piece of a degree into one weight
+piece, so kernel generators are solved one weight block at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -29,14 +34,19 @@ from .errors import (
     NonNilpotentIteration,
     VariableTableMismatch,
 )
-from .linalg import Row, nullspace, reduce_against, rref, solve
+from .linalg import Row, extend_rref, nullspace, reduce_against, rref, solve
 from .poly import Poly, exponents_of_degree, exponents_up_to_degree, grlex_key
 
 _MAX_EXP_STEPS = 512
 
 
 class Derivation:
-    """A derivation of ``k[vars]`` given by generator images."""
+    """A derivation of ``k[vars]`` given by generator images.
+
+    ``weight_of``, when given, is a grading of the variables for which
+    the derivation is homogeneous: it maps each weight piece into one
+    weight piece.
+    """
 
     __slots__ = ("vars", "images", "graded_linear", "weight_of", "sl2_raise", "_img_list")
 
@@ -146,7 +156,7 @@ def exp_action(d: Derivation, p: Poly, tname: str = "t", max_steps: int = _MAX_E
 
 
 def _weight_of_exponent(exponent: Tuple[int, ...], weights: Sequence[int]) -> int:
-    return sum(e * w for e, w in zip(exponent, weights))
+    return sum(map(mul, exponent, weights))
 
 
 def weight_components(p: Poly, weight_of: Mapping[str, int]) -> Dict[int, Poly]:
@@ -293,13 +303,59 @@ def _products_of_degree(generators: Sequence[Poly], degree: int, table: Sequence
     return out
 
 
+def _weight_blocks(d: Derivation, monos: Sequence[Tuple[int, ...]]) -> List[List[int]]:
+    """Column indices of ``monos`` grouped by weight, each group ascending.
+
+    ``d`` maps every weight piece into a single weight piece, so its
+    operator matrix is block-diagonal over these groups.  Without an
+    attached grading all columns form one block.
+    """
+    if d.weight_of is None:
+        return [list(range(len(monos)))]
+    weights = [d.weight_of[name] for name in d.vars]
+    blocks: Dict[int, List[int]] = {}
+    for j, exponent in enumerate(monos):
+        blocks.setdefault(_weight_of_exponent(exponent, weights), []).append(j)
+    return [blocks[w] for w in sorted(blocks)]
+
+
+def _kernel_rref(d: Derivation, monos: Sequence[Tuple[int, ...]]) -> List[Tuple[int, Row]]:
+    """Reduced row echelon basis of ``ker D`` on the span of ``monos``.
+
+    Each weight block is solved on its own columns; the union of the
+    block bases, sorted by pivot column, is the reduced echelon form of
+    the whole kernel because the blocks have disjoint supports.  Within
+    a block the columns are eliminated in reverse order: each nullspace
+    vector is then ``1`` at its free column, zero at the other free
+    columns and non-zero elsewhere only at later pivot columns, which
+    makes the basis reduced echelon in the original order.
+    """
+    canonical: List[Tuple[int, Row]] = []
+    for block in _weight_blocks(d, monos):
+        columns = block[::-1]
+        rows: Dict[Tuple[int, ...], Row] = {}
+        for local, j in enumerate(columns):
+            for ie, ic in apply(d, Poly.monomial(d.vars, monos[j])).terms.items():
+                row = rows.get(ie)
+                if row is None:
+                    rows[ie] = row = {}
+                row[local] = ic
+        for vector in nullspace(list(rows.values()), len(columns)):
+            row = {columns[c]: v for c, v in vector.items()}
+            canonical.append((min(row), row))
+    canonical.sort(key=lambda pair: pair[0])
+    return canonical
+
+
 def graded_kernel_generators(d: Derivation, maxdeg: int) -> List[Poly]:
     """Minimal homogeneous kernel generators up to the degree bound.
 
-    In each degree the kernel is computed exactly and reduced modulo
-    products of lower-degree generators; what survives is normalised to
-    integer content one with positive leading coefficient.  The listing
-    is deterministic: degree ascending, then leading monomial descending.
+    In each degree the kernel is computed exactly, one weight block at a
+    time, and reduced modulo products of lower-degree generators; what
+    survives is normalised to integer content one with positive leading
+    coefficient.  The product span is row-reduced once per degree and
+    extended by each new generator.  The listing is deterministic:
+    degree ascending, then leading monomial descending.
     """
     if not d.graded_linear:
         raise ValueError("kernel generators require a degree-preserving derivation")
@@ -307,25 +363,20 @@ def graded_kernel_generators(d: Derivation, maxdeg: int) -> List[Poly]:
     generators: List[Poly] = []
     for degree in range(1, maxdeg + 1):
         monos = list(exponents_of_degree(n, degree))
-        index = {e: i for i, e in enumerate(monos)}
-        rows: Dict[int, Row] = {}
-        for j, exponent in enumerate(monos):
-            image = apply(d, Poly.monomial(d.vars, exponent))
-            for ie, ic in image.terms.items():
-                rows.setdefault(index[ie], {})[j] = ic
-        kernel = nullspace([rows[i] for i in sorted(rows)], len(monos))
-        if not kernel:
+        canonical = _kernel_rref(d, monos)
+        if not canonical:
             continue
-        canonical = rref(kernel, len(monos))
-        spanned: List[Row] = [
-            _vectorize(p, index) for p in _products_of_degree(generators, degree, d.vars)
-        ]
+        index = {e: i for i, e in enumerate(monos)}
+        spanned = rref(
+            [_vectorize(p, index) for p in _products_of_degree(generators, degree, d.vars)],
+            len(monos),
+        )
         for _, row in canonical:
-            remainder = reduce_against(row, rref(spanned, len(monos)))
+            remainder = reduce_against(row, spanned)
             if remainder:
                 poly = Poly(d.vars, {monos[c]: v for c, v in remainder.items()})
                 generators.append(poly.normalized())
-                spanned.append(remainder)
+                extend_rref(spanned, remainder)
     return generators
 
 

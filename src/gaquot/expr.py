@@ -13,17 +13,26 @@ exponent, and ``/`` appears only inside rational literals such as
 ``5/3``.  Syntax errors carry the character offset of the offending
 token.  ``parse(text)`` collects variables in order of first appearance;
 ``parse(text, variables)`` checks identifiers against a fixed table.
+
+Like monomials are merged after every product, and two caps bound the
+work of one parse: an exponent above ``MAX_EXPONENT`` and a product
+of two factors with more than ``MAX_TERMS`` term pairs are syntax
+errors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from operator import add
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import ExprSyntaxError
 from .poly import Poly
 
 _OPS = set("+-*^/()")
+
+MAX_EXPONENT = 100
+MAX_TERMS = 50000
 
 
 class _Token:
@@ -67,15 +76,17 @@ def _tokenize(text: str) -> List[_Token]:
     return tokens
 
 
+# A term is (exponent tuple indexed like the parser's variable list, coefficient);
+# trailing zero exponents may be left off.
+_Term = Tuple[Tuple[int, ...], Union[int, Fraction]]
+
+
 class _Parser:
     def __init__(self, tokens: List[_Token], variables: Optional[Sequence[str]]):
         self.tokens = tokens
         self.index = 0
         self.strict = variables is not None
         self.variables: List[str] = list(variables) if variables else []
-        # (exponent-map keyed by name, coeff) pairs; flattened once the
-        # variable table is final
-        self.pending: List[Tuple[dict, Fraction]] = []
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -94,9 +105,9 @@ class _Parser:
             )
         return self.advance()
 
-    # each parse method returns a list of (name->exp dict, Fraction) terms
+    # each parse method returns a list of terms
 
-    def parse_expr(self) -> List[Tuple[dict, Fraction]]:
+    def parse_expr(self) -> List[_Term]:
         terms = self.parse_term()
         while self.peek().kind in "+-":
             op = self.advance().kind
@@ -106,15 +117,15 @@ class _Parser:
             terms = terms + rhs
         return terms
 
-    def parse_term(self) -> List[Tuple[dict, Fraction]]:
+    def parse_term(self) -> List[_Term]:
         acc = self.parse_factor()
         while self.peek().kind == "*":
-            self.advance()
+            star = self.advance()
             rhs = self.parse_factor()
-            acc = _multiply(acc, rhs)
+            acc = self.multiply(acc, rhs, star.pos)
         return acc
 
-    def parse_factor(self) -> List[Tuple[dict, Fraction]]:
+    def parse_factor(self) -> List[_Term]:
         sign = 1
         while self.peek().kind in "+-":
             if self.advance().kind == "-":
@@ -126,19 +137,21 @@ class _Parser:
             if tok.kind != "int":
                 raise ExprSyntaxError("exponent must be a non-negative integer", tok.pos if tok.kind != "end" else caret.pos)
             power = int(self.advance().text)
-            result = [({}, Fraction(1))]
+            if power > MAX_EXPONENT:
+                raise ExprSyntaxError(f"exponent {power} exceeds the cap of {MAX_EXPONENT}", tok.pos)
+            result: List[_Term] = [((), 1)]
             for _ in range(power):
-                result = _multiply(result, base)
+                result = self.multiply(result, base, caret.pos)
             base = result
         if sign < 0:
             base = [(m, -c) for m, c in base]
         return base
 
-    def parse_atom(self) -> List[Tuple[dict, Fraction]]:
+    def parse_atom(self) -> List[_Term]:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            value = Fraction(int(tok.text))
+            value: Union[int, Fraction] = int(tok.text)
             if self.peek().kind == "/":
                 self.advance()
                 den = self.peek()
@@ -147,8 +160,8 @@ class _Parser:
                 self.advance()
                 if int(den.text) == 0:
                     raise ExprSyntaxError("zero denominator", den.pos)
-                value = value / int(den.text)
-            return [({}, value)]
+                value = Fraction(value, int(den.text))
+            return [((), value)]
         if tok.kind == "ident":
             self.advance()
             name = tok.text
@@ -156,7 +169,8 @@ class _Parser:
                 if self.strict:
                     raise ExprSyntaxError(f"unknown variable {name!r}", tok.pos)
                 self.variables.append(name)
-            return [({name: 1}, Fraction(1))]
+            idx = self.variables.index(name)
+            return [((0,) * idx + (1,), 1)]
         if tok.kind == "(":
             self.advance()
             inner = self.parse_expr()
@@ -170,16 +184,20 @@ class _Parser:
         msg = "unexpected end of input" if tok.kind == "end" else f"unexpected token {tok.text!r}"
         raise ExprSyntaxError(msg, tok.pos)
 
-
-def _multiply(lhs: List[Tuple[dict, Fraction]], rhs: List[Tuple[dict, Fraction]]) -> List[Tuple[dict, Fraction]]:
-    out: List[Tuple[dict, Fraction]] = []
-    for m1, c1 in lhs:
-        for m2, c2 in rhs:
-            merged = dict(m1)
-            for name, e in m2.items():
-                merged[name] = merged.get(name, 0) + e
-            out.append((merged, c1 * c2))
-    return out
+    def multiply(self, lhs: List[_Term], rhs: List[_Term], pos: int) -> List[_Term]:
+        """Product with like monomials merged; ``pos`` locates a cap violation."""
+        if len(lhs) * len(rhs) > MAX_TERMS:
+            raise ExprSyntaxError(
+                f"product of {len(lhs)} by {len(rhs)} terms exceeds the cap of {MAX_TERMS} term products", pos
+            )
+        n = len(self.variables)
+        out: Dict[Tuple[int, ...], Union[int, Fraction]] = {}
+        for m1, c1 in lhs:
+            e1 = m1 + (0,) * (n - len(m1))
+            for m2, c2 in rhs:
+                key = tuple(map(add, e1, m2 + (0,) * (n - len(m2))))
+                out[key] = out.get(key, 0) + c1 * c2
+        return [(m, c) for m, c in out.items() if c]
 
 
 def parse(text: str, variables: Optional[Sequence[str]] = None) -> Poly:
@@ -194,16 +212,12 @@ def parse(text: str, variables: Optional[Sequence[str]] = None) -> Poly:
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ExprSyntaxError(f"unexpected token {trailing.text!r}", trailing.pos)
-    table = tuple(parser.variables)
-    index = {name: i for i, name in enumerate(table)}
-    accum: dict = {}
+    n = len(parser.variables)
+    accum: Dict[Tuple[int, ...], Union[int, Fraction]] = {}
     for mono, coeff in terms:
-        e = [0] * len(table)
-        for name, k in mono.items():
-            e[index[name]] = k
-        key = tuple(e)
-        accum[key] = accum.get(key, Fraction(0)) + coeff
-    return Poly(table, accum)
+        key = mono + (0,) * (n - len(mono))
+        accum[key] = accum.get(key, 0) + coeff
+    return Poly(tuple(parser.variables), accum)
 
 
 def render(p: Poly) -> str:

@@ -107,6 +107,21 @@ def reduce_against(vector: Row, reduced: Sequence[Tuple[int, Row]]) -> Row:
     return rem
 
 
+def extend_rref(reduced: List[Tuple[int, Row]], remainder: Row) -> None:
+    """Add a non-zero row already reduced modulo ``reduced``, in place.
+
+    The row is scaled to a unit pivot at its first non-zero column and
+    that column is cleared from the other rows, so ``reduced`` stays the
+    (unordered) reduced row echelon form of the enlarged span.
+    """
+    pivot = min(remainder)
+    inv = Fraction(1) / remainder[pivot]
+    unit = {c: v * inv for c, v in remainder.items()}
+    for _, row in reduced:
+        _eliminate(row, pivot, unit)
+    reduced.append((pivot, unit))
+
+
 def det_bareiss(matrix: Sequence[Sequence[Poly]]) -> Poly:
     """Fraction-free determinant of a square matrix of polynomials.
 

@@ -139,129 +139,18 @@ def spec_from_blocks(data: Mapping) -> RepSpec:
 
 
 # ----------------------------------------------------------------------
-# Laurent bookkeeping for substitutions with powers of 1/v
+# the induced coordinate substitution
 
 
-class LaurentV:
-    """A polynomial divided by a tracked power of one designated variable.
-
-    Keeps the main polynomial type free of negative exponents: the value
-    is ``poly / denom**vexp`` and normalisation cancels common powers of
-    the denominator variable out of the numerator.
-    """
-
-    __slots__ = ("poly", "vexp", "denom")
-
-    def __init__(self, poly: Poly, vexp: int = 0, denom: str = "v"):
-        if vexp < 0:
-            raise ValueError("denominator exponent must be non-negative")
-        if poly.is_zero:
-            vexp = 0
-        elif vexp > 0:
-            if denom not in poly.vars:
-                raise VariableTableMismatch(
-                    f"denominator variable {denom!r} is not in table {poly.vars}"
-                )
-            idx = poly.vars.index(denom)
-            shift = min(vexp, min(e[idx] for e in poly.terms))
-            if shift:
-                poly = Poly(
-                    poly.vars,
-                    {e[:idx] + (e[idx] - shift,) + e[idx + 1:]: c for e, c in poly.terms.items()},
-                )
-                vexp -= shift
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "vexp", vexp)
-        object.__setattr__(self, "denom", denom)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("LaurentV is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.poly.is_zero
-
-    def _lift(self, other) -> "LaurentV":
-        if isinstance(other, LaurentV):
-            if other.poly.vars != self.poly.vars or other.denom != self.denom:
-                raise VariableTableMismatch("Laurent values over different tables")
-            return other
-        if isinstance(other, Poly):
-            return LaurentV(other, 0, self.denom)
-        if isinstance(other, (int, Fraction)):
-            return LaurentV(Poly.const(self.poly.vars, other), 0, self.denom)
-        raise TypeError(f"cannot combine LaurentV with {type(other).__name__}")
-
-    def _scaled_numerator(self, target_exp: int) -> Poly:
-        extra = target_exp - self.vexp
-        if extra == 0 or self.poly.is_zero:
-            return self.poly
-        idx = self.poly.vars.index(self.denom)
-        return Poly(
-            self.poly.vars,
-            {e[:idx] + (e[idx] + extra,) + e[idx + 1:]: c for e, c in self.poly.terms.items()},
-        )
-
-    def __add__(self, other) -> "LaurentV":
-        rhs = self._lift(other)
-        vexp = max(self.vexp, rhs.vexp)
-        return LaurentV(self._scaled_numerator(vexp) + rhs._scaled_numerator(vexp), vexp, self.denom)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentV":
-        return LaurentV(-self.poly, self.vexp, self.denom)
-
-    def __sub__(self, other) -> "LaurentV":
-        return self + (-self._lift(other))
-
-    def __mul__(self, other) -> "LaurentV":
-        rhs = self._lift(other)
-        return LaurentV(self.poly * rhs.poly, self.vexp + rhs.vexp, self.denom)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "LaurentV":
-        if exponent < 0:
-            raise ValueError("LaurentV powers take non-negative integers")
-        return LaurentV(self.poly ** exponent, self.vexp * exponent, self.denom)
-
-    def __eq__(self, other) -> bool:
-        try:
-            rhs = self._lift(other)
-        except (TypeError, VariableTableMismatch):
-            return NotImplemented
-        return (self - rhs).is_zero
-
-    def __hash__(self):
-        return hash((self.poly, self.vexp, self.denom))
-
-    def as_poly(self) -> Poly:
-        """The value as a plain polynomial; fails on a true denominator."""
-        if self.vexp != 0:
-            raise ValueError(f"residual denominator {self.denom}^{self.vexp} does not cancel")
-        return self.poly
-
-    def __repr__(self) -> str:
-        if self.vexp == 0:
-            return f"LaurentV({self.poly})"
-        return f"LaurentV(({self.poly}) / {self.denom}^{self.vexp})"
+MatrixEntry = Union[Poly, int, Fraction]
 
 
-MatrixEntry = Union[LaurentV, Poly, int, Fraction]
-
-
-def group_substitution(
-    spec: RepSpec,
-    matrix: Sequence[Sequence[MatrixEntry]],
-    denom: str = "v",
-) -> Dict[str, LaurentV]:
+def group_substitution(spec: RepSpec, matrix: Sequence[Sequence[MatrixEntry]]) -> Dict[str, Poly]:
     """Coordinate substitution induced by a determinant-one 2x2 matrix.
 
-    Matrix entries may be scalars, polynomials over a shared parameter
-    table, or :class:`LaurentV` values with powers of ``denom`` below.
-    The images live over the parameter table followed by the spec
-    coordinates and satisfy the symmetric-power functoriality
+    Matrix entries may be scalars or polynomials over a shared parameter
+    table.  The images live over the parameter table followed by the
+    spec coordinates and satisfy the symmetric-power functoriality
     ``subst(m1*m2) = subst(m2) o subst(m1)``.
     """
     if len(matrix) != 2 or any(len(row) != 2 for row in matrix):
@@ -269,45 +158,39 @@ def group_substitution(
     entry_table: Tuple[str, ...] = ()
     for row in matrix:
         for entry in row:
-            if isinstance(entry, LaurentV):
-                candidate = entry.poly.vars
-            elif isinstance(entry, Poly):
-                candidate = entry.vars
-            else:
+            if not isinstance(entry, Poly):
                 continue
-            if entry_table and candidate != entry_table:
+            if entry_table and entry.vars != entry_table:
                 raise VariableTableMismatch("matrix entries use more than one parameter table")
-            entry_table = candidate
+            entry_table = entry.vars
     collision = set(entry_table) & set(spec.coord_names)
     if collision:
         raise ValueError(f"parameter names collide with coordinates: {sorted(collision)}")
     full = entry_table + spec.coord_names
 
-    def lift(entry: MatrixEntry) -> LaurentV:
-        if isinstance(entry, LaurentV):
-            return LaurentV(entry.poly.extend_table(full), entry.vexp, denom)
+    def lift(entry: MatrixEntry) -> Poly:
         if isinstance(entry, Poly):
-            return LaurentV(entry.extend_table(full), 0, denom)
-        return LaurentV(Poly.const(full, entry), 0, denom)
+            return entry.extend_table(full)
+        return Poly.const(full, entry)
 
     a, b = lift(matrix[0][0]), lift(matrix[0][1])
     c, d = lift(matrix[1][0]), lift(matrix[1][1])
-    one = LaurentV(Poly.const(full, 1), 0, denom)
+    one = Poly.const(full, 1)
     if a * d - b * c != one:
         raise ValueError("matrix must have determinant one")
 
-    images: Dict[str, LaurentV] = {}
-    for block_index, (k, names) in enumerate(spec.blocks()):
+    images: Dict[str, Poly] = {}
+    for k, names in spec.blocks():
         scales = [_basis_scale(k, i, spec.normalization) for i in range(k + 1)]
-        coord_values = [lift(Poly.variable(full, name)) for name in names]
+        coord_values = [Poly.variable(full, name) for name in names]
         apows = [one] + [a ** p for p in range(1, k + 1)]
         bpows = [one] + [b ** p for p in range(1, k + 1)]
         cpows = [one] + [c ** p for p in range(1, k + 1)]
         dpows = [one] + [d ** p for p in range(1, k + 1)]
         for j in range(k + 1):
-            image = LaurentV(Poly.zero(full), 0, denom)
+            image = Poly.zero(full)
             for i in range(k + 1):
-                entry = LaurentV(Poly.zero(full), 0, denom)
+                entry = Poly.zero(full)
                 for q in range(max(0, j - (k - i)), min(i, j) + 1):
                     coeff = math.comb(k - i, j - q) * math.comb(i, q)
                     entry = entry + coeff * (
@@ -421,7 +304,7 @@ def _check_one_parameter_flow(spec: RepSpec, lower: Derivation) -> None:
     images = group_substitution(spec, [[1, Poly.zero(("t",))], [t, 1]])
     target_table = ("t",) + spec.coord_names
     for name in spec.coord_names:
-        flowed = images[name].as_poly()
+        flowed = images[name]
         series = exp_action(lower, Poly.variable(spec.coord_names, name), "t")
         if flowed != series.extend_table(target_table):
             raise ConstructionFailure(

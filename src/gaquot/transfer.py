@@ -3,11 +3,19 @@
 An invariant ``f`` on the representation space extends uniquely to a
 function ``F`` on the product of the standard plane (coordinates
 ``u, v``) with the representation space, invariant under the full
-rank-one group acting diagonally.  ``F`` is computed by substituting
-the inverse of an explicit determinant-one section matrix whose second
-column is ``(u, v)``; the theory forces every intermediate power of
-``1/v`` to cancel, and surviving denominators convict the input of
-non-invariance.
+rank-one group acting diagonally.  ``F`` is ``f`` pulled back along the
+inverse ``[[v, -u], [0, 1/v]] = U(-uv) * T(v)`` of a determinant-one
+section whose second column is ``(u, v)``: the unipotent factor acts as
+``exp(-uv * E)`` with ``E`` the raising operator, and the torus factor
+scales a monomial of weight ``w`` by ``v^w``, so
+
+    F = sum_j (-1)^j / j! * u^j * v^(j + wt(m)) * m
+
+over the monomials ``m`` of ``E^j(f)``; the sum is finite because ``E``
+is nilpotent.  Three checks guard the result: the derivation must kill
+``f``; every power of ``v`` must be non-negative, so a negative one
+convicts the input of non-invariance; and ``F(u=0, v=1)`` must give
+back ``f``.
 
 The constant coefficient ``F00`` (the ``u^0 v^0`` part of ``F``) splits
 ``f = F00 + g`` and its shape classifies how the closure of the lifted
@@ -23,12 +31,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from fractions import Fraction
 from typing import Dict
 
 from .derivations import apply
 from .errors import InternalInconsistency, NonInvariantInput, VariableTableMismatch
 from .poly import Poly
-from .reps import LaurentV, RepSpec, build_derivation, group_substitution, sl2_triple
+from .reps import RepSpec, sl2_triple
 
 PLANE_COORDS = ("u", "v")
 
@@ -50,27 +59,6 @@ class TransferResult:
 
 
 @lru_cache(maxsize=None)
-def _section_inverse_substitution(spec: RepSpec) -> Dict[str, LaurentV]:
-    """Substitution by the inverse of the section ``[[1/v, u], [0, v]]``.
-
-    The section has second column ``(u, v)`` and determinant one; its
-    inverse is ``[[v, -u], [0, 1/v]]``.  Images live over the table
-    ``("u", "v") + coords`` with a tracked ``v``-denominator.
-    """
-    collision = set(PLANE_COORDS) & set(spec.coord_names)
-    if collision:
-        raise ValueError(f"coordinates shadow the plane variables: {sorted(collision)}")
-    u = Poly.variable(PLANE_COORDS, "u")
-    v = Poly.variable(PLANE_COORDS, "v")
-    one = Poly.const(PLANE_COORDS, 1)
-    inverse = [
-        [LaurentV(v), LaurentV(-u)],
-        [LaurentV(Poly.zero(PLANE_COORDS)), LaurentV(one, 1)],
-    ]
-    return group_substitution(spec, inverse)
-
-
-@lru_cache(maxsize=None)
 def extended_spec(spec: RepSpec) -> RepSpec:
     """The spec enlarged by the standard plane as a leading summand."""
     return RepSpec(
@@ -83,47 +71,44 @@ def extended_spec(spec: RepSpec) -> RepSpec:
 def extend(spec: RepSpec, f: Poly) -> TransferResult:
     """Extend an invariant across the group and classify its boundary.
 
-    Raises :class:`NonInvariantInput` when the derivation does not kill
-    ``f``; a residual denominator after clearing is the same defect and
-    raises identically.
+    With ``E`` the raising operator of ``spec``,
+    ``F = sum_j (-1)^j/j! * u^j * v^(j + wt(m)) * m`` over the monomials
+    ``m`` of ``E^j(f)``.  Raises :class:`NonInvariantInput` when the
+    derivation does not kill ``f``; a negative power of ``v`` is the
+    same defect and raises identically.
     """
     if f.vars != spec.coord_names:
         raise VariableTableMismatch(
             f"polynomial table {f.vars} does not match the spec coordinates {spec.coord_names}"
         )
-    derivation = build_derivation(spec)
-    if not apply(derivation, f).is_zero:
+    collision = set(PLANE_COORDS) & set(spec.coord_names)
+    if collision:
+        raise ValueError(f"coordinates shadow the plane variables: {sorted(collision)}")
+    triple = sl2_triple(spec)
+    if not apply(triple.lower, f).is_zero:
         raise NonInvariantInput("transfer input is not killed by the derivation")
-    images = _section_inverse_substitution(spec)
-    full = PLANE_COORDS + spec.coord_names
-    zero = LaurentV(Poly.zero(full))
-    accumulated = zero
-    power_cache: Dict[tuple, LaurentV] = {}
-    for exponent, coeff in f.terms.items():
-        term = LaurentV(Poly.const(full, coeff))
-        for idx, e in enumerate(exponent):
-            if not e:
-                continue
-            key = (idx, e)
-            cached = power_cache.get(key)
-            if cached is None:
-                cached = images[spec.coord_names[idx]] ** e
-                power_cache[key] = cached
-            term = term * cached
-        accumulated = accumulated + term
-    if accumulated.vexp != 0:
-        raise NonInvariantInput(
-            f"denominator v^{accumulated.vexp} fails to cancel; input is not invariant"
-        )
-    extension = accumulated.as_poly()
-    restriction = extension.substitute(
-        {
-            "u": Poly.zero(spec.coord_names),
-            "v": Poly.const(spec.coord_names, 1),
-            **{name: Poly.variable(spec.coord_names, name) for name in spec.coord_names},
-        }
-    )
-    if restriction != f:
+    weights = spec.weights
+    terms: Dict[tuple, Fraction] = {}
+    power = f
+    j = 0
+    scale = Fraction(1)
+    while not power.is_zero:
+        for exponent, coeff in power.terms.items():
+            vexp = j + sum(e * w for e, w in zip(exponent, weights))
+            if vexp < 0:
+                raise NonInvariantInput(
+                    f"term of E^{j}(f) needs v^{vexp}; input is not invariant"
+                )
+            terms[(j, vexp) + exponent] = scale * coeff
+        j += 1
+        scale = -scale / j
+        power = apply(triple.raising, power)
+    extension = Poly(PLANE_COORDS + spec.coord_names, terms)
+    restriction: Dict[tuple, Fraction] = {}
+    for exponent, coeff in extension.terms.items():
+        if exponent[0] == 0:  # u = 0; v = 1 drops the v-exponent
+            restriction[exponent[2:]] = restriction.get(exponent[2:], 0) + coeff
+    if Poly(spec.coord_names, restriction) != f:
         raise InternalInconsistency("extension does not restrict back to its input")
     f00 = extension.coefficient({"u": 0, "v": 0})
     if f00.is_zero:

@@ -202,6 +202,10 @@ class TestMalformedJobs:
         err = self._run_job(tmp_path, capsys, bounds={"sliceDeg": -1})
         assert "bounds.sliceDeg" in err
 
+    def test_over_cap_polynomial(self, tmp_path, capsys):
+        err = self._run_job(tmp_path, capsys, polynomial="(w0+w1+w2+w3+w4+w5)^30")
+        assert "cap" in err
+
     def test_unknown_output(self, tmp_path, capsys):
         err = self._run_job(tmp_path, capsys, output="yaml")
         assert "output" in err and "yaml" in err

@@ -178,6 +178,15 @@ class TestKernelGenerators:
         for g in graded_kernel_generators(d, 2):
             assert apply(d, g).is_zero
 
+    @pytest.mark.parametrize("spec", [RepSpec((3, 1)), RepSpec((2, 2), "unit"), RepSpec((5,))])
+    def test_single_block_matches_weight_blocks(self, spec):
+        weighted = build_derivation(spec)
+        plain = Derivation(weighted.vars, weighted.images)
+        assert plain.weight_of is None
+        assert [str(g) for g in graded_kernel_generators(plain, 3)] == [
+            str(g) for g in graded_kernel_generators(weighted, 3)
+        ]
+
     def test_deterministic(self):
         d = build_derivation(RepSpec((1, 1, 1)))
         first = [str(g) for g in graded_kernel_generators(d, 2)]

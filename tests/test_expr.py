@@ -2,12 +2,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gaquot.errors import ExprSyntaxError
-from gaquot.expr import parse, render
+from gaquot.expr import MAX_EXPONENT, MAX_TERMS, parse, render
 from gaquot.poly import Poly, ring
 
 W = ("w0", "w1", "w2")
@@ -58,6 +60,31 @@ class TestParsing:
     def test_constant_expression(self):
         assert parse("7", W) == Poly.const(W, 7)
         assert parse("2^3", W) == Poly.const(W, 8)
+
+
+class TestExpansion:
+    def test_power_of_sum_merges_like_terms(self):
+        w = ring(("w0", "w1", "w2", "w3"))
+        start = time.perf_counter()
+        p = parse("(w0+w1+w2+w3)^10")
+        elapsed = time.perf_counter() - start
+        assert p == (w[0] + w[1] + w[2] + w[3]) ** 10
+        assert len(p.terms) == 286
+        assert elapsed < 1.0
+
+    def test_cancelling_product(self):
+        assert parse("(w0 + w1)*(w0 - w1) + w1^2", W) == parse("w0^2", W)
+
+    def test_exponent_cap(self):
+        assert parse(f"w0^{MAX_EXPONENT}", W) == Poly.monomial(W, (MAX_EXPONENT, 0, 0))
+        with pytest.raises(ExprSyntaxError, match="cap") as info:
+            parse(f"w0 + w1^{MAX_EXPONENT + 1}", W)
+        assert info.value.position == 8
+
+    def test_term_cap(self):
+        with pytest.raises(ExprSyntaxError, match=str(MAX_TERMS)) as info:
+            parse("(w0+w1+w2+w3+w4+w5)^30")
+        assert info.value.position == 19
 
 
 class TestErrors:

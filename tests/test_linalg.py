@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gaquot.linalg import det_bareiss, nullspace, reduce_against, rref, solve
+from gaquot.linalg import det_bareiss, extend_rref, nullspace, reduce_against, rref, solve
 from gaquot.poly import Poly, ring
 
 
@@ -104,6 +104,15 @@ class TestReduceAgainst:
         outside = {0: Fraction(1)}
         assert reduce_against(dict(inside), reduced) == {}
         assert reduce_against(dict(outside), reduced) != {}
+
+    @given(st.lists(st.lists(st.integers(min_value=-3, max_value=3), min_size=5, max_size=5), max_size=6))
+    def test_extending_in_place_matches_a_fresh_rref(self, dense):
+        reduced = []
+        for row in _rows(dense):
+            remainder = reduce_against(row, reduced)
+            if remainder:
+                extend_rref(reduced, remainder)
+        assert sorted(reduced, key=lambda pair: pair[0]) == rref(_rows(dense), 5)
 
 
 class TestDeterminant:

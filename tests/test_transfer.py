@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gaquot import transfer
+from gaquot.derivations import Derivation
 from gaquot.errors import NonInvariantInput, VariableTableMismatch
 from gaquot.expr import parse
 from gaquot.poly import Poly
-from gaquot.reps import RepSpec, build_derivation, catalog_invariants
+from gaquot.reps import RepSpec, Sl2Triple, build_derivation, catalog_invariants, sl2_triple
 from gaquot.transfer import (
     BoundaryClass,
     extend,
@@ -75,6 +77,26 @@ class TestExtendOracles:
 class TestExtendGuards:
     def test_non_invariant_rejected(self):
         with pytest.raises(NonInvariantInput):
+            extend(PAIR, parse("w1", PAIR.coords))
+
+    @pytest.mark.parametrize(
+        "spec,text",
+        [
+            (PAIR, "w0*w3 - w1*w2 + w1*w3"),
+            (RepSpec((5,), "unit"), "w0 + w5"),
+            (RepSpec((2, 1)), "w1^2"),
+        ],
+    )
+    def test_non_invariant_rejected_on_more_specs(self, spec, text):
+        with pytest.raises(NonInvariantInput):
+            extend(spec, parse(text, spec.coords))
+
+    def test_negative_v_power_rejected(self, monkeypatch):
+        """The v-power guard convicts input that the derivation check let through."""
+        triple = sl2_triple(PAIR)
+        blind = Sl2Triple(Derivation(PAIR.coords, {}), triple.raising, triple.diag)
+        monkeypatch.setattr(transfer, "sl2_triple", lambda spec: blind)
+        with pytest.raises(NonInvariantInput, match="v\\^-1"):
             extend(PAIR, parse("w1", PAIR.coords))
 
     def test_wrong_table_rejected(self):
