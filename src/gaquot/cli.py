@@ -61,6 +61,10 @@ def _require(condition: bool, message: str) -> None:
         raise JobError(message)
 
 
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
 def _parse_field(text, field: str, names: Sequence[str]):
     _require(isinstance(text, str), f"{field} must be an expression string, got {text!r}")
     return parse(text, names)
@@ -75,12 +79,38 @@ def _spec_from_job(job: Dict) -> RepSpec:
         and all(isinstance(block, dict) for block in data["blocks"]),
         f"representation must be an object with a 'blocks' list of objects, got {data!r}",
     )
+    for i, block in enumerate(data["blocks"]):
+        for key in ("sym", "vblock"):
+            if key in block:
+                value = block[key]
+                _require(
+                    isinstance(value, int) and not isinstance(value, bool),
+                    f"representation.blocks[{i}].{key} must be an integer, got {value!r}",
+                )
+    if "coordinates" in data:
+        _require(
+            _is_string_list(data["coordinates"]),
+            f"representation.coordinates must be a list of strings, got {data['coordinates']!r}",
+        )
     return spec_from_blocks(data)
 
 
 def _graph_from_job(data: Dict) -> GraphPresentation:
+    _require(isinstance(data, dict), f"graph must be an object, got {data!r}")
     for key in ("zvars", "free", "dependent"):
         _require(key in data, f"graph is missing {key!r}")
+    _require(
+        _is_string_list(data["zvars"]),
+        f"graph.zvars must be a list of strings, got {data['zvars']!r}",
+    )
+    _require(
+        isinstance(data["free"], dict) and _is_string_list(list(data["free"].values())),
+        f"graph.free must be an object mapping coordinates to strings, got {data['free']!r}",
+    )
+    _require(
+        isinstance(data["dependent"], dict),
+        f"graph.dependent must be an object, got {data['dependent']!r}",
+    )
     zvars = tuple(data["zvars"])
     dependent = {
         name: _parse_field(text, f"graph.dependent.{name}", zvars)
@@ -215,7 +245,10 @@ def _run_slice(job: Dict, bounds: Bounds) -> Handled:
 
 def _run_family_compare(job: Dict, bounds: Bounds) -> Handled:
     spec = _spec_from_job(job)
-    _require("delta" in job, "family comparison needs 'delta' (a catalog label)")
+    _require(
+        isinstance(job.get("delta"), str),
+        f"family comparison needs 'delta' (a catalog label), got {job.get('delta')!r}",
+    )
     _require(
         isinstance(job.get("parameters"), list) and len(job["parameters"]) == 2,
         "family comparison needs 'parameters': a list of two expressions in t",
@@ -337,7 +370,15 @@ def _load_job(args: argparse.Namespace) -> Dict:
 def run(job: Dict, bounds: Bounds) -> Handled:
     """Dispatch one job; the payload is the structured report body."""
     command = job.get("command", "classify")
-    _require(command in _HANDLERS, f"unknown command {command!r}; known: {', '.join(COMMANDS)}")
+    _require(
+        isinstance(command, str) and command in _HANDLERS,
+        f"unknown command {command!r}; known: {', '.join(COMMANDS)}",
+    )
+    if "citations" in job:
+        _require(
+            _is_string_list(job["citations"]),
+            f"citations must be a list of strings, got {job['citations']!r}",
+        )
     payload, lines, code = _HANDLERS[command](job, bounds)
     payload["schema"] = SCHEMA
     payload["command"] = command

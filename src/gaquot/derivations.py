@@ -18,12 +18,22 @@ handles everything else and doubles as an independent oracle in tests.
 The same grading splits the kernel computation: a derivation with a
 weight grading maps each weight piece of a degree into one weight
 piece, so kernel generators are solved one weight block at a time.
+
+Every solver, the transfer and the invariance checks reach the
+derivation through :func:`apply`, which runs on an exact integer
+kernel.  A :class:`Derivation` compiles its generator images once, when
+it is built: the common denominator of their coefficients, and for each
+variable with a non-zero image its terms as scaled ``int`` coefficients
+with sparse exponent deltas.  Each call clears the polynomial's
+denominators, sums plain ``int`` products per output monomial and
+builds one ``Fraction`` per surviving term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -35,9 +45,12 @@ from .errors import (
     VariableTableMismatch,
 )
 from .linalg import Row, extend_rref, nullspace, reduce_against, rref, solve
-from .poly import Poly, exponents_of_degree, exponents_up_to_degree, grlex_key
+from .poly import Poly, _raw, exponents_of_degree, exponents_up_to_degree, grlex_key
 
 _MAX_EXP_STEPS = 512
+# (Dd, ((variable index, ((a*Dd, ((index, change), ...)), ...)), ...)) over
+# the variables with a non-zero image; see ``apply``
+IntImages = Tuple[int, Tuple[Tuple[int, Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]], ...]]
 
 
 class Derivation:
@@ -48,7 +61,7 @@ class Derivation:
     weight piece.
     """
 
-    __slots__ = ("vars", "images", "graded_linear", "weight_of", "sl2_raise", "_img_list")
+    __slots__ = ("vars", "images", "graded_linear", "weight_of", "sl2_raise", "_int_images")
 
     def __init__(
         self,
@@ -79,7 +92,7 @@ class Derivation:
         object.__setattr__(self, "graded_linear", graded)
         object.__setattr__(self, "weight_of", dict(weight_of) if weight_of else None)
         object.__setattr__(self, "sl2_raise", sl2_raise)
-        object.__setattr__(self, "_img_list", [table[name] for name in vt])
+        object.__setattr__(self, "_int_images", _compile_images([table[name] for name in vt]))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Derivation is immutable")
@@ -100,28 +113,60 @@ class Derivation:
         return f"Derivation({imgs})"
 
 
+def _compile_images(images: Sequence[Poly]) -> IntImages:
+    """Integer form of the generator images, built once per derivation.
+
+    Variables with a zero image are left out.  Each image term keeps
+    ``a*Dd`` and the non-zero entries of ``e' - unit_i``.
+    """
+    scale = lcm(*(c.denominator for img in images for c in img.terms.values()))
+    active = []
+    for i, img in enumerate(images):
+        compiled = []
+        for ie, ic in img.terms.items():
+            change = list(ie)
+            change[i] -= 1
+            delta = tuple((j, x) for j, x in enumerate(change) if x)
+            compiled.append((ic.numerator * (scale // ic.denominator), delta))
+        if compiled:
+            active.append((i, tuple(compiled)))
+    return scale, tuple(active)
+
+
 def apply(d: Derivation, p: Poly) -> Poly:
-    """Apply the derivation via the Leibniz rule."""
+    """Apply the derivation via the Leibniz rule, on the integer kernel.
+
+    With ``Dd`` the common denominator of the image coefficients and
+    ``Dp`` that of ``p``, a term ``c * x^e`` of ``p`` and a term
+    ``a * x^e'`` of the image of ``x_i`` (where ``e_i > 0``) contribute
+    ``(c*Dp) * e_i * (a*Dd)`` to the monomial ``e - unit_i + e'``.  That
+    key is a copy of ``e`` moved by the compiled sparse delta
+    ``e' - unit_i``, so no full-width tuple sum is formed.  The ``int``
+    sums are divided by ``Dp * Dd`` once per non-zero monomial; the
+    result equals the term-by-term ``Fraction`` evaluation of the rule.
+    """
     if p.vars != d.vars:
         raise VariableTableMismatch(f"polynomial table {p.vars} does not match {d.vars}")
-    acc: Dict[Tuple[int, ...], Fraction] = {}
-    for exponent, coeff in p.terms.items():
-        for i, e in enumerate(exponent):
+    scale, active = d._int_images
+    terms = p.terms
+    p_scale = lcm(*(c.denominator for c in terms.values()))
+    acc: Dict[Tuple[int, ...], int] = {}
+    get = acc.get
+    for exponent, coeff in terms.items():
+        numer = coeff.numerator * (p_scale // coeff.denominator)
+        for i, image in active:
+            e = exponent[i]
             if not e:
                 continue
-            image = d._img_list[i]
-            if image.is_zero:
-                continue
-            factor = coeff * e
-            base = exponent[:i] + (e - 1,) + exponent[i + 1:]
-            for ie, ic in image.terms.items():
-                key = tuple(a + b for a, b in zip(base, ie))
-                prev = acc.get(key)
-                val = factor * ic
-                acc[key] = val if prev is None else prev + val
-                if not acc[key]:
-                    del acc[key]
-    return Poly(d.vars, acc)
+            factor = numer * e
+            for c, delta in image:
+                key = list(exponent)
+                for j, change in delta:
+                    key[j] += change
+                key = tuple(key)
+                acc[key] = get(key, 0) + factor * c
+    denom = p_scale * scale
+    return _raw(d.vars, {key: Fraction(v, denom) for key, v in acc.items() if v})
 
 
 def exp_action(d: Derivation, p: Poly, tname: str = "t", max_steps: int = _MAX_EXP_STEPS) -> Poly:

@@ -3,8 +3,11 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gaquot.cli import SCHEMA, main
+from gaquot.cli import COMMANDS, SCHEMA, main
+from gaquot.fixtures import all_named_fixtures, job_for
 
 
 def _run(capsys, *argv):
@@ -209,3 +212,133 @@ class TestMalformedJobs:
     def test_unknown_output(self, tmp_path, capsys):
         err = self._run_job(tmp_path, capsys, output="yaml")
         assert "output" in err and "yaml" in err
+
+    GRAPH = {"zvars": ["z0"], "free": {"w0": "z0"}, "dependent": {}}
+
+    def test_non_list_zvars(self, tmp_path, capsys):
+        err = self._run_job(tmp_path, capsys, graph={**self.GRAPH, "zvars": 5})
+        assert "graph.zvars" in err
+
+    def test_non_object_graph(self, tmp_path, capsys):
+        assert "graph" in self._run_job(tmp_path, capsys, graph=["z0"])
+
+    def test_non_object_free(self, tmp_path, capsys):
+        assert "graph.free" in self._run_job(tmp_path, capsys, graph={**self.GRAPH, "free": 5})
+
+    def test_non_string_free_value(self, tmp_path, capsys):
+        err = self._run_job(tmp_path, capsys, graph={**self.GRAPH, "free": {"w0": 5, "w1": "z0"}})
+        assert "graph.free" in err
+
+    def test_non_object_dependent(self, tmp_path, capsys):
+        err = self._run_job(tmp_path, capsys, graph={**self.GRAPH, "dependent": []})
+        assert "graph.dependent" in err
+
+    def test_non_list_citations(self, tmp_path, capsys):
+        assert "citations" in self._run_job(tmp_path, capsys, citations=5)
+
+    def test_non_string_citation(self, tmp_path, capsys):
+        assert "citations" in self._run_job(tmp_path, capsys, citations=["a", 5])
+
+    def test_non_string_command(self, tmp_path, capsys):
+        assert "command" in self._run_job(tmp_path, capsys, command=["classify"])
+
+    def test_non_integer_block(self, tmp_path, capsys):
+        err = self._run_job(tmp_path, capsys, representation={"blocks": [{"sym": [1]}]})
+        assert "representation.blocks[0].sym" in err
+        err = self._run_job(tmp_path, capsys, representation={"blocks": [{"vblock": None}]})
+        assert "representation.blocks[0].vblock" in err
+
+    def test_non_list_coordinates(self, tmp_path, capsys):
+        err = self._run_job(
+            tmp_path, capsys, representation={"blocks": [{"sym": 1}], "coordinates": None}
+        )
+        assert "representation.coordinates" in err
+
+    def test_non_string_delta(self, tmp_path, capsys):
+        err = self._run_job(
+            tmp_path, capsys, command="family-compare", delta=["minor[1,2]"], parameters=["t", "t^2"]
+        )
+        assert "delta" in err
+
+
+# Small JSON values of every type, for fields given the wrong type.
+_json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(min_value=-2, max_value=3),
+        st.sampled_from(["", "x", "w0", "t", "2/3"]),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=2),
+        st.dictionaries(st.sampled_from(["a", "w0", "z0", "sym", "vblock"]), inner, max_size=2),
+    ),
+    max_leaves=4,
+)
+_expressions = st.text(alphabet="w0123t+-*^/() ", max_size=8)
+_small_ints = st.integers(min_value=-2, max_value=3)
+_names = st.sampled_from(["w0", "w1", "w2", "z0", "z1"])
+_blocks = st.lists(
+    st.fixed_dictionaries(
+        {}, optional={"sym": st.one_of(_small_ints, _json_values), "vblock": _small_ints}
+    ),
+    max_size=2,
+)
+_graphs = st.fixed_dictionaries(
+    {},
+    optional={
+        "zvars": st.lists(_names, max_size=2),
+        "free": st.dictionaries(_names, _names, max_size=2),
+        "dependent": st.dictionaries(_names, _expressions, max_size=2),
+    },
+)
+_FIELDS = {
+    "command": st.sampled_from(COMMANDS + ("dance",)),
+    "representation": st.fixed_dictionaries(
+        {"blocks": _blocks},
+        optional={
+            "normalization": st.sampled_from(["section5", "unit", "other"]),
+            "coordinates": st.lists(_names, max_size=3),
+        },
+    ),
+    "polynomial": _expressions,
+    "graph": _graphs,
+    "bounds": st.dictionaries(
+        st.sampled_from(["kmax", "sliceDeg", "invariantDeg"]), _small_ints, max_size=3
+    ),
+    "output": st.sampled_from(["text", "structured", "yaml"]),
+    "citations": st.lists(st.sampled_from(["a", "b"]), max_size=2),
+    "delta": st.sampled_from(["minor[1,2]", "x"]),
+    "parameters": st.lists(_expressions, max_size=3),
+}
+_BASE_JOBS = [job_for(fx) for fx in all_named_fixtures()] + [
+    {
+        "command": "family-compare",
+        "representation": {"blocks": [{"vblock": 3}]},
+        "delta": "minor[1,2]",
+        "parameters": ["t", "t^2 - 1"],
+    }
+]
+# One or two fields of a valid job replaced by a well-typed or a wrongly
+# typed value, or a job assembled from scratch.
+_changes = st.lists(st.sampled_from(sorted(_FIELDS)), min_size=1, max_size=2, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries(
+        {key: st.one_of(_FIELDS[key], _json_values) for key in keys}
+    )
+)
+_jobs = st.one_of(
+    st.builds(lambda base, changes: {**base, **changes}, st.sampled_from(_BASE_JOBS), _changes),
+    st.fixed_dictionaries({}, optional=_FIELDS),
+)
+
+
+class TestJobFuzz:
+    @settings(max_examples=150)
+    @given(_jobs)
+    def test_exit_code_is_always_defined(self, tmp_path, capsys, job):
+        job_path = tmp_path / "job.json"
+        job_path.write_text(json.dumps(job))
+        code, out, err = _run(capsys, "--job", str(job_path))
+        assert code in {0, 1, 10, 20, 30}
+        # a failing selftest also exits 1, with its report and no error line
+        assert err == "" or (code == 1 and out == "" and err.startswith("error:"))

@@ -18,7 +18,12 @@ from gaquot.derivations import (
     slice_search,
     weight_components,
 )
-from gaquot.errors import GraphInconsistency, NonInvariantInput, NonNilpotentIteration
+from gaquot.errors import (
+    GraphInconsistency,
+    NonInvariantInput,
+    NonNilpotentIteration,
+    VariableTableMismatch,
+)
 from gaquot.expr import parse
 from gaquot.fixtures import fixture
 from gaquot.poly import Poly, ring
@@ -63,6 +68,66 @@ class TestApply:
         d = _ddx()
         x, _ = ring(XY)
         assert d(x ** 2) == 2 * x
+
+
+def _reference_apply(d, p):
+    """The Leibniz rule in ``Fraction`` arithmetic, one pair of terms at a time."""
+    acc = {}
+    for exponent, coeff in p.terms.items():
+        for i, name in enumerate(d.vars):
+            if not exponent[i]:
+                continue
+            base = exponent[:i] + (exponent[i] - 1,) + exponent[i + 1:]
+            for ie, ic in d.images[name].terms.items():
+                key = tuple(a + b for a, b in zip(base, ie))
+                acc[key] = acc.get(key, Fraction(0)) + coeff * exponent[i] * ic
+    return {key: value for key, value in acc.items() if value}
+
+
+XYZ = ("x", "y", "z")
+exponent3 = st.tuples(*[st.integers(min_value=0, max_value=2)] * 3)
+polys_xyz = st.dictionaries(exponent3, coeffs, max_size=5).map(lambda t: Poly(XYZ, t))
+# rational, non-linear and (as empty maps) zero images
+derivations_xyz = st.fixed_dictionaries({name: polys_xyz for name in XYZ}).map(
+    lambda images: Derivation(XYZ, images)
+)
+
+
+class TestIntegerLeibnizKernel:
+    def _assert_matches_reference(self, d, p):
+        result = apply(d, p)
+        assert result.vars == d.vars
+        assert result.terms == _reference_apply(d, p)
+        assert all(type(c) is Fraction and c for c in result.terms.values())
+
+    @given(derivations_xyz, polys_xyz)
+    def test_random_derivations(self, d, p):
+        self._assert_matches_reference(d, p)
+
+    @given(derivations_xyz)
+    def test_zero_polynomial(self, d):
+        assert apply(d, Poly.zero(XYZ)).terms == {}
+
+    def test_zero_derivation(self):
+        x, y, z = ring(XYZ)
+        assert apply(Derivation(XYZ, {}), x * y - Fraction(1, 3) * z + 1).is_zero
+
+    def test_cancellation_drops_terms(self):
+        x, y, _ = ring(XYZ)
+        d = Derivation(XYZ, {"x": y, "y": -x})
+        self._assert_matches_reference(d, x * x + y * y)
+        assert apply(d, x * x + y * y).is_zero
+
+    @given(st.dictionaries(exponent6, coeffs, max_size=6))
+    def test_restricted_winkelmann_derivation(self, terms):
+        fx = fixture("winkelmann")
+        restricted = restrict_to_graph(build_derivation(fx.spec), fx.graph)
+        exponents = {e[:5]: c for e, c in terms.items()}
+        self._assert_matches_reference(restricted, Poly(restricted.vars, exponents))
+
+    def test_foreign_table_rejected(self):
+        with pytest.raises(VariableTableMismatch):
+            apply(_ddx(), Poly.variable(XYZ, "x"))
 
 
 class TestExpAction:
