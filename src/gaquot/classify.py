@@ -50,6 +50,11 @@ from .reps import RepSpec, build_derivation, catalog_invariants, nonstable_coord
 from .transfer import BoundaryClass, TransferResult, extend
 
 
+# The seeded tail of every point search: how many samples, from which seed.
+_SAMPLE_BUDGET = 64
+_SAMPLE_SEED = 101
+
+
 class Verdict(enum.Enum):
     AFFINE = "Affine"
     STRICTLY_QUASI_AFFINE = "StrictlyQuasiAffine"
@@ -64,8 +69,6 @@ class Bounds:
     kmax: int = 3
     slice_degree: int = 3
     invariant_degree: int = 2
-    sample_budget: int = 64
-    seed: int = 101
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -194,7 +197,7 @@ def _small_rationals() -> List[Fraction]:
     ]
 
 
-def _candidate_points(names: Sequence[str], bounds: Bounds) -> Iterator[Dict[str, Fraction]]:
+def _candidate_points(names: Sequence[str]) -> Iterator[Dict[str, Fraction]]:
     """Deterministic candidates first (origin, axes, axis pairs), then seeded samples."""
 
     def deterministic():
@@ -215,8 +218,8 @@ def _candidate_points(names: Sequence[str], bounds: Bounds) -> Iterator[Dict[str
                     yield point
 
     def sampled():
-        rng = random.Random(bounds.seed)
-        for _ in range(bounds.sample_budget):
+        rng = random.Random(_SAMPLE_SEED)
+        for _ in range(_SAMPLE_BUDGET):
             yield {
                 name: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for name in names
             }
@@ -225,7 +228,7 @@ def _candidate_points(names: Sequence[str], bounds: Bounds) -> Iterator[Dict[str
 
 
 def _common_zero(
-    constraints: Sequence[Poly], names: Sequence[str], bounds: Bounds
+    constraints: Sequence[Poly], names: Sequence[str]
 ) -> Optional[Dict[str, Fraction]]:
     """A rational point killing every constraint, or ``None`` within budget.
 
@@ -242,18 +245,17 @@ def _common_zero(
     def value_at(c: Poly, point: Dict[str, Fraction]) -> Fraction:
         return c.evaluate({v: point.get(v, Fraction(0)) for v in c.vars})
 
-    for point in _candidate_points(names, bounds):
+    for point in _candidate_points(names):
         if all(value_at(c, point) == 0 for c in live):
             return point
     return None
 
 
-def _find_unstable_point(spec: RepSpec, f: Poly, bounds: Bounds) -> Optional[UnstableWitness]:
-    """Search the non-stable subspace for an exact rational point of the variety."""
+def _find_unstable_point(spec: RepSpec, f: Poly, restriction: Poly) -> Optional[UnstableWitness]:
+    """Search ``f``'s certificate ``restriction`` for an exact rational point."""
     positive = nonstable_coordinates(spec)
-    restriction = f.substitute({name: Poly.zero(spec.coord_names) for name in positive})
-    names = [name for name in spec.coord_names if name not in set(positive)]
-    solution = _common_zero([restriction], names, bounds)
+    names = [name for name in spec.coord_names if name not in positive]
+    solution = _common_zero([restriction], names)
     if solution is None:
         return None
     full = {**{name: Fraction(0) for name in positive}, **solution}
@@ -263,30 +265,43 @@ def _find_unstable_point(spec: RepSpec, f: Poly, bounds: Bounds) -> Optional[Uns
     return UnstableWitness(subspace=positive, point=point)
 
 
-def _find_unstable_point_on_graph(
-    spec: RepSpec, graph: GraphPresentation, f: Optional[Poly], bounds: Bounds
-) -> Optional[UnstableWitness]:
-    """Graph-route witness search: zero the free positive-weight parameters.
+def _graph_constraints(
+    spec: RepSpec, graph: GraphPresentation
+) -> Tuple[Tuple[str, ...], List[Poly]]:
+    """The graph's equations for its points in the non-stable subspace.
 
-    The remaining constraints are the dependent positive-weight images
-    after that substitution; when they vanish identically the witness
-    subspace is cut by the free positive-weight coordinates alone.
+    Returns the free positive-weight coordinates, whose parameters are
+    zeroed, and the dependent positive-weight images after that
+    substitution, each of which must vanish.  A non-zero constant among
+    them certifies that the graph avoids the subspace.
     """
     positive = set(nonstable_coordinates(spec))
-    free_positive = [name for name in spec.coord_names if name in positive and name in graph.free]
+    free_positive = tuple(
+        name for name in spec.coord_names if name in positive and name in graph.free
+    )
+    zeroing = {graph.free[name]: Poly.zero(graph.zvars) for name in free_positive}
+    constraints = [
+        image.substitute(zeroing) for name, image in graph.dependent.items() if name in positive
+    ]
+    return free_positive, constraints
+
+
+def _find_unstable_point_on_graph(
+    spec: RepSpec,
+    graph: GraphPresentation,
+    f: Optional[Poly],
+    free_positive: Tuple[str, ...],
+    constraints: Sequence[Poly],
+) -> Optional[UnstableWitness]:
+    """Graph-route witness search on the system built by ``_graph_constraints``.
+
+    When the constraints vanish identically the witness subspace is cut
+    by the free positive-weight coordinates alone.
+    """
+    positive = set(nonstable_coordinates(spec))
     zero_z = {graph.free[name]: Fraction(0) for name in free_positive}
-    zeroing = {z: Poly.zero(graph.zvars) for z in zero_z}
-    constraints = []
-    all_identically_zero = True
-    for name, image in graph.dependent.items():
-        if name not in positive:
-            continue
-        reduced = image.substitute(zeroing)
-        constraints.append(reduced)
-        if not reduced.is_zero:
-            all_identically_zero = False
     remaining = [z for z in graph.zvars if z not in zero_z]
-    solution = _common_zero(constraints, remaining, bounds)
+    solution = _common_zero(constraints, remaining)
     if solution is None:
         return None
     zpoint: Dict[str, Fraction] = {**zero_z, **solution}
@@ -301,34 +316,12 @@ def _find_unstable_point_on_graph(
     if f is not None and f.evaluate(ambient) != 0:  # pragma: no cover - ditto
         raise InternalInconsistency("graph witness is not on the hypersurface")
     subspace = (
-        tuple(free_positive)
-        if all_identically_zero
+        free_positive
+        if all(c.is_zero for c in constraints)
         else tuple(name for name in spec.coord_names if name in positive)
     )
     point = tuple((name, ambient[name]) for name in spec.coord_names)
     return UnstableWitness(subspace=subspace, point=point)
-
-
-def _graph_certifies_stability(spec: RepSpec, graph: GraphPresentation) -> bool:
-    """Whether the graph provably avoids the non-stable subspace.
-
-    True when the constraint system (free positive-weight parameters
-    zeroed, dependent positive-weight images required to vanish) reduces
-    to a non-zero constant equation.
-    """
-    positive = set(nonstable_coordinates(spec))
-    zeroing = {
-        graph.free[name]: Poly.zero(graph.zvars)
-        for name in graph.free
-        if name in positive
-    }
-    for name, image in graph.dependent.items():
-        if name not in positive:
-            continue
-        reduced = image.substitute(zeroing)
-        if (not reduced.is_zero) and reduced.is_constant():
-            return True
-    return False
 
 
 # ----------------------------------------------------------------------
@@ -366,9 +359,7 @@ def localized_quotient_affine(spec: RepSpec, h: Poly, kmax: int = 3) -> PowerInI
     return power_in_image(build_derivation(spec), h, kmax)
 
 
-def jacobian_boundary_smoothness(
-    spec: RepSpec, f00: Poly, bounds: Bounds = Bounds()
-) -> SmoothnessReport:
+def jacobian_boundary_smoothness(spec: RepSpec, f00: Poly) -> SmoothnessReport:
     """Look for singular points: common zeros of ``f00`` and its gradient.
 
     When every partial is linear the critical locus is solved exactly and
@@ -381,9 +372,9 @@ def jacobian_boundary_smoothness(
     names = f00.vars
     partials = [f00.partial(name) for name in names]
     if all(p.total_degree() <= 1 for p in partials):
-        return _linear_gradient_analysis(f00, partials, bounds)
+        return _linear_gradient_analysis(f00, partials)
     samples = 0
-    for point in _candidate_points(names, bounds):
+    for point in _candidate_points(names):
         samples += 1
         if f00.evaluate(point) == 0 and all(p.evaluate(point) == 0 for p in partials):
             witness = tuple((name, point[name]) for name in names)
@@ -391,9 +382,7 @@ def jacobian_boundary_smoothness(
     return SmoothnessReport("SmoothOnSamples", None, samples)
 
 
-def _linear_gradient_analysis(
-    f00: Poly, partials: Sequence[Poly], bounds: Bounds
-) -> SmoothnessReport:
+def _linear_gradient_analysis(f00: Poly, partials: Sequence[Poly]) -> SmoothnessReport:
     """Exact treatment when the gradient system is linear."""
     names = f00.vars
     n = len(names)
@@ -437,7 +426,7 @@ def _linear_gradient_analysis(
     if restricted.is_constant():
         return SmoothnessReport("SmoothProven", None, 0)
     samples = 0
-    for tpoint in _candidate_points(tnames, bounds):
+    for tpoint in _candidate_points(tnames):
         samples += 1
         if restricted.evaluate(tpoint) == 0:
             point = {name: image.evaluate(tpoint) for name, image in images.items()}
@@ -459,23 +448,18 @@ def classify(
     """Full verdict pipeline; see the module docstring for the contract."""
     if f is None and graph is None:
         raise ValueError("classification needs a defining polynomial, a graph, or both")
-    derivation = build_derivation(spec)
     notes: List[str] = []
     crosschecks: List[Tuple[str, bool]] = []
 
+    certificate: Optional[StabilityCertificate] = None
     if f is not None:
-        if f.vars != spec.coord_names:
-            raise VariableTableMismatch(
-                f"polynomial table {f.vars} does not match the spec coordinates"
-            )
+        certificate = certify_everywhere_stable(spec, f)  # also checks the table and D(f) = 0
         if f.is_constant():
             raise ValueError("a constant polynomial does not define a hypersurface")
-        if not apply(derivation, f).is_zero:
-            raise NonInvariantInput("classification input is not killed by the derivation")
 
     restricted: Optional[Derivation] = None
     if graph is not None:
-        restricted = restrict_to_graph(derivation, graph)
+        restricted = restrict_to_graph(build_derivation(spec), graph)
         if f is not None:
             on_graph = f.substitute(graph.substitution())
             if not on_graph.is_zero:
@@ -484,13 +468,12 @@ def classify(
                 )
             crosschecks.append(("graph-lies-on-hypersurface", True))
 
-    certificate: Optional[StabilityCertificate] = None
     witness: Optional[UnstableWitness] = None
-    if f is not None:
-        certificate = certify_everywhere_stable(spec, f)
+    if certificate is not None:
         certified = certificate.certified
     else:
-        certified = _graph_certifies_stability(spec, graph)
+        free_positive, constraints = _graph_constraints(spec, graph)
+        certified = any(not c.is_zero and c.is_constant() for c in constraints)
         if certified:
             notes.append("graph avoids the non-stable subspace by a constant constraint")
 
@@ -513,10 +496,12 @@ def classify(
         else:
             verdict = Verdict.STRICTLY_QUASI_AFFINE
     else:
-        if graph is not None:
-            witness = _find_unstable_point_on_graph(spec, graph, f, bounds)
+        if graph is None:
+            witness = _find_unstable_point(spec, f, certificate.restriction)
         else:
-            witness = _find_unstable_point(spec, f, bounds)
+            if certificate is not None:
+                free_positive, constraints = _graph_constraints(spec, graph)
+            witness = _find_unstable_point_on_graph(spec, graph, f, free_positive, constraints)
         if witness is not None:
             verdict = Verdict.NOT_EVERYWHERE_STABLE
         else:
@@ -555,7 +540,7 @@ def classify(
 
     smoothness: Optional[SmoothnessReport] = None
     if transfer_result is not None and transfer_result.boundary is BoundaryClass.INTERSECTS:
-        smoothness = jacobian_boundary_smoothness(spec, transfer_result.f00, bounds)
+        smoothness = jacobian_boundary_smoothness(spec, transfer_result.f00)
 
     return ClassificationReport(
         spec=spec,
@@ -595,6 +580,14 @@ class FamilyComparison:
     counts: Tuple[int, int]
 
 
+def _catalog_invariant(spec: RepSpec, label: str) -> Poly:
+    """The catalogued invariant named ``label``; an unknown label is a ``ValueError``."""
+    catalog = {entry.label: entry.poly for entry in catalog_invariants(spec)}
+    if label not in catalog:
+        raise ValueError(f"unknown catalog invariant {label!r}; available: {sorted(catalog)}")
+    return catalog[label]
+
+
 def build_family_member(
     spec: RepSpec, phi: Poly, delta_label: str
 ) -> Tuple[Poly, GraphPresentation]:
@@ -614,12 +607,7 @@ def build_family_member(
     first_k, first_names = spec.blocks()[0]
     if first_k < 1:
         raise ValueError("leading summand must be a positive symmetric power")
-    catalog = {entry.label: entry for entry in catalog_invariants(spec)}
-    if delta_label not in catalog:
-        raise ValueError(
-            f"unknown catalog invariant {delta_label!r}; available: {sorted(catalog)}"
-        )
-    delta = catalog[delta_label].poly
+    delta = _catalog_invariant(spec, delta_label)
     overlap = set(delta.support()) & set(first_names)
     if overlap:
         raise ValueError(
@@ -644,15 +632,16 @@ def compare_family(m1: FamilyMember, m2: FamilyMember) -> FamilyComparison:
     The count for a member is the number of distinct roots of its
     parameter polynomial over an algebraic closure; distinct counts
     prove the quotients non-isomorphic, equal counts decide nothing.
-    Members must share the representation and invariant choice and have
-    squarefree parameters.  The comparison is arithmetic on the
-    parameters alone and does not rebuild the members; stability of each
-    member is the caller's hypothesis (the builder's origin guard is
-    deliberately not repeated here, so parameters whose value at zero is
-    -1 can still be compared).
+    Members must share the representation and a catalogued invariant
+    choice and have squarefree parameters.  The comparison is arithmetic
+    on the parameters alone and does not rebuild the members; stability
+    of each member is the caller's hypothesis (the builder's origin guard
+    is deliberately not repeated here, so parameters whose value at zero
+    is -1 can still be compared).
     """
     if m1.spec != m2.spec or m1.delta_label != m2.delta_label:
         raise ValueError("family members must share a representation and invariant choice")
+    _catalog_invariant(m1.spec, m1.delta_label)
     counts: List[int] = []
     for member in (m1, m2):
         count, squarefree = squarefree_distinct_root_count(member.phi)

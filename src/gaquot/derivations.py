@@ -308,16 +308,22 @@ def power_in_image(d: Derivation, h: Poly, kmax: int = 3) -> PowerInImage:
     """Smallest ``k <= kmax`` with ``h^k`` in the image of ``d``.
 
     Requires ``d`` to kill ``h`` (so every power is again killed) and to
-    be degree-preserving.
+    be degree-preserving.  On the sl2 ladder only ``h`` is tried: the
+    ladder refuses ``h`` only for a non-zero weight-zero part ``h_0``, and
+    as no weight of ``h`` is negative, the weight-zero part of ``h^k`` is
+    ``h_0^k``, again non-zero, so every higher power is refused too.
     """
     if not apply(d, h).is_zero:
         raise NonInvariantInput("power_in_image expects a polynomial killed by the derivation")
+    ladder = d.sl2_raise is not None and d.weight_of is not None
     power = Poly.const(d.vars, 1)
     for k in range(1, kmax + 1):
         power = power * h
         preimage = graded_image_membership(d, power)
         if preimage is not None:
             return PowerInImage(k, preimage, kmax)
+        if ladder:
+            break
     return PowerInImage(None, None, kmax)
 
 

@@ -23,6 +23,7 @@ from gaquot.classify import (
     compare_family,
 )
 from gaquot.derivations import (
+    Derivation,
     apply,
     graded_kernel_generators,
     power_in_image,
@@ -197,6 +198,20 @@ def test_criterion_4_boundary_image_duality():
                 # a contained boundary must come with an explicit preimage
                 assert membership.found and membership.preimage is not None
                 assert apply(d, membership.preimage) == h ** membership.power
+            checked += 1
+    assert checked > 50
+
+
+def test_ladder_power_search_agrees_with_generic_solver():
+    # the ladder stops after refusing h; the ungraded copy of the same
+    # derivation solves for every power up to kmax and must agree
+    checked = 0
+    for spec in SPEC_POOL[:4]:
+        d = build_derivation(spec)
+        generic = Derivation(d.vars, d.images)
+        assert generic.sl2_raise is None and generic.weight_of is None
+        for h in _duality_corpus(spec):
+            assert power_in_image(d, h, 3).power == power_in_image(generic, h, 3).power, str(h)
             checked += 1
     assert checked > 50
 

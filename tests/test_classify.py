@@ -103,6 +103,7 @@ class TestClassifyGraphRoute:
         assert report.verdict is Verdict.UNKNOWN
         assert report.crosschecks == (("slice-agreement", False),)
         assert len(report.notes) == 2
+        assert "graph avoids the non-stable subspace by a constant constraint" in report.notes
         assert str(report.slice_result.found) == "z1"
 
     def test_unstable_witness_point(self):
@@ -151,25 +152,25 @@ class TestCrosscheckHelpers:
 class TestBoundarySmoothness:
     def test_linear_gradient_proof(self):
         f00 = parse("w2*w5 - w3*w4 + 1", TRIPLE.coords)
-        outcome = jacobian_boundary_smoothness(TRIPLE, f00, Bounds())
+        outcome = jacobian_boundary_smoothness(TRIPLE, f00)
         assert outcome.outcome == "SmoothProven"
         assert outcome.witness is None
 
     def test_singular_witness_at_origin(self):
         squared = parse("(w0*w3 - w1*w2)^2", PAIR.coords)
-        outcome = jacobian_boundary_smoothness(PAIR, squared, Bounds())
+        outcome = jacobian_boundary_smoothness(PAIR, squared)
         assert outcome.outcome == "SingularWitness"
         assert all(value == 0 for _, value in outcome.witness)
 
     def test_sample_only_evidence(self):
         f00 = parse("(w2*w5 - w3*w4)^2 - 1", TRIPLE.coords)
-        outcome = jacobian_boundary_smoothness(TRIPLE, f00, Bounds())
+        outcome = jacobian_boundary_smoothness(TRIPLE, f00)
         assert outcome.outcome == "SmoothOnSamples"
         assert outcome.samples > 0
 
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
-            jacobian_boundary_smoothness(PAIR, Poly.const(PAIR.coords, 1), Bounds())
+            jacobian_boundary_smoothness(PAIR, Poly.const(PAIR.coords, 1))
 
 
 class TestFamilyBuilder:
@@ -227,3 +228,9 @@ class TestFamilyComparison:
         c = FamilyMember(PAIR, _phi("t"), "minor[1,2]")
         with pytest.raises(ValueError):
             compare_family(a, c)
+
+    def test_unknown_delta_rejected(self):
+        a = FamilyMember(TRIPLE, _phi("t"), "no-such-invariant")
+        b = FamilyMember(TRIPLE, _phi("t^2 - 1"), "no-such-invariant")
+        with pytest.raises(ValueError, match="unknown catalog invariant 'no-such-invariant'"):
+            compare_family(a, b)

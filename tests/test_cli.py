@@ -260,6 +260,13 @@ class TestMalformedJobs:
         )
         assert "delta" in err
 
+    def test_unknown_delta(self, tmp_path, capsys):
+        err = self._run_job(
+            tmp_path, capsys, command="family-compare", delta="no-such-invariant",
+            parameters=["t", "t^2 - 1"],
+        )
+        assert "unknown catalog invariant 'no-such-invariant'" in err
+
 
 # Small JSON values of every type, for fields given the wrong type.
 _json_values = st.recursive(
