@@ -11,8 +11,10 @@ independent route's agreement as a crosscheck.  The possible verdicts:
   meets the boundary properly;
 * ``NotEverywhereStable`` -- an exact rational point of the variety
   lies in the non-stable subspace;
-* ``Unknown`` -- the sufficient certificate failed and no witness was
-  found within the sample budget.
+* ``Unknown`` -- the certificate failed and no *rational* witness was
+  found within the sample budget (for a defining polynomial the
+  variety then still meets the subspace over an algebraic closure), or
+  a graph alone certified stability and no boundary test could run.
 
 Disagreement between routes that are theorems of each other never
 produces a verdict: it raises, because it can only mean broken code or
@@ -44,7 +46,7 @@ from .errors import (
     NonInvariantInput,
     VariableTableMismatch,
 )
-from .linalg import Row, nullspace, solve
+from .linalg import Row, solve
 from .poly import Poly, squarefree_distinct_root_count
 from .reps import RepSpec, build_derivation, catalog_invariants, nonstable_coordinates
 from .transfer import BoundaryClass, TransferResult, extend
@@ -83,8 +85,12 @@ class StabilityCertificate:
     """Restriction of the defining polynomial to the non-stable subspace.
 
     ``certified`` means the restriction is a non-zero constant, so the
-    variety avoids the subspace entirely.  The test is sufficient, never
-    necessary: a failed certificate proves nothing by itself.
+    variety avoids the subspace entirely.  For a single polynomial ``f``
+    the test is also necessary over an algebraic closure: a non-constant
+    restriction has a zero over Q-bar and a zero restriction vanishes on
+    the whole subspace, so a failed certificate means the variety meets
+    the subspace over Q-bar.  A rational point of it may still be out of
+    reach of the witness search.
     """
 
     restriction: Poly
@@ -362,10 +368,15 @@ def localized_quotient_affine(spec: RepSpec, h: Poly, kmax: int = 3) -> PowerInI
 def jacobian_boundary_smoothness(spec: RepSpec, f00: Poly) -> SmoothnessReport:
     """Look for singular points: common zeros of ``f00`` and its gradient.
 
-    When every partial is linear the critical locus is solved exactly and
-    the answer is a proof either way; otherwise a deterministic-then-
-    seeded point search returns either a definitive witness or
-    evidence-only absence.
+    When every partial is linear, ``f00`` is a quadratic
+    ``x^T A x + b.x + c`` with gradient ``2Ax + b``, and the critical
+    locus is the affine subspace ``p + ker A`` for any particular
+    solution ``p``.  On it ``f00`` is constant: for ``k`` in ``ker A``,
+    ``f00(p + k) = f00(p) + (2Ap + b).k + k^T A k = f00(p)``.  So one
+    exact solve and one evaluation at ``p`` decide smoothness, and the
+    answer is a proof either way.  Otherwise a deterministic-then-seeded
+    point search returns either a definitive witness or evidence-only
+    absence.
     """
     if f00.is_constant():
         raise ValueError("smoothness analysis expects a non-constant polynomial")
@@ -383,7 +394,7 @@ def jacobian_boundary_smoothness(spec: RepSpec, f00: Poly) -> SmoothnessReport:
 
 
 def _linear_gradient_analysis(f00: Poly, partials: Sequence[Poly]) -> SmoothnessReport:
-    """Exact treatment when the gradient system is linear."""
+    """Exact treatment when the gradient system is linear: one critical point decides."""
     names = f00.vars
     n = len(names)
     unit = {tuple(1 if j == i else 0 for j in range(n)): i for i in range(n)}
@@ -402,37 +413,10 @@ def _linear_gradient_analysis(f00: Poly, partials: Sequence[Poly]) -> Smoothness
     outcome = solve(rows, rhs, n)
     if outcome is None:
         return SmoothnessReport("SmoothProven", None, 0)
-    particular, free = outcome
-    base_point = {name: particular[i] for i, name in enumerate(names)}
-    if not free:
-        if f00.evaluate(base_point) == 0:
-            witness = tuple((name, base_point[name]) for name in names)
-            return SmoothnessReport("SingularWitness", witness, 0)
-        return SmoothnessReport("SmoothProven", None, 0)
-    directions = nullspace(rows, n)
-    tnames = tuple(f"s{i}" for i in range(len(directions)))
-    images = {
-        name: Poly.const(tnames, particular[i])
-        + sum(
-            (Poly.variable(tnames, tnames[j]) * vec.get(i, Fraction(0)) for j, vec in enumerate(directions)),
-            Poly.zero(tnames),
-        )
-        for i, name in enumerate(names)
-    }
-    restricted = f00.substitute(images)
-    if restricted.is_zero:
-        witness = tuple((name, base_point[name]) for name in names)
-        return SmoothnessReport("SingularWitness", witness, 0)
-    if restricted.is_constant():
-        return SmoothnessReport("SmoothProven", None, 0)
-    samples = 0
-    for tpoint in _candidate_points(tnames):
-        samples += 1
-        if restricted.evaluate(tpoint) == 0:
-            point = {name: image.evaluate(tpoint) for name, image in images.items()}
-            witness = tuple((name, point[name]) for name in names)
-            return SmoothnessReport("SingularWitness", witness, samples)
-    return SmoothnessReport("SmoothOnSamples", None, samples)
+    particular, _ = outcome
+    if f00.evaluate(dict(zip(names, particular))) == 0:
+        return SmoothnessReport("SingularWitness", tuple(zip(names, particular)), 0)
+    return SmoothnessReport("SmoothProven", None, 0)
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     GraphInconsistency,
@@ -45,9 +45,11 @@ from .errors import (
     VariableTableMismatch,
 )
 from .linalg import Row, extend_rref, nullspace, reduce_against, rref, solve
-from .poly import Poly, _raw, exponents_of_degree, exponents_up_to_degree, grlex_key
+from .poly import Poly, _raw, exponents_of_degree, exponents_up_to_degree
 
 _MAX_EXP_STEPS = 512
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 # (Dd, ((variable index, ((a*Dd, ((index, change), ...)), ...)), ...)) over
 # the variables with a non-zero image; see ``apply``
 IntImages = Tuple[int, Tuple[Tuple[int, Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]], ...]]
@@ -231,29 +233,58 @@ def _ladder_membership(d: Derivation, p: Poly) -> Optional[Poly]:
     return preimage
 
 
-def _solve_stratum(d: Derivation, target: Poly, degree: int, weight: Optional[int]) -> Optional[Poly]:
-    """Solve ``D(x) = target`` inside one homogeneous (degree, weight) piece."""
-    n = len(d.vars)
-    if weight is None:
-        columns = list(exponents_of_degree(n, degree))
-        row_monos = columns
-    else:
-        weights = [d.weight_of[name] for name in d.vars]  # type: ignore[index]
-        all_monos = list(exponents_of_degree(n, degree))
-        columns = [e for e in all_monos if _weight_of_exponent(e, weights) == weight - 2]
-        row_monos = [e for e in all_monos if _weight_of_exponent(e, weights) == weight]
-    row_index = {e: i for i, e in enumerate(row_monos)}
-    rows: List[Row] = [dict() for _ in row_monos]
+def _weight_groups(d: Derivation, monos: Sequence[Tuple[int, ...]]) -> Dict[Optional[int], List[int]]:
+    """Indices into ``monos`` grouped by weight, each group ascending.
+
+    ``d`` maps every weight piece into a single weight piece, so its
+    operator matrix is block-diagonal over these groups.  A group is
+    keyed by its weight plus two, the weight of its image under a
+    lowering operator, which raises weight by two.  Without an attached
+    grading every index sits in the one group ``None``.
+    """
+    if d.weight_of is None:
+        return {None: list(range(len(monos)))}
+    weights = [d.weight_of[name] for name in d.vars]
+    groups: Dict[Optional[int], List[int]] = {}
+    for j, exponent in enumerate(monos):
+        groups.setdefault(_weight_of_exponent(exponent, weights) + 2, []).append(j)
+    return groups
+
+
+def _operator_rows(d: Derivation, columns: Sequence[Tuple[int, ...]]) -> Dict[Tuple[int, ...], Row]:
+    """The matrix of ``D`` on ``columns``: one sparse row per image monomial."""
+    rows: Dict[Tuple[int, ...], Row] = {}
     for j, exponent in enumerate(columns):
-        image = apply(d, Poly.monomial(d.vars, exponent))
-        for ie, ic in image.terms.items():
-            rows[row_index[ie]][j] = ic
-    rhs = [target.terms.get(e, Fraction(0)) for e in row_monos]
-    outcome = solve(rows, rhs, len(columns))
-    if outcome is None:
-        return None
-    solution, _ = outcome
-    return Poly(d.vars, {e: c for e, c in zip(columns, solution) if c})
+        for ie, ic in apply(d, _raw(d.vars, {exponent: _ONE})).terms.items():
+            row = rows.get(ie)
+            if row is None:
+                rows[ie] = row = {}
+            row[j] = ic
+    return rows
+
+
+def _solve_on(d: Derivation, monos: Sequence[Tuple[int, ...]], target: Poly) -> Optional[Poly]:
+    """One ``x`` in the span of ``monos`` with ``D(x) = target``, or ``None``.
+
+    Each weight component of ``target`` is solved on the columns of its
+    weight group, with the free coefficients pinned to zero.  A target
+    monomial outside every image gets an empty row, which makes the
+    system inconsistent.
+    """
+    groups = _weight_groups(d, monos)
+    pieces = {None: target} if d.weight_of is None else weight_components(target, d.weight_of)
+    terms: Dict[Tuple[int, ...], Fraction] = {}
+    for weight, piece in pieces.items():
+        columns = [monos[j] for j in groups.get(weight, ())]
+        rows = _operator_rows(d, columns)
+        for exponent in piece.terms:
+            rows.setdefault(exponent, {})
+        rhs = [piece.terms.get(e, _ZERO) for e in rows]
+        outcome = solve(list(rows.values()), rhs, len(columns))
+        if outcome is None:
+            return None
+        terms.update((e, c) for e, c in zip(columns, outcome[0]) if c)
+    return _raw(d.vars, terms)
 
 
 def graded_image_membership(d: Derivation, p: Poly) -> Optional[Poly]:
@@ -275,17 +306,10 @@ def graded_image_membership(d: Derivation, p: Poly) -> Optional[Poly]:
     for degree, piece in p.homogeneous_components().items():
         if degree == 0:
             return None
-        if d.weight_of is not None:
-            for weight, component in weight_components(piece, d.weight_of).items():
-                part = _solve_stratum(d, component, degree, weight)
-                if part is None:
-                    return None
-                preimage = preimage + part
-        else:
-            part = _solve_stratum(d, piece, degree, None)
-            if part is None:
-                return None
-            preimage = preimage + part
+        part = _solve_on(d, list(exponents_of_degree(len(d.vars), degree)), piece)
+        if part is None:
+            return None
+        preimage = preimage + part
     if apply(d, preimage) != p:  # pragma: no cover - solver post-condition
         raise InternalInconsistency("linear solve produced a wrong preimage")
     return preimage
@@ -354,22 +378,6 @@ def _products_of_degree(generators: Sequence[Poly], degree: int, table: Sequence
     return out
 
 
-def _weight_blocks(d: Derivation, monos: Sequence[Tuple[int, ...]]) -> List[List[int]]:
-    """Column indices of ``monos`` grouped by weight, each group ascending.
-
-    ``d`` maps every weight piece into a single weight piece, so its
-    operator matrix is block-diagonal over these groups.  Without an
-    attached grading all columns form one block.
-    """
-    if d.weight_of is None:
-        return [list(range(len(monos)))]
-    weights = [d.weight_of[name] for name in d.vars]
-    blocks: Dict[int, List[int]] = {}
-    for j, exponent in enumerate(monos):
-        blocks.setdefault(_weight_of_exponent(exponent, weights), []).append(j)
-    return [blocks[w] for w in sorted(blocks)]
-
-
 def _kernel_rref(d: Derivation, monos: Sequence[Tuple[int, ...]]) -> List[Tuple[int, Row]]:
     """Reduced row echelon basis of ``ker D`` on the span of ``monos``.
 
@@ -382,15 +390,9 @@ def _kernel_rref(d: Derivation, monos: Sequence[Tuple[int, ...]]) -> List[Tuple[
     makes the basis reduced echelon in the original order.
     """
     canonical: List[Tuple[int, Row]] = []
-    for block in _weight_blocks(d, monos):
-        columns = block[::-1]
-        rows: Dict[Tuple[int, ...], Row] = {}
-        for local, j in enumerate(columns):
-            for ie, ic in apply(d, Poly.monomial(d.vars, monos[j])).terms.items():
-                row = rows.get(ie)
-                if row is None:
-                    rows[ie] = row = {}
-                row[local] = ic
+    for group in _weight_groups(d, monos).values():
+        columns = group[::-1]
+        rows = _operator_rows(d, [monos[j] for j in columns])
         for vector in nullspace(list(rows.values()), len(columns)):
             row = {columns[c]: v for c, v in vector.items()}
             canonical.append((min(row), row))
@@ -508,25 +510,10 @@ def slice_search(d: Derivation, degree_bound: int = 3) -> SliceSearch:
     search is an exact linear solve; a miss only means no slice exists
     up to the bound.
     """
-    n = len(d.vars)
-    candidates = list(exponents_up_to_degree(n, degree_bound))
-    constant = (0,) * n
-    row_index: Dict[Tuple[int, ...], int] = {constant: 0}
-    rows: List[Row] = [dict()]
-    for j, exponent in enumerate(candidates):
-        image = apply(d, Poly.monomial(d.vars, exponent))
-        for ie, ic in image.terms.items():
-            i = row_index.setdefault(ie, len(rows))
-            if i == len(rows):
-                rows.append(dict())
-            rows[i][j] = ic
-    rhs = [Fraction(0)] * len(rows)
-    rhs[0] = Fraction(1)
-    outcome = solve(rows, rhs, len(candidates))
-    if outcome is None:
+    candidates = list(exponents_up_to_degree(len(d.vars), degree_bound))
+    found = _solve_on(d, candidates, Poly.const(d.vars, 1))
+    if found is None:
         return SliceSearch(None, degree_bound)
-    solution, _ = outcome
-    found = Poly(d.vars, {e: c for e, c in zip(candidates, solution) if c})
     if apply(d, found) != Poly.const(d.vars, 1):  # pragma: no cover - solver post-condition
         raise InternalInconsistency("slice candidate failed verification")
     return SliceSearch(found, degree_bound)

@@ -14,12 +14,19 @@ Two coordinate normalisations of the induced vector-field are supported:
 * ``unit`` -- a diagonal rescaling of the same summand in which
   ``w_{i+1}`` maps to ``w_i`` on the nose.
 
-The lowering operator, its raising partner (solved from the bracket
-relations, not copied from a formula), and the diagonal weight operator
-form a triple whose commutation relations are asserted on every
-generator at construction time, together with the fact that the
-exponential of the lowering operator reproduces the substitution action
-of the lower-triangular subgroup.
+The lowering operator, its raising partner and the diagonal weight
+operator form a triple.  The raising operator is written in closed
+form, ``w_i -> (i + 1) * w_{i+1}`` (``section5``) or
+``w_i -> (i + 1)(k - i) * w_{i+1}`` (``unit``).  By Kostant's lemma
+(Kostant 1959, the principal three-dimensional subgroup) a lowering and
+a diagonal operator admit at most one linear raising partner: the
+difference of two partners commutes with the lowering operator and has
+adjoint weight opposite to it, and on a finite-dimensional space sl2
+theory allows no such non-zero operator.  The closed
+form is therefore the only operator the bracket relations allow.  Those
+relations are still asserted on every generator at construction time,
+together with the fact that the exponential of the lowering operator
+reproduces the substitution action of the lower-triangular subgroup.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from .derivations import Derivation, apply, exp_action
 from .errors import ConstructionFailure, UnsupportedBlock, VariableTableMismatch
-from .linalg import Row, det_bareiss, solve
+from .linalg import det_bareiss
 from .poly import Poly
 
 NORMALIZATIONS = ("section5", "unit")
@@ -216,75 +223,24 @@ class Sl2Triple:
     diag: Derivation
 
 
-def _linear_coefficients(p: Poly) -> Dict[int, Fraction]:
-    """Coefficients of a linear homogeneous polynomial by variable index."""
-    out: Dict[int, Fraction] = {}
-    for exponent, coeff in p.terms.items():
-        if sum(exponent) != 1:
-            raise ValueError(f"expected a linear polynomial, got {p}")
-        out[exponent.index(1)] = coeff
-    return out
+def _ladder_images(spec: RepSpec) -> Tuple[Dict[str, Poly], Dict[str, Poly]]:
+    """Generator images of the lowering and the raising operator.
 
-
-def _lower_images(spec: RepSpec) -> Dict[str, Poly]:
-    coords = spec.coord_names
-    images: Dict[str, Poly] = {}
-    for k, names in spec.blocks():
-        images[names[0]] = Poly.zero(coords)
-        for i in range(k):
-            factor = (k - i) if spec.normalization == "section5" else 1
-            images[names[i + 1]] = Poly.variable(coords, names[i]) * factor
-    return images
-
-
-def _solve_raising(spec: RepSpec, lower: Dict[str, Poly]) -> Dict[str, Poly]:
-    """Solve the raising operator from the bracket with the lowering one.
-
-    Unknowns are the matrix entries of a weight-shift-(-2) linear
-    operator; the commutation relation against the lowering operator must
-    reproduce the diagonal weight operator.  The solution is required to
-    be unique.
+    In either normalization their bracket sends ``w_i`` to
+    ``((i + 1)(k - i) - i(k - i + 1)) * w_i = (k - 2i) * w_i``, the
+    weight operator.  Images not set here are zero.
     """
     coords = spec.coord_names
-    weights = spec.weights
-    n = len(coords)
-    lower_coeffs = [_linear_coefficients(lower[name]) for name in coords]
-    columns: List[Tuple[int, int]] = [
-        (g, j) for g in range(n) for j in range(n) if weights[j] == weights[g] - 2
-    ]
-    col_index = {pair: idx for idx, pair in enumerate(columns)}
-    rows: List[Row] = []
-    rhs: List[Fraction] = []
-    for g in range(n):
-        for m in range(n):
-            row: Row = {}
-            for j in range(n):
-                pair = (g, j)
-                if pair not in col_index:
-                    continue
-                coeff = lower_coeffs[j].get(m)
-                if coeff:
-                    row[col_index[pair]] = row.get(col_index[pair], Fraction(0)) + coeff
-            for i, coeff in lower_coeffs[g].items():
-                pair = (i, m)
-                if pair in col_index:
-                    row[col_index[pair]] = row.get(col_index[pair], Fraction(0)) - coeff
-            row = {c: v for c, v in row.items() if v}
-            value = Fraction(weights[g]) if m == g else Fraction(0)
-            if row or value:
-                rows.append(row)
-                rhs.append(value)
-    outcome = solve(rows, rhs, len(columns))
-    if outcome is None:
-        raise ConstructionFailure("no raising operator satisfies the bracket relations")
-    solution, free = outcome
-    if free:
-        raise ConstructionFailure("raising operator is not unique; bracket system is degenerate")
-    images: Dict[str, Poly] = {name: Poly.zero(coords) for name in coords}
-    for (g, j), idx in col_index.items():
-        if solution[idx]:
-            images[coords[g]] = images[coords[g]] + solution[idx] * Poly.variable(coords, coords[j])
-    return images
+    lower: Dict[str, Poly] = {}
+    raising: Dict[str, Poly] = {}
+    section5 = spec.normalization == "section5"
+    for k, names in spec.blocks():
+        for i in range(k):
+            down = k - i if section5 else 1
+            up = i + 1 if section5 else (i + 1) * (k - i)
+            lower[names[i + 1]] = Poly.variable(coords, names[i]) * down
+            raising[names[i]] = Poly.variable(coords, names[i + 1]) * up
+    return lower, raising
 
 
 def _check_brackets(coords: Tuple[str, ...], low: Derivation, high: Derivation, diag: Derivation) -> None:
@@ -317,8 +273,7 @@ def sl2_triple(spec: RepSpec) -> Sl2Triple:
     """The verified operator triple attached to a representation."""
     coords = spec.coord_names
     weight_of = spec.weight_of
-    lower_images = _lower_images(spec)
-    raising_images = _solve_raising(spec, lower_images)
+    lower_images, raising_images = _ladder_images(spec)
     diag_images = {
         name: Poly.variable(coords, name) * weight_of[name] for name in coords
     }

@@ -162,6 +162,18 @@ class TestBoundarySmoothness:
         assert outcome.outcome == "SingularWitness"
         assert all(value == 0 for _, value in outcome.witness)
 
+    @pytest.mark.parametrize("text", ["w2*w5 - w3*w4", "(w2 + w3 - 1)^2"])
+    def test_singular_witness_on_critical_subspace(self, text):
+        # the critical set is positive-dimensional and f00 is constant on
+        # it, so the linear solve decides without sampling
+        f00 = parse(text, TRIPLE.coords)
+        outcome = jacobian_boundary_smoothness(TRIPLE, f00)
+        assert outcome.outcome == "SingularWitness"
+        assert outcome.samples == 0
+        point = dict(outcome.witness)
+        assert f00.evaluate(point) == 0
+        assert all(f00.partial(name).evaluate(point) == 0 for name in TRIPLE.coords)
+
     def test_sample_only_evidence(self):
         f00 = parse("(w2*w5 - w3*w4)^2 - 1", TRIPLE.coords)
         outcome = jacobian_boundary_smoothness(TRIPLE, f00)

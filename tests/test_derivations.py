@@ -300,6 +300,14 @@ class TestSliceSearch:
         assert str(outcome.found) == "z1"
         assert apply(d, outcome.found) == Poly.const(d.vars, 1)
 
+    @pytest.mark.parametrize("bound", [1, 2, 3, 5])
+    def test_non_unique_slice_pins_free_coefficients_to_zero(self, bound):
+        # z1 plus any kernel element is a slice; the solver returns the one
+        # with every free coefficient zero, whatever the bound
+        fx = fixture("family-phi(7)")
+        d = restrict_to_graph(build_derivation(fx.spec), fx.graph)
+        assert str(slice_search(d, bound).found) == "1/8*z1"
+
     def test_winkelmann_has_no_bounded_slice(self):
         fx = fixture("winkelmann")
         d = restrict_to_graph(build_derivation(fx.spec), fx.graph)

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from gaquot.derivations import apply, exp_action
 from gaquot.errors import ConstructionFailure, UnsupportedBlock
 from gaquot.expr import parse
+from gaquot import reps
 from gaquot.poly import Poly
 from gaquot.reps import (
+    NORMALIZATIONS,
     RepSpec,
     build_derivation,
     catalog_invariants,
@@ -151,6 +153,20 @@ class TestOperatorTriple:
                 else:
                     expected = (i + 1) * (k - i) * Poly.variable(spec.coords, f"w{i + 1}")
                     assert image == expected
+
+    @pytest.mark.parametrize("normalization", NORMALIZATIONS)
+    def test_construction_rejects_a_wrong_raising_operator(self, monkeypatch, normalization):
+        # the closed form is trusted because the bracket check runs at
+        # construction; twice the raising operator must fail it
+        closed_form = reps._ladder_images
+
+        def doubled(spec):
+            lower, raising = closed_form(spec)
+            return lower, {name: 2 * image for name, image in raising.items()}
+
+        monkeypatch.setattr(reps, "_ladder_images", doubled)
+        with pytest.raises(ConstructionFailure):
+            sl2_triple.__wrapped__(RepSpec((1, 3), normalization))
 
     @pytest.mark.parametrize("spec", SMALL_SPECS)
     def test_bracket_relations_on_coordinates(self, spec):
