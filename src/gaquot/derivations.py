@@ -19,14 +19,15 @@ The same grading splits the kernel computation: a derivation with a
 weight grading maps each weight piece of a degree into one weight
 piece, so kernel generators are solved one weight block at a time.
 
-Every solver, the transfer and the invariance checks reach the
-derivation through :func:`apply`, which runs on an exact integer
-kernel.  A :class:`Derivation` compiles its generator images once, when
-it is built: the common denominator of their coefficients, and for each
+Both :func:`apply` and the solvers' operator matrices
+(``_operator_rows``) run on one compiled integer Leibniz kernel.  A
+:class:`Derivation` compiles its generator images once, when it is
+built: the common denominator ``Dd`` of their coefficients, and for each
 variable with a non-zero image its terms as scaled ``int`` coefficients
-with sparse exponent deltas.  Each call clears the polynomial's
-denominators, sums plain ``int`` products per output monomial and
-builds one ``Fraction`` per surviving term.
+with sparse exponent deltas.  :func:`apply` clears the polynomial's
+denominators, sums ``int`` products per output monomial and builds one
+``Fraction`` per surviving term; an operator matrix is the ``int``
+matrix of ``Dd * D``, given as is to the integer rows of ``linalg``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     GraphInconsistency,
@@ -48,11 +49,10 @@ from .linalg import Row, extend_rref, nullspace, reduce_against, rref, solve
 from .poly import Poly, _raw, exponents_of_degree, exponents_up_to_degree
 
 _MAX_EXP_STEPS = 512
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 # (Dd, ((variable index, ((a*Dd, ((index, change), ...)), ...)), ...)) over
 # the variables with a non-zero image; see ``apply``
-IntImages = Tuple[int, Tuple[Tuple[int, Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]], ...]]
+ActiveImages = Tuple[Tuple[int, Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]], ...]
+IntImages = Tuple[int, ActiveImages]
 
 
 class Derivation:
@@ -153,9 +153,15 @@ def apply(d: Derivation, p: Poly) -> Poly:
     terms = p.terms
     p_scale = lcm(*(c.denominator for c in terms.values()))
     acc: Dict[Tuple[int, ...], int] = {}
+    _leibniz(acc, active, ((e, c.numerator * (p_scale // c.denominator)) for e, c in terms.items()))
+    denom = p_scale * scale
+    return _raw(d.vars, {key: Fraction(v, denom) for key, v in acc.items() if v})
+
+
+def _leibniz(acc: Dict[Tuple[int, ...], int], active: ActiveImages, terms: Iterable[Tuple[Tuple[int, ...], int]]) -> None:
+    """Add ``Dd * D`` of the ``int`` terms ``(exponent, numer)`` to ``acc``, per monomial."""
     get = acc.get
-    for exponent, coeff in terms.items():
-        numer = coeff.numerator * (p_scale // coeff.denominator)
+    for exponent, numer in terms:
         for i, image in active:
             e = exponent[i]
             if not e:
@@ -167,8 +173,6 @@ def apply(d: Derivation, p: Poly) -> Poly:
                     key[j] += change
                 key = tuple(key)
                 acc[key] = get(key, 0) + factor * c
-    denom = p_scale * scale
-    return _raw(d.vars, {key: Fraction(v, denom) for key, v in acc.items() if v})
 
 
 def exp_action(d: Derivation, p: Poly, tname: str = "t", max_steps: int = _MAX_EXP_STEPS) -> Poly:
@@ -238,28 +242,36 @@ def _weight_groups(d: Derivation, monos: Sequence[Tuple[int, ...]]) -> Dict[Opti
 
     ``d`` maps every weight piece into a single weight piece, so its
     operator matrix is block-diagonal over these groups.  A group is
-    keyed by its weight plus two, the weight of its image under a
-    lowering operator, which raises weight by two.  Without an attached
+    keyed by the weight of its image: its weight plus the shift of ``d``
+    (``+2`` for the lowering operator of an sl2 triple, ``-2`` for the
+    raising one, ``0`` for the diagonal one).  Without an attached
     grading every index sits in the one group ``None``.
     """
     if d.weight_of is None:
         return {None: list(range(len(monos)))}
     weights = [d.weight_of[name] for name in d.vars]
+    active = d._int_images[1]
+    shift = 0
+    if active:
+        # image-monomial weight minus variable weight: one value for graded ``d``
+        _, delta = active[0][1][0]
+        shift = sum(weights[j] * change for j, change in delta)
     groups: Dict[Optional[int], List[int]] = {}
     for j, exponent in enumerate(monos):
-        groups.setdefault(_weight_of_exponent(exponent, weights) + 2, []).append(j)
+        groups.setdefault(_weight_of_exponent(exponent, weights) + shift, []).append(j)
     return groups
 
 
 def _operator_rows(d: Derivation, columns: Sequence[Tuple[int, ...]]) -> Dict[Tuple[int, ...], Row]:
-    """The matrix of ``D`` on ``columns``: one sparse row per image monomial."""
+    """The ``int`` matrix of ``Dd * D`` on ``columns``: one sparse row per image monomial."""
+    active = d._int_images[1]
     rows: Dict[Tuple[int, ...], Row] = {}
     for j, exponent in enumerate(columns):
-        for ie, ic in apply(d, _raw(d.vars, {exponent: _ONE})).terms.items():
-            row = rows.get(ie)
-            if row is None:
-                rows[ie] = row = {}
-            row[j] = ic
+        image: Dict[Tuple[int, ...], int] = {}
+        _leibniz(image, active, ((exponent, 1),))
+        for ie, ic in image.items():
+            if ic:
+                rows.setdefault(ie, {})[j] = ic
     return rows
 
 
@@ -267,10 +279,12 @@ def _solve_on(d: Derivation, monos: Sequence[Tuple[int, ...]], target: Poly) -> 
     """One ``x`` in the span of ``monos`` with ``D(x) = target``, or ``None``.
 
     Each weight component of ``target`` is solved on the columns of its
-    weight group, with the free coefficients pinned to zero.  A target
-    monomial outside every image gets an empty row, which makes the
-    system inconsistent.
+    weight group, with the free coefficients pinned to zero.  The matrix
+    is that of ``Dd * D``, so the right-hand side is scaled by ``Dd``.  A
+    target monomial outside every image gets an empty row, which makes
+    the system inconsistent.
     """
+    scale = d._int_images[0]
     groups = _weight_groups(d, monos)
     pieces = {None: target} if d.weight_of is None else weight_components(target, d.weight_of)
     terms: Dict[Tuple[int, ...], Fraction] = {}
@@ -279,7 +293,7 @@ def _solve_on(d: Derivation, monos: Sequence[Tuple[int, ...]], target: Poly) -> 
         rows = _operator_rows(d, columns)
         for exponent in piece.terms:
             rows.setdefault(exponent, {})
-        rhs = [piece.terms.get(e, _ZERO) for e in rows]
+        rhs = [piece.terms.get(e, 0) * scale for e in rows]
         outcome = solve(list(rows.values()), rhs, len(columns))
         if outcome is None:
             return None
@@ -355,10 +369,6 @@ def power_in_image(d: Derivation, h: Poly, kmax: int = 3) -> PowerInImage:
 # kernel generators
 
 
-def _vectorize(p: Poly, index: Mapping[Tuple[int, ...], int]) -> Row:
-    return {index[e]: c for e, c in p.terms.items()}
-
-
 def _products_of_degree(generators: Sequence[Poly], degree: int, table: Sequence[str]) -> List[Poly]:
     """All products of earlier generators with total degree exactly ``degree``."""
     out: List[Poly] = []
@@ -420,10 +430,8 @@ def graded_kernel_generators(d: Derivation, maxdeg: int) -> List[Poly]:
         if not canonical:
             continue
         index = {e: i for i, e in enumerate(monos)}
-        spanned = rref(
-            [_vectorize(p, index) for p in _products_of_degree(generators, degree, d.vars)],
-            len(monos),
-        )
+        products = _products_of_degree(generators, degree, d.vars)
+        spanned = rref([{index[e]: c for e, c in p.terms.items()} for p in products], len(monos))
         for _, row in canonical:
             remainder = reduce_against(row, spanned)
             if remainder:

@@ -1,62 +1,92 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals, on integer rows.
 
-Rows are dicts mapping column index to a nonzero ``Fraction``.  All
-eliminations are exact, so rank, solvability and nullspaces are decided,
-never estimated.  Pivot choice prefers the sparsest available row, which
-keeps fill-in low on the operator matrices this package produces, and is
-deterministic given the input row order.
+Input rows are dicts mapping column index to a non-zero ``int`` or
+``Fraction``.  Elimination is fraction-free (Bareiss, Math. Comp. 1968):
+each row is scaled once to a primitive integer row (content one), a
+pivot row ``r`` with pivot ``p`` clears the entry ``a`` of a row ``t``
+as ``(p/g)*t - (a/g)*r`` with ``g = gcd(a, p)``, and the result is
+divided by its content.  :func:`rref` returns primitive integer rows
+with positive pivots; :func:`solve` and :func:`nullspace` read exact
+``Fraction`` results off them.  Pivot choice prefers the sparsest
+available row, first in input order: fill-in stays low and the result
+is deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import NotDivisible
 from .poly import Poly, exact_divide
 
-Row = Dict[int, Fraction]
+Row = Dict[int, Union[int, Fraction]]
+IntRow = Dict[int, int]
 
 
-def rref(rows: Sequence[Row], ncols: int) -> List[Tuple[int, Row]]:
-    """Reduced row echelon form.
+def _integer_row(row: Row) -> IntRow:
+    """The primitive integer multiple of ``row``, signs kept, as a new dict."""
+    scale = lcm(*[v.denominator for v in row.values()])
+    if scale == 1:
+        return _content_one({c: v.numerator for c, v in row.items() if v})
+    return _content_one({c: v.numerator * (scale // v.denominator) for c, v in row.items() if v})
+
+
+def _content_one(row: IntRow) -> IntRow:
+    g = gcd(*row.values())
+    return row if g <= 1 else {c: v // g for c, v in row.items()}
+
+
+def _eliminate(target: IntRow, col: int, pivot_row: IntRow) -> IntRow:
+    """``target`` with ``col`` cleared by ``pivot_row``, primitive again."""
+    a = target[col]
+    p = pivot_row[col]
+    g = gcd(a, p)
+    a //= g
+    p //= g
+    out = {c: v * p for c, v in target.items()} if p != 1 else dict(target)
+    get = out.get
+    for c, v in pivot_row.items():
+        val = get(c, 0) - a * v
+        if val:
+            out[c] = val
+        else:
+            del out[c]
+    return _content_one(out)
+
+
+def _positive(row: IntRow, col: int) -> IntRow:
+    return row if row[col] > 0 else {c: -v for c, v in row.items()}
+
+
+def rref(rows: Sequence[Row], ncols: int) -> List[Tuple[int, IntRow]]:
+    """Reduced row echelon form on primitive integer rows.
 
     Returns ``(pivot_column, row)`` pairs with pivot columns strictly
-    increasing, each row scaled to a unit pivot and fully reduced against
-    the others.
+    increasing.  Each row has ``int`` entries with content one, a
+    positive entry at its pivot and zeros at the other pivot columns.
+    The input rows are not modified.
     """
-    work: List[Row] = [dict(r) for r in rows if r]
-    pivots: List[Tuple[int, Row]] = []
+    work = [_integer_row(r) for r in rows if r]
+    pivots: List[Tuple[int, IntRow]] = []
     for col in range(ncols):
-        best = -1
-        for i, r in enumerate(work):
-            if col in r and (best < 0 or len(r) < len(work[best])):
-                best = i
-        if best < 0:
+        candidates = [i for i, r in enumerate(work) if col in r]
+        if not candidates:
             continue
-        row = work.pop(best)
-        inv = Fraction(1) / row[col]
-        row = {c: v * inv for c, v in row.items()}
-        for target in work:
-            _eliminate(target, col, row)
-        for _, done in pivots:
-            _eliminate(done, col, row)
-        work = [r for r in work if r]
+        row = _positive(work.pop(min(candidates, key=lambda i: len(work[i]))), col)
+        work = [_eliminate(t, col, row) if col in t else t for t in work]
+        work = [t for t in work if t]
+        _clear(pivots, col, row)
         pivots.append((col, row))
     return pivots
 
 
-def _eliminate(target: Row, col: int, unit_row: Row) -> None:
-    factor = target.get(col)
-    if factor is None:
-        return
-    for c, v in unit_row.items():
-        acc = target.get(c)
-        val = (acc if acc is not None else Fraction(0)) - factor * v
-        if val:
-            target[c] = val
-        else:
-            target.pop(c, None)
+def _clear(reduced: List[Tuple[int, IntRow]], col: int, row: IntRow) -> None:
+    """Clear ``col`` from every row of ``reduced`` with the pivot row ``row``, in place."""
+    for k, (c, done) in enumerate(reduced):
+        if col in done:
+            reduced[k] = (c, _eliminate(done, col, row))
 
 
 def solve(rows: Sequence[Row], rhs: Sequence[Fraction], ncols: int) -> Optional[Tuple[List[Fraction], List[int]]]:
@@ -64,62 +94,64 @@ def solve(rows: Sequence[Row], rhs: Sequence[Fraction], ncols: int) -> Optional[
 
     Returns ``(solution, free_columns)`` or ``None`` when inconsistent.
     """
-    augmented: List[Row] = []
-    for row, b in zip(rows, rhs):
-        r = dict(row)
-        if b:
-            r[ncols] = Fraction(b)
-        augmented.append(r)
-    reduced = rref(augmented, ncols + 1)
+    reduced = rref([{**row, ncols: b} if b else row for row, b in zip(rows, rhs)], ncols + 1)
     solution = [Fraction(0)] * ncols
     pivot_cols = set()
     for col, row in reduced:
         if col == ncols:
             return None
         pivot_cols.add(col)
-        solution[col] = row.get(ncols, Fraction(0))
+        solution[col] = Fraction(row.get(ncols, 0), row[col])
     free = [c for c in range(ncols) if c not in pivot_cols]
     return solution, free
 
 
-def nullspace(rows: Sequence[Row], ncols: int) -> List[Row]:
-    """Basis of the kernel of ``A``, one sparse vector per free column."""
+def nullspace(rows: Sequence[Row], ncols: int) -> List[Dict[int, Fraction]]:
+    """Basis of the kernel of ``A``, one sparse vector per free column.
+
+    The vector of a free column is ``1`` there and zero at the other
+    free columns.
+    """
     reduced = rref(rows, ncols)
     pivot_cols = {col for col, _ in reduced}
-    basis: List[Row] = []
+    basis: List[Dict[int, Fraction]] = []
     for free_col in range(ncols):
         if free_col in pivot_cols:
             continue
-        vec: Row = {free_col: Fraction(1)}
+        vec = {free_col: Fraction(1)}
         for col, row in reduced:
             val = row.get(free_col)
             if val:
-                vec[col] = -val
+                vec[col] = Fraction(-val, row[col])
         basis.append(vec)
     return basis
 
 
-def reduce_against(vector: Row, reduced: Sequence[Tuple[int, Row]]) -> Row:
-    """Remainder of ``vector`` modulo the span of unit-pivot rows."""
-    rem = dict(vector)
+def reduce_against(vector: Row, reduced: Sequence[Tuple[int, IntRow]]) -> IntRow:
+    """Remainder of ``vector`` modulo the span of :func:`rref`-form rows.
+
+    It is a primitive integer row, a non-zero multiple of the rational
+    remainder, and empty exactly when ``vector`` lies in the span.
+    """
+    rem = _integer_row(vector)
     for col, row in reduced:
-        _eliminate(rem, col, row)
+        if col in rem:
+            rem = _eliminate(rem, col, row)
     return rem
 
 
-def extend_rref(reduced: List[Tuple[int, Row]], remainder: Row) -> None:
+def extend_rref(reduced: List[Tuple[int, IntRow]], remainder: Row) -> None:
     """Add a non-zero row already reduced modulo ``reduced``, in place.
 
-    The row is scaled to a unit pivot at its first non-zero column and
-    that column is cleared from the other rows, so ``reduced`` stays the
-    (unordered) reduced row echelon form of the enlarged span.
+    The row is made primitive with a positive pivot at its first
+    non-zero column and that column is cleared from the other rows, so
+    ``reduced`` stays the (unordered) reduced row echelon form of the
+    enlarged span, in the form :func:`rref` returns.
     """
     pivot = min(remainder)
-    inv = Fraction(1) / remainder[pivot]
-    unit = {c: v * inv for c, v in remainder.items()}
-    for _, row in reduced:
-        _eliminate(row, pivot, unit)
-    reduced.append((pivot, unit))
+    row = _positive(_integer_row(remainder), pivot)
+    _clear(reduced, pivot, row)
+    reduced.append((pivot, row))
 
 
 def det_bareiss(matrix: Sequence[Sequence[Poly]]) -> Poly:

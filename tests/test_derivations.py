@@ -26,8 +26,8 @@ from gaquot.errors import (
 )
 from gaquot.expr import parse
 from gaquot.fixtures import fixture
-from gaquot.poly import Poly, ring
-from gaquot.reps import RepSpec, build_derivation
+from gaquot.poly import Poly, exponents_of_degree, ring
+from gaquot.reps import RepSpec, build_derivation, sl2_triple
 
 XY = ("x", "y")
 
@@ -198,6 +198,42 @@ class TestImageMembership:
         preimage = graded_image_membership(self.d, h)
         assert preimage is not None
         assert apply(self.d, preimage) == h
+
+
+class TestOperatorWeightShift:
+    """Membership for the raising and diagonal operators, whose weight shift is not +2."""
+
+    SPECS = (RepSpec((1,)), RepSpec((1, 1)), RepSpec((3,)))
+
+    def test_raising_image_of_the_lowest_weight(self):
+        raising = sl2_triple(RepSpec((1,))).raising
+        w0, w1 = ring(raising.vars)
+        assert apply(raising, w0) == w1
+        preimage = graded_image_membership(raising, w1)
+        assert preimage is not None and apply(raising, preimage) == w1
+
+    def test_agrees_with_the_ungraded_solver(self):
+        # like the ladder crosscheck: the ungraded copy solves on all monomials
+        found = 0
+        for spec in self.SPECS:
+            triple = sl2_triple(spec)
+            for op in (triple.raising, triple.diag):
+                generic = Derivation(op.vars, op.images)
+                assert generic.weight_of is None and op.weight_of is not None
+                monomials = [
+                    Poly.monomial(op.vars, e) for degree in (1, 2) for e in exponents_of_degree(len(op.vars), degree)
+                ]
+                images = [apply(op, m) for m in monomials]
+                sums = [a + b for a, b in zip(monomials, monomials[1:])]
+                for p in monomials + images + sums:
+                    graded = graded_image_membership(op, p)
+                    assert (graded is None) == (graded_image_membership(generic, p) is None), str(p)
+                    if graded is not None:
+                        assert apply(op, graded) == p
+                        found += 1
+                    else:
+                        assert p not in images, str(p)
+        assert found > 40
 
 
 class TestPowerInImage:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb, gcd
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -140,3 +141,168 @@ class TestDeterminant:
     def test_singular_matrix(self):
         x, y = ring(("x", "y"))
         assert det_bareiss([[x, y], [x, y]]).is_zero
+
+
+# ----------------------------------------------------------------------
+# the fraction-free core against a plain Fraction Gauss-Jordan reference
+
+
+def _oracle_rref(rows, ncols):
+    """Unit-pivot Gauss-Jordan in Fraction arithmetic, sparsest row first."""
+    work = [{c: Fraction(v) for c, v in r.items() if v} for r in rows]
+    work = [r for r in work if r]
+    pivots = []
+    for col in range(ncols):
+        best = -1
+        for i, r in enumerate(work):
+            if col in r and (best < 0 or len(r) < len(work[best])):
+                best = i
+        if best < 0:
+            continue
+        row = work.pop(best)
+        inv = 1 / row[col]
+        row = {c: v * inv for c, v in row.items()}
+        for target in work + [done for _, done in pivots]:
+            factor = target.get(col)
+            if factor is None:
+                continue
+            for c, v in row.items():
+                val = target.get(c, Fraction(0)) - factor * v
+                if val:
+                    target[c] = val
+                else:
+                    target.pop(c, None)
+        work = [r for r in work if r]
+        pivots.append((col, row))
+    return pivots
+
+
+def _oracle_solve(rows, rhs, ncols):
+    augmented = [{**row, ncols: b} if b else dict(row) for row, b in zip(rows, rhs)]
+    reduced = _oracle_rref(augmented, ncols + 1)
+    if reduced and reduced[-1][0] == ncols:
+        return None
+    solution = [Fraction(0)] * ncols
+    for col, row in reduced:
+        solution[col] = row.get(ncols, Fraction(0))
+    pivot_cols = {col for col, _ in reduced}
+    return solution, [c for c in range(ncols) if c not in pivot_cols]
+
+
+def _oracle_nullspace(rows, ncols):
+    reduced = _oracle_rref(rows, ncols)
+    pivot_cols = {col for col, _ in reduced}
+    basis = []
+    for free_col in range(ncols):
+        if free_col not in pivot_cols:
+            vec = {free_col: Fraction(1)}
+            vec.update((col, -row[free_col]) for col, row in reduced if free_col in row)
+            basis.append(vec)
+    return basis
+
+
+def _unit(row, col):
+    return {c: Fraction(v, row[col]) for c, v in row.items()}
+
+
+rationals = st.builds(Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=6))
+
+
+@st.composite
+def rational_systems(draw):
+    """Sparse rational rows (zero rows included, possibly none) and a right-hand side."""
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    dense = draw(st.lists(st.lists(rationals, min_size=ncols, max_size=ncols), max_size=7))
+    rows = [{j: v for j, v in enumerate(r) if v} for r in dense]
+    rhs = draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+    return rows, rhs, ncols
+
+
+def _hilbert(n):
+    return [{j: Fraction(1, i + j + 1) for j in range(n)} for i in range(n)]
+
+
+def _hilbert_inverse(n):
+    """The integer inverse of the ``n x n`` Hilbert matrix, in closed form."""
+    return [
+        [
+            (-1) ** (i + j) * (i + j + 1) * comb(n + i, n - j - 1) * comb(n + j, n - i - 1) * comb(i + j, i) ** 2
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+class TestIntegerElimination:
+    @given(rational_systems())
+    def test_rref_agrees_with_fraction_reference(self, system):
+        rows, _, ncols = system
+        reduced = rref(rows, ncols)
+        expected = _oracle_rref(rows, ncols)
+        assert [col for col, _ in reduced] == [col for col, _ in expected]
+        assert [_unit(row, col) for col, row in reduced] == [row for _, row in expected]
+
+    @given(rational_systems())
+    def test_solve_and_nullspace_agree_with_fraction_reference(self, system):
+        rows, rhs, ncols = system
+        assert solve(rows, rhs, ncols) == _oracle_solve(rows, rhs, ncols)
+        assert nullspace(rows, ncols) == _oracle_nullspace(rows, ncols)
+
+    @given(rational_systems())
+    def test_rows_are_primitive_with_positive_pivots(self, system):
+        rows, _, ncols = system
+        reduced = rref(rows, ncols)
+        pivot_cols = [col for col, _ in reduced]
+        assert pivot_cols == sorted(set(pivot_cols))
+        for col, row in reduced:
+            assert all(type(v) is int and v for v in row.values())
+            assert gcd(*row.values()) == 1
+            assert row[col] > 0 and min(row) == col
+            assert all(other == col or other not in row for other in pivot_cols)
+
+    @given(rational_systems())
+    def test_incremental_span_keeps_the_row_contract(self, system):
+        rows, _, ncols = system
+        reduced = []
+        for row in rows:
+            remainder = reduce_against(row, reduced)
+            assert all(type(v) is int for v in remainder.values())
+            if remainder:
+                assert gcd(*remainder.values()) == 1
+                extend_rref(reduced, remainder)
+        assert sorted(reduced, key=lambda pair: pair[0]) == rref(rows, ncols)
+
+    @given(rational_systems())
+    def test_int_and_fraction_inputs_not_mutated(self, system):
+        rows, rhs, ncols = system
+        int_rows = [{c: v.numerator for c, v in row.items()} for row in rows]
+        for given_rows in (rows, int_rows):
+            snapshot = [list(r.items()) for r in given_rows]
+            rhs_snapshot = list(rhs)
+            reduced = rref(given_rows, ncols)
+            solve(given_rows, rhs, ncols)
+            nullspace(given_rows, ncols)
+            for row in given_rows:
+                reduce_against(row, reduced)
+                if row:
+                    extend_rref([], row)
+            assert [list(r.items()) for r in given_rows] == snapshot
+            assert all(type(v) is type(w) for r, s in zip(given_rows, snapshot) for v, (_, w) in zip(r.values(), s))
+            assert rhs == rhs_snapshot
+
+    def test_int_and_fraction_rows_give_the_same_form(self):
+        ints = [{0: 2, 1: 4, 2: 6}, {0: 1, 2: -3}]
+        fractions = [{c: Fraction(v, 7) for c, v in row.items()} for row in ints]
+        expected = [(0, {0: 1, 2: -3}), (1, {1: 1, 2: 3})]
+        assert rref(ints, 3) == expected
+        assert rref(fractions, 3) == expected
+
+    def test_hilbert_solve_against_integer_inverse(self):
+        n = 8
+        inverse = _hilbert_inverse(n)
+        for k in range(n):
+            rhs = [Fraction(int(i == k)) for i in range(n)]
+            solution, free = solve(_hilbert(n), rhs, n)
+            assert free == []
+            assert solution == [inverse[i][k] for i in range(n)]
+        assert max(abs(v) for row in inverse for v in row) > 10**9
