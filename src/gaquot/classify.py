@@ -4,17 +4,20 @@
 certify stability by restricting to the non-stable coordinate subspace,
 extend across the group and read off the boundary class, search for a
 slice when a graph presentation is available, and record every
-independent route's agreement as a crosscheck.  The possible verdicts:
+independent route's agreement as a crosscheck.  One rational-point
+search serves both the unstable witness and the singular boundary
+points: a fixed table (origin, axes, axis pairs, then seeded samples)
+tried in order, where a miss is evidence, never proof.  The verdicts:
 
 * ``Affine`` -- the lifted closure misses the boundary;
 * ``StrictlyQuasiAffine`` -- stability is certified but the closure
   meets the boundary properly;
 * ``NotEverywhereStable`` -- an exact rational point of the variety
   lies in the non-stable subspace;
-* ``Unknown`` -- the certificate failed and no *rational* witness was
-  found within the sample budget (for a defining polynomial the
-  variety then still meets the subspace over an algebraic closure), or
-  a graph alone certified stability and no boundary test could run.
+* ``Unknown`` -- the certificate failed and the search found no
+  *rational* witness (for a defining polynomial the variety then still
+  meets the subspace over an algebraic closure), or a graph alone
+  certified stability and no boundary test could run.
 
 Disagreement between routes that are theorems of each other never
 produces a verdict: it raises, because it can only mean broken code or
@@ -24,11 +27,12 @@ a falsified input.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .derivations import (
     Derivation,
@@ -192,83 +196,49 @@ def certify_everywhere_stable(spec: RepSpec, f: Poly) -> StabilityCertificate:
     return StabilityCertificate(restriction=restriction, certified=certified)
 
 
-def _small_rationals() -> List[Fraction]:
-    return [Fraction(x) for x in (1, -1, 2, -2, 3, -3)] + [
-        Fraction(1, 2),
-        Fraction(-1, 2),
-        Fraction(1, 3),
-        Fraction(-1, 3),
-        Fraction(3, 2),
-        Fraction(-3, 2),
-    ]
+# Axis values of the candidate table; the first four also fill the axis pairs.
+_SMALL_RATIONALS = tuple(
+    Fraction(a, b)
+    for a, b in ((1, 1), (-1, 1), (2, 1), (-2, 1), (3, 1), (-3, 1),
+                 (1, 2), (-1, 2), (1, 3), (-1, 3), (3, 2), (-3, 2))
+)
 
 
-def _candidate_points(names: Sequence[str]) -> Iterator[Dict[str, Fraction]]:
-    """Deterministic candidates first (origin, axes, axis pairs), then seeded samples."""
-
-    def deterministic():
-        zero = {name: Fraction(0) for name in names}
-        yield dict(zero)
-        values = _small_rationals()
-        for name in names:
-            for value in values:
-                point = dict(zero)
-                point[name] = value
-                yield point
-        for a, b in itertools.combinations(names, 2):
-            for va in values[:4]:
-                for vb in values[:4]:
-                    point = dict(zero)
-                    point[a] = va
-                    point[b] = vb
-                    yield point
-
-    def sampled():
-        rng = random.Random(_SAMPLE_SEED)
-        for _ in range(_SAMPLE_BUDGET):
-            yield {
-                name: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for name in names
-            }
-
-    return itertools.chain(deterministic(), sampled())
+@functools.lru_cache(maxsize=None)
+def _candidate_points(n: int) -> Tuple[Tuple[Fraction, ...], ...]:
+    """Points of Q^n in search order: origin, axes, axis pairs, seeded samples; built once per n."""
+    zero = (Fraction(0),) * n
+    points = [zero]
+    for i in range(n):
+        points.extend(zero[:i] + (value,) + zero[i + 1 :] for value in _SMALL_RATIONALS)
+    for i, j in itertools.combinations(range(n), 2):
+        for a, b in itertools.product(_SMALL_RATIONALS[:4], repeat=2):
+            point = list(zero)
+            point[i], point[j] = a, b
+            points.append(tuple(point))
+    rng = random.Random(_SAMPLE_SEED)
+    for _ in range(_SAMPLE_BUDGET):
+        points.append(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)))
+    return tuple(points)
 
 
-def _common_zero(
-    constraints: Sequence[Poly], names: Sequence[str]
-) -> Optional[Dict[str, Fraction]]:
-    """A rational point killing every constraint, or ``None`` within budget.
+def _rational_zero(
+    polys: Sequence[Poly], names: Sequence[str]
+) -> Tuple[Optional[Dict[str, Fraction]], int]:
+    """The first candidate over ``names`` killing every poly, and how many were tried.
 
-    Candidates assign only ``names``; any other constraint variable is
-    taken to be zero, which is exact in both call sites because those
-    variables have already been substituted away or pinned to zero.
+    Any other variable of the polys is taken to be zero, which is exact
+    at every call site: those variables are pinned to zero or absent.
+    A miss within the table is evidence, not proof, that no zero exists.
     """
-    live = [c for c in constraints if not c.is_zero]
-    if any(c.is_constant() for c in live):
-        return None
-    if not live:
-        return {name: Fraction(0) for name in names}
-
-    def value_at(c: Poly, point: Dict[str, Fraction]) -> Fraction:
-        return c.evaluate({v: point.get(v, Fraction(0)) for v in c.vars})
-
-    for point in _candidate_points(names):
-        if all(value_at(c, point) == 0 for c in live):
-            return point
-    return None
-
-
-def _find_unstable_point(spec: RepSpec, f: Poly, restriction: Poly) -> Optional[UnstableWitness]:
-    """Search ``f``'s certificate ``restriction`` for an exact rational point."""
-    positive = nonstable_coordinates(spec)
-    names = [name for name in spec.coord_names if name not in positive]
-    solution = _common_zero([restriction], names)
-    if solution is None:
-        return None
-    full = {**{name: Fraction(0) for name in positive}, **solution}
-    if f.evaluate(full) != 0:  # pragma: no cover - search post-condition
-        raise InternalInconsistency("unstable witness failed evaluation")
-    point = tuple((name, full[name]) for name in spec.coord_names)
-    return UnstableWitness(subspace=positive, point=point)
+    base = {name: Fraction(0) for p in polys for name in p.vars}
+    table = _candidate_points(len(names))
+    for tried, values in enumerate(table, 1):
+        point = dict(base)
+        point.update(zip(names, values))
+        if all(p.evaluate(point) == 0 for p in polys):
+            return point, tried
+    return None, len(table)
 
 
 def _graph_constraints(
@@ -292,22 +262,25 @@ def _graph_constraints(
     return free_positive, constraints
 
 
-def _find_unstable_point_on_graph(
+def _find_unstable_point(
     spec: RepSpec,
     graph: GraphPresentation,
     f: Optional[Poly],
     free_positive: Tuple[str, ...],
     constraints: Sequence[Poly],
 ) -> Optional[UnstableWitness]:
-    """Graph-route witness search on the system built by ``_graph_constraints``.
+    """Witness search on a graph: zero the parameters of ``free_positive``, solve ``constraints``.
 
-    When the constraints vanish identically the witness subspace is cut
-    by the free positive-weight coordinates alone.
+    The graph route passes the system built by ``_graph_constraints``;
+    a bare polynomial passes the identity graph with its certificate's
+    restriction as the one constraint.  When the constraints vanish
+    identically the witness subspace is cut by the free positive-weight
+    coordinates alone.
     """
     positive = set(nonstable_coordinates(spec))
     zero_z = {graph.free[name]: Fraction(0) for name in free_positive}
     remaining = [z for z in graph.zvars if z not in zero_z]
-    solution = _common_zero(constraints, remaining)
+    solution, _ = _rational_zero(constraints, remaining)
     if solution is None:
         return None
     zpoint: Dict[str, Fraction] = {**zero_z, **solution}
@@ -318,9 +291,9 @@ def _find_unstable_point_on_graph(
         ambient[name] = image.evaluate(zpoint)
     for name in positive:
         if ambient[name] != 0:  # pragma: no cover - search post-condition
-            raise InternalInconsistency("graph witness left a positive-weight coordinate alive")
+            raise InternalInconsistency("witness left a positive-weight coordinate alive")
     if f is not None and f.evaluate(ambient) != 0:  # pragma: no cover - ditto
-        raise InternalInconsistency("graph witness is not on the hypersurface")
+        raise InternalInconsistency("witness is not on the hypersurface")
     subspace = (
         free_positive
         if all(c.is_zero for c in constraints)
@@ -365,7 +338,7 @@ def localized_quotient_affine(spec: RepSpec, h: Poly, kmax: int = 3) -> PowerInI
     return power_in_image(build_derivation(spec), h, kmax)
 
 
-def jacobian_boundary_smoothness(spec: RepSpec, f00: Poly) -> SmoothnessReport:
+def jacobian_boundary_smoothness(f00: Poly) -> SmoothnessReport:
     """Look for singular points: common zeros of ``f00`` and its gradient.
 
     When every partial is linear, ``f00`` is a quadratic
@@ -374,9 +347,10 @@ def jacobian_boundary_smoothness(spec: RepSpec, f00: Poly) -> SmoothnessReport:
     solution ``p``.  On it ``f00`` is constant: for ``k`` in ``ker A``,
     ``f00(p + k) = f00(p) + (2Ap + b).k + k^T A k = f00(p)``.  So one
     exact solve and one evaluation at ``p`` decide smoothness, and the
-    answer is a proof either way.  Otherwise a deterministic-then-seeded
-    point search returns either a definitive witness or evidence-only
-    absence.
+    answer is a proof either way.  Otherwise the rational-point search
+    over ``f00`` and its partials gives either a definitive
+    ``SingularWitness`` or ``SmoothOnSamples``, which is evidence only;
+    ``samples`` counts the candidates tried.
     """
     if f00.is_constant():
         raise ValueError("smoothness analysis expects a non-constant polynomial")
@@ -384,13 +358,10 @@ def jacobian_boundary_smoothness(spec: RepSpec, f00: Poly) -> SmoothnessReport:
     partials = [f00.partial(name) for name in names]
     if all(p.total_degree() <= 1 for p in partials):
         return _linear_gradient_analysis(f00, partials)
-    samples = 0
-    for point in _candidate_points(names):
-        samples += 1
-        if f00.evaluate(point) == 0 and all(p.evaluate(point) == 0 for p in partials):
-            witness = tuple((name, point[name]) for name in names)
-            return SmoothnessReport("SingularWitness", witness, samples)
-    return SmoothnessReport("SmoothOnSamples", None, samples)
+    point, tried = _rational_zero([f00, *partials], names)
+    if point is None:
+        return SmoothnessReport("SmoothOnSamples", None, tried)
+    return SmoothnessReport("SingularWitness", tuple((name, point[name]) for name in names), tried)
 
 
 def _linear_gradient_analysis(f00: Poly, partials: Sequence[Poly]) -> SmoothnessReport:
@@ -481,11 +452,16 @@ def classify(
             verdict = Verdict.STRICTLY_QUASI_AFFINE
     else:
         if graph is None:
-            witness = _find_unstable_point(spec, f, certificate.restriction)
+            identity = GraphPresentation(
+                zvars=spec.coord_names, free={name: name for name in spec.coord_names}, dependent={}
+            )
+            witness = _find_unstable_point(
+                spec, identity, f, nonstable_coordinates(spec), [certificate.restriction]
+            )
         else:
             if certificate is not None:
                 free_positive, constraints = _graph_constraints(spec, graph)
-            witness = _find_unstable_point_on_graph(spec, graph, f, free_positive, constraints)
+            witness = _find_unstable_point(spec, graph, f, free_positive, constraints)
         if witness is not None:
             verdict = Verdict.NOT_EVERYWHERE_STABLE
         else:
@@ -524,7 +500,7 @@ def classify(
 
     smoothness: Optional[SmoothnessReport] = None
     if transfer_result is not None and transfer_result.boundary is BoundaryClass.INTERSECTS:
-        smoothness = jacobian_boundary_smoothness(spec, transfer_result.f00)
+        smoothness = jacobian_boundary_smoothness(transfer_result.f00)
 
     return ClassificationReport(
         spec=spec,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import astuple
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .classify import (
@@ -45,8 +46,8 @@ COMMANDS = ("classify", "invariants", "transfer", "slice", "family-compare", "se
 
 OUTPUTS = ("text", "structured")
 
-# job key, command-line flag attribute, default
-_BOUND_FIELDS = (("kmax", "kmax", 3), ("sliceDeg", "slice_deg", 3), ("invariantDeg", "inv_deg", 2))
+# job key and command-line flag attribute, in the order of the ``Bounds`` fields
+_BOUND_FIELDS = (("kmax", "kmax"), ("sliceDeg", "slice_deg"), ("invariantDeg", "inv_deg"))
 
 _EXIT_BY_VERDICT = {
     Verdict.AFFINE: 0,
@@ -120,18 +121,19 @@ def _graph_from_job(data: Dict) -> GraphPresentation:
 
 
 def _bounds_from(job: Dict, args: argparse.Namespace) -> Bounds:
-    raw = job.get("bounds") or {}
+    raw = job.get("bounds", {})
     _require(isinstance(raw, dict), f"bounds must be an object, got {raw!r}")
     values = []
-    for key, flag, default in _BOUND_FIELDS:
+    for (key, flag), default in zip(_BOUND_FIELDS, astuple(Bounds())):
         value = getattr(args, flag)
         field = "--" + flag.replace("_", "-")
         if value is None:
             field = f"bounds.{key}"
-            try:
-                value = int(raw.get(key, default))
-            except (TypeError, ValueError):
-                raise JobError(f"{field} must be an integer, got {raw[key]!r}") from None
+            value = raw.get(key, default)
+            _require(
+                isinstance(value, int) and not isinstance(value, bool),
+                f"{field} must be an integer, got {value!r}",
+            )
         _require(value >= 0, f"{field} must be non-negative, got {value}")
         values.append(value)
     return Bounds(*values)

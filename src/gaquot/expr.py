@@ -218,8 +218,3 @@ def parse(text: str, variables: Optional[Sequence[str]] = None) -> Poly:
         key = mono + (0,) * (n - len(mono))
         accum[key] = accum.get(key, 0) + coeff
     return Poly(tuple(parser.variables), accum)
-
-
-def render(p: Poly) -> str:
-    """Canonical string form; inverse of :func:`parse` over the same table."""
-    return str(p)

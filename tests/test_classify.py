@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from gaquot.classify import (
     jacobian_boundary_smoothness,
     localized_quotient_affine,
 )
+from gaquot.classify import _candidate_points
 from gaquot.errors import NonInvariantInput, VariableTableMismatch
 from gaquot.expr import parse
 from gaquot.fixtures import fixture
@@ -84,6 +86,26 @@ class TestClassifyHypersurfaceRoute:
             classify(PAIR, parse("1 - w1", PAIR.coords))
         with pytest.raises(VariableTableMismatch):
             classify(PAIR, parse("1 - x", ("x",)))
+
+    def test_polynomial_only_witness(self):
+        # the restriction w1^2 - 1 vanishes at the axis candidate w1 = 1
+        spec = RepSpec((2,))
+        report = classify(spec, parse("w1^2 - 4*w0*w2 - 1", spec.coords))
+        assert report.verdict is Verdict.NOT_EVERYWHERE_STABLE
+        assert report.witness.subspace == ("w0",)
+        assert report.witness.point_dict() == {"w0": 0, "w1": 1, "w2": 0}
+        assert report.notes == ()
+
+    def test_polynomial_only_miss_is_unknown(self):
+        # w1^2 + 1 has no rational zero: the search misses, nothing is decided
+        spec = RepSpec((2,))
+        report = classify(spec, parse("w1^2 - 4*w0*w2 + 1", spec.coords))
+        assert report.verdict is Verdict.UNKNOWN
+        assert report.witness is None
+        assert report.notes == (
+            "certificate failed and no rational point of the non-stable "
+            "subspace was found within the sample budget",
+        )
 
 
 class TestClassifyGraphRoute:
@@ -152,13 +174,13 @@ class TestCrosscheckHelpers:
 class TestBoundarySmoothness:
     def test_linear_gradient_proof(self):
         f00 = parse("w2*w5 - w3*w4 + 1", TRIPLE.coords)
-        outcome = jacobian_boundary_smoothness(TRIPLE, f00)
+        outcome = jacobian_boundary_smoothness(f00)
         assert outcome.outcome == "SmoothProven"
         assert outcome.witness is None
 
     def test_singular_witness_at_origin(self):
         squared = parse("(w0*w3 - w1*w2)^2", PAIR.coords)
-        outcome = jacobian_boundary_smoothness(PAIR, squared)
+        outcome = jacobian_boundary_smoothness(squared)
         assert outcome.outcome == "SingularWitness"
         assert all(value == 0 for _, value in outcome.witness)
 
@@ -167,7 +189,7 @@ class TestBoundarySmoothness:
         # the critical set is positive-dimensional and f00 is constant on
         # it, so the linear solve decides without sampling
         f00 = parse(text, TRIPLE.coords)
-        outcome = jacobian_boundary_smoothness(TRIPLE, f00)
+        outcome = jacobian_boundary_smoothness(f00)
         assert outcome.outcome == "SingularWitness"
         assert outcome.samples == 0
         point = dict(outcome.witness)
@@ -176,13 +198,59 @@ class TestBoundarySmoothness:
 
     def test_sample_only_evidence(self):
         f00 = parse("(w2*w5 - w3*w4)^2 - 1", TRIPLE.coords)
-        outcome = jacobian_boundary_smoothness(TRIPLE, f00)
+        outcome = jacobian_boundary_smoothness(f00)
         assert outcome.outcome == "SmoothOnSamples"
         assert outcome.samples > 0
 
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
-            jacobian_boundary_smoothness(PAIR, Poly.const(PAIR.coords, 1))
+            jacobian_boundary_smoothness(Poly.const(PAIR.coords, 1))
+
+    @pytest.mark.parametrize(
+        "center, tried",
+        [
+            # the first and the last seeded sample over six coordinates
+            ((Fraction(9, 2), Fraction(8, 3), 5, Fraction(7, 2), Fraction(-2, 3), 3), 314),
+            ((0, 2, 2, 0, 8, 6), 377),
+        ],
+    )
+    def test_seeded_tail(self, center, tried):
+        # (sum of squares)^2 is singular only at its centre, which only the
+        # seeded tail of the candidate table reaches
+        squares = " + ".join(f"(w{i} - ({value}))^2" for i, value in enumerate(center))
+        outcome = jacobian_boundary_smoothness(parse(f"({squares})^2", TRIPLE.coords))
+        assert outcome.outcome == "SingularWitness"
+        assert outcome.samples == tried
+        assert outcome.witness == tuple(zip(TRIPLE.coords, map(Fraction, center)))
+
+
+class TestCandidateTable:
+    SMALL = [Fraction(x) for x in (1, -1, 2, -2, 3, -3)] + [
+        Fraction(a, b) for a, b in ((1, 2), (-1, 2), (1, 3), (-1, 3), (3, 2), (-3, 2))
+    ]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_size_and_deterministic_prefix(self, n):
+        table = _candidate_points(n)
+        assert len(table) == 1 + 12 * n + 16 * math.comb(n, 2) + 64
+
+        def point(*pairs):  # (index, value) pairs; every other coordinate is zero
+            values = [Fraction(0)] * n
+            for i, value in pairs:
+                values[i] = value
+            return tuple(values)
+
+        prefix = [point()]
+        prefix += [point((i, v)) for i in range(n) for v in self.SMALL]
+        prefix += [
+            point((i, a), (j, b))
+            for i in range(n)
+            for j in range(i + 1, n)
+            for a in self.SMALL[:4]
+            for b in self.SMALL[:4]
+        ]
+        assert list(table[: len(prefix)]) == prefix
+        assert _candidate_points(n) is table  # drawn once per dimension
 
 
 class TestFamilyBuilder:

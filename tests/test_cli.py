@@ -205,6 +205,15 @@ class TestMalformedJobs:
         err = self._run_job(tmp_path, capsys, bounds={"sliceDeg": -1})
         assert "bounds.sliceDeg" in err
 
+    @pytest.mark.parametrize("value", [2.7, True, "2", None])
+    def test_non_integer_bounds(self, tmp_path, capsys, value):
+        err = self._run_job(tmp_path, capsys, bounds={"sliceDeg": 1, "kmax": value})
+        assert "bounds.kmax" in err
+
+    @pytest.mark.parametrize("value", [0, [], False, "", None])
+    def test_non_object_bounds(self, tmp_path, capsys, value):
+        assert "bounds must be an object" in self._run_job(tmp_path, capsys, bounds=value)
+
     def test_over_cap_polynomial(self, tmp_path, capsys):
         err = self._run_job(tmp_path, capsys, polynomial="(w0+w1+w2+w3+w4+w5)^30")
         assert "cap" in err
