@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -222,23 +223,43 @@ def _candidate_points(n: int) -> Tuple[Tuple[Fraction, ...], ...]:
     return tuple(points)
 
 
+@functools.lru_cache(maxsize=None)
+def _integer_candidates(n: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+    """``_candidate_points(n)`` cleared to ``(q, numerators)`` per point, same order."""
+    view = []
+    for point in _candidate_points(n):
+        q = math.lcm(*(value.denominator for value in point))
+        view.append((q, tuple(value.numerator * (q // value.denominator) for value in point)))
+    return tuple(view)
+
+
 def _rational_zero(
     polys: Sequence[Poly], names: Sequence[str]
 ) -> Tuple[Optional[Dict[str, Fraction]], int]:
     """The first candidate over ``names`` killing every poly, and how many were tried.
 
-    Any other variable of the polys is taken to be zero, which is exact
-    at every call site: those variables are pinned to zero or absent.
-    A miss within the table is evidence, not proof, that no zero exists.
+    The polys share one variable table; its variables outside ``names``
+    are zero, which is exact at every call site (they are pinned to zero
+    or absent), so each poly is restricted to ``names`` once.  Every
+    candidate of ``_integer_candidates`` is tested with the integer
+    kernel ``Poly.scaled_value``; only the hit becomes a ``Fraction``
+    point.  A miss within the table is evidence, not proof, that no
+    zero exists.
     """
-    base = {name: Fraction(0) for p in polys for name in p.vars}
-    table = _candidate_points(len(names))
-    for tried, values in enumerate(table, 1):
-        point = dict(base)
-        point.update(zip(names, values))
-        if all(p.evaluate(point) == 0 for p in polys):
+    names = tuple(names)
+    table = polys[0].vars if polys else names
+    if any(p.vars != table for p in polys):
+        raise VariableTableMismatch("rational-point search needs one variable table")
+    if table != names:
+        pinned = {name: 0 for name in table if name not in names}
+        polys = [p.coefficient(pinned).extend_table(names) for p in polys]
+    candidates = _integer_candidates(len(names))
+    for tried, (q, numer) in enumerate(candidates, 1):
+        if all(p.scaled_value(numer, q) == 0 for p in polys):
+            point = dict.fromkeys(table, Fraction(0))
+            point.update(zip(names, _candidate_points(len(names))[tried - 1]))
             return point, tried
-    return None, len(table)
+    return None, len(candidates)
 
 
 def _graph_constraints(

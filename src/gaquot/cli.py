@@ -10,6 +10,7 @@ input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import astuple
@@ -322,7 +323,9 @@ _HANDLERS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once: parsing never changes it, and argparse finds ``sys.stderr`` when it prints."""
     parser = argparse.ArgumentParser(
         prog="gaquot",
         description="Exact classification of additive-group quotients of invariant hypersurfaces.",

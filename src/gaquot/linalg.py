@@ -9,14 +9,16 @@ divided by its content.  :func:`rref` returns primitive integer rows
 with positive pivots; :func:`solve` and :func:`nullspace` read exact
 ``Fraction`` results off them.  Pivot choice prefers the sparsest
 available row, first in input order: fill-in stays low and the result
-is deterministic.
+is deterministic.  The pivot search goes through a column index, the
+rows holding each column (fill-in added as it appears, rows that lost
+the column skipped), so each column touches only its holders.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import NotDivisible
 from .poly import Poly, exact_divide
@@ -68,15 +70,28 @@ def rref(rows: Sequence[Row], ncols: int) -> List[Tuple[int, IntRow]]:
     positive entry at its pivot and zeros at the other pivot columns.
     The input rows are not modified.
     """
-    work = [_integer_row(r) for r in rows if r]
+    work: Dict[int, IntRow] = {}
+    holders: Dict[int, Set[int]] = {}  # column -> rows that hold it, or once did
+    for index, r in enumerate(rows):
+        row = _integer_row(r)
+        if row:
+            work[index] = row
+            for c in row:
+                holders.setdefault(c, set()).add(index)
     pivots: List[Tuple[int, IntRow]] = []
     for col in range(ncols):
-        candidates = [i for i, r in enumerate(work) if col in r]
-        if not candidates:
+        held = [i for i in holders.pop(col, ()) if col in work.get(i, ())]
+        if not held:
             continue
-        row = _positive(work.pop(min(candidates, key=lambda i: len(work[i]))), col)
-        work = [_eliminate(t, col, row) if col in t else t for t in work]
-        work = [t for t in work if t]
+        chosen = min(held, key=lambda i: (len(work[i]), i))
+        row = _positive(work.pop(chosen), col)
+        for i in held:
+            if i != chosen:
+                target = work[i] = _eliminate(work[i], col, row)
+                if not target:
+                    del work[i]
+                for c in target.keys() & row.keys():
+                    holders[c].add(i)
         _clear(pivots, col, row)
         pivots.append((col, row))
     return pivots

@@ -14,12 +14,14 @@ deterministic generator listings use this order.
 Coefficients are ``fractions.Fraction`` throughout, so every computed
 number is exact, in lowest terms, with positive denominator.
 
-Point evaluation, the hot path of witness search and boundary sampling,
-runs on a cached integer form instead: on first use a polynomial stores
-its coefficients scaled by their common denominator, and each call
-clears the point's denominators and sums plain ``int`` products before
-building one ``Fraction``.  The cache is safe because a ``Poly`` never
-changes after construction.
+Point evaluation runs on a cached integer form instead: on first use a
+polynomial stores its coefficients scaled by their common denominator,
+and the kernel ``scaled_value`` takes a point already cleared to
+integer numerators over one denominator and sums plain ``int``
+products.  ``evaluate`` wraps it and builds one ``Fraction``; the
+rational-point search of witness search and boundary sampling calls
+the kernel directly and only tests the sum against zero.  The cache is
+safe because a ``Poly`` never changes after construction.
 """
 
 from __future__ import annotations
@@ -279,14 +281,7 @@ class Poly:
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Full evaluation at a rational point covering every variable.
 
-        Exact integer kernel.  With ``D`` the common denominator of the
-        coefficients and ``q`` that of the point, each term ``c * x^e`` of
-        degree ``d`` contributes ``(c*D) * prod(n_i^e_i) * q^(top-d)``, where
-        ``n_i = x_i * q`` and ``top`` is the largest degree; the value is the
-        sum over ``D * q^top``.  The integer form of the polynomial (``D``,
-        the scaled coefficients with their non-zero ``(index, exponent)``
-        pairs and degrees, and ``top``) is built on the first call and kept.
-        Terms touching a zero coordinate are skipped.
+        Clears the point to ``n_i / q`` and divides :meth:`scaled_value` by ``D * q^top``.
         """
         numer: List[int] = []
         denom: List[int] = []
@@ -296,15 +291,30 @@ class Poly:
                 raise TypeError(f"expected an exact rational, got {type(value).__name__}")
             numer.append(value.numerator)
             denom.append(value.denominator)
-        try:
-            form = self._int_form
-        except AttributeError:  # slot left unset so construction stays as cheap as before
-            form = self._compile_int_form()
-            object.__setattr__(self, "_int_form", form)
-        scale, int_terms, top = form
         q = lcm(*denom)
         if q != 1:
             numer = [n * (q // d) for n, d in zip(numer, denom)]
+        total = self.scaled_value(numer, q)
+        scale, _, top = self._int_form
+        return Fraction(total, scale * q ** top)
+
+    def scaled_value(self, numer: Sequence[int], q: int) -> int:
+        """``D * q^top * self(x)`` at ``x_i = numer[i] / q``: the exact integer kernel.
+
+        ``D`` is the common denominator of the coefficients and ``top``
+        the largest term degree; a term ``c * x^e`` of degree ``d`` adds
+        ``(c*D) * prod(numer_i^e_i) * q^(top-d)``, skipped when it touches
+        a zero coordinate.  The integer form (``D``, the scaled
+        coefficients with their non-zero ``(index, exponent)`` pairs and
+        degrees, ``top``) is built on the first call and kept.
+        """
+        try:
+            _, int_terms, top = self._int_form
+        except AttributeError:  # slot left unset so construction stays as cheap as before
+            form = self._compile_int_form()
+            object.__setattr__(self, "_int_form", form)
+            _, int_terms, top = form
+        if q != 1:
             q_powers = [1]
             for _ in range(top):
                 q_powers.append(q_powers[-1] * q)
@@ -318,7 +328,7 @@ class Poly:
                 acc *= n if e == 1 else n ** e
             else:
                 total += acc if q == 1 else acc * q_powers[top - degree]
-        return Fraction(total, scale if q == 1 else scale * q_powers[top])
+        return total
 
     def _compile_int_form(self) -> IntForm:
         scale = lcm(*(c.denominator for c in self.terms.values()))

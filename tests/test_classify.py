@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaquot.classify import (
     Bounds,
@@ -19,7 +21,7 @@ from gaquot.classify import (
     jacobian_boundary_smoothness,
     localized_quotient_affine,
 )
-from gaquot.classify import _candidate_points
+from gaquot.classify import _candidate_points, _rational_zero
 from gaquot.errors import NonInvariantInput, VariableTableMismatch
 from gaquot.expr import parse
 from gaquot.fixtures import fixture
@@ -251,6 +253,82 @@ class TestCandidateTable:
         ]
         assert list(table[: len(prefix)]) == prefix
         assert _candidate_points(n) is table  # drawn once per dimension
+
+
+def _oracle_rational_zero(polys, names):
+    """The per-point search on ``Fraction``s: a dict and ``Poly.evaluate`` per candidate."""
+    base = {name: Fraction(0) for p in polys for name in p.vars}
+    table = _candidate_points(len(names))
+    for tried, values in enumerate(table, 1):
+        point = dict(base)
+        point.update(zip(names, values))
+        if all(p.evaluate(point) == 0 for p in polys):
+            return point, tried
+    return None, len(table)
+
+
+def _same_search(polys, names):
+    point, tried = _rational_zero(polys, names)
+    expected_point, expected_tried = _oracle_rational_zero(polys, names)
+    assert tried == expected_tried
+    assert (point is None) == (expected_point is None)
+    if point is not None:
+        assert list(point.items()) == list(expected_point.items())
+
+
+_LETTERS = ("a", "b", "c", "d", "e", "f", "g")
+_PLANTED = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2), Fraction(5, 7))
+
+
+@st.composite
+def zero_searches(draw):
+    """One shared table, ``names`` a subset of it, and polys that may vanish on the candidates.
+
+    A planted linear factor ``(x - v)`` with ``x`` in ``names`` makes
+    hits likely; terms in a variable outside ``names`` vanish there.
+    """
+    n = draw(st.integers(min_value=1, max_value=5))
+    table = _LETTERS[: n + draw(st.integers(min_value=0, max_value=2))]
+    names = draw(st.permutations(table))[:n]
+    if draw(st.booleans()):
+        names = [name for name in table if name in names]
+    coeffs = st.builds(Fraction, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=4))
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=2)] * len(table))
+    polys = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind = draw(st.sampled_from(("zero", "constant", "random", "planted")))
+        if kind == "zero":
+            polys.append(Poly.zero(table))
+        elif kind == "constant":
+            polys.append(Poly.const(table, draw(coeffs.filter(bool))))
+        else:
+            p = Poly(table, draw(st.dictionaries(exponents, coeffs, max_size=4)))
+            if kind == "planted":
+                p = p * (Poly.variable(table, draw(st.sampled_from(names))) - draw(st.sampled_from(_PLANTED)))
+            polys.append(p)
+    return polys, tuple(names)
+
+
+class TestRationalZero:
+    @settings(max_examples=80)
+    @given(zero_searches())
+    def test_agrees_with_per_point_evaluation(self, search):
+        _same_search(*search)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_zero_and_constant(self, n):
+        table = _LETTERS[: n + 1]
+        names = table[1:]
+        zero, constant = Poly.zero(table), Poly.const(table, Fraction(-2, 3))
+        for polys in ([zero], [constant], [zero, constant], [constant, zero]):
+            _same_search(polys, names)
+        assert _rational_zero([zero], names) == (dict.fromkeys(table, Fraction(0)), 1)
+        assert _rational_zero([constant], names) == (None, len(_candidate_points(n)))
+
+    def test_tables_must_agree(self):
+        x = Poly.variable(("x", "y"), "x")
+        with pytest.raises(VariableTableMismatch):
+            _rational_zero([x, Poly.variable(("y", "x"), "x")], ("x",))
 
 
 class TestFamilyBuilder:

@@ -117,6 +117,20 @@ class TestCommands:
         assert code == 1
         assert "selftest" in err
 
+    def test_parser_reused_across_calls(self, capsys):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["--bogus"])
+            assert exit_info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert "unrecognized arguments: --bogus" in errors[0]
+        assert errors[0] == errors[1]
+        code, out, err = _run(capsys, "--fixture", "winkelmann")
+        assert code == 10 and out and err == ""
+
 
 class TestJobFiles:
     def test_export_then_run(self, tmp_path, capsys):

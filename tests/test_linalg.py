@@ -209,13 +209,45 @@ rationals = st.builds(Fraction, st.integers(min_value=-6, max_value=6), st.integ
 
 
 @st.composite
-def rational_systems(draw):
+def small_systems(draw):
     """Sparse rational rows (zero rows included, possibly none) and a right-hand side."""
     ncols = draw(st.integers(min_value=1, max_value=6))
     dense = draw(st.lists(st.lists(rationals, min_size=ncols, max_size=ncols), max_size=7))
     rows = [{j: v for j, v in enumerate(r) if v} for r in dense]
     rhs = draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
     return rows, rhs, ncols
+
+
+@st.composite
+def tall_sparse_systems(draw):
+    """The shape of slice search: far more rows than columns, most of them repeats or zero.
+
+    A few sparse rows are drawn, then each row of the system is a
+    rational multiple of one of them or the zero row, so many rows
+    share a column set and the pivot tie rule is exercised.
+    """
+    ncols = draw(st.integers(min_value=1, max_value=8))
+    entries = st.dictionaries(
+        st.integers(min_value=0, max_value=ncols - 1), rationals.filter(bool), min_size=1, max_size=3
+    )
+    distinct = draw(st.lists(entries, min_size=1, max_size=ncols + 2))
+    picks = draw(
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=len(distinct)), rationals.filter(bool)),
+            min_size=4 * ncols,
+            max_size=6 * ncols,
+        )
+    )
+    rows = [
+        {c: v * scale for c, v in distinct[i].items()} if i < len(distinct) else {}
+        for i, scale in picks
+    ]
+    rhs = draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+    return rows, rhs, ncols
+
+
+def rational_systems():
+    return st.one_of(small_systems(), tall_sparse_systems())
 
 
 def _hilbert(n):
