@@ -29,7 +29,6 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,7 +51,7 @@ from .errors import (
     VariableTableMismatch,
 )
 from .linalg import Row, solve
-from .poly import Poly, squarefree_distinct_root_count
+from .poly import Poly, _cleared, squarefree_distinct_root_count
 from .reps import RepSpec, build_derivation, catalog_invariants, nonstable_coordinates
 from .transfer import BoundaryClass, TransferResult, extend
 
@@ -189,10 +188,8 @@ def certify_everywhere_stable(spec: RepSpec, f: Poly) -> StabilityCertificate:
         )
     if not apply(derivation, f).is_zero:
         raise NonInvariantInput("stability certificate expects an invariant polynomial")
-    positive = set(nonstable_coordinates(spec))
-    restriction = f.substitute(
-        {name: Poly.zero(spec.coord_names) for name in positive}
-    )
+    pinned = dict.fromkeys(nonstable_coordinates(spec), 0)
+    restriction = f.coefficient(pinned).extend_table(spec.coord_names)
     certified = (not restriction.is_zero) and restriction.is_constant()
     return StabilityCertificate(restriction=restriction, certified=certified)
 
@@ -206,8 +203,11 @@ _SMALL_RATIONALS = tuple(
 
 
 @functools.lru_cache(maxsize=None)
-def _candidate_points(n: int) -> Tuple[Tuple[Fraction, ...], ...]:
-    """Points of Q^n in search order: origin, axes, axis pairs, seeded samples; built once per n."""
+def _integer_candidates(n: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+    """Points of Q^n in search order, cleared to ``(q, numerators)``; built once per n.
+
+    The order is origin, axes, axis pairs, seeded samples.
+    """
     zero = (Fraction(0),) * n
     points = [zero]
     for i in range(n):
@@ -220,17 +220,7 @@ def _candidate_points(n: int) -> Tuple[Tuple[Fraction, ...], ...]:
     rng = random.Random(_SAMPLE_SEED)
     for _ in range(_SAMPLE_BUDGET):
         points.append(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)))
-    return tuple(points)
-
-
-@functools.lru_cache(maxsize=None)
-def _integer_candidates(n: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
-    """``_candidate_points(n)`` cleared to ``(q, numerators)`` per point, same order."""
-    view = []
-    for point in _candidate_points(n):
-        q = math.lcm(*(value.denominator for value in point))
-        view.append((q, tuple(value.numerator * (q // value.denominator) for value in point)))
-    return tuple(view)
+    return tuple((q, tuple(numer)) for q, numer in map(_cleared, points))
 
 
 def _rational_zero(
@@ -240,11 +230,11 @@ def _rational_zero(
 
     The polys share one variable table; its variables outside ``names``
     are zero, which is exact at every call site (they are pinned to zero
-    or absent), so each poly is restricted to ``names`` once.  Every
-    candidate of ``_integer_candidates`` is tested with the integer
-    kernel ``Poly.scaled_value``; only the hit becomes a ``Fraction``
-    point.  A miss within the table is evidence, not proof, that no
-    zero exists.
+    or absent), so each poly is restricted to ``names`` once.  The one
+    table is ``_integer_candidates``: every candidate is tested with the
+    integer kernel ``Poly.scaled_value``, and only the hit becomes a
+    ``Fraction`` point.  A miss within the table is evidence, not proof,
+    that no zero exists.
     """
     names = tuple(names)
     table = polys[0].vars if polys else names
@@ -257,7 +247,7 @@ def _rational_zero(
     for tried, (q, numer) in enumerate(candidates, 1):
         if all(p.scaled_value(numer, q) == 0 for p in polys):
             point = dict.fromkeys(table, Fraction(0))
-            point.update(zip(names, _candidate_points(len(names))[tried - 1]))
+            point.update((name, Fraction(x, q)) for name, x in zip(names, numer))
             return point, tried
     return None, len(candidates)
 
@@ -276,9 +266,11 @@ def _graph_constraints(
     free_positive = tuple(
         name for name in spec.coord_names if name in positive and name in graph.free
     )
-    zeroing = {graph.free[name]: Poly.zero(graph.zvars) for name in free_positive}
+    pinned = {graph.free[name]: 0 for name in free_positive}
     constraints = [
-        image.substitute(zeroing) for name, image in graph.dependent.items() if name in positive
+        image.coefficient(pinned).extend_table(graph.zvars)
+        for name, image in graph.dependent.items()
+        if name in positive
     ]
     return free_positive, constraints
 
@@ -444,11 +436,19 @@ def classify(
                 )
             crosschecks.append(("graph-lies-on-hypersurface", True))
 
+    if graph is None:  # the identity graph, cut by the certificate's restriction
+        search_graph = GraphPresentation(
+            zvars=spec.coord_names, free={name: name for name in spec.coord_names}, dependent={}
+        )
+        free_positive, constraints = nonstable_coordinates(spec), [certificate.restriction]
+    else:
+        search_graph = graph
+        free_positive, constraints = _graph_constraints(spec, graph)
+
     witness: Optional[UnstableWitness] = None
     if certificate is not None:
         certified = certificate.certified
     else:
-        free_positive, constraints = _graph_constraints(spec, graph)
         certified = any(not c.is_zero and c.is_constant() for c in constraints)
         if certified:
             notes.append("graph avoids the non-stable subspace by a constant constraint")
@@ -472,17 +472,7 @@ def classify(
         else:
             verdict = Verdict.STRICTLY_QUASI_AFFINE
     else:
-        if graph is None:
-            identity = GraphPresentation(
-                zvars=spec.coord_names, free={name: name for name in spec.coord_names}, dependent={}
-            )
-            witness = _find_unstable_point(
-                spec, identity, f, nonstable_coordinates(spec), [certificate.restriction]
-            )
-        else:
-            if certificate is not None:
-                free_positive, constraints = _graph_constraints(spec, graph)
-            witness = _find_unstable_point(spec, graph, f, free_positive, constraints)
+        witness = _find_unstable_point(spec, search_graph, f, free_positive, constraints)
         if witness is not None:
             verdict = Verdict.NOT_EVERYWHERE_STABLE
         else:
@@ -602,8 +592,7 @@ def build_family_member(
     others = [name for name in coords if name != pivot]
     zvars = tuple(f"z{i}" for i in range(1, len(coords)))
     free = {name: z for name, z in zip(others, zvars)}
-    to_z = {name: Poly.variable(zvars, z) for name, z in free.items()}
-    dependent = {pivot: h_phi.coefficient({pivot: 0}).substitute(to_z)}
+    dependent = {pivot: Poly(zvars, h_phi.coefficient({pivot: 0}).terms)}  # others[i] is zvars[i]
     return f, GraphPresentation(zvars=zvars, free=free, dependent=dependent)
 
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -46,7 +45,7 @@ from .errors import (
     VariableTableMismatch,
 )
 from .linalg import Row, extend_rref, nullspace, reduce_against, rref, solve
-from .poly import Poly, _raw, exponents_of_degree, exponents_up_to_degree
+from .poly import Poly, _cleared, _raw, exponents_of_degree, exponents_up_to_degree
 
 _MAX_EXP_STEPS = 512
 # (Dd, ((variable index, ((a*Dd, ((index, change), ...)), ...)), ...)) over
@@ -121,15 +120,16 @@ def _compile_images(images: Sequence[Poly]) -> IntImages:
     Variables with a zero image are left out.  Each image term keeps
     ``a*Dd`` and the non-zero entries of ``e' - unit_i``.
     """
-    scale = lcm(*(c.denominator for img in images for c in img.terms.values()))
+    scale, numer = _cleared([c for img in images for c in img.terms.values()])
+    scaled = iter(numer)
     active = []
     for i, img in enumerate(images):
         compiled = []
-        for ie, ic in img.terms.items():
+        for ie in img.terms:
             change = list(ie)
             change[i] -= 1
             delta = tuple((j, x) for j, x in enumerate(change) if x)
-            compiled.append((ic.numerator * (scale // ic.denominator), delta))
+            compiled.append((next(scaled), delta))
         if compiled:
             active.append((i, tuple(compiled)))
     return scale, tuple(active)
@@ -150,10 +150,9 @@ def apply(d: Derivation, p: Poly) -> Poly:
     if p.vars != d.vars:
         raise VariableTableMismatch(f"polynomial table {p.vars} does not match {d.vars}")
     scale, active = d._int_images
-    terms = p.terms
-    p_scale = lcm(*(c.denominator for c in terms.values()))
+    p_scale, numer = _cleared(list(p.terms.values()))
     acc: Dict[Tuple[int, ...], int] = {}
-    _leibniz(acc, active, ((e, c.numerator * (p_scale // c.denominator)) for e, c in terms.items()))
+    _leibniz(acc, active, zip(p.terms, numer))
     denom = p_scale * scale
     return _raw(d.vars, {key: Fraction(v, denom) for key, v in acc.items() if v})
 
@@ -488,10 +487,10 @@ def restrict_to_graph(d: Derivation, graph: GraphPresentation) -> Derivation:
     substitution = graph.substitution()
     images: Dict[str, Poly] = {}
     for ambient_name, zname in graph.free.items():
-        images[zname] = apply(d, Poly.variable(d.vars, ambient_name)).substitute(substitution)
+        images[zname] = d.images[ambient_name].substitute(substitution)
     restricted = Derivation(graph.zvars, images)
     for ambient_name, h in graph.dependent.items():
-        lhs = apply(d, Poly.variable(d.vars, ambient_name)).substitute(substitution)
+        lhs = d.images[ambient_name].substitute(substitution)
         rhs = Poly.zero(graph.zvars)
         for zname in graph.zvars:
             rhs = rhs + h.partial(zname) * images[zname]

@@ -17,11 +17,11 @@ the column skipped), so each column touches only its holders.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import NotDivisible
-from .poly import Poly, exact_divide
+from .poly import Poly, _cleared, exact_divide
 
 Row = Dict[int, Union[int, Fraction]]
 IntRow = Dict[int, int]
@@ -29,10 +29,8 @@ IntRow = Dict[int, int]
 
 def _integer_row(row: Row) -> IntRow:
     """The primitive integer multiple of ``row``, signs kept, as a new dict."""
-    scale = lcm(*[v.denominator for v in row.values()])
-    if scale == 1:
-        return _content_one({c: v.numerator for c, v in row.items() if v})
-    return _content_one({c: v.numerator * (scale // v.denominator) for c, v in row.items() if v})
+    _, numer = _cleared(list(row.values()))
+    return _content_one({c: n for c, n in zip(row, numer) if n})
 
 
 def _content_one(row: IntRow) -> IntRow:

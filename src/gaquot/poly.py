@@ -14,20 +14,27 @@ deterministic generator listings use this order.
 Coefficients are ``fractions.Fraction`` throughout, so every computed
 number is exact, in lowest terms, with positive denominator.
 
-Point evaluation runs on a cached integer form instead: on first use a
-polynomial stores its coefficients scaled by their common denominator,
-and the kernel ``scaled_value`` takes a point already cleared to
-integer numerators over one denominator and sums plain ``int``
-products.  ``evaluate`` wraps it and builds one ``Fraction``; the
-rational-point search of witness search and boundary sampling calls
-the kernel directly and only tests the sum against zero.  The cache is
-safe because a ``Poly`` never changes after construction.
+Denominators are cleared by one helper, ``_cleared``: a sequence of
+rationals becomes their common denominator ``q`` and the integer
+numerators over it.  Every integer form of the package is built
+through it (point evaluation, ``normalized``, the candidate table of
+the rational-point search, the Leibniz kernel of ``derivations`` and
+the integer rows of ``linalg``).
+
+Point evaluation runs on a cached integer form: on first use a
+polynomial stores its coefficients cleared to one denominator, and the
+kernel ``scaled_value`` takes a point already cleared the same way and
+sums plain ``int`` products.  ``evaluate`` wraps it and builds one
+``Fraction``; the rational-point search of witness search and boundary
+sampling calls the kernel directly and only tests the sum against
+zero.  The cache is safe because a ``Poly`` never changes after
+construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import NotDivisible, VariableTableMismatch
@@ -44,6 +51,14 @@ def _as_fraction(value: Scalar) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _cleared(values: Sequence[Scalar]) -> Tuple[int, List[int]]:
+    """``(q, [v*q, ...])`` for ``q`` the lcm of the denominators; ``q = 1`` when empty."""
+    q = lcm(*[v.denominator for v in values])
+    if q == 1:
+        return 1, [v.numerator for v in values]
+    return q, [v.numerator * (q // v.denominator) for v in values]
 
 
 def grlex_key(exponent: Exponent) -> Tuple[int, Exponent]:
@@ -265,7 +280,7 @@ class Poly:
                     )
                 table[name] = Poly.variable(target, name)
         cache: Dict[str, List[Poly]] = {name: [Poly.const(target, 1)] for name in self.vars}
-        result = Poly.zero(target)
+        out: Dict[Exponent, Fraction] = {}
         for exponent, coeff in self.terms.items():
             term = Poly.const(target, coeff)
             for name, e in zip(self.vars, exponent):
@@ -275,25 +290,20 @@ class Poly:
                 while len(powers) <= e:
                     powers.append(powers[-1] * table[name])
                 term = term * powers[e]
-            result = result + term
-        return result
+            for e, c in term.terms.items():
+                out[e] = out.get(e, 0) + c
+        return _raw(target, {e: c for e, c in out.items() if c})
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Full evaluation at a rational point covering every variable.
 
         Clears the point to ``n_i / q`` and divides :meth:`scaled_value` by ``D * q^top``.
         """
-        numer: List[int] = []
-        denom: List[int] = []
-        for name in self.vars:
-            value = point[name]
+        values = [point[name] for name in self.vars]
+        for value in values:
             if not isinstance(value, (int, Fraction)):
                 raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-            numer.append(value.numerator)
-            denom.append(value.denominator)
-        q = lcm(*denom)
-        if q != 1:
-            numer = [n * (q // d) for n, d in zip(numer, denom)]
+        q, numer = _cleared(values)
         total = self.scaled_value(numer, q)
         scale, _, top = self._int_form
         return Fraction(total, scale * q ** top)
@@ -331,14 +341,10 @@ class Poly:
         return total
 
     def _compile_int_form(self) -> IntForm:
-        scale = lcm(*(c.denominator for c in self.terms.values()))
+        scale, numer = _cleared(list(self.terms.values()))
         int_terms = tuple(
-            (
-                c.numerator * (scale // c.denominator),
-                tuple((i, x) for i, x in enumerate(e) if x),
-                sum(e),
-            )
-            for e, c in self.terms.items()
+            (n, tuple((i, x) for i, x in enumerate(e) if x), sum(e))
+            for e, n in zip(self.terms, numer)
         )
         top = max((degree for _, _, degree in int_terms), default=0)
         return scale, int_terms, top
@@ -394,15 +400,8 @@ class Poly:
         """Scale to integer coefficients, content one, positive leading term."""
         if not self.terms:
             return self
-        from math import gcd
-
-        denom = 1
-        for c in self.terms.values():
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        numer = 0
-        for c in self.terms.values():
-            numer = gcd(numer, abs(c.numerator * denom // c.denominator))
-        scale = Fraction(denom, numer)
+        denom, numer = _cleared(list(self.terms.values()))
+        scale = Fraction(denom, gcd(*numer))
         _, lead = self.leading()
         if lead < 0:
             scale = -scale
@@ -477,14 +476,6 @@ def exact_divide(p: Poly, q: Poly) -> Poly:
         quotient[diff] = coeff
         rest = rest - Poly.monomial(p.vars, diff, coeff) * q
     return Poly(p.vars, quotient)
-
-
-def divides(p: Poly, q: Poly) -> Optional[Poly]:
-    """Exact quotient or ``None``, for callers that expect failure."""
-    try:
-        return exact_divide(p, q)
-    except NotDivisible:
-        return None
 
 
 # ----------------------------------------------------------------------

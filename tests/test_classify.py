@@ -21,7 +21,7 @@ from gaquot.classify import (
     jacobian_boundary_smoothness,
     localized_quotient_affine,
 )
-from gaquot.classify import _candidate_points, _rational_zero
+from gaquot.classify import _integer_candidates, _rational_zero
 from gaquot.errors import NonInvariantInput, VariableTableMismatch
 from gaquot.expr import parse
 from gaquot.fixtures import fixture
@@ -233,8 +233,9 @@ class TestCandidateTable:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_size_and_deterministic_prefix(self, n):
-        table = _candidate_points(n)
+        table = _integer_candidates(n)
         assert len(table) == 1 + 12 * n + 16 * math.comb(n, 2) + 64
+        assert all(q > 0 and len(numer) == n for q, numer in table)
 
         def point(*pairs):  # (index, value) pairs; every other coordinate is zero
             values = [Fraction(0)] * n
@@ -251,14 +252,19 @@ class TestCandidateTable:
             for a in self.SMALL[:4]
             for b in self.SMALL[:4]
         ]
-        assert list(table[: len(prefix)]) == prefix
-        assert _candidate_points(n) is table  # drawn once per dimension
+        assert _fraction_points(n)[: len(prefix)] == prefix
+        assert _integer_candidates(n) is table  # drawn once per dimension
+
+
+def _fraction_points(n):
+    """The candidate table as ``Fraction`` points, each coordinate read as ``Fraction(x, q)``."""
+    return [tuple(Fraction(x, q) for x in numer) for q, numer in _integer_candidates(n)]
 
 
 def _oracle_rational_zero(polys, names):
     """The per-point search on ``Fraction``s: a dict and ``Poly.evaluate`` per candidate."""
     base = {name: Fraction(0) for p in polys for name in p.vars}
-    table = _candidate_points(len(names))
+    table = _fraction_points(len(names))
     for tried, values in enumerate(table, 1):
         point = dict(base)
         point.update(zip(names, values))
@@ -323,7 +329,7 @@ class TestRationalZero:
         for polys in ([zero], [constant], [zero, constant], [constant, zero]):
             _same_search(polys, names)
         assert _rational_zero([zero], names) == (dict.fromkeys(table, Fraction(0)), 1)
-        assert _rational_zero([constant], names) == (None, len(_candidate_points(n)))
+        assert _rational_zero([constant], names) == (None, len(_integer_candidates(n)))
 
     def test_tables_must_agree(self):
         x = Poly.variable(("x", "y"), "x")
@@ -338,6 +344,15 @@ class TestFamilyBuilder:
         cert = certify_everywhere_stable(TRIPLE, f)
         assert cert.certified
         assert str(cert.restriction) == "-1"
+
+    @pytest.mark.parametrize("phi", ["t", "t^2 - 2", "t^5 - 3*t + 1/3"])
+    def test_dependent_image_is_the_relabelled_coefficient(self, phi):
+        f, graph = build_family_member(TRIPLE, _phi(phi), "minor[1,2]")
+        h = f + Poly.variable(TRIPLE.coords, "w0")
+        to_z = {name: Poly.variable(graph.zvars, z) for name, z in graph.free.items()}
+        expected = h.coefficient({"w0": 0}).substitute(to_z)
+        assert graph.dependent["w0"].vars == graph.zvars
+        assert graph.dependent["w0"] == expected
 
     def test_origin_on_hypersurface_rejected(self):
         with pytest.raises(ValueError):

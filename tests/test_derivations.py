@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gaquot.classify import build_family_member
 from gaquot.derivations import (
     Derivation,
     GraphPresentation,
@@ -25,7 +26,7 @@ from gaquot.errors import (
     VariableTableMismatch,
 )
 from gaquot.expr import parse
-from gaquot.fixtures import fixture
+from gaquot.fixtures import NAMED_FIXTURES, fixture
 from gaquot.poly import Poly, exponents_of_degree, ring
 from gaquot.reps import RepSpec, build_derivation, sl2_triple
 
@@ -314,6 +315,31 @@ class TestGraphs:
             "z4": "0",
             "z5": "z4",
         }
+
+    @pytest.mark.parametrize(
+        "name",
+        [name for name in NAMED_FIXTURES if fixture(name).graph is not None]
+        + ["family-phi(7)", "family-phi(t^2 - 2*t)", "family-phi(t^5 - 3*t)"],
+    )
+    def test_images_match_applying_and_composing(self, name):
+        fx = fixture(name)
+        self._assert_images_match(build_derivation(fx.spec), fx.graph)
+
+    @pytest.mark.parametrize("phi", ["t", "t^2 - 2", "3/2*t^3 - t + 5"])
+    def test_images_match_on_family_members(self, phi):
+        spec = RepSpec((1, 1, 1))
+        _, graph = build_family_member(spec, parse(phi, ("t",)), "minor[1,2]")
+        self._assert_images_match(build_derivation(spec), graph)
+
+    @staticmethod
+    def _assert_images_match(d, graph):
+        """Each restricted image is ``D(x)`` composed with the graph, computed the long way."""
+        restricted = restrict_to_graph(d, graph)
+        substitution = graph.substitution()
+        assert restricted.vars == graph.zvars
+        for ambient, zname in graph.free.items():
+            expected = apply(d, Poly.variable(d.vars, ambient)).substitute(substitution)
+            assert restricted.images[zname] == expected
 
     def test_inconsistent_graph_rejected(self):
         fx = fixture("winkelmann")

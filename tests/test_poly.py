@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 from gaquot.errors import NotDivisible, VariableTableMismatch
 from gaquot.poly import (
     Poly,
+    _cleared,
     exact_divide,
-    divides,
     exponents_of_degree,
     exponents_up_to_degree,
     ring,
@@ -154,6 +155,19 @@ class TestSubstitution:
         image = (x * y).substitute({"x": a + b, "y": a - b, "z": 0})
         assert image == a * a - b * b
 
+    def test_cancelling_images_leave_no_zero_terms(self):
+        x, y, _ = ring(XYZ)
+        a, b = ring("a b")
+        assert (x - y).substitute({"x": a + b, "y": b + a, "z": 0}).terms == {}
+        image = (x * y + x - y).substitute({"x": a + b, "y": a + b, "z": 0})
+        assert image == (a + b) ** 2
+        assert all(image.terms.values())
+
+    def test_images_on_two_tables_rejected(self):
+        x, y, _ = ring(XYZ)
+        with pytest.raises(VariableTableMismatch):
+            (x + y).substitute({"x": Poly.variable(("a",), "a"), "y": Poly.variable(("b",), "b")})
+
     def test_substitute_missing_target_variable_rejected(self):
         x, _, z = ring(XYZ)
         a = Poly.variable(("a",), "a")
@@ -172,6 +186,48 @@ class TestSubstitution:
         x, _, _ = ring(XYZ)
         with pytest.raises(KeyError):
             x.evaluate({"x": 1, "y": 0})
+
+
+class TestZeroingBySelection:
+    """Zeroing variables selects the terms free of them; ``substitute`` is the oracle."""
+
+    @given(polys, st.sets(st.sampled_from(XYZ)))
+    def test_selection_matches_substituting_zero(self, p, names):
+        expected = p.substitute({name: Poly.zero(XYZ) for name in names})
+        selected = p.coefficient(dict.fromkeys(names, 0)).extend_table(XYZ)
+        assert selected.vars == expected.vars
+        assert selected == expected
+
+
+class TestCleared:
+    """The one denominator-clearing helper behind every integer form."""
+
+    def test_integers_keep_denominator_one(self):
+        assert _cleared([3, -4, 0, 7]) == (1, [3, -4, 0, 7])
+
+    def test_all_integer_fractions(self):
+        assert _cleared([Fraction(6, 3), Fraction(-5)]) == (1, [2, -5])
+
+    def test_fractions_over_the_lcm(self):
+        assert _cleared([Fraction(1, 2), Fraction(-2, 3), 5]) == (6, [3, -4, 30])
+
+    def test_negative_values(self):
+        assert _cleared([Fraction(-1, 4), -2, Fraction(-3, 8)]) == (8, [-2, -16, -3])
+
+    def test_empty_input(self):
+        assert _cleared([]) == (1, [])
+        assert _cleared(()) == (1, [])
+
+    def test_zero_polynomial_reaches_it(self):
+        zero = Poly.zero(XYZ)
+        assert zero.evaluate({"x": Fraction(1, 2), "y": 3, "z": 0}) == 0
+
+    @given(st.lists(st.one_of(st.integers(-20, 20), st.fractions(max_denominator=12)), max_size=8))
+    def test_numerators_over_the_least_common_denominator(self, values):
+        q, numer = _cleared(values)
+        assert q == math.lcm(*(Fraction(v).denominator for v in values))
+        assert all(type(n) is int for n in numer)
+        assert [Fraction(n, q) for n in numer] == [Fraction(v) for v in values]
 
 
 points = st.fixed_dictionaries(
@@ -287,8 +343,9 @@ class TestDivision:
 
     def test_divides_returns_quotient_or_none(self):
         x, y, _ = ring(XYZ)
-        assert divides(x ** 2 - y ** 2, x - y) == x + y
-        assert divides(x ** 2 + y, x - y) is None
+        assert exact_divide(x ** 2 - y ** 2, x - y) == x + y
+        with pytest.raises(NotDivisible):
+            exact_divide(x ** 2 + y, x - y)
 
 
 class TestUnivariateRoots:
