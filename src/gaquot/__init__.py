@@ -32,7 +32,6 @@ from .derivations import (
     GraphPresentation,
     PowerInImage,
     SliceSearch,
-    exp_action,
     graded_image_membership,
     graded_kernel_generators,
     power_in_image,
@@ -47,7 +46,6 @@ from .errors import (
     InternalInconsistency,
     JobError,
     NonInvariantInput,
-    NonNilpotentIteration,
     NotDivisible,
     UnsupportedBlock,
     VariableTableMismatch,
@@ -96,7 +94,6 @@ __all__ = [
     "JobError",
     "NAMED_FIXTURES",
     "NonInvariantInput",
-    "NonNilpotentIteration",
     "NotDivisible",
     "Poly",
     "PowerInImage",
@@ -118,7 +115,6 @@ __all__ = [
     "classify",
     "compare_family",
     "crosscheck_constant_removed",
-    "exp_action",
     "extend",
     "extended_spec",
     "fixture",

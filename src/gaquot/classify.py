@@ -487,10 +487,13 @@ def classify(
         crosschecks.append(
             ("constant-removed-boundary", _constant_removed_agrees(spec, reduced, transfer_result))
         )
-        localized = localized_quotient_affine(spec, reduced, bounds.kmax)
-        crosschecks.append(
-            ("localized-power-duality", localized.found == (verdict is Verdict.AFFINE))
-        )
+        if bounds.kmax >= 1:  # exact on the sl2 ladder from kmax = 1 up
+            localized = localized_quotient_affine(spec, reduced, bounds.kmax)
+            crosschecks.append(
+                ("localized-power-duality", localized.found == (verdict is Verdict.AFFINE))
+            )
+        else:
+            notes.append(f"kmax = {bounds.kmax} tries no power; localized-power-duality not run")
 
     slice_result: Optional[SliceSearch] = None
     if restricted is not None:
@@ -503,11 +506,12 @@ def classify(
             raise InternalInconsistency(
                 "a slice was found for a quotient classified as non-affine"
             )
-        crosschecks.append(("slice-agreement", found == (verdict is Verdict.AFFINE)))
         if verdict is Verdict.AFFINE and not found:
             notes.append(
                 f"no slice up to degree {bounds.slice_degree}; bounded miss, not a refutation"
             )
+        else:
+            crosschecks.append(("slice-agreement", found == (verdict is Verdict.AFFINE)))
 
     smoothness: Optional[SmoothnessReport] = None
     if transfer_result is not None and transfer_result.boundary is BoundaryClass.INTERSECTS:

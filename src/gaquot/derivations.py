@@ -41,13 +41,11 @@ from .errors import (
     GraphInconsistency,
     InternalInconsistency,
     NonInvariantInput,
-    NonNilpotentIteration,
     VariableTableMismatch,
 )
 from .linalg import Row, extend_rref, nullspace, reduce_against, rref, solve
 from .poly import Poly, _cleared, _raw, exponents_of_degree, exponents_up_to_degree
 
-_MAX_EXP_STEPS = 512
 # (Dd, ((variable index, ((a*Dd, ((index, change), ...)), ...)), ...)) over
 # the variables with a non-zero image; see ``apply``
 ActiveImages = Tuple[Tuple[int, Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]], ...]
@@ -172,33 +170,6 @@ def _leibniz(acc: Dict[Tuple[int, ...], int], active: ActiveImages, terms: Itera
                     key[j] += change
                 key = tuple(key)
                 acc[key] = get(key, 0) + factor * c
-
-
-def exp_action(d: Derivation, p: Poly, tname: str = "t", max_steps: int = _MAX_EXP_STEPS) -> Poly:
-    """``exp(t*D)`` applied to ``p``: the sum of ``t^m D^m(p)/m!``.
-
-    The result lives over the table extended by the fresh parameter
-    ``tname``.  Locally nilpotent input terminates; anything else hits
-    the iteration bound and raises.
-    """
-    if tname in d.vars:
-        raise ValueError(f"parameter name {tname!r} collides with a ring variable")
-    extended = d.vars + (tname,)
-    acc: Dict[Tuple[int, ...], Fraction] = {}
-    q = p
-    m = 0
-    factorial = 1
-    while not q.is_zero:
-        if m > max_steps:
-            raise NonNilpotentIteration(
-                f"exp iteration exceeded {max_steps} steps; derivation is not locally nilpotent on input"
-            )
-        for exponent, coeff in q.terms.items():
-            acc[exponent + (m,)] = coeff / factorial
-        q = apply(d, q)
-        m += 1
-        factorial *= m
-    return Poly(extended, acc)
 
 
 # ----------------------------------------------------------------------

@@ -35,10 +35,6 @@ class GraphInconsistency(GaquotError, ValueError):
     """A graph presentation is not stable under the ambient derivation."""
 
 
-class NonNilpotentIteration(GaquotError, RuntimeError):
-    """Exponential iteration exceeded its bound; input is not nilpotent."""
-
-
 class ConstructionFailure(GaquotError, RuntimeError):
     """An operator triple could not be solved or failed its bracket checks."""
 

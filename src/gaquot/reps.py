@@ -23,10 +23,11 @@ a diagonal operator admit at most one linear raising partner: the
 difference of two partners commutes with the lowering operator and has
 adjoint weight opposite to it, and on a finite-dimensional space sl2
 theory allows no such non-zero operator.  The closed
-form is therefore the only operator the bracket relations allow.  Those
-relations are still asserted on every generator at construction time,
-together with the fact that the exponential of the lowering operator
-reproduces the substitution action of the lower-triangular subgroup.
+form is therefore the only operator the bracket relations allow, and
+those relations are asserted on every generator at construction time.
+That the exponential of the lowering operator reproduces the
+substitution action of the lower-triangular subgroup is checked by the
+test suite, which uses :func:`group_substitution` as its oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
-from .derivations import Derivation, apply, exp_action
+from .derivations import Derivation, apply
 from .errors import ConstructionFailure, UnsupportedBlock, VariableTableMismatch
 from .linalg import det_bareiss
 from .poly import Poly
@@ -254,23 +255,13 @@ def _check_brackets(coords: Tuple[str, ...], low: Derivation, high: Derivation, 
             raise ConstructionFailure(f"raising/lowering bracket fails on {name}")
 
 
-def _check_one_parameter_flow(spec: RepSpec, lower: Derivation) -> None:
-    """The substitution by the lower-triangular flow is exp of the derivation."""
-    t = Poly.variable(("t",), "t")
-    images = group_substitution(spec, [[1, Poly.zero(("t",))], [t, 1]])
-    target_table = ("t",) + spec.coord_names
-    for name in spec.coord_names:
-        flowed = images[name]
-        series = exp_action(lower, Poly.variable(spec.coord_names, name), "t")
-        if flowed != series.extend_table(target_table):
-            raise ConstructionFailure(
-                f"one-parameter flow disagrees with the exponential on {name}"
-            )
-
-
 @lru_cache(maxsize=None)
 def sl2_triple(spec: RepSpec) -> Sl2Triple:
-    """The verified operator triple attached to a representation."""
+    """The operator triple attached to a representation.
+
+    Closed forms from :func:`_ladder_images`, brackets asserted on every
+    generator; the one-parameter flow is a test oracle, not checked here.
+    """
     coords = spec.coord_names
     weight_of = spec.weight_of
     lower_images, raising_images = _ladder_images(spec)
@@ -281,7 +272,6 @@ def sl2_triple(spec: RepSpec) -> Sl2Triple:
     diag = Derivation(coords, diag_images, weight_of=weight_of)
     lower = Derivation(coords, lower_images, weight_of=weight_of, sl2_raise=raising)
     _check_brackets(coords, lower, raising, diag)
-    _check_one_parameter_flow(spec, lower)
     return Sl2Triple(lower=lower, raising=raising, diag=diag)
 
 

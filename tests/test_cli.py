@@ -132,6 +132,32 @@ class TestCommands:
         assert code == 10 and out and err == ""
 
 
+class TestBoundedMisses:
+    """A route that misses within its bound leaves a note, never a ``false`` crosscheck."""
+
+    @pytest.mark.parametrize("bound", [("--kmax", "0"), ("--slice-deg", "0")])
+    def test_selftest_passes_at_zero_bound(self, capsys, bound):
+        code, data = _run_json(capsys, "--command", "selftest", *bound)
+        assert code == 0
+        assert data["passed"] and all(ok for _, ok in data["checks"])
+
+    def test_affine_fixture_at_zero_bounds(self, capsys):
+        code, data = _run_json(
+            capsys, "--fixture", "affine-slice", "--kmax", "0", "--slice-deg", "0"
+        )
+        assert code == 0
+        assert data["verdict"] == "Affine"
+        assert [name for name, _ in data["crosschecks"]] == [
+            "graph-lies-on-hypersurface",
+            "constant-removed-boundary",
+        ]
+        assert all(ok for _, ok in data["crosschecks"])
+        assert data["notes"] == [
+            "kmax = 0 tries no power; localized-power-duality not run",
+            "no slice up to degree 0; bounded miss, not a refutation",
+        ]
+
+
 class TestJobFiles:
     def test_export_then_run(self, tmp_path, capsys):
         code, out, _ = _run(capsys, "--fixture", "winkelmann", "--export-job")

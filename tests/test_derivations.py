@@ -11,7 +11,6 @@ from gaquot.derivations import (
     Derivation,
     GraphPresentation,
     apply,
-    exp_action,
     graded_image_membership,
     graded_kernel_generators,
     power_in_image,
@@ -22,7 +21,6 @@ from gaquot.derivations import (
 from gaquot.errors import (
     GraphInconsistency,
     NonInvariantInput,
-    NonNilpotentIteration,
     VariableTableMismatch,
 )
 from gaquot.expr import parse
@@ -129,44 +127,6 @@ class TestIntegerLeibnizKernel:
     def test_foreign_table_rejected(self):
         with pytest.raises(VariableTableMismatch):
             apply(_ddx(), Poly.variable(XYZ, "x"))
-
-
-class TestExpAction:
-    def test_translation_oracle(self):
-        d = _ddx()
-        x, _ = ring(XY)
-        moved = exp_action(d, x ** 2)
-        assert moved == parse("x^2 + 2*t*x + t^2", XY + ("t",))
-
-    def test_custom_parameter_name(self):
-        d = _ddx()
-        x, _ = ring(XY)
-        assert exp_action(d, x, "s").vars == XY + ("s",)
-
-    @given(
-        polys_xy,
-        st.fractions(min_value=-3, max_value=3, max_denominator=2),
-        st.fractions(min_value=-3, max_value=3, max_denominator=2),
-    )
-    def test_one_parameter_group_law(self, p, a, b):
-        d = build_derivation(RepSpec((2,)))
-        lifted = p.substitute(
-            {
-                "x": Poly.variable(d.vars, "w0"),
-                "y": Poly.variable(d.vars, "w2"),
-            }
-        )
-
-        def flow(s, q):
-            return exp_action(d, q).substitute({"t": s}).coefficient({"t": 0})
-
-        assert flow(a, flow(b, lifted)) == flow(a + b, lifted)
-
-    def test_non_nilpotent_derivation_rejected(self):
-        x, _ = ring(XY)
-        scaling = Derivation(XY, {"x": x})
-        with pytest.raises(NonNilpotentIteration):
-            exp_action(scaling, x)
 
 
 class TestWeightComponents:

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gaquot.derivations import apply, exp_action
+from gaquot.derivations import apply
 from gaquot.errors import ConstructionFailure, UnsupportedBlock
 from gaquot.expr import parse
 from gaquot import reps
@@ -201,6 +202,38 @@ def _mat_mul(a, b):
     )
 
 
+def _flow_series(spec, d):
+    """``exp(t*D)`` on every coordinate: ``sum t^m D^m(x)/m!`` over ``("t",) + coords``.
+
+    A coordinate of a ``Sym^k`` summand must satisfy ``D^(k+1)(x) = 0``;
+    the series fails when it does not.
+    """
+    table = ("t",) + spec.coords
+    t = Poly.variable(table, "t")
+    images = {}
+    for k, names in spec.blocks():
+        for name in names:
+            q, series = Poly.variable(spec.coords, name), Poly.zero(table)
+            for m in range(k + 1):
+                series = series + Fraction(1, math.factorial(m)) * t ** m * q.extend_table(table)
+                q = apply(d, q)
+            assert q.is_zero, f"D^{k + 1}({name}) = {q} is not zero"
+            images[name] = series
+    return images
+
+
+def _assert_lower_triangular_flow(spec):
+    t = Poly.variable(("t",), "t")
+    assert group_substitution(spec, [[1, 0], [t, 1]]) == _flow_series(spec, build_derivation(spec))
+
+
+random_specs = st.builds(
+    RepSpec,
+    st.lists(st.integers(0, 7), min_size=1, max_size=3).map(tuple),
+    st.sampled_from(NORMALIZATIONS),
+)
+
+
 class TestGroupSubstitution:
     def test_identity(self):
         spec = RepSpec((1, 1))
@@ -224,15 +257,22 @@ class TestGroupSubstitution:
         for name in spec.coords:
             assert sa[name].substitute(sb) == sab[name]
 
-    @pytest.mark.parametrize("spec", [RepSpec((2,)), RepSpec((3,), "unit"), RepSpec((1, 1))])
+    @pytest.mark.parametrize(
+        "spec",
+        [RepSpec((2,)), RepSpec((3,), "unit"), RepSpec((1, 1))]
+        + [RepSpec((k,), normalization) for normalization in NORMALIZATIONS for k in range(8)],
+    )
     def test_lower_triangular_matches_flow(self, spec):
-        t = Poly.variable(("t",), "t")
-        images = group_substitution(spec, ((Poly.const(("t",), 1), Poly.const(("t",), 0)), (t, Poly.const(("t",), 1))))
-        d = build_derivation(spec)
-        for name in spec.coords:
-            flowed = exp_action(d, Poly.variable(spec.coords, name))
-            wide = flowed.vars
-            assert parse(str(images[name]), wide) == flowed
+        _assert_lower_triangular_flow(spec)
+
+    @given(random_specs)
+    def test_random_spec_flow(self, spec):
+        _assert_lower_triangular_flow(spec)
+
+    def test_flow_series_needs_nilpotency(self):
+        spec = RepSpec((1,))
+        with pytest.raises(AssertionError, match="is not zero"):
+            _flow_series(spec, sl2_triple(spec).diag)
 
 
 class TestCatalog:
