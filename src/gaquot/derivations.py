@@ -13,11 +13,13 @@ polynomials the derivation kills use the operator identity
 ``D(E(q)) = weight(q) * q``: components of nonzero weight get an
 explicit preimage ``E(q)/weight`` and a nonzero weight-zero component
 is a proof of non-membership.  The generic per-degree linear solver
-handles everything else and doubles as an independent oracle in tests.
+handles everything else.
 
-The same grading splits the kernel computation: a derivation with a
-weight grading maps each weight piece of a degree into one weight
-piece, so kernel generators are solved one weight block at a time.
+The same grading splits each linear system into weight blocks.  A
+derivation without one, such as a restriction to a graph, is still
+homogeneous under a lattice of integer gradings found by one small
+nullspace (``_gradings``).  ``D(s) = 1`` has weight 0 on the right, so
+a slice is solved on the block of image weight 0 alone.
 
 Both :func:`apply` and the solvers' operator matrices
 (``_operator_rows``) run on one compiled integer Leibniz kernel.  A
@@ -176,16 +178,12 @@ def _leibniz(acc: Dict[Tuple[int, ...], int], active: ActiveImages, terms: Itera
 # graded membership
 
 
-def _weight_of_exponent(exponent: Tuple[int, ...], weights: Sequence[int]) -> int:
-    return sum(map(mul, exponent, weights))
-
-
 def weight_components(p: Poly, weight_of: Mapping[str, int]) -> Dict[int, Poly]:
     """Split by total monomial weight under the given per-variable weights."""
     weights = [weight_of[name] for name in p.vars]
     buckets: Dict[int, Dict[Tuple[int, ...], Fraction]] = {}
     for exponent, coeff in p.terms.items():
-        buckets.setdefault(_weight_of_exponent(exponent, weights), {})[exponent] = coeff
+        buckets.setdefault(sum(map(mul, exponent, weights)), {})[exponent] = coeff
     return {w: Poly(p.vars, t) for w, t in sorted(buckets.items())}
 
 
@@ -207,28 +205,44 @@ def _ladder_membership(d: Derivation, p: Poly) -> Optional[Poly]:
     return preimage
 
 
-def _weight_groups(d: Derivation, monos: Sequence[Tuple[int, ...]]) -> Dict[Optional[int], List[int]]:
-    """Indices into ``monos`` grouped by weight, each group ascending.
+def _gradings(d: Derivation) -> List[Tuple[Sequence[int], int]]:
+    """Integer gradings ``(w, e)``: ``d`` adds ``e`` to the weight ``w·c`` of every monomial.
 
-    ``d`` maps every weight piece into a single weight piece, so its
-    operator matrix is block-diagonal over these groups.  A group is
-    keyed by the weight of its image: its weight plus the shift of ``d``
-    (``+2`` for the lowering operator of an sl2 triple, ``-2`` for the
-    raising one, ``0`` for the diagonal one).  Without an attached
-    grading every index sits in the one group ``None``.
+    A derivation with an attached grading gets that one, with the shift
+    of its sl2 operator (``+2`` lowering, ``-2`` raising, ``0`` diagonal).
+    Otherwise this is a basis of the lattice of all of them, which is cut
+    out by ``w·m = w_i + e`` for each monomial ``m`` of the image of
+    ``z_i``: one equation ``Σ_j w_j·δ_j - e = 0`` per compiled image term.
     """
-    if d.weight_of is None:
-        return {None: list(range(len(monos)))}
-    weights = [d.weight_of[name] for name in d.vars]
     active = d._int_images[1]
-    shift = 0
-    if active:
+    if d.weight_of is not None:
+        weights = [d.weight_of[name] for name in d.vars]
         # image-monomial weight minus variable weight: one value for graded ``d``
-        _, delta = active[0][1][0]
-        shift = sum(weights[j] * change for j, change in delta)
-    groups: Dict[Optional[int], List[int]] = {}
-    for j, exponent in enumerate(monos):
-        groups.setdefault(_weight_of_exponent(exponent, weights) + shift, []).append(j)
+        shift = sum(weights[j] * change for j, change in active[0][1][0][1]) if active else 0
+        return [(weights, shift)]
+    n = len(d.vars)
+    rows = [{**dict(delta), n: -1} for _, image in active for _, delta in image]
+    basis = [_cleared([v.get(j, 0) for j in range(n + 1)])[1] for v in nullspace(rows, n + 1)]
+    return [(w[:n], w[n]) for w in basis]
+
+
+def _weight_groups(monos: Sequence[Tuple[int, ...]], gradings: Sequence[Tuple[Sequence[int], int]]) -> Dict[object, List[int]]:
+    """Indices into ``monos`` keyed by image weights ``(w·c + e, ...)``, each group ascending.
+
+    ``d`` maps every group into one weight piece, so its operator matrix
+    is block-diagonal over them.  With no grading every index sits in
+    the one group ``None``.
+    """
+    if not gradings:
+        return {None: list(range(len(monos)))}
+    if len(gradings) == 1:  # an ``int`` key: cheaper than a tuple on the large sl2 systems
+        (w, e), = gradings
+        keys = [sum(map(mul, c, w)) + e for c in monos]
+    else:
+        keys = [tuple([sum(map(mul, c, w)) + e for w, e in gradings]) for c in monos]
+    groups: Dict[object, List[int]] = {}
+    for j, key in enumerate(keys):
+        groups.setdefault(key, []).append(j)
     return groups
 
 
@@ -248,22 +262,23 @@ def _operator_rows(d: Derivation, columns: Sequence[Tuple[int, ...]]) -> Dict[Tu
 def _solve_on(d: Derivation, monos: Sequence[Tuple[int, ...]], target: Poly) -> Optional[Poly]:
     """One ``x`` in the span of ``monos`` with ``D(x) = target``, or ``None``.
 
-    Each weight component of ``target`` is solved on the columns of its
-    weight group, with the free coefficients pinned to zero.  The matrix
-    is that of ``Dd * D``, so the right-hand side is scaled by ``Dd``.  A
-    target monomial outside every image gets an empty row, which makes
-    the system inconsistent.
+    Each weight part of ``target`` is solved on the columns whose image
+    has its weight, with the free coefficients pinned to zero; the other
+    columns would only meet zero parts.  The matrix is that of ``Dd * D``,
+    so the right-hand side is scaled by ``Dd``.  A target monomial outside
+    every image gets an empty row, which makes the system inconsistent.
     """
     scale = d._int_images[0]
-    groups = _weight_groups(d, monos)
-    pieces = {None: target} if d.weight_of is None else weight_components(target, d.weight_of)
+    gradings = _gradings(d)
+    groups = _weight_groups(monos, gradings)
+    wanted = list(target.terms)
     terms: Dict[Tuple[int, ...], Fraction] = {}
-    for weight, piece in pieces.items():
-        columns = [monos[j] for j in groups.get(weight, ())]
+    for key, part in _weight_groups(wanted, [(w, 0) for w, _ in gradings]).items():
+        columns = [monos[j] for j in groups.get(key, ())]
         rows = _operator_rows(d, columns)
-        for exponent in piece.terms:
-            rows.setdefault(exponent, {})
-        rhs = [piece.terms.get(e, 0) * scale for e in rows]
+        for j in part:
+            rows.setdefault(wanted[j], {})
+        rhs = [target.terms.get(e, 0) * scale for e in rows]
         outcome = solve(list(rows.values()), rhs, len(columns))
         if outcome is None:
             return None
@@ -370,7 +385,7 @@ def _kernel_rref(d: Derivation, monos: Sequence[Tuple[int, ...]]) -> List[Tuple[
     makes the basis reduced echelon in the original order.
     """
     canonical: List[Tuple[int, Row]] = []
-    for group in _weight_groups(d, monos).values():
+    for group in _weight_groups(monos, _gradings(d)).values():
         columns = group[::-1]
         rows = _operator_rows(d, [monos[j] for j in columns])
         for vector in nullspace(list(rows.values()), len(columns)):
@@ -440,31 +455,38 @@ class GraphPresentation:
 
 
 def restrict_to_graph(d: Derivation, graph: GraphPresentation) -> Derivation:
-    """Restrict the ambient derivation to a graph subvariety.
+    """Restrict a degree-preserving ambient derivation to a graph subvariety.
 
-    The restricted derivation acts on the parameter variables; the graph
-    must be stable under ``d``, which is checked via the chain rule on
-    every dependent coordinate and raises :class:`GraphInconsistency`
-    otherwise.
+    An image is a linear form ``Σ c_j x_j``, so on the graph it is
+    ``Σ c_j · substitution[x_j]``.  The graph must be stable under ``d``:
+    for each dependent coordinate ``x = h`` the image of ``x`` must equal
+    ``D(h)`` (the chain rule), else :class:`GraphInconsistency`.
     """
+    if not d.graded_linear:
+        raise ValueError("graph restriction requires a degree-preserving derivation")
     ambient = set(graph.free) | set(graph.dependent)
     if ambient != set(d.vars) or set(graph.free) & set(graph.dependent):
         raise ValueError("graph must split the ambient coordinates into free and dependent")
     if sorted(graph.free.values()) != sorted(graph.zvars):
         raise ValueError("free coordinates must biject onto the parameter variables")
+    zvars = tuple(graph.zvars)
     for name, image in graph.dependent.items():
-        if image.vars != tuple(graph.zvars):
+        if image.vars != zvars:
             raise VariableTableMismatch(f"dependent image of {name!r} is not over {graph.zvars}")
     substitution = graph.substitution()
-    images: Dict[str, Poly] = {}
-    for ambient_name, zname in graph.free.items():
-        images[zname] = d.images[ambient_name].substitute(substitution)
-    restricted = Derivation(graph.zvars, images)
+    on_graph = [substitution[name].terms for name in d.vars]
+
+    def compose(form: Poly) -> Poly:
+        acc: Dict[Tuple[int, ...], Fraction] = {}
+        for exponent, c in form.terms.items():
+            for e, v in on_graph[exponent.index(1)].items():
+                acc[e] = acc.get(e, 0) + c * v
+        return _raw(zvars, {e: v for e, v in acc.items() if v})
+
+    restricted = Derivation(zvars, {z: compose(d.images[x]) for x, z in graph.free.items()})
     for ambient_name, h in graph.dependent.items():
-        lhs = d.images[ambient_name].substitute(substitution)
-        rhs = Poly.zero(graph.zvars)
-        for zname in graph.zvars:
-            rhs = rhs + h.partial(zname) * images[zname]
+        lhs = compose(d.images[ambient_name])
+        rhs = apply(restricted, h)
         if lhs != rhs:
             raise GraphInconsistency(
                 f"graph is not stable under the derivation at {ambient_name!r}: "

@@ -279,19 +279,20 @@ class Poly:
                         f"unmapped variable {name!r} missing from target table {target}"
                     )
                 table[name] = Poly.variable(target, name)
-        cache: Dict[str, List[Poly]] = {name: [Poly.const(target, 1)] for name in self.vars}
+        one = Poly.const(target, 1)
+        cache: Dict[str, List[Poly]] = {name: [one] for name in self.vars}
         out: Dict[Exponent, Fraction] = {}
         for exponent, coeff in self.terms.items():
-            term = Poly.const(target, coeff)
+            term = one
             for name, e in zip(self.vars, exponent):
                 if not e:
                     continue
                 powers = cache[name]
                 while len(powers) <= e:
                     powers.append(powers[-1] * table[name])
-                term = term * powers[e]
+                term = powers[e] if term is one else term * powers[e]
             for e, c in term.terms.items():
-                out[e] = out.get(e, 0) + c
+                out[e] = out.get(e, 0) + coeff * c
         return _raw(target, {e: c for e, c in out.items() if c})
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:

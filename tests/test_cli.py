@@ -75,6 +75,14 @@ class TestTextReports:
         assert any(line.startswith("slice:") for line in lines)
         assert any(line.startswith("citation:") for line in lines)
 
+    def test_oversized_slice_bound_finishes(self, capsys):
+        # the slice system has only the columns of image weight 0 on the graph's grading
+        code, out, _ = _run(
+            capsys, "--fixture", "family-phi(t^5 - 3*t)", "--slice-deg", "18", "--format", "text"
+        )
+        assert code == 10
+        assert "slice: none up to degree 18" in out.splitlines()
+
     def test_witness_lines_for_unstable_case(self, capsys):
         _, out, _ = _run(capsys, "--fixture", "deveney-finston", "--format", "text")
         assert "unstable witness subspace: w1 = 0, w3 = 0" in out

@@ -10,6 +10,9 @@ from gaquot.classify import build_family_member
 from gaquot.derivations import (
     Derivation,
     GraphPresentation,
+    _gradings,
+    _operator_rows,
+    _weight_groups,
     apply,
     graded_image_membership,
     graded_kernel_generators,
@@ -25,7 +28,8 @@ from gaquot.errors import (
 )
 from gaquot.expr import parse
 from gaquot.fixtures import NAMED_FIXTURES, fixture
-from gaquot.poly import Poly, exponents_of_degree, ring
+from gaquot.linalg import solve
+from gaquot.poly import Poly, exponents_of_degree, exponents_up_to_degree, ring
 from gaquot.reps import RepSpec, build_derivation, sl2_triple
 
 XY = ("x", "y")
@@ -174,7 +178,8 @@ class TestOperatorWeightShift:
         assert preimage is not None and apply(raising, preimage) == w1
 
     def test_agrees_with_the_ungraded_solver(self):
-        # like the ladder crosscheck: the ungraded copy solves on all monomials
+        # like the ladder crosscheck: the copy without sl2 metadata solves on its own
+        # grading lattice, and the dense solve on every monomial of each degree
         found = 0
         for spec in self.SPECS:
             triple = sl2_triple(spec)
@@ -189,6 +194,7 @@ class TestOperatorWeightShift:
                 for p in monomials + images + sums:
                     graded = graded_image_membership(op, p)
                     assert (graded is None) == (graded_image_membership(generic, p) is None), str(p)
+                    assert (graded is None) == (_dense_membership(op, p) is None), str(p)
                     if graded is not None:
                         assert apply(op, graded) == p
                         found += 1
@@ -312,6 +318,13 @@ class TestGraphs:
         with pytest.raises(GraphInconsistency):
             restrict_to_graph(d, broken)
 
+    def test_non_linear_derivation_rejected(self):
+        fx = fixture("winkelmann")
+        d = build_derivation(fx.spec)
+        squared = Derivation(d.vars, {name: image * image for name, image in d.images.items()})
+        with pytest.raises(ValueError, match="degree-preserving"):
+            restrict_to_graph(squared, fx.graph)
+
 
 class TestSliceSearch:
     def test_affine_fixture_has_degree_one_slice(self):
@@ -340,3 +353,129 @@ class TestSliceSearch:
     def test_ambient_action_has_no_slice(self):
         d = build_derivation(RepSpec((1,)))
         assert slice_search(d, 4).found is None
+
+
+def _dense_solve(d, monos, target):
+    """The single-group solve: every column of ``monos`` in one system, free coefficients zero."""
+    rows = _operator_rows(d, monos)
+    for exponent in target.terms:
+        rows.setdefault(exponent, {})
+    rhs = [target.terms.get(e, 0) * d._int_images[0] for e in rows]
+    outcome = solve(list(rows.values()), rhs, len(monos))
+    if outcome is None:
+        return None
+    return Poly(d.vars, {e: c for e, c in zip(monos, outcome[0]) if c})
+
+
+def _dense_slice(d, bound):
+    return _dense_solve(d, list(exponents_up_to_degree(len(d.vars), bound)), Poly.const(d.vars, 1))
+
+
+def _dense_membership(d, p):
+    """A preimage of ``p``, one dense solve per degree over every monomial of it, or ``None``."""
+    parts = [
+        _dense_solve(d, list(exponents_of_degree(len(d.vars), degree)), piece) if degree else None
+        for degree, piece in p.homogeneous_components().items()
+    ]
+    return None if any(part is None for part in parts) else sum(parts, Poly.zero(d.vars))
+
+
+def _below(k):
+    """Exponents in the first ``k`` variables of ``XYZ``."""
+    return st.tuples(*[st.integers(min_value=0, max_value=2)] * k + [st.just(0)] * (3 - k))
+
+
+# D(x) constant, D(y) in k[x], D(z) in k[x, y]: locally nilpotent, often not degree-preserving
+triangular_xyz = st.tuples(
+    st.dictionaries(_below(0), coeffs, max_size=1),
+    st.dictionaries(_below(1), coeffs, max_size=3),
+    st.dictionaries(_below(2), coeffs, max_size=4),
+).map(lambda images: Derivation(XYZ, {name: Poly(XYZ, t) for name, t in zip(XYZ, images)}))
+
+GRAPH_FIXTURES = [name for name in NAMED_FIXTURES if fixture(name).graph is not None]
+FAMILY_MEMBERS = ["family-phi(7)", "family-phi(t)", "family-phi(t^2 - 2*t)", "family-phi(3/2*t^3 - t + 5)",
+                  "family-phi(t^5 - 3*t)"]
+
+
+def _restricted(name):
+    fx = fixture(name)
+    return restrict_to_graph(build_derivation(fx.spec), fx.graph)
+
+
+class TestGradedSliceOracle:
+    """``slice_search`` solves only the columns of image weight 0; the dense solve uses every candidate."""
+
+    @staticmethod
+    def _assert_agrees(d, bound):
+        expected = _dense_slice(d, bound)
+        found = slice_search(d, bound).found
+        assert (found is None) == (expected is None)
+        assert str(found) == str(expected)
+        return found
+
+    @given(triangular_xyz, st.integers(min_value=0, max_value=4))
+    def test_triangular_derivations(self, d, bound):
+        self._assert_agrees(d, bound)
+
+    def test_triangular_slices_are_found(self):
+        x, y, z = ring(XYZ)
+        d = Derivation(XYZ, {"x": Poly.const(XYZ, 3), "y": x, "z": x * y + 1})
+        assert str(self._assert_agrees(d, 3)) == "1/3*x"
+        assert str(self._assert_agrees(Derivation(XYZ, {"y": Poly.const(XYZ, 1), "z": y}), 2)) == "y"
+
+    @pytest.mark.parametrize("name", GRAPH_FIXTURES)
+    @pytest.mark.parametrize("bound", [0, 1, 3, 5])
+    def test_graph_fixtures(self, name, bound):
+        self._assert_agrees(_restricted(name), bound)
+
+    @pytest.mark.parametrize("name", FAMILY_MEMBERS)
+    def test_family_members(self, name):
+        d = _restricted(name)
+        found = [self._assert_agrees(d, bound) for bound in range(7)]
+        assert (found[1] is not None) == (name == "family-phi(7)")
+
+
+class TestGradingLattice:
+    @staticmethod
+    def _assert_homogeneous(d):
+        gradings = _gradings(d)
+        for weights, shift in gradings:
+            assert all(type(v) is int for v in weights) and type(shift) is int
+            for i, name in enumerate(d.vars):
+                for m in d.images[name].terms:
+                    assert sum(w * e for w, e in zip(weights, m)) == weights[i] + shift
+        return gradings
+
+    @given(derivations_xyz)
+    def test_random_derivations(self, d):
+        self._assert_homogeneous(d)
+
+    @given(triangular_xyz)
+    def test_triangular_derivations(self, d):
+        self._assert_homogeneous(d)
+
+    @pytest.mark.parametrize("name", GRAPH_FIXTURES + FAMILY_MEMBERS)
+    def test_restricted_graphs(self, name):
+        assert self._assert_homogeneous(_restricted(name))
+
+    def test_sl2_derivation_keeps_its_own_grading(self):
+        spec = RepSpec((1, 1))
+        d = build_derivation(spec)
+        assert _gradings(d) == [([spec.weight_of[name] for name in d.vars], 2)]
+
+    def test_trivial_lattice_is_one_group(self):
+        z1 = Poly.variable(("z1",), "z1")
+        d = Derivation(("z1",), {"z1": 1 + z1})
+        assert _gradings(d) == []
+        monos = list(exponents_up_to_degree(1, 3))
+        assert _weight_groups(monos, _gradings(d)) == {None: [0, 1, 2]}
+        assert str(slice_search(d, 3).found) == str(_dense_slice(d, 3)) == "None"
+
+    def test_groups_split_by_image_weight(self):
+        # D = d/dx on k[x, y]: weight -1 shift in x, y free
+        d = _ddx()
+        gradings = _gradings(d)
+        monos = list(exponents_up_to_degree(2, 2))
+        groups = _weight_groups(monos, gradings)
+        assert len(groups) == len(monos)
+        assert str(slice_search(d, 2).found) == "x"
