@@ -235,14 +235,9 @@ def _weight_groups(monos: Sequence[Tuple[int, ...]], gradings: Sequence[Tuple[Se
     """
     if not gradings:
         return {None: list(range(len(monos)))}
-    if len(gradings) == 1:  # an ``int`` key: cheaper than a tuple on the large sl2 systems
-        (w, e), = gradings
-        keys = [sum(map(mul, c, w)) + e for c in monos]
-    else:
-        keys = [tuple([sum(map(mul, c, w)) + e for w, e in gradings]) for c in monos]
     groups: Dict[object, List[int]] = {}
-    for j, key in enumerate(keys):
-        groups.setdefault(key, []).append(j)
+    for j, c in enumerate(monos):
+        groups.setdefault(tuple([sum(map(mul, c, w)) + e for w, e in gradings]), []).append(j)
     return groups
 
 
