@@ -30,6 +30,8 @@ with sparse exponent deltas.  :func:`apply` clears the polynomial's
 denominators, sums ``int`` products per output monomial and builds one
 ``Fraction`` per surviving term; an operator matrix is the ``int``
 matrix of ``Dd * D``, given as is to the integer rows of ``linalg``.
+The same kernel (``_leibniz``) also serves the transfer ladder of
+``transfer.extend``, which keeps ``E^j(f)`` in integers between steps.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ _OPS = set("+-*^/()")
 
 MAX_EXPONENT = 100
 MAX_TERMS = 50000
+_SLASH_MESSAGE = "'/' is only allowed inside rational literals"
 
 
 class _Token:
@@ -123,6 +124,8 @@ class _Parser:
             star = self.advance()
             rhs = self.parse_factor()
             acc = self.multiply(acc, rhs, star.pos)
+        if self.peek().kind == "/":  # a rational literal has consumed its own slash
+            raise ExprSyntaxError(_SLASH_MESSAGE, self.peek().pos)
         return acc
 
     def parse_factor(self) -> List[_Term]:
@@ -180,7 +183,7 @@ class _Parser:
             self.advance()
             return inner
         if tok.kind == "/":
-            raise ExprSyntaxError("'/' is only allowed inside rational literals", tok.pos)
+            raise ExprSyntaxError(_SLASH_MESSAGE, tok.pos)
         msg = "unexpected end of input" if tok.kind == "end" else f"unexpected token {tok.text!r}"
         raise ExprSyntaxError(msg, tok.pos)
 

@@ -423,17 +423,19 @@ class Poly:
                     factors.append(name)
                 elif e > 1:
                     factors.append(f"{name}^{e}")
-            mag = abs(coeff)
+            # Fraction.__str__ renders n/d, or n when d == 1
+            n, d = coeff.numerator, coeff.denominator
+            mag = f"{abs(n)}" if d == 1 else f"{abs(n)}/{d}"
             if not factors:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = "*".join(factors)
             else:
-                body = "*".join([str(mag)] + factors)
+                body = "*".join([mag] + factors)
             if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
+                parts.append(body if n > 0 else f"-{body}")
             else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+                parts.append(f"+ {body}" if n > 0 else f"- {body}")
         return " ".join(parts)
 
     def __repr__(self) -> str:

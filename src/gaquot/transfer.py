@@ -17,9 +17,15 @@ is nilpotent.  Three checks guard the result: the derivation must kill
 convicts the input of non-invariance; and ``F(u=0, v=1)`` must give
 back ``f``.
 
-The constant coefficient ``F00`` (the ``u^0 v^0`` part of ``F``) splits
-``f = F00 + g`` and its shape classifies how the closure of the lifted
-hypersurface meets the boundary locus ``{u = v = 0}``:
+The ladder stays in integers: ``f`` is cleared once to numerators over
+``den``, each step is one pass of the integer Leibniz kernel of
+``derivations`` over the compiled images of ``E`` (denominator ``Dd``),
+and each output term is one ``Fraction`` over ``(-1)^j * j! * den * Dd^j``.
+
+The constant coefficient ``F00`` (the ``u^0 v^0`` part of ``F``, which is
+the weight-zero part of ``f``) splits ``f = F00 + g`` and its shape
+classifies how the closure of the lifted hypersurface meets the boundary
+locus ``{u = v = 0}``:
 
 * ``F00`` a non-zero constant -- the closure misses the boundary;
 * ``F00 = 0`` -- the boundary is contained in the closure;
@@ -32,11 +38,12 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
+from operator import mul
 from typing import Dict
 
-from .derivations import apply
+from .derivations import _leibniz, apply
 from .errors import InternalInconsistency, NonInvariantInput, VariableTableMismatch
-from .poly import Poly
+from .poly import Poly, _cleared, _raw
 from .reps import RepSpec, sl2_triple
 
 PLANE_COORDS = ("u", "v")
@@ -88,29 +95,29 @@ def extend(spec: RepSpec, f: Poly) -> TransferResult:
     if not apply(triple.lower, f).is_zero:
         raise NonInvariantInput("transfer input is not killed by the derivation")
     weights = spec.weights
+    raise_scale, active = triple.raising._int_images
+    divisor, numer = _cleared(list(f.terms.values()))
+    layer = dict(zip(f.terms, numer))
     terms: Dict[tuple, Fraction] = {}
-    power = f
     j = 0
-    scale = Fraction(1)
-    while not power.is_zero:
-        for exponent, coeff in power.terms.items():
-            vexp = j + sum(e * w for e, w in zip(exponent, weights))
+    while layer:
+        for exponent, n in layer.items():
+            vexp = j + sum(map(mul, exponent, weights))
             if vexp < 0:
                 raise NonInvariantInput(
                     f"term of E^{j}(f) needs v^{vexp}; input is not invariant"
                 )
-            terms[(j, vexp) + exponent] = scale * coeff
+            terms[(j, vexp) + exponent] = Fraction(n, divisor)
+        acc: Dict[tuple, int] = {}
+        _leibniz(acc, active, layer.items())
+        layer = {key: n for key, n in acc.items() if n}
         j += 1
-        scale = -scale / j
-        power = apply(triple.raising, power)
-    extension = Poly(PLANE_COORDS + spec.coord_names, terms)
-    restriction: Dict[tuple, Fraction] = {}
-    for exponent, coeff in extension.terms.items():
-        if exponent[0] == 0:  # u = 0; v = 1 drops the v-exponent
-            restriction[exponent[2:]] = restriction.get(exponent[2:], 0) + coeff
-    if Poly(spec.coord_names, restriction) != f:
+        divisor *= -j * raise_scale
+    extension = _raw(PLANE_COORDS + spec.coord_names, terms)
+    bottom = [(key, coeff) for key, coeff in terms.items() if not key[0]]  # u = 0
+    if {key[2:]: coeff for key, coeff in bottom} != f.terms:  # v = 1 drops the v-exponent
         raise InternalInconsistency("extension does not restrict back to its input")
-    f00 = extension.coefficient({"u": 0, "v": 0})
+    f00 = _raw(spec.coord_names, {key[2:]: coeff for key, coeff in bottom if not key[1]})
     if f00.is_zero:
         boundary = BoundaryClass.CONTAINS
     elif f00.is_constant():

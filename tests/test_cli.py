@@ -253,6 +253,10 @@ class TestMalformedJobs:
         err = self._run_job(tmp_path, capsys, bounds={"sliceDeg": -1})
         assert "bounds.sliceDeg" in err
 
+    def test_slash_outside_a_literal(self, tmp_path, capsys):
+        err = self._run_job(tmp_path, capsys, polynomial="w2*w5 - w3*w4 - (w0/2) + 1")
+        assert err == "error: '/' is only allowed inside rational literals (at position 19)\n"
+
     @pytest.mark.parametrize("value", [2.7, True, "2", None])
     def test_non_integer_bounds(self, tmp_path, capsys, value):
         err = self._run_job(tmp_path, capsys, bounds={"sliceDeg": 1, "kmax": value})

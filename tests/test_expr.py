@@ -94,6 +94,14 @@ class TestErrors:
             parse(text, W)
         assert info.value.position == position
 
+    @pytest.mark.parametrize(
+        "text,position", [("(w1/2)", 3), ("2*(x/3)", 4), ("w1/2", 2), ("x^2/3", 3)]
+    )
+    def test_slash_outside_a_literal(self, text, position):
+        with pytest.raises(ExprSyntaxError, match="'/' is only allowed inside rational literals") as info:
+            parse(text)
+        assert info.value.position == position
+
     def test_unknown_variable_message_names_it(self):
         with pytest.raises(ExprSyntaxError, match="q"):
             parse("w0 + q", W)

@@ -384,6 +384,42 @@ class TestExponentEnumeration:
         assert list(exponents_of_degree(3, 0)) == [(0, 0, 0)]
 
 
+def _fraction_render(p):
+    """Reference rendering on ``Fraction`` operations: sign by ``> 0``, magnitude by ``abs`` and ``str``."""
+    if not p.terms:
+        return "0"
+    parts = []
+    for exponent in sorted(p.terms, key=lambda e: (sum(e), e), reverse=True):
+        coeff = p.terms[exponent]
+        factors = []
+        for name, e in zip(p.vars, exponent):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        mag = abs(coeff)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        if not parts:
+            parts.append(body if coeff > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+render_coeffs = st.one_of(
+    st.sampled_from([1, -1]),
+    st.integers(min_value=-40, max_value=40),
+    st.fractions(min_value=-40, max_value=40, max_denominator=12),
+)
+render_exponents = st.one_of(st.just((0, 0, 0)), exponent3)
+rendered_polys = st.dictionaries(render_exponents, render_coeffs, max_size=6).map(_poly)
+
+
 class TestRendering:
     def test_string_forms(self):
         x, y, _ = ring(XYZ)
@@ -392,6 +428,10 @@ class TestRendering:
         assert str(-x) == "-x"
         assert str(Fraction(1, 2) * x) == "1/2*x"
         assert str(x ** 2 - 2 * x * y + 1) == "x^2 - 2*x*y + 1"
+
+    @given(rendered_polys)
+    def test_matches_fraction_rendering(self, p):
+        assert str(p) == _fraction_render(p)
 
     def test_hash_consistent_with_equality(self):
         x, _, _ = ring(XYZ)

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gaquot import transfer
-from gaquot.derivations import Derivation
+from gaquot.derivations import Derivation, apply, graded_kernel_generators
 from gaquot.errors import NonInvariantInput, VariableTableMismatch
 from gaquot.expr import parse
 from gaquot.poly import Poly
@@ -167,3 +170,96 @@ class TestVerifyInvariance:
     def test_accepts_extended_invariant(self):
         f = parse("w0*w3 - w1*w2", PAIR.coords)
         assert verify_invariance(PAIR, extend(PAIR, f).extension)
+
+
+# ----------------------------------------------------------------------
+# the integer ladder against a Fraction reference
+
+
+def _fraction_ladder(spec, triple, f):
+    """Reference ladder on ``Fraction`` polynomials: one ``apply`` per step.
+
+    Returns ``(extension, f00, boundary)`` with ``f00`` read off the
+    extension as its ``u^0 v^0`` coefficient.
+    """
+    weights = spec.weights
+    terms = {}
+    power, j, scale = f, 0, Fraction(1)
+    while not power.is_zero:
+        for exponent, coeff in power.terms.items():
+            vexp = j + sum(e * w for e, w in zip(exponent, weights))
+            assert vexp >= 0
+            terms[(j, vexp) + exponent] = scale * coeff
+        j += 1
+        scale = -scale / j
+        power = apply(triple.raising, power)
+    extension = Poly(("u", "v") + spec.coord_names, terms)
+    f00 = extension.coefficient({"u": 0, "v": 0})
+    if f00.is_zero:
+        boundary = BoundaryClass.CONTAINS
+    elif f00.is_constant():
+        boundary = BoundaryClass.MISSES
+    else:
+        boundary = BoundaryClass.INTERSECTS
+    return extension, f00, boundary
+
+
+LADDER_SPECS = [
+    RepSpec(summands, normalization=normalization)
+    for summands in ((2,), (4,), (2, 1, 1), (3, 3))
+    for normalization in ("section5", "unit")
+]
+
+
+@lru_cache(maxsize=None)
+def _generators(spec):
+    return tuple(graded_kernel_generators(build_derivation(spec), 2))
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def invariants(draw):
+    """``c + sum_i a_i * P_i`` over products ``P_i`` of at most three kernel generators."""
+    spec = draw(st.sampled_from(LADDER_SPECS))
+    generators = _generators(spec)
+    f = Poly.const(spec.coord_names, draw(rationals))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        product = Poly.const(spec.coord_names, draw(rationals.filter(bool)))
+        for index in draw(st.lists(st.integers(0, len(generators) - 1), min_size=1, max_size=3)):
+            product = product * generators[index]
+        f = f + product
+    return spec, f
+
+
+def _assert_matches_reference(spec, triple, f):
+    extension, f00, boundary = _fraction_ladder(spec, triple, f)
+    result = extend(spec, f)
+    assert result.extension.terms == extension.terms
+    assert str(result.extension) == str(extension)
+    assert result.f00 == f00
+    assert result.boundary_part == f - f00
+    assert result.boundary is boundary
+
+
+class TestIntegerLadder:
+    @given(invariants())
+    def test_matches_fraction_ladder(self, drawn):
+        spec, f = drawn
+        _assert_matches_reference(spec, sl2_triple(spec), f)
+
+    @given(invariants())
+    def test_raising_denominator_is_carried(self, drawn):
+        """Halved raising images have ``Dd = 2``; the divisor must pick it up at every step."""
+        spec, f = drawn
+        triple = sl2_triple(spec)
+        halved = Derivation(
+            spec.coord_names,
+            {name: image * Fraction(1, 2) for name, image in triple.raising.images.items()},
+        )
+        assert halved._int_images[0] == 2
+        patched = Sl2Triple(triple.lower, halved, triple.diag)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transfer, "sl2_triple", lambda _: patched)
+            _assert_matches_reference(spec, patched, f)
