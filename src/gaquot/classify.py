@@ -6,8 +6,11 @@ extend across the group and read off the boundary class, search for a
 slice when a graph presentation is available, and record every
 independent route's agreement as a crosscheck.  One rational-point
 search serves both the unstable witness and the singular boundary
-points: a fixed table (origin, axes, axis pairs, then seeded samples)
-tried in order, where a miss is evidence, never proof.  The verdicts:
+points.  Its fixed table is a sequence of support blocks (the origin,
+each axis, each axis pair, then the seeded samples), searched in that
+order; a block on which some polynomial restricts to a non-zero
+constant is passed over without evaluating it.  A miss is evidence,
+never proof.  The verdicts:
 
 * ``Affine`` -- the lifted closure misses the boundary;
 * ``StrictlyQuasiAffine`` -- stability is certified but the closure
@@ -51,7 +54,7 @@ from .errors import (
     VariableTableMismatch,
 )
 from .linalg import Row, solve
-from .poly import Poly, _cleared, squarefree_distinct_root_count
+from .poly import PointBlock, Poly, _cleared, squarefree_distinct_root_count
 from .reps import RepSpec, build_derivation, catalog_invariants, nonstable_coordinates
 from .transfer import BoundaryClass, TransferResult, extend
 
@@ -203,24 +206,27 @@ _SMALL_RATIONALS = tuple(
 
 
 @functools.lru_cache(maxsize=None)
-def _integer_candidates(n: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
-    """Points of Q^n in search order, cleared to ``(q, numerators)``; built once per n.
+def _candidate_blocks(n: int) -> Tuple[PointBlock, ...]:
+    """Points of Q^n in search order, one ``PointBlock`` per support; built once per n.
 
-    The order is origin, axes, axis pairs, seeded samples.
+    The blocks are the origin, one per axis (the twelve small
+    rationals), one per axis pair (the first four, squared), then the
+    seeded samples.
     """
     zero = (Fraction(0),) * n
-    points = [zero]
+    blocks = [[zero]]
     for i in range(n):
-        points.extend(zero[:i] + (value,) + zero[i + 1 :] for value in _SMALL_RATIONALS)
+        blocks.append([zero[:i] + (value,) + zero[i + 1 :] for value in _SMALL_RATIONALS])
     for i, j in itertools.combinations(range(n), 2):
-        for a, b in itertools.product(_SMALL_RATIONALS[:4], repeat=2):
-            point = list(zero)
-            point[i], point[j] = a, b
-            points.append(tuple(point))
+        blocks.append([
+            zero[:i] + (a,) + zero[i + 1 : j] + (b,) + zero[j + 1 :]
+            for a, b in itertools.product(_SMALL_RATIONALS[:4], repeat=2)
+        ])
     rng = random.Random(_SAMPLE_SEED)
-    for _ in range(_SAMPLE_BUDGET):
-        points.append(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)))
-    return tuple((q, tuple(numer)) for q, numer in map(_cleared, points))
+    blocks.append(
+        [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)] for _ in range(_SAMPLE_BUDGET)]
+    )
+    return tuple(PointBlock([_cleared(point) for point in block]) for block in blocks)
 
 
 def _rational_zero(
@@ -230,11 +236,18 @@ def _rational_zero(
 
     The polys share one variable table; its variables outside ``names``
     are zero, which is exact at every call site (they are pinned to zero
-    or absent), so each poly is restricted to ``names`` once.  The one
-    table is ``_integer_candidates``: every candidate is tested with the
-    integer kernel ``Poly.scaled_value``, and only the hit becomes a
-    ``Fraction`` point.  A miss within the table is evidence, not proof,
-    that no zero exists.
+    or absent), so each poly is restricted to ``names`` once.  The
+    candidates are ``_candidate_blocks``, searched one support block at
+    a time.  On each block every poly keeps only its integer terms in
+    the block's variables; if one of these restrictions is a non-zero
+    constant, no point of the block is a zero and the whole block is
+    passed over unevaluated.  Otherwise the polys are evaluated in
+    order over the block's points, column by column, each narrowing the
+    points still alive, and the first survivor is the hit; only it
+    becomes a ``Fraction`` point.  The count ``tried`` is the hit's
+    position in the flat table order, or the table's size on a miss,
+    so a passed-over block counts all its points.  A miss within the
+    table is evidence, not proof, that no zero exists.
     """
     names = tuple(names)
     table = polys[0].vars if polys else names
@@ -243,13 +256,25 @@ def _rational_zero(
     if table != names:
         pinned = {name: 0 for name in table if name not in names}
         polys = [p.coefficient(pinned).extend_table(names) for p in polys]
-    candidates = _integer_candidates(len(names))
-    for tried, (q, numer) in enumerate(candidates, 1):
-        if all(p.scaled_value(numer, q) == 0 for p in polys):
-            point = dict.fromkeys(table, Fraction(0))
-            point.update((name, Fraction(x, q)) for name, x in zip(names, numer))
-            return point, tried
-    return None, len(candidates)
+    tried = 0
+    for block in _candidate_blocks(len(names)):
+        restrictions = []
+        for p in polys:
+            restriction = block.restrict(p)
+            if PointBlock.is_nonzero_constant(restriction):
+                break
+            restrictions.append(restriction)
+        else:
+            zeros = block.common_zeros(restrictions)
+            if zeros:
+                k = zeros[0]
+                point = dict.fromkeys((*table, *names), Fraction(0))
+                point.update(
+                    (names[i], Fraction(column[k], block.qs[k])) for i, column in block.columns.items()
+                )
+                return point, tried + k + 1
+        tried += len(block)
+    return None, tried
 
 
 def _graph_constraints(

@@ -21,28 +21,37 @@ through it (point evaluation, ``normalized``, the candidate table of
 the rational-point search, the Leibniz kernel of ``derivations`` and
 the integer rows of ``linalg``).
 
-Point evaluation runs on a cached integer form: on first use a
-polynomial stores its coefficients cleared to one denominator, and the
-kernel ``scaled_value`` takes a point already cleared the same way and
-sums plain ``int`` products.  ``evaluate`` wraps it and builds one
-``Fraction``; the rational-point search of witness search and boundary
-sampling calls the kernel directly and only tests the sum against
-zero.  The cache is safe because a ``Poly`` never changes after
-construction.
+Point evaluation has one integer kernel, ``PointBlock.scaled_values``.
+On first use a polynomial stores its integer form: the coefficients
+cleared to one denominator, each term with its variables as a bitmask.
+A ``PointBlock`` holds cleared points that vanish off one support, as
+columns; ``restrict`` keeps the terms inside the support and
+``scaled_values`` sums them over every point at once, column by column,
+in plain ``int`` products.  ``evaluate`` is the one-point block and
+builds one ``Fraction``; the rational-point search of witness search
+and boundary sampling runs whole blocks of its candidate table and
+only tests the sums against zero.  The cache is safe because a
+``Poly`` never changes after construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
+from operator import mul
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import NotDivisible, VariableTableMismatch
 
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
-# (D, ((c*D, ((var index, exponent), ...), degree), ...), top degree)
-IntForm = Tuple[int, Tuple[Tuple[int, Tuple[Tuple[int, int], ...], int], ...], int]
+# (c*D, ((var index, exponent), ...), degree, bitmask of the variables)
+IntTerm = Tuple[int, Tuple[Tuple[int, int], ...], int, int]
+# (D, int terms, top degree)
+IntForm = Tuple[int, Tuple[IntTerm, ...], int]
+# the int terms of one form that survive on a block's support, and the form's top degree
+Restriction = Tuple[List[IntTerm], int]
 
 
 def _as_fraction(value: Scalar) -> Fraction:
@@ -298,57 +307,42 @@ class Poly:
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Full evaluation at a rational point covering every variable.
 
-        Clears the point to ``n_i / q`` and divides :meth:`scaled_value` by ``D * q^top``.
+        The point is a one-point :class:`PointBlock`; its scaled value is
+        divided by ``D * q^top``.
         """
         values = [point[name] for name in self.vars]
         for value in values:
             if not isinstance(value, (int, Fraction)):
                 raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-        q, numer = _cleared(values)
-        total = self.scaled_value(numer, q)
-        scale, _, top = self._int_form
-        return Fraction(total, scale * q ** top)
+        scale, _, top = self._integer_form()
+        block = PointBlock([_cleared(values)])
+        (total,) = block.scaled_values(block.restrict(self))
+        return Fraction(total, scale * block.qs[0] ** top)
 
-    def scaled_value(self, numer: Sequence[int], q: int) -> int:
-        """``D * q^top * self(x)`` at ``x_i = numer[i] / q``: the exact integer kernel.
+    def _integer_form(self) -> IntForm:
+        """``(D, int terms, top)``, built on the first call and kept.
 
         ``D`` is the common denominator of the coefficients and ``top``
-        the largest term degree; a term ``c * x^e`` of degree ``d`` adds
-        ``(c*D) * prod(numer_i^e_i) * q^(top-d)``, skipped when it touches
-        a zero coordinate.  The integer form (``D``, the scaled
-        coefficients with their non-zero ``(index, exponent)`` pairs and
-        degrees, ``top``) is built on the first call and kept.
+        the largest term degree; each term is ``c*D`` with its non-zero
+        ``(index, exponent)`` pairs, its degree and the bitmask of its
+        variables.
         """
         try:
-            _, int_terms, top = self._int_form
+            return self._int_form
         except AttributeError:  # slot left unset so construction stays as cheap as before
-            form = self._compile_int_form()
+            scale, numer = _cleared(list(self.terms.values()))
+            int_terms = []
+            for e, n in zip(self.terms, numer):
+                factors, mask = [], 0
+                for i, x in enumerate(e):
+                    if x:
+                        factors.append((i, x))
+                        mask |= 1 << i
+                int_terms.append((n, tuple(factors), sum(e), mask))
+            top = max((degree for _, _, degree, _ in int_terms), default=0)
+            form = (scale, tuple(int_terms), top)
             object.__setattr__(self, "_int_form", form)
-            _, int_terms, top = form
-        if q != 1:
-            q_powers = [1]
-            for _ in range(top):
-                q_powers.append(q_powers[-1] * q)
-        total = 0
-        for coeff, factors, degree in int_terms:
-            acc = coeff
-            for index, e in factors:
-                n = numer[index]
-                if not n:
-                    break
-                acc *= n if e == 1 else n ** e
-            else:
-                total += acc if q == 1 else acc * q_powers[top - degree]
-        return total
-
-    def _compile_int_form(self) -> IntForm:
-        scale, numer = _cleared(list(self.terms.values()))
-        int_terms = tuple(
-            (n, tuple((i, x) for i, x in enumerate(e) if x), sum(e))
-            for e, n in zip(self.terms, numer)
-        )
-        top = max((degree for _, _, degree in int_terms), default=0)
-        return scale, int_terms, top
+            return form
 
     def partial(self, name: str) -> "Poly":
         idx = self.vars.index(name)
@@ -448,6 +442,96 @@ def _raw(variables: Tuple[str, ...], terms: Dict[Exponent, Fraction]) -> Poly:
     object.__setattr__(p, "vars", variables)
     object.__setattr__(p, "terms", terms)
     return p
+
+
+class PointBlock:
+    """Rational points that vanish off one support, evaluated column by column.
+
+    The block is built from points cleared by ``_cleared`` to
+    ``(q, numerators)`` over one variable table.  Its support ``mask``
+    is the bitmask of the variables that are non-zero at some point;
+    ``columns`` maps each support variable to its numerators, point by
+    point, and ``qs`` holds the denominators.  The powers ``x_i^e`` and
+    ``q^k`` of these columns are cached on first use.
+
+    A polynomial meets the block through :meth:`restrict`, which keeps
+    the terms of its integer form whose variables lie in the support
+    (one ``&`` per term; every other term vanishes at every point), and
+    :meth:`scaled_values`, which sums the kept terms over the points
+    with ``map(operator.mul, ...)`` on the cached columns.
+    """
+
+    __slots__ = ("mask", "qs", "columns", "_powers", "_integral")
+
+    def __init__(self, points: Sequence[Tuple[int, Sequence[int]]]):
+        qs, numers = zip(*points)
+        self.qs: Tuple[int, ...] = qs
+        self.columns: Dict[int, Tuple[int, ...]] = {}
+        self.mask = 0
+        for i, column in enumerate(zip(*numers)):
+            if any(column):
+                self.columns[i] = column
+                self.mask |= 1 << i
+        self._powers: Dict[Tuple[int, int], Sequence[int]] = {}
+        self._integral = qs.count(1) == len(qs)  # every q^k column is all ones
+
+    def __len__(self) -> int:
+        return len(self.qs)
+
+    def restrict(self, p: Poly) -> Restriction:
+        """``p``'s integer terms whose variables all lie in the support, and its top degree."""
+        _, terms, top = p._integer_form()
+        outside = ~self.mask
+        return [t for t in terms if not t[3] & outside], top
+
+    @staticmethod
+    def is_nonzero_constant(restriction: Restriction) -> bool:
+        """Whether the restricted polynomial is a non-zero constant, so no point is a zero."""
+        terms, _ = restriction
+        return len(terms) == 1 and not terms[0][2]
+
+    def _column(self, key: Tuple[int, int]) -> Sequence[int]:
+        """The column ``x_i^e`` for ``key = (i, e)``, or ``q^e`` for ``i = -1``."""
+        column = self._powers.get(key)
+        if column is None:
+            index, e = key
+            base = self.qs if index < 0 else self.columns[index]
+            column = self._powers[key] = base if e == 1 else [x ** e for x in base]
+        return column
+
+    def scaled_values(self, restriction: Restriction, live: Optional[Sequence[int]] = None) -> List[int]:
+        """``D * q^top * p(x)`` at the points ``live`` (every point when ``None``), in order.
+
+        A term ``c * x^e`` of degree ``d`` adds ``(c*D) * prod(x_i^e_i) * q^(top-d)``.
+        """
+        terms, top = restriction
+        if live is None or len(live) == len(self.qs):
+            column, size = self._column, len(self.qs)
+        else:
+            def column(key: Tuple[int, int]) -> List[int]:
+                full = self._column(key)
+                return [full[k] for k in live]
+
+            size = len(live)
+        integral = self._integral
+        vectors = []
+        for coeff, factors, degree, _ in terms:
+            vector = repeat(coeff, size)
+            for key in factors:
+                vector = map(mul, vector, column(key))
+            if degree != top and not integral:
+                vector = map(mul, vector, column((-1, top - degree)))
+            vectors.append(vector)
+        return list(map(sum, zip(*vectors))) if vectors else [0] * size
+
+    def common_zeros(self, restrictions: Sequence[Restriction]) -> List[int]:
+        """The points where every restriction vanishes, narrowed restriction by restriction in order."""
+        live = list(range(len(self.qs)))
+        for restriction in restrictions:
+            if live and restriction[0]:
+                values = self.scaled_values(restriction, live)
+                live = [k for k, v in zip(live, values) if not v]
+        return live
 
 
 def ring(names: Union[str, Sequence[str]]) -> Tuple[Poly, ...]:

@@ -21,12 +21,13 @@ from gaquot.classify import (
     jacobian_boundary_smoothness,
     localized_quotient_affine,
 )
-from gaquot.classify import _integer_candidates, _rational_zero
+from gaquot.classify import _candidate_blocks, _rational_zero
 from gaquot.errors import NonInvariantInput, VariableTableMismatch
 from gaquot.expr import parse
 from gaquot.fixtures import fixture
 from gaquot.poly import Poly
 from gaquot.reps import RepSpec
+from gaquot.transfer import extend
 
 PAIR = RepSpec((1, 1))
 TRIPLE = RepSpec((1, 1, 1))
@@ -233,9 +234,10 @@ class TestCandidateTable:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_size_and_deterministic_prefix(self, n):
-        table = _integer_candidates(n)
+        table = _fraction_points(n)
         assert len(table) == 1 + 12 * n + 16 * math.comb(n, 2) + 64
-        assert all(q > 0 and len(numer) == n for q, numer in table)
+        assert all(len(point) == n for point in table)
+        assert all(q > 0 for block in _candidate_blocks(n) for q in block.qs)
 
         def point(*pairs):  # (index, value) pairs; every other coordinate is zero
             values = [Fraction(0)] * n
@@ -252,13 +254,20 @@ class TestCandidateTable:
             for a in self.SMALL[:4]
             for b in self.SMALL[:4]
         ]
-        assert _fraction_points(n)[: len(prefix)] == prefix
-        assert _integer_candidates(n) is table  # drawn once per dimension
+        assert table[: len(prefix)] == prefix
+        assert _candidate_blocks(n) is _candidate_blocks(n)  # drawn once per dimension
 
 
 def _fraction_points(n):
-    """The candidate table as ``Fraction`` points, each coordinate read as ``Fraction(x, q)``."""
-    return [tuple(Fraction(x, q) for x in numer) for q, numer in _integer_candidates(n)]
+    """The candidate blocks flattened to ``Fraction`` points in search order."""
+    points = []
+    for block in _candidate_blocks(n):
+        for k, q in enumerate(block.qs):
+            values = [Fraction(0)] * n
+            for i, column in block.columns.items():
+                values[i] = Fraction(column[k], q)
+            points.append(tuple(values))
+    return points
 
 
 def _oracle_rational_zero(polys, names):
@@ -329,7 +338,52 @@ class TestRationalZero:
         for polys in ([zero], [constant], [zero, constant], [constant, zero]):
             _same_search(polys, names)
         assert _rational_zero([zero], names) == (dict.fromkeys(table, Fraction(0)), 1)
-        assert _rational_zero([constant], names) == (None, len(_integer_candidates(n)))
+        assert _rational_zero([constant], names) == (None, len(_fraction_points(n)))
+
+    @pytest.mark.parametrize("n, k", [(2, 31), (3, 31), (4, 28), (6, 33)])
+    def test_zero_at_a_dense_sample(self, n, k):
+        # a sum of squares vanishes only at the k-th seeded sample, which no
+        # sparse block contains; the table carries one extra, zeroed variable
+        table = _LETTERS[: n + 1]
+        names = table[1:]
+        sparse = 1 + 12 * n + 16 * math.comb(n, 2)
+        sample = _fraction_points(n)[sparse + k - 1]
+        variables = [Poly.variable(table, name) for name in names]
+        squares = sum(((x - v) ** 2 for x, v in zip(variables, sample)), Poly.zero(table))
+        for polys in ([squares], [variables[0] - sample[0], squares]):
+            _same_search(polys, names)
+            point, tried = _rational_zero(polys, names)
+            assert tried == sparse + k
+            assert tuple(point[name] for name in names) == sample
+
+    def test_constant_on_every_axis_but_zero_on_a_pair(self):
+        table = ("x", "y", "z")
+        x, y, _ = (Poly.variable(table, name) for name in table)
+        p = x * y - 2  # -2 on the origin and on each axis block
+        _same_search([p], table)
+        # the (x, y) block is the first pair block; (1, 2) is its third point
+        assert _rational_zero([p], table) == (
+            {"x": Fraction(1), "y": Fraction(2), "z": Fraction(0)},
+            1 + 12 * 3 + 3,
+        )
+
+    @pytest.mark.parametrize(
+        "phi, tried",
+        [
+            ("t^2 - 2*t", 250),  # 1 + phi = (t - 1)^2: singular where w2*w5 - w3*w4 = 1
+            ("t^3 - 3*t", 377),
+            ("t^4 - 4*t^2 + 3", 377),  # (t^2 - 2)^2: singular, but at no rational point
+            ("t^5 - 3*t", 377),
+            ("t^6 - 2*t^3", 250),  # (t^3 - 1)^2
+        ],
+    )
+    def test_family_boundary_systems(self, phi, tried):
+        # the search family-sweep runs: F00 of 1 + phi(minor[1,2]) - w0 and its gradient
+        f, _ = build_family_member(TRIPLE, _phi(phi), "minor[1,2]")
+        f00 = extend(TRIPLE, f).f00
+        polys = [f00, *(f00.partial(name) for name in f00.vars)]
+        _same_search(polys, f00.vars)
+        assert _rational_zero(polys, f00.vars)[1] == tried
 
     def test_tables_must_agree(self):
         x = Poly.variable(("x", "y"), "x")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gaquot.errors import NotDivisible, VariableTableMismatch
 from gaquot.poly import (
+    PointBlock,
     Poly,
     _cleared,
     exact_divide,
@@ -288,6 +289,112 @@ class TestIntegerKernel:
         x, y, _ = ring(XYZ)
         with pytest.raises(TypeError):
             (x + y).evaluate({"x": 1, "y": 0.5, "z": 0})
+
+
+def _fraction_value(p, values):
+    """``p`` at ``values`` summed term by term over ``Fraction``s: the kernel's oracle."""
+    total = Fraction(0)
+    for exponent, coeff in p.terms.items():
+        term = coeff
+        for x, e in zip(values, exponent):
+            term *= x ** e
+        total += term
+    return total
+
+
+_TABLE = ("a", "b", "c", "d")
+
+
+@st.composite
+def blocks_and_polys(draw):
+    """Random polys and a random block over one table, zero coordinates and ``q != 1`` included.
+
+    A block's points vanish off a drawn support, as in the candidate
+    table; exponents reach 5, so powers above 2 are exercised.  A
+    planted factor ``(x_i - v)`` with ``v`` a coordinate of a drawn
+    point makes common zeros likely.
+    """
+    n = draw(st.integers(min_value=1, max_value=len(_TABLE)))
+    table = _TABLE[:n]
+    support = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    values = st.one_of(
+        st.just(Fraction(0)),
+        st.integers(min_value=-9, max_value=9).map(Fraction),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    )
+    points = draw(
+        st.lists(
+            st.tuples(*[values if i in support else st.just(Fraction(0)) for i in range(n)]),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=5)] * n)
+    coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+    polys = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind = draw(st.sampled_from(("zero", "constant", "random", "planted")))
+        if kind == "zero":
+            polys.append(Poly.zero(table))
+        elif kind == "constant":
+            polys.append(Poly.const(table, draw(coefficients.filter(bool))))
+        else:
+            p = Poly(table, draw(st.dictionaries(exponents, coefficients, max_size=8)))
+            if kind == "planted":
+                i = draw(st.integers(min_value=0, max_value=n - 1))
+                p = p * (Poly.variable(table, table[i]) - draw(st.sampled_from(points))[i])
+            polys.append(p)
+    return table, points, polys
+
+
+class TestPointBlock:
+    """The block kernel, point by point, against ``Poly.evaluate`` and a ``Fraction`` sum."""
+
+    @given(blocks_and_polys())
+    def test_scaled_values_match_evaluation(self, drawn):
+        table, points, polys = drawn
+        block = PointBlock([_cleared(point) for point in points])
+        assert len(block) == len(points)
+        for p in polys:
+            scale, _, top = p._integer_form()
+            values = block.scaled_values(block.restrict(p))
+            assert len(values) == len(points)
+            for value, q, point in zip(values, block.qs, points):
+                expected = _fraction_value(p, point)
+                assert Fraction(value, scale * q ** top) == expected
+                assert p.evaluate(dict(zip(table, point))) == expected
+
+    @given(blocks_and_polys(), st.data())
+    def test_live_points_and_common_zeros(self, drawn, data):
+        table, points, polys = drawn
+        block = PointBlock([_cleared(point) for point in points])
+        live = data.draw(st.lists(st.sampled_from(range(len(points))), unique=True).map(sorted))
+        restrictions = [block.restrict(p) for p in polys]
+        for restriction in restrictions:
+            full = block.scaled_values(restriction)
+            assert block.scaled_values(restriction, live) == [full[k] for k in live]
+        zeros = [k for k, point in enumerate(points) if all(_fraction_value(p, point) == 0 for p in polys)]
+        assert block.common_zeros(restrictions) == zeros
+
+    @given(blocks_and_polys())
+    def test_nonzero_constant_restriction_has_no_zero(self, drawn):
+        _, points, polys = drawn
+        block = PointBlock([_cleared(point) for point in points])
+        for p in polys:
+            if PointBlock.is_nonzero_constant(block.restrict(p)):
+                values = {_fraction_value(p, point) for point in points}
+                assert len(values) == 1 and 0 not in values
+
+    def test_support_is_the_nonzero_coordinates(self):
+        block = PointBlock([_cleared(point) for point in ((0, 2, 0), (0, Fraction(1, 2), 3))])
+        assert block.mask == 0b110
+        assert block.columns == {1: (2, 1), 2: (0, 6)}
+        assert block.qs == (1, 2)
+        x, y, z = ring(XYZ)
+        p = x * y + 2 * x + 5
+        assert PointBlock.is_nonzero_constant(block.restrict(p))
+        assert block.restrict(y * z)[0]
+        assert block.common_zeros([block.restrict(y * z)]) == [0]
 
 
 class TestCalculusAndShaping:
