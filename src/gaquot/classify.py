@@ -229,16 +229,24 @@ def _candidate_blocks(n: int) -> Tuple[PointBlock, ...]:
     return tuple(PointBlock([_cleared(point) for point in block]) for block in blocks)
 
 
+@functools.lru_cache(maxsize=None)
+def _placed_blocks(positions: Tuple[int, ...]) -> Tuple[PointBlock, ...]:
+    """``_candidate_blocks(len(positions))`` with coordinate ``i`` at table position ``positions[i]``."""
+    return tuple(block.placed(positions) for block in _candidate_blocks(len(positions)))
+
+
 def _rational_zero(
     polys: Sequence[Poly], names: Sequence[str]
 ) -> Tuple[Optional[Dict[str, Fraction]], int]:
     """The first candidate over ``names`` killing every poly, and how many were tried.
 
-    The polys share one variable table; its variables outside ``names``
-    are zero, which is exact at every call site (they are pinned to zero
-    or absent), so each poly is restricted to ``names`` once.  The
-    candidates are ``_candidate_blocks``, searched one support block at
-    a time.  On each block every poly keeps only its integer terms in
+    The polys share one variable table, which holds ``names``; its
+    other variables are zero, which is exact at every call site (they
+    are pinned to zero).  The candidates are ``_candidate_blocks``,
+    searched one support block at a time, each placed onto the table
+    positions of ``names`` (``_placed_blocks``): a block's support then
+    holds no pinned variable, and the polys' own integer forms serve as
+    they are.  On each block every poly keeps only its integer terms in
     the block's variables; if one of these restrictions is a non-zero
     constant, no point of the block is a zero and the whole block is
     passed over unevaluated.  Otherwise the polys are evaluated in
@@ -253,11 +261,8 @@ def _rational_zero(
     table = polys[0].vars if polys else names
     if any(p.vars != table for p in polys):
         raise VariableTableMismatch("rational-point search needs one variable table")
-    if table != names:
-        pinned = {name: 0 for name in table if name not in names}
-        polys = [p.coefficient(pinned).extend_table(names) for p in polys]
     tried = 0
-    for block in _candidate_blocks(len(names)):
+    for block in _placed_blocks(tuple(map(table.index, names))):
         restrictions = []
         for p in polys:
             restriction = block.restrict(p)
@@ -268,9 +273,9 @@ def _rational_zero(
             zeros = block.common_zeros(restrictions)
             if zeros:
                 k = zeros[0]
-                point = dict.fromkeys((*table, *names), Fraction(0))
+                point = dict.fromkeys(table, Fraction(0))
                 point.update(
-                    (names[i], Fraction(column[k], block.qs[k])) for i, column in block.columns.items()
+                    (table[i], Fraction(column[k], block.qs[k])) for i, column in block.columns.items()
                 )
                 return point, tried + k + 1
         tried += len(block)

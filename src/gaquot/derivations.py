@@ -32,13 +32,18 @@ denominators, sums ``int`` products per output monomial and builds one
 matrix of ``Dd * D``, given as is to the integer rows of ``linalg``.
 The same kernel (``_leibniz``) also serves the transfer ladder of
 ``transfer.extend``, which keeps ``E^j(f)`` in integers between steps.
+
+On the sl2 ladder the derivation raises weight by 2 and its kernel is
+made of highest-weight vectors, of weight ``>= 0``: kernel generators
+solve only those weight blocks and check each one's dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from functools import lru_cache
+from operator import add, mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -48,7 +53,7 @@ from .errors import (
     VariableTableMismatch,
 )
 from .linalg import Row, extend_rref, nullspace, reduce_against, rref, solve
-from .poly import Poly, _cleared, _raw, exponents_of_degree, exponents_up_to_degree
+from .poly import Exponent, Poly, _cleared, _raw, exponents_of_degree, exponents_up_to_degree
 
 # (Dd, ((variable index, ((a*Dd, ((index, change), ...)), ...)), ...)) over
 # the variables with a non-zero image; see ``apply``
@@ -302,7 +307,7 @@ def graded_image_membership(d: Derivation, p: Poly) -> Optional[Poly]:
     for degree, piece in p.homogeneous_components().items():
         if degree == 0:
             return None
-        part = _solve_on(d, list(exponents_of_degree(len(d.vars), degree)), piece)
+        part = _solve_on(d, _monomials(len(d.vars), degree), piece)
         if part is None:
             return None
         preimage = preimage + part
@@ -351,22 +356,16 @@ def power_in_image(d: Derivation, h: Poly, kmax: int = 3) -> PowerInImage:
 # kernel generators
 
 
-def _products_of_degree(generators: Sequence[Poly], degree: int, table: Sequence[str]) -> List[Poly]:
-    """All products of earlier generators with total degree exactly ``degree``."""
-    out: List[Poly] = []
+_monomials = lru_cache(maxsize=None)(lambda n, degree: tuple(exponents_of_degree(n, degree)))
 
-    def recurse(start: int, remaining: int, acc: Poly) -> None:
-        for i in range(start, len(generators)):
-            d = generators[i].total_degree()
-            if d > remaining:
-                continue
-            prod = acc * generators[i]
-            if d == remaining:
-                out.append(prod)
-            else:
-                recurse(i, remaining - d, prod)
 
-    recurse(0, degree, Poly.const(table, 1))
+def _times(p: Dict[Exponent, int], q: Dict[Exponent, int]) -> Dict[Exponent, int]:
+    """The product of two polynomials given as integer terms."""
+    out: Dict[Exponent, int] = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            key = tuple(map(add, e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
     return out
 
 
@@ -380,12 +379,25 @@ def _kernel_rref(d: Derivation, monos: Sequence[Tuple[int, ...]]) -> List[Tuple[
     vector is then ``1`` at its free column, zero at the other free
     columns and non-zero elsewhere only at later pivot columns, which
     makes the basis reduced echelon in the original order.
+
+    On the sl2 ladder (``sl2_raise`` and ``weight_of`` set, ``monos`` one
+    degree) ``D: V_w -> V_(w+2)`` is one-to-one for ``w < 0`` and onto
+    for ``w >= -1`` (finite-dimensional sl2 theory): negative weights
+    are skipped, and each kept block must have a kernel of dimension
+    ``|V_w| - |V_(w+2)|``.
     """
+    groups = _weight_groups(monos, [(w, 0) for w, _ in _gradings(d)])  # keyed by source weight
+    ladder = d.sl2_raise is not None and d.weight_of is not None
     canonical: List[Tuple[int, Row]] = []
-    for group in _weight_groups(monos, _gradings(d)).values():
+    for key, group in groups.items():
+        if ladder and key[0] < 0:
+            continue
         columns = group[::-1]
         rows = _operator_rows(d, [monos[j] for j in columns])
-        for vector in nullspace(list(rows.values()), len(columns)):
+        basis = nullspace(list(rows.values()), len(columns))
+        if ladder and len(basis) != len(group) - len(groups.get((key[0] + 2,), ())):
+            raise InternalInconsistency(f"kernel of weight {key[0]} has the wrong dimension {len(basis)}")
+        for vector in basis:
             row = {columns[c]: v for c, v in vector.items()}
             canonical.append((min(row), row))
     canonical.sort(key=lambda pair: pair[0])
@@ -396,31 +408,35 @@ def graded_kernel_generators(d: Derivation, maxdeg: int) -> List[Poly]:
     """Minimal homogeneous kernel generators up to the degree bound.
 
     In each degree the kernel is computed exactly, one weight block at a
-    time, and reduced modulo products of lower-degree generators; what
-    survives is normalised to integer content one with positive leading
-    coefficient.  The product span is row-reduced once per degree and
-    extended by each new generator.  The listing is deterministic:
-    degree ascending, then leading monomial descending.
+    time (on the sl2 ladder only weights ``>= 0``, see ``_kernel_rref``),
+    and reduced modulo products of lower-degree generators, multiplied
+    on their integer coefficients; a primitive integer remainder becomes
+    a generator, signed to a positive leading coefficient.  The product
+    span is row-reduced once per degree and extended by each new
+    generator.  The listing is deterministic: degree ascending, then
+    leading monomial descending.
     """
     if not d.graded_linear:
         raise ValueError("kernel generators require a degree-preserving derivation")
     n = len(d.vars)
-    generators: List[Poly] = []
+    generators: List[Tuple[int, Dict[Exponent, int]]] = []  # (degree, content-one integer terms)
+    products = {0: [(0, {(0,) * n: 1})]}  # per degree: (index of the last factor, terms)
     for degree in range(1, maxdeg + 1):
-        monos = list(exponents_of_degree(n, degree))
-        canonical = _kernel_rref(d, monos)
-        if not canonical:
-            continue
+        products[degree] = [(i, _times(p, terms)) for i, (g, terms) in enumerate(generators)
+                            for last, p in products[degree - g] if last <= i]
+        monos = _monomials(n, degree)
         index = {e: i for i, e in enumerate(monos)}
-        products = _products_of_degree(generators, degree, d.vars)
-        spanned = rref([{index[e]: c for e, c in p.terms.items()} for p in products], len(monos))
-        for _, row in canonical:
+        spanned = rref([{index[e]: c for e, c in p.items()} for _, p in products[degree]], len(monos))
+        for _, row in _kernel_rref(d, monos):
             remainder = reduce_against(row, spanned)
             if remainder:
-                poly = Poly(d.vars, {monos[c]: v for c, v in remainder.items()})
-                generators.append(poly.normalized())
+                # monos run graded-lex descending, so the first column is the leading monomial
+                sign = 1 if remainder[min(remainder)] > 0 else -1
+                terms = {monos[c]: sign * v for c, v in remainder.items()}
+                products[degree].append((len(generators), terms))
+                generators.append((degree, terms))
                 extend_rref(spanned, remainder)
-    return generators
+    return [_raw(d.vars, {e: Fraction(v) for e, v in terms.items()}) for _, terms in generators]
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaquot.classify import build_family_member
@@ -11,6 +11,7 @@ from gaquot.derivations import (
     Derivation,
     GraphPresentation,
     _gradings,
+    _kernel_rref,
     _operator_rows,
     _weight_groups,
     apply,
@@ -28,7 +29,7 @@ from gaquot.errors import (
 )
 from gaquot.expr import parse
 from gaquot.fixtures import NAMED_FIXTURES, fixture
-from gaquot.linalg import solve
+from gaquot.linalg import extend_rref, nullspace, reduce_against, rref, solve
 from gaquot.poly import Poly, exponents_of_degree, exponents_up_to_degree, ring
 from gaquot.reps import RepSpec, build_derivation, sl2_triple
 
@@ -246,7 +247,10 @@ class TestKernelGenerators:
         for g in graded_kernel_generators(d, 2):
             assert apply(d, g).is_zero
 
-    @pytest.mark.parametrize("spec", [RepSpec((3, 1)), RepSpec((2, 2), "unit"), RepSpec((5,))])
+    @pytest.mark.parametrize(
+        "spec",
+        [RepSpec((3, 1)), RepSpec((2, 2), "unit"), RepSpec((5,)), RepSpec((4, 1, 1)), RepSpec((1, 1, 3))],
+    )
     def test_single_block_matches_weight_blocks(self, spec):
         weighted = build_derivation(spec)
         plain = Derivation(weighted.vars, weighted.images)
@@ -260,6 +264,88 @@ class TestKernelGenerators:
         first = [str(g) for g in graded_kernel_generators(d, 2)]
         second = [str(g) for g in graded_kernel_generators(d, 2)]
         assert first == second
+
+
+def _all_weight_blocks(d, monos):
+    """``(source weight, group, nullspace)`` for every weight block of ``monos``, none skipped."""
+    weights = [d.weight_of[name] for name in d.vars]
+    groups = {}
+    for j, c in enumerate(monos):
+        groups.setdefault(sum(w * e for w, e in zip(weights, c)), []).append(j)
+    blocks = []
+    for weight, group in groups.items():
+        columns = group[::-1]
+        rows = _operator_rows(d, [monos[j] for j in columns])
+        blocks.append((weight, group, nullspace(list(rows.values()), len(columns))))
+    return blocks
+
+
+def _oracle_kernel_generators(d, maxdeg):
+    """Kernel generators from every weight block, reduced modulo ``Fraction`` products of generators."""
+    n = len(d.vars)
+    generators = []
+    for degree in range(1, maxdeg + 1):
+        monos = list(exponents_of_degree(n, degree))
+        canonical = sorted(
+            (min(row), row)
+            for _, group, basis in _all_weight_blocks(d, monos)
+            for row in ({group[::-1][c]: v for c, v in vector.items()} for vector in basis)
+        )
+        index = {e: i for i, e in enumerate(monos)}
+        products = []
+
+        def recurse(start, remaining, acc):
+            for i in range(start, len(generators)):
+                g = generators[i].total_degree()
+                if g == remaining:
+                    products.append(acc * generators[i])
+                elif g < remaining:
+                    recurse(i, remaining - g, acc * generators[i])
+
+        recurse(0, degree, Poly.const(d.vars, 1))
+        spanned = rref([{index[e]: c for e, c in p.terms.items()} for p in products], len(monos))
+        for _, row in canonical:
+            remainder = reduce_against(row, spanned)
+            if remainder:
+                generators.append(Poly(d.vars, {monos[c]: v for c, v in remainder.items()}).normalized())
+                extend_rref(spanned, remainder)
+    return generators
+
+
+ladder_specs = st.builds(
+    RepSpec,
+    st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=3).map(tuple),
+    st.sampled_from(("section5", "unit")),
+)
+
+
+class TestHighestWeightSkip:
+    """On the sl2 ladder ``_kernel_rref`` solves only the blocks of weight ``>= 0``."""
+
+    @settings(max_examples=40)
+    @given(ladder_specs, st.integers(min_value=1, max_value=4))
+    def test_matches_solving_every_block(self, spec, maxdeg):
+        d = build_derivation(spec)
+        expected = _oracle_kernel_generators(d, maxdeg)
+        found = graded_kernel_generators(d, maxdeg)
+        assert [g.terms for g in found] == [g.terms for g in expected]
+        assert [str(g) for g in found] == [str(g) for g in expected]
+
+    @settings(max_examples=40)
+    @given(ladder_specs, st.integers(min_value=1, max_value=4))
+    def test_negative_blocks_are_empty_and_kept_blocks_have_their_dimension(self, spec, degree):
+        d = build_derivation(spec)
+        monos = list(exponents_of_degree(len(d.vars), degree))
+        blocks = _all_weight_blocks(d, monos)
+        size = {weight: len(group) for weight, group, _ in blocks}
+        for weight, group, basis in blocks:
+            if weight < 0:
+                assert basis == []
+            else:
+                assert len(basis) == len(group) - size.get(weight + 2, 0)
+        every = sorted(min(row) for _, group, basis in blocks for row in
+                       ({group[::-1][c]: v for c, v in vector.items()} for vector in basis))
+        assert [pivot for pivot, _ in _kernel_rref(d, monos)] == every
 
 
 class TestGraphs:

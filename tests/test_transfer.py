@@ -2,9 +2,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaquot import transfer
@@ -263,3 +264,51 @@ class TestIntegerLadder:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(transfer, "sl2_triple", lambda _: patched)
             _assert_matches_reference(spec, patched, f)
+
+
+# ----------------------------------------------------------------------
+# verify_invariance against applying all three operators
+
+
+def _three_applies(spec, extension):
+    """The definition: the lowering, raising and diagonal operators of the enlarged spec kill it."""
+    triple = sl2_triple(extended_spec(spec))
+    return all(apply(op, extension).is_zero for op in (triple.lower, triple.raising, triple.diag))
+
+
+@st.composite
+def enlarged_polys(draw):
+    """``(spec, kind, p)`` with ``p`` over the enlarged table.
+
+    Kinds: a true extension; one perturbed by a monomial of non-zero
+    weight; a weight-zero polynomial the lowering operator does not
+    kill; an arbitrary polynomial.
+    """
+    spec, f = draw(invariants())
+    extension = extend(spec, f).extension
+    table, weights = extension.vars, extended_spec(spec).weights
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=2)] * len(table))
+    weight = lambda e: sum(map(mul, e, weights))  # noqa: E731
+    kind = draw(st.sampled_from(("extension", "perturbed", "weight-zero", "arbitrary")))
+    if kind == "extension":
+        p = extension
+    elif kind == "perturbed":
+        p = extension + Poly.monomial(table, draw(exponents.filter(weight)), draw(rationals.filter(bool)))
+    elif kind == "weight-zero":
+        monomials = exponents.filter(lambda e: not weight(e))
+        p = Poly(table, draw(st.dictionaries(monomials, rationals.filter(bool), min_size=1, max_size=3)))
+        assume(not apply(sl2_triple(extended_spec(spec)).lower, p).is_zero)
+    else:
+        p = Poly(table, draw(st.dictionaries(exponents, rationals, max_size=4)))
+    return spec, kind, p
+
+
+class TestVerifyInvarianceByWeights:
+    @settings(max_examples=60)
+    @given(enlarged_polys())
+    def test_matches_three_applies(self, drawn):
+        spec, kind, p = drawn
+        verdict = verify_invariance(spec, p)
+        assert verdict == _three_applies(spec, p)
+        if kind != "arbitrary":
+            assert verdict is (kind == "extension")
