@@ -413,11 +413,11 @@ def _linear_gradient_analysis(f00: Poly, partials: Sequence[Poly]) -> Smoothness
     n = len(names)
     unit = {tuple(1 if j == i else 0 for j in range(n)): i for i in range(n)}
     rows: List[Row] = []
-    rhs: List[Fraction] = []
+    rhs: List[int] = []
     for p in partials:
         row: Row = {}
-        constant = Fraction(0)
-        for exponent, coeff in p.terms.items():
+        constant = 0
+        for exponent, coeff in zip(p.terms, _cleared(list(p.terms.values()))[1]):
             if sum(exponent) == 0:
                 constant = coeff
             else:

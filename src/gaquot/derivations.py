@@ -22,16 +22,17 @@ nullspace (``_gradings``).  ``D(s) = 1`` has weight 0 on the right, so
 a slice is solved on the block of image weight 0 alone.
 
 Both :func:`apply` and the solvers' operator matrices
-(``_operator_rows``) run on one compiled integer Leibniz kernel.  A
-:class:`Derivation` compiles its generator images once, when it is
-built: the common denominator ``Dd`` of their coefficients, and for each
-variable with a non-zero image its terms as scaled ``int`` coefficients
-with sparse exponent deltas.  :func:`apply` clears the polynomial's
-denominators, sums ``int`` products per output monomial and builds one
-``Fraction`` per surviving term; an operator matrix is the ``int``
-matrix of ``Dd * D``, given as is to the integer rows of ``linalg``.
-The same kernel (``_leibniz``) also serves the transfer ladder of
-``transfer.extend``, which keeps ``E^j(f)`` in integers between steps.
+(``_operator_rows``) run on one integer Leibniz kernel, ``_leibniz``.  A
+:class:`Derivation` compiles once the common denominator ``Dd`` of its
+image coefficients, each image term as a scaled ``int`` with its
+exponent, and the image degree.  A monomial is packed into one ``int``,
+a little-endian digit per variable of the narrowest width (1, 2, 4 or 8
+bytes) that holds the largest input exponent plus the image degree, so
+each output key is one ``int`` addition of a packed delta
+``e' - unit_i`` that never carries.  :func:`apply` unpacks and builds a
+``Fraction`` only per surviving term; an operator matrix is the ``int``
+matrix of ``Dd * D``, rows keyed by packed monomials; ``transfer.extend``
+keeps its ladder ``E^j(f)`` packed between steps.
 
 On the sl2 ladder the derivation raises weight by 2 and its kernel is
 made of highest-weight vectors, of weight ``>= 0``: kernel generators
@@ -43,8 +44,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from operator import add, mul
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from struct import Struct
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     GraphInconsistency,
@@ -55,10 +58,9 @@ from .errors import (
 from .linalg import Row, extend_rref, nullspace, reduce_against, rref, solve
 from .poly import Exponent, Poly, _cleared, _raw, exponents_of_degree, exponents_up_to_degree
 
-# (Dd, ((variable index, ((a*Dd, ((index, change), ...)), ...)), ...)) over
-# the variables with a non-zero image; see ``apply``
-ActiveImages = Tuple[Tuple[int, Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]], ...]
-IntImages = Tuple[int, ActiveImages]
+# (Dd, ((variable index, ((a*Dd, e'), ...)), ...), image degree) over the
+# variables with a non-zero image; see ``apply``
+IntImages = Tuple[int, Tuple[Tuple[int, Tuple[Tuple[int, Exponent], ...]], ...], int]
 
 
 class Derivation:
@@ -69,7 +71,7 @@ class Derivation:
     weight piece.
     """
 
-    __slots__ = ("vars", "images", "graded_linear", "weight_of", "sl2_raise", "_int_images")
+    __slots__ = ("vars", "images", "graded_linear", "weight_of", "sl2_raise", "_int_images", "_packed")
 
     def __init__(
         self,
@@ -101,6 +103,7 @@ class Derivation:
         object.__setattr__(self, "weight_of", dict(weight_of) if weight_of else None)
         object.__setattr__(self, "sl2_raise", sl2_raise)
         object.__setattr__(self, "_int_images", _compile_images([table[name] for name in vt]))
+        object.__setattr__(self, "_packed", {})  # digit width -> _packed's triple
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Derivation is immutable")
@@ -122,63 +125,69 @@ class Derivation:
 
 
 def _compile_images(images: Sequence[Poly]) -> IntImages:
-    """Integer form of the generator images, built once per derivation.
-
-    Variables with a zero image are left out.  Each image term keeps
-    ``a*Dd`` and the non-zero entries of ``e' - unit_i``.
-    """
+    """Integer form of the generator images, built once per derivation; zero images are left out."""
     scale, numer = _cleared([c for img in images for c in img.terms.values()])
     scaled = iter(numer)
-    active = []
-    for i, img in enumerate(images):
-        compiled = []
-        for ie in img.terms:
-            change = list(ie)
-            change[i] -= 1
-            delta = tuple((j, x) for j, x in enumerate(change) if x)
-            compiled.append((next(scaled), delta))
-        if compiled:
-            active.append((i, tuple(compiled)))
-    return scale, tuple(active)
+    active = tuple((i, tuple((next(scaled), ie) for ie in img.terms)) for i, img in enumerate(images) if img.terms)
+    return scale, active, max((sum(ie) for img in images for ie in img.terms), default=0)
+
+
+# (width in bytes, struct code) of the narrowest unsigned digit, by the bit length of its top value
+_DIGITS = ((1, "B"),) * 9 + ((2, "H"),) * 8 + ((4, "I"),) * 16 + ((8, "Q"),) * 32
+
+
+def _packed(d: Derivation, top: int) -> Tuple[Callable[[Exponent], int], Callable[[int], Exponent], tuple]:
+    """``(key, unkey, images)`` for exponents up to ``top`` over ``d.vars``.
+
+    ``key`` packs an exponent into one ``int``, ``unkey`` reads it back,
+    and ``images`` are those of ``d`` with packed deltas ``e' - unit_i``.
+    All three are built once per digit width and kept on ``d``.
+    """
+    bits = (top + d._int_images[2]).bit_length()
+    if bits > 64:
+        raise OverflowError(f"exponent {top} is too large for the packed Leibniz kernel")
+    width, code = _DIGITS[bits]
+    if width not in d._packed:
+        form = Struct(f"<{len(d.vars)}{code}")
+        key = lambda exponent: int.from_bytes(form.pack(*exponent), "little")
+        d._packed[width] = (key, lambda k: form.unpack(k.to_bytes(form.size, "little")), tuple(
+            (i, tuple((c, key(ie) - (1 << 8 * width * i)) for c, ie in image)) for i, image in d._int_images[1]))
+    return d._packed[width]
 
 
 def apply(d: Derivation, p: Poly) -> Poly:
-    """Apply the derivation via the Leibniz rule, on the integer kernel.
+    """Apply the derivation via the Leibniz rule, on the packed integer kernel.
 
     With ``Dd`` the common denominator of the image coefficients and
     ``Dp`` that of ``p``, a term ``c * x^e`` of ``p`` and a term
     ``a * x^e'`` of the image of ``x_i`` (where ``e_i > 0``) contribute
-    ``(c*Dp) * e_i * (a*Dd)`` to the monomial ``e - unit_i + e'``.  That
-    key is a copy of ``e`` moved by the compiled sparse delta
-    ``e' - unit_i``, so no full-width tuple sum is formed.  The ``int``
-    sums are divided by ``Dp * Dd`` once per non-zero monomial; the
-    result equals the term-by-term ``Fraction`` evaluation of the rule.
+    ``(c*Dp) * e_i * (a*Dd)`` to the monomial ``e - unit_i + e'``, whose
+    packed key is that of ``e`` plus the packed delta ``e' - unit_i``.
+    The ``int`` sums are divided by ``Dp * Dd`` once per non-zero
+    monomial, which is unpacked only then; the result equals the
+    term-by-term ``Fraction`` evaluation of the rule.
     """
     if p.vars != d.vars:
         raise VariableTableMismatch(f"polynomial table {p.vars} does not match {d.vars}")
-    scale, active = d._int_images
+    key, unkey, images = _packed(d, max(chain.from_iterable(p.terms), default=0))
     p_scale, numer = _cleared(list(p.terms.values()))
-    acc: Dict[Tuple[int, ...], int] = {}
-    _leibniz(acc, active, zip(p.terms, numer))
-    denom = p_scale * scale
-    return _raw(d.vars, {key: Fraction(v, denom) for key, v in acc.items() if v})
+    acc: Dict[int, int] = {}
+    _leibniz(acc, images, [(e, key(e), n) for e, n in zip(p.terms, numer)])
+    denom = p_scale * d._int_images[0]
+    return _raw(d.vars, {unkey(k): Fraction(v, denom) for k, v in acc.items() if v})
 
 
-def _leibniz(acc: Dict[Tuple[int, ...], int], active: ActiveImages, terms: Iterable[Tuple[Tuple[int, ...], int]]) -> None:
-    """Add ``Dd * D`` of the ``int`` terms ``(exponent, numer)`` to ``acc``, per monomial."""
+def _leibniz(acc: Dict[int, int], images: tuple, terms: Iterable[Tuple[Exponent, int, int]]) -> None:
+    """Add ``Dd * D`` of the terms ``(exponent, packed exponent, numer)`` to ``acc``, per packed monomial."""
     get = acc.get
-    for exponent, numer in terms:
-        for i, image in active:
+    for exponent, key, numer in terms:
+        for i, image in images:
             e = exponent[i]
-            if not e:
-                continue
-            factor = numer * e
-            for c, delta in image:
-                key = list(exponent)
-                for j, change in delta:
-                    key[j] += change
-                key = tuple(key)
-                acc[key] = get(key, 0) + factor * c
+            if e:
+                factor = numer * e
+                for c, delta in image:
+                    k = key + delta
+                    acc[k] = get(k, 0) + factor * c
 
 
 # ----------------------------------------------------------------------
@@ -219,17 +228,17 @@ def _gradings(d: Derivation) -> List[Tuple[Sequence[int], int]]:
     of its sl2 operator (``+2`` lowering, ``-2`` raising, ``0`` diagonal).
     Otherwise this is a basis of the lattice of all of them, which is cut
     out by ``w·m = w_i + e`` for each monomial ``m`` of the image of
-    ``z_i``: one equation ``Σ_j w_j·δ_j - e = 0`` per compiled image term.
+    ``z_i``: one equation ``w·(m - unit_i) - e = 0`` per image term.
     """
     active = d._int_images[1]
     if d.weight_of is not None:
         weights = [d.weight_of[name] for name in d.vars]
         # image-monomial weight minus variable weight: one value for graded ``d``
-        shift = sum(weights[j] * change for j, change in active[0][1][0][1]) if active else 0
+        shift = sum(map(mul, weights, active[0][1][0][1])) - weights[active[0][0]] if active else 0
         return [(weights, shift)]
     n = len(d.vars)
-    rows = [{**dict(delta), n: -1} for _, image in active for _, delta in image]
-    basis = [_cleared([v.get(j, 0) for j in range(n + 1)])[1] for v in nullspace(rows, n + 1)]
+    rows = [{**{j: x - (j == i) for j, x in enumerate(ie) if x != (j == i)}, n: -1} for i, image in active for _, ie in image]
+    basis = [[v.get(j, 0) for j in range(n + 1)] for v in nullspace(rows, n + 1)]
     return [(w[:n], w[n]) for w in basis]
 
 
@@ -248,16 +257,19 @@ def _weight_groups(monos: Sequence[Tuple[int, ...]], gradings: Sequence[Tuple[Se
     return groups
 
 
-def _operator_rows(d: Derivation, columns: Sequence[Tuple[int, ...]]) -> Dict[Tuple[int, ...], Row]:
-    """The ``int`` matrix of ``Dd * D`` on ``columns``: one sparse row per image monomial."""
-    active = d._int_images[1]
-    rows: Dict[Tuple[int, ...], Row] = {}
+def _operator_rows(d: Derivation, columns: Sequence[Exponent], top: int) -> Dict[int, Row]:
+    """The ``int`` matrix of ``Dd * D`` on ``columns``, whose exponents are at most ``top``.
+
+    One sparse row per image monomial, keyed by ``_packed(d, top)[0]`` of it.
+    """
+    key, _, images = _packed(d, top)
+    rows: Dict[int, Row] = {}
     for j, exponent in enumerate(columns):
-        image: Dict[Tuple[int, ...], int] = {}
-        _leibniz(image, active, ((exponent, 1),))
-        for ie, ic in image.items():
-            if ic:
-                rows.setdefault(ie, {})[j] = ic
+        image: Dict[int, int] = {}
+        _leibniz(image, images, ((exponent, key(exponent), 1),))
+        for k, c in image.items():
+            if c:
+                rows.setdefault(k, {})[j] = c
     return rows
 
 
@@ -274,13 +286,16 @@ def _solve_on(d: Derivation, monos: Sequence[Tuple[int, ...]], target: Poly) -> 
     gradings = _gradings(d)
     groups = _weight_groups(monos, gradings)
     wanted = list(target.terms)
+    top = max(chain.from_iterable(chain(monos, wanted)), default=0)
+    keys = list(map(_packed(d, top)[0], wanted))
+    packed = dict(zip(keys, target.terms.values()))
     terms: Dict[Tuple[int, ...], Fraction] = {}
     for key, part in _weight_groups(wanted, [(w, 0) for w, _ in gradings]).items():
         columns = [monos[j] for j in groups.get(key, ())]
-        rows = _operator_rows(d, columns)
+        rows = _operator_rows(d, columns, top)
         for j in part:
-            rows.setdefault(wanted[j], {})
-        rhs = [target.terms.get(e, 0) * scale for e in rows]
+            rows.setdefault(keys[j], {})
+        rhs = [packed.get(k, 0) * scale for k in rows]
         outcome = solve(list(rows.values()), rhs, len(columns))
         if outcome is None:
             return None
@@ -360,32 +375,33 @@ _monomials = lru_cache(maxsize=None)(lambda n, degree: tuple(exponents_of_degree
 
 
 def _times(p: Dict[Exponent, int], q: Dict[Exponent, int]) -> Dict[Exponent, int]:
-    """The product of two polynomials given as integer terms."""
+    """The product of two polynomials given as integer terms, without cancelled terms (``linalg`` rows)."""
     out: Dict[Exponent, int] = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
             key = tuple(map(add, e1, e2))
             out[key] = out.get(key, 0) + c1 * c2
-    return out
+    return {e: c for e, c in out.items() if c}
 
 
-def _kernel_rref(d: Derivation, monos: Sequence[Tuple[int, ...]]) -> List[Tuple[int, Row]]:
-    """Reduced row echelon basis of ``ker D`` on the span of ``monos``.
+def _kernel_rref(d: Derivation, degree: int) -> List[Tuple[int, Row]]:
+    """Reduced row echelon basis of ``ker D`` on the monomials of ``degree``, indexed as ``_monomials``.
 
     Each weight block is solved on its own columns; the union of the
     block bases, sorted by pivot column, is the reduced echelon form of
     the whole kernel because the blocks have disjoint supports.  Within
     a block the columns are eliminated in reverse order: each nullspace
-    vector is then ``1`` at its free column, zero at the other free
+    vector is then positive at its free column, zero at the other free
     columns and non-zero elsewhere only at later pivot columns, which
     makes the basis reduced echelon in the original order.
 
-    On the sl2 ladder (``sl2_raise`` and ``weight_of`` set, ``monos`` one
-    degree) ``D: V_w -> V_(w+2)`` is one-to-one for ``w < 0`` and onto
+    On the sl2 ladder (``sl2_raise`` and ``weight_of`` set)
+    ``D: V_w -> V_(w+2)`` is one-to-one for ``w < 0`` and onto
     for ``w >= -1`` (finite-dimensional sl2 theory): negative weights
     are skipped, and each kept block must have a kernel of dimension
     ``|V_w| - |V_(w+2)|``.
     """
+    monos = _monomials(len(d.vars), degree)
     groups = _weight_groups(monos, [(w, 0) for w, _ in _gradings(d)])  # keyed by source weight
     ladder = d.sl2_raise is not None and d.weight_of is not None
     canonical: List[Tuple[int, Row]] = []
@@ -393,7 +409,7 @@ def _kernel_rref(d: Derivation, monos: Sequence[Tuple[int, ...]]) -> List[Tuple[
         if ladder and key[0] < 0:
             continue
         columns = group[::-1]
-        rows = _operator_rows(d, [monos[j] for j in columns])
+        rows = _operator_rows(d, [monos[j] for j in columns], degree)
         basis = nullspace(list(rows.values()), len(columns))
         if ladder and len(basis) != len(group) - len(groups.get((key[0] + 2,), ())):
             raise InternalInconsistency(f"kernel of weight {key[0]} has the wrong dimension {len(basis)}")
@@ -427,7 +443,7 @@ def graded_kernel_generators(d: Derivation, maxdeg: int) -> List[Poly]:
         monos = _monomials(n, degree)
         index = {e: i for i, e in enumerate(monos)}
         spanned = rref([{index[e]: c for e, c in p.items()} for _, p in products[degree]], len(monos))
-        for _, row in _kernel_rref(d, monos):
+        for _, row in _kernel_rref(d, degree):
             remainder = reduce_against(row, spanned)
             if remainder:
                 # monos run graded-lex descending, so the first column is the leading monomial

@@ -18,8 +18,9 @@ Denominators are cleared by one helper, ``_cleared``: a sequence of
 rationals becomes their common denominator ``q`` and the integer
 numerators over it.  Every integer form of the package is built
 through it (point evaluation, ``normalized``, the candidate table of
-the rational-point search, the Leibniz kernel of ``derivations`` and
-the integer rows of ``linalg``).
+the rational-point search, the Leibniz kernel of ``derivations``, the
+right-hand side of ``linalg.solve`` and the rows its one rational
+caller hands to ``linalg``); ``linalg`` itself takes ``int`` rows.
 
 Point evaluation has one integer kernel, ``PointBlock.scaled_values``.
 On first use a polynomial stores its integer form: the coefficients

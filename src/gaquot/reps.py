@@ -246,12 +246,13 @@ def _ladder_images(spec: RepSpec) -> Tuple[Dict[str, Poly], Dict[str, Poly]]:
 
 def _check_brackets(coords: Tuple[str, ...], low: Derivation, high: Derivation, diag: Derivation) -> None:
     for name in coords:
-        x = Poly.variable(coords, name)
-        if apply(high, diag(x)) - apply(diag, high(x)) != 2 * high(x):
+        # a derivation sends the generator ``name`` to its image
+        h, lo, g = high.images[name], low.images[name], diag.images[name]
+        if apply(high, g) - apply(diag, h) != 2 * h:
             raise ConstructionFailure(f"diagonal/raising bracket fails on {name}")
-        if apply(low, diag(x)) - apply(diag, low(x)) != -2 * low(x):
+        if apply(low, g) - apply(diag, lo) != -2 * lo:
             raise ConstructionFailure(f"diagonal/lowering bracket fails on {name}")
-        if apply(low, high(x)) - apply(high, low(x)) != diag(x):
+        if apply(low, h) - apply(high, lo) != g:
             raise ConstructionFailure(f"raising/lowering bracket fails on {name}")
 
 

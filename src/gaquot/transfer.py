@@ -16,10 +16,11 @@ is nilpotent.  Two checks guard the result: the derivation must kill
 ``f``, and every power of ``v`` must be non-negative, so a negative one
 convicts the input of non-invariance.
 
-The ladder stays in integers: ``f`` is cleared once to numerators over
-``den``, each step is one pass of the integer Leibniz kernel of
-``derivations`` over the compiled images of ``E`` (denominator ``Dd``),
-and each output term is one ``Fraction`` over ``(-1)^j * j! * den * Dd^j``.
+The ladder stays in packed integers: ``f`` is cleared once to
+numerators over ``den`` and packed for its total degree, which ``E``
+keeps; each step is one pass of the packed Leibniz kernel of
+``derivations`` over the images of ``E`` (denominator ``Dd``), and each
+term is unpacked once, to a ``Fraction`` over ``(-1)^j * j! * den * Dd^j``.
 
 The constant coefficient ``F00`` (the ``u^0 v^0`` part of ``F``, which is
 the weight-zero part of ``f``) splits ``f = F00 + g`` and its shape
@@ -40,7 +41,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Dict
 
-from .derivations import _leibniz, apply
+from .derivations import _leibniz, _packed, apply
 from .errors import NonInvariantInput, VariableTableMismatch
 from .poly import Poly, _cleared, _raw
 from .reps import RepSpec, sl2_triple
@@ -94,22 +95,23 @@ def extend(spec: RepSpec, f: Poly) -> TransferResult:
     if not apply(triple.lower, f).is_zero:
         raise NonInvariantInput("transfer input is not killed by the derivation")
     weights = spec.weights
-    raise_scale, active = triple.raising._int_images
+    raise_scale = triple.raising._int_images[0]
+    key, unkey, images = _packed(triple.raising, f.total_degree())
     divisor, numer = _cleared(list(f.terms.values()))
-    layer = dict(zip(f.terms, numer))
+    layer = [(e, key(e), n) for e, n in zip(f.terms, numer)]
     terms: Dict[tuple, Fraction] = {}
     j = 0
     while layer:
-        for exponent, n in layer.items():
+        for exponent, _, n in layer:
             vexp = j + sum(map(mul, exponent, weights))
             if vexp < 0:
                 raise NonInvariantInput(
                     f"term of E^{j}(f) needs v^{vexp}; input is not invariant"
                 )
             terms[(j, vexp) + exponent] = Fraction(n, divisor)
-        acc: Dict[tuple, int] = {}
-        _leibniz(acc, active, layer.items())
-        layer = {key: n for key, n in acc.items() if n}
+        acc: Dict[int, int] = {}
+        _leibniz(acc, images, layer)
+        layer = [(unkey(k), k, n) for k, n in acc.items() if n]
         j += 1
         divisor *= -j * raise_scale
     extension = _raw(PLANE_COORDS + spec.coord_names, terms)

@@ -13,6 +13,7 @@ from gaquot.derivations import (
     _gradings,
     _kernel_rref,
     _operator_rows,
+    _packed,
     _weight_groups,
     apply,
     graded_image_membership,
@@ -30,8 +31,9 @@ from gaquot.errors import (
 from gaquot.expr import parse
 from gaquot.fixtures import NAMED_FIXTURES, fixture
 from gaquot.linalg import extend_rref, nullspace, reduce_against, rref, solve
-from gaquot.poly import Poly, exponents_of_degree, exponents_up_to_degree, ring
+from gaquot.poly import Poly, _cleared, exponents_of_degree, exponents_up_to_degree, ring
 from gaquot.reps import RepSpec, build_derivation, sl2_triple
+from gaquot.transfer import extend, verify_invariance
 
 XY = ("x", "y")
 
@@ -275,7 +277,7 @@ def _all_weight_blocks(d, monos):
     blocks = []
     for weight, group in groups.items():
         columns = group[::-1]
-        rows = _operator_rows(d, [monos[j] for j in columns])
+        rows = _operator_rows(d, [monos[j] for j in columns], max(map(max, monos)))
         blocks.append((weight, group, nullspace(list(rows.values()), len(columns))))
     return blocks
 
@@ -303,7 +305,8 @@ def _oracle_kernel_generators(d, maxdeg):
                     recurse(i, remaining - g, acc * generators[i])
 
         recurse(0, degree, Poly.const(d.vars, 1))
-        spanned = rref([{index[e]: c for e, c in p.terms.items()} for p in products], len(monos))
+        spanned = rref([dict(zip(map(index.get, p.terms), _cleared(list(p.terms.values()))[1])) for p in products],
+                       len(monos))
         for _, row in canonical:
             remainder = reduce_against(row, spanned)
             if remainder:
@@ -331,6 +334,15 @@ class TestHighestWeightSkip:
         assert [g.terms for g in found] == [g.terms for g in expected]
         assert [str(g) for g in found] == [str(g) for g in expected]
 
+    @pytest.mark.parametrize("summands, maxdeg", [((1, 1, 1), 6), ((2, 1, 1), 5)])
+    @pytest.mark.parametrize("normalization", ["section5", "unit"])
+    def test_products_with_cancelled_terms(self, summands, maxdeg, normalization):
+        # the first degrees where a product of generators has a term that cancels
+        d = build_derivation(RepSpec(summands, normalization))
+        assert [g.terms for g in graded_kernel_generators(d, maxdeg)] == [
+            g.terms for g in _oracle_kernel_generators(d, maxdeg)
+        ]
+
     @settings(max_examples=40)
     @given(ladder_specs, st.integers(min_value=1, max_value=4))
     def test_negative_blocks_are_empty_and_kept_blocks_have_their_dimension(self, spec, degree):
@@ -345,7 +357,7 @@ class TestHighestWeightSkip:
                 assert len(basis) == len(group) - size.get(weight + 2, 0)
         every = sorted(min(row) for _, group, basis in blocks for row in
                        ({group[::-1][c]: v for c, v in vector.items()} for vector in basis))
-        assert [pivot for pivot, _ in _kernel_rref(d, monos)] == every
+        assert [pivot for pivot, _ in _kernel_rref(d, degree)] == every
 
 
 class TestGraphs:
@@ -443,10 +455,13 @@ class TestSliceSearch:
 
 def _dense_solve(d, monos, target):
     """The single-group solve: every column of ``monos`` in one system, free coefficients zero."""
-    rows = _operator_rows(d, monos)
-    for exponent in target.terms:
-        rows.setdefault(exponent, {})
-    rhs = [target.terms.get(e, 0) * d._int_images[0] for e in rows]
+    top = max([x for e in [*monos, *target.terms] for x in e], default=0)
+    rows = _operator_rows(d, monos, top)  # keyed by packed exponents
+    pack = _packed(d, top)[0]
+    packed = {pack(e): c for e, c in target.terms.items()}
+    for k in packed:
+        rows.setdefault(k, {})
+    rhs = [packed.get(k, 0) * d._int_images[0] for k in rows]
     outcome = solve(list(rows.values()), rhs, len(monos))
     if outcome is None:
         return None
@@ -565,3 +580,97 @@ class TestGradingLattice:
         groups = _weight_groups(monos, gradings)
         assert len(groups) == len(monos)
         assert str(slice_search(d, 2).found) == "x"
+
+
+# ----------------------------------------------------------------------
+# the packed kernel against a tuple-key Fraction oracle
+
+# exponent entries on both sides of the 1- and 2-byte digit boundaries
+boundary_exponents = st.sampled_from([0, 1, 2, 253, 254, 255, 256, 65533, 65534, 65535, 65536])
+SL2_OPERATORS = [
+    op
+    for summands in ((1,), (2,), (1, 1), (3,))
+    for normalization in ("section5", "unit")
+    for triple in [sl2_triple(RepSpec(summands, normalization=normalization))]
+    for op in (triple.lower, triple.raising, triple.diag)
+]
+
+
+@st.composite
+def packed_kernel_cases(draw):
+    """A derivation and a polynomial on its table with some exponents at the digit boundaries."""
+    d = draw(st.one_of(
+        st.sampled_from(GRAPH_FIXTURES + FAMILY_MEMBERS).map(_restricted),  # non-linear images
+        st.sampled_from(SL2_OPERATORS),
+        derivations_xyz,
+    ))
+    n = len(d.vars)
+    entry = st.one_of(boundary_exponents, st.integers(min_value=0, max_value=3))
+    terms = draw(st.dictionaries(st.tuples(*[entry] * n), coeffs, max_size=4))
+    return d, Poly(d.vars, terms)
+
+
+def _reference_extension(spec, f):
+    """``sum_j (-1)^j/j! * u^j * v^(j + wt(m)) * m`` over the monomials of ``E^j(f)``, by ``_reference_apply``."""
+    raising = sl2_triple(spec).raising
+    terms, layer, j, scale = {}, f.terms, 0, Fraction(1)
+    while layer:
+        for exponent, coeff in layer.items():
+            terms[(j, j + sum(w * e for w, e in zip(spec.weights, exponent))) + exponent] = scale * coeff
+        layer = _reference_apply(raising, Poly(spec.coord_names, layer))
+        j += 1
+        scale /= -j
+    return terms
+
+
+@st.composite
+def high_degree_invariants(draw):
+    """``c + sum_i a_i * t^k_i * g_i``: ``t`` spans a trivial summand, ``g_i`` is a kernel generator of degree <= 2."""
+    spec = RepSpec((0,) + draw(st.sampled_from([(1,), (2,), (1, 1)])),
+                   normalization=draw(st.sampled_from(("section5", "unit"))))
+    generators = graded_kernel_generators(build_derivation(spec), 2)
+    n = len(spec.coord_names)
+    f = Poly.const(spec.coord_names, draw(coeffs))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        power = Poly.monomial(spec.coord_names, (draw(boundary_exponents),) + (0,) * (n - 1), draw(coeffs))
+        f = f + power * draw(st.sampled_from(generators))
+    return spec, f
+
+
+class TestPackedKernel:
+    @settings(max_examples=150)
+    @given(packed_kernel_cases())
+    def test_apply_matches_the_oracle(self, case):
+        d, p = case
+        assert apply(d, p).terms == _reference_apply(d, p)
+
+    @pytest.mark.parametrize("top", [254, 255, 256, 65534, 65535, 65536])
+    def test_outputs_at_the_digit_boundaries(self, top):
+        # D(y) = x and D(z) = x*y raise the x digit of x^top*y*z to top + 1, next to the y digit
+        x, y, _ = ring(XYZ)
+        d = Derivation(XYZ, {"y": x, "z": x * y})
+        p = Poly.monomial(XYZ, (top, 1, 1), Fraction(3, 2)) + Poly.monomial(XYZ, (0, top, 0))
+        assert apply(d, p).terms == _reference_apply(d, p)
+        assert (top + 1, 0, 1) in apply(d, p).terms
+
+    def test_exponents_past_eight_byte_digits_are_refused(self):
+        d = Derivation(XYZ, {"y": Poly.variable(XYZ, "x")})
+        top = 2 ** 64 - 2  # plus the image degree 1 fills an 8-byte digit
+        p = Poly.monomial(XYZ, (top, 1, 0))
+        assert apply(d, p).terms == _reference_apply(d, p)
+        with pytest.raises(OverflowError):
+            apply(d, Poly.monomial(XYZ, (top + 1, 1, 0)))
+
+    def test_zero_input_and_zero_raising_operator(self):
+        # the ladder packs for the total degree of f, which is -1 here
+        spec = RepSpec((0,))
+        result = extend(spec, Poly.zero(spec.coord_names))
+        assert result.extension.is_zero and result.boundary.value == "Contains"
+
+    @settings(max_examples=60)
+    @given(high_degree_invariants())
+    def test_extend_matches_the_oracle(self, case):
+        spec, f = case
+        result = extend(spec, f)
+        assert result.extension.terms == _reference_extension(spec, f)
+        assert verify_invariance(spec, result.extension)

@@ -8,14 +8,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gaquot.linalg import det_bareiss, extend_rref, nullspace, reduce_against, rref, solve
-from gaquot.poly import Poly, ring
+from gaquot.poly import Poly, _cleared, ring
 
 
 def _rows(dense):
-    return [
-        {j: Fraction(value) for j, value in enumerate(row) if value}
-        for row in dense
-    ]
+    return [{j: value for j, value in enumerate(row) if value} for row in dense]
+
+
+def _primitive(row):
+    """``row`` divided by its content, the form ``reduce_against`` and ``extend_rref`` take."""
+    g = gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
 def _apply(dense_rows, vector):
@@ -83,8 +86,9 @@ class TestNullspace:
         rows = _rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
         basis = nullspace(rows, 3)
         assert len(basis) == 1
-        vector = [basis[0].get(j, Fraction(0)) for j in range(3)]
+        vector = [basis[0].get(j, 0) for j in range(3)]
         assert _apply(rows, vector) == [0, 0, 0]
+        assert basis[0] == {1: 1, 0: -2}
 
     @given(matrices)
     def test_vectors_annihilated(self, dense):
@@ -93,16 +97,35 @@ class TestNullspace:
         basis = nullspace(rows, 4)
         assert len(reduced) + len(basis) == 4
         for member in basis:
-            vector = [member.get(j, Fraction(0)) for j in range(4)]
+            vector = [member.get(j, 0) for j in range(4)]
             assert _apply(rows, vector) == [0] * len(rows)
+
+    @given(matrices)
+    def test_vectors_are_primitive_and_positive_at_their_free_column(self, dense):
+        rows = _rows(dense)
+        pivot_cols = {col for col, _ in rref(rows, 4)}
+        free_cols = [c for c in range(4) if c not in pivot_cols]
+        basis = nullspace(rows, 4)
+        assert len(basis) == len(free_cols)
+        for free_col, member in zip(free_cols, basis):
+            assert all(type(v) is int and v for v in member.values())
+            assert gcd(*member.values()) == 1
+            assert member[free_col] > 0
+            assert not any(c in member for c in free_cols if c != free_col)
+            assert _apply(rows, [member.get(j, 0) for j in range(4)]) == [0] * len(rows)
+
+    def test_free_entry_is_the_lcm_of_reduced_denominators(self):
+        # the first row's pivot 2 divides its entry at column 2 but not the one at column 3
+        basis = nullspace([{0: 2, 2: 2, 3: 1}, {1: 3, 2: 2}], 4)
+        assert basis == [{2: 3, 0: -3, 1: -2}, {3: 2, 0: -1}]
 
 
 class TestReduceAgainst:
     def test_reduction_to_zero_detects_membership(self):
         rows = _rows([[1, 0, 1], [0, 1, 2]])
         reduced = rref(rows, 3)
-        inside = {0: Fraction(2), 1: Fraction(3), 2: Fraction(8)}
-        outside = {0: Fraction(1)}
+        inside = {0: 2, 1: 3, 2: 8}
+        outside = {0: 1}
         assert reduce_against(dict(inside), reduced) == {}
         assert reduce_against(dict(outside), reduced) != {}
 
@@ -110,7 +133,7 @@ class TestReduceAgainst:
     def test_extending_in_place_matches_a_fresh_rref(self, dense):
         reduced = []
         for row in _rows(dense):
-            remainder = reduce_against(row, reduced)
+            remainder = reduce_against(_primitive(row), reduced) if row else row
             if remainder:
                 extend_rref(reduced, remainder)
         assert sorted(reduced, key=lambda pair: pair[0]) == rref(_rows(dense), 5)
@@ -206,13 +229,14 @@ def _unit(row, col):
 
 
 rationals = st.builds(Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=6))
+integers = st.integers(min_value=-12, max_value=12)
 
 
 @st.composite
 def small_systems(draw):
-    """Sparse rational rows (zero rows included, possibly none) and a right-hand side."""
+    """Sparse integer rows (zero rows included, possibly none) and a rational right-hand side."""
     ncols = draw(st.integers(min_value=1, max_value=6))
-    dense = draw(st.lists(st.lists(rationals, min_size=ncols, max_size=ncols), max_size=7))
+    dense = draw(st.lists(st.lists(integers, min_size=ncols, max_size=ncols), max_size=7))
     rows = [{j: v for j, v in enumerate(r) if v} for r in dense]
     rhs = draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
     return rows, rhs, ncols
@@ -222,18 +246,18 @@ def small_systems(draw):
 def tall_sparse_systems(draw):
     """The shape of slice search: far more rows than columns, most of them repeats or zero.
 
-    A few sparse rows are drawn, then each row of the system is a
-    rational multiple of one of them or the zero row, so many rows
+    A few sparse integer rows are drawn, then each row of the system is
+    an integer multiple of one of them or the zero row, so many rows
     share a column set and the pivot tie rule is exercised.
     """
     ncols = draw(st.integers(min_value=1, max_value=8))
     entries = st.dictionaries(
-        st.integers(min_value=0, max_value=ncols - 1), rationals.filter(bool), min_size=1, max_size=3
+        st.integers(min_value=0, max_value=ncols - 1), integers.filter(bool), min_size=1, max_size=3
     )
     distinct = draw(st.lists(entries, min_size=1, max_size=ncols + 2))
     picks = draw(
         st.lists(
-            st.tuples(st.integers(min_value=0, max_value=len(distinct)), rationals.filter(bool)),
+            st.tuples(st.integers(min_value=0, max_value=len(distinct)), integers.filter(bool)),
             min_size=4 * ncols,
             max_size=6 * ncols,
         )
@@ -251,7 +275,8 @@ def rational_systems():
 
 
 def _hilbert(n):
-    return [{j: Fraction(1, i + j + 1) for j in range(n)} for i in range(n)]
+    """The rows of the ``n x n`` Hilbert matrix cleared to integers, as ``(q_i, q_i * row_i)``."""
+    return [_cleared([Fraction(1, i + j + 1) for j in range(n)]) for i in range(n)]
 
 
 def _hilbert_inverse(n):
@@ -278,7 +303,9 @@ class TestIntegerElimination:
     def test_solve_and_nullspace_agree_with_fraction_reference(self, system):
         rows, rhs, ncols = system
         assert solve(rows, rhs, ncols) == _oracle_solve(rows, rhs, ncols)
-        assert nullspace(rows, ncols) == _oracle_nullspace(rows, ncols)
+        expected = _oracle_nullspace(rows, ncols)
+        free_cols = [next(iter(vec)) for vec in expected]
+        assert [_unit(vec, c) for vec, c in zip(nullspace(rows, ncols), free_cols)] == expected
 
     @given(rational_systems())
     def test_rows_are_primitive_with_positive_pivots(self, system):
@@ -296,7 +323,7 @@ class TestIntegerElimination:
     def test_incremental_span_keeps_the_row_contract(self, system):
         rows, _, ncols = system
         reduced = []
-        for row in rows:
+        for row in map(_primitive, filter(None, rows)):
             remainder = reduce_against(row, reduced)
             assert all(type(v) is int for v in remainder.values())
             if remainder:
@@ -307,34 +334,40 @@ class TestIntegerElimination:
     @given(rational_systems())
     def test_int_and_fraction_inputs_not_mutated(self, system):
         rows, rhs, ncols = system
-        int_rows = [{c: v.numerator for c, v in row.items()} for row in rows]
-        for given_rows in (rows, int_rows):
+        primitive = [_primitive(row) for row in rows]
+        for given_rows in (rows, primitive):
             snapshot = [list(r.items()) for r in given_rows]
             rhs_snapshot = list(rhs)
             reduced = rref(given_rows, ncols)
             solve(given_rows, rhs, ncols)
             nullspace(given_rows, ncols)
-            for row in given_rows:
+            for row in primitive:
                 reduce_against(row, reduced)
                 if row:
                     extend_rref([], row)
             assert [list(r.items()) for r in given_rows] == snapshot
-            assert all(type(v) is type(w) for r, s in zip(given_rows, snapshot) for v, (_, w) in zip(r.values(), s))
             assert rhs == rhs_snapshot
+            assert all(type(v) is type(w) for v, w in zip(rhs, rhs_snapshot))
 
     def test_int_and_fraction_rows_give_the_same_form(self):
+        # a caller with Fraction rows clears each one itself; any scale of a row gives the same form
         ints = [{0: 2, 1: 4, 2: 6}, {0: 1, 2: -3}]
-        fractions = [{c: Fraction(v, 7) for c, v in row.items()} for row in ints]
+        fractions = [{c: Fraction(v, 7 + i) for c, v in row.items()} for i, row in enumerate(ints)]
+        cleared = [dict(zip(row, _cleared(list(row.values()))[1])) for row in fractions]
         expected = [(0, {0: 1, 2: -3}), (1, {1: 1, 2: 3})]
         assert rref(ints, 3) == expected
-        assert rref(fractions, 3) == expected
+        assert rref(cleared, 3) == expected
+        assert rref([{c: -5 * v for c, v in row.items()} for row in ints], 3) == expected
 
     def test_hilbert_solve_against_integer_inverse(self):
         n = 8
         inverse = _hilbert_inverse(n)
+        cleared = _hilbert(n)
+        rows = [dict(enumerate(numer)) for _, numer in cleared]
         for k in range(n):
-            rhs = [Fraction(int(i == k)) for i in range(n)]
-            solution, free = solve(_hilbert(n), rhs, n)
+            # row i was scaled by q_i, so the unit right-hand side is too
+            rhs = [Fraction(q * (i == k)) for i, (q, _) in enumerate(cleared)]
+            solution, free = solve(rows, rhs, n)
             assert free == []
             assert solution == [inverse[i][k] for i in range(n)]
         assert max(abs(v) for row in inverse for v in row) > 10**9
