@@ -417,7 +417,8 @@ def _linear_gradient_analysis(f00: Poly, partials: Sequence[Poly]) -> Smoothness
     for p in partials:
         row: Row = {}
         constant = 0
-        for exponent, coeff in zip(p.terms, _cleared(list(p.terms.values()))[1]):
+        _, numer = _cleared(list(p.terms.values()))  # linalg takes int rows
+        for exponent, coeff in zip(p.terms, numer):
             if sum(exponent) == 0:
                 constant = coeff
             else:

@@ -125,15 +125,25 @@ class Derivation:
 
 
 def _compile_images(images: Sequence[Poly]) -> IntImages:
-    """Integer form of the generator images, built once per derivation; zero images are left out."""
+    """Integer form of the generator images, built once per derivation.
+
+    Variables with a zero image are left out.  Each image term keeps
+    ``a*Dd`` and its exponent ``e'``; the image degree is the largest
+    total degree of an ``e'``.
+    """
     scale, numer = _cleared([c for img in images for c in img.terms.values()])
     scaled = iter(numer)
-    active = tuple((i, tuple((next(scaled), ie) for ie in img.terms)) for i, img in enumerate(images) if img.terms)
-    return scale, active, max((sum(ie) for img in images for ie in img.terms), default=0)
+    active = []
+    degree = 0
+    for i, img in enumerate(images):
+        if img.terms:
+            active.append((i, tuple((next(scaled), ie) for ie in img.terms)))
+            degree = max(degree, max(map(sum, img.terms)))
+    return scale, tuple(active), degree
 
 
-# (width in bytes, struct code) of the narrowest unsigned digit, by the bit length of its top value
-_DIGITS = ((1, "B"),) * 9 + ((2, "H"),) * 8 + ((4, "I"),) * 16 + ((8, "Q"),) * 32
+# byte widths of an unsigned digit, narrowest first, with their ``struct`` codes
+_WIDTHS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
 
 
 def _packed(d: Derivation, top: int) -> Tuple[Callable[[Exponent], int], Callable[[int], Exponent], tuple]:
@@ -144,14 +154,20 @@ def _packed(d: Derivation, top: int) -> Tuple[Callable[[Exponent], int], Callabl
     All three are built once per digit width and kept on ``d``.
     """
     bits = (top + d._int_images[2]).bit_length()
-    if bits > 64:
+    for width, code in _WIDTHS:
+        if bits <= 8 * width:
+            break
+    else:
         raise OverflowError(f"exponent {top} is too large for the packed Leibniz kernel")
-    width, code = _DIGITS[bits]
     if width not in d._packed:
         form = Struct(f"<{len(d.vars)}{code}")
         key = lambda exponent: int.from_bytes(form.pack(*exponent), "little")
-        d._packed[width] = (key, lambda k: form.unpack(k.to_bytes(form.size, "little")), tuple(
-            (i, tuple((c, key(ie) - (1 << 8 * width * i)) for c, ie in image)) for i, image in d._int_images[1]))
+        unkey = lambda packed: form.unpack(packed.to_bytes(form.size, "little"))
+        images = []
+        for i, image in d._int_images[1]:
+            unit = 1 << 8 * width * i
+            images.append((i, tuple((c, key(ie) - unit) for c, ie in image)))
+        d._packed[width] = (key, unkey, tuple(images))
     return d._packed[width]
 
 
@@ -233,11 +249,21 @@ def _gradings(d: Derivation) -> List[Tuple[Sequence[int], int]]:
     active = d._int_images[1]
     if d.weight_of is not None:
         weights = [d.weight_of[name] for name in d.vars]
-        # image-monomial weight minus variable weight: one value for graded ``d``
-        shift = sum(map(mul, weights, active[0][1][0][1])) - weights[active[0][0]] if active else 0
+        shift = 0
+        if active:
+            i, image = active[0]
+            # image-monomial weight minus variable weight: one value for graded ``d``
+            shift = sum(map(mul, weights, image[0][1])) - weights[i]
         return [(weights, shift)]
     n = len(d.vars)
-    rows = [{**{j: x - (j == i) for j, x in enumerate(ie) if x != (j == i)}, n: -1} for i, image in active for _, ie in image]
+    rows = []
+    for i, image in active:
+        for _, ie in image:
+            delta = list(ie)
+            delta[i] -= 1
+            row = {j: x for j, x in enumerate(delta) if x}
+            row[n] = -1
+            rows.append(row)
     basis = [[v.get(j, 0) for j in range(n + 1)] for v in nullspace(rows, n + 1)]
     return [(w[:n], w[n]) for w in basis]
 

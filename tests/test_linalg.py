@@ -335,9 +335,9 @@ class TestIntegerElimination:
     def test_int_and_fraction_inputs_not_mutated(self, system):
         rows, rhs, ncols = system
         primitive = [_primitive(row) for row in rows]
+        snapshots = [[list(r.items()) for r in given_rows] for given_rows in (rows, primitive)]
+        rhs_snapshot = list(rhs)
         for given_rows in (rows, primitive):
-            snapshot = [list(r.items()) for r in given_rows]
-            rhs_snapshot = list(rhs)
             reduced = rref(given_rows, ncols)
             solve(given_rows, rhs, ncols)
             nullspace(given_rows, ncols)
@@ -345,9 +345,12 @@ class TestIntegerElimination:
                 reduce_against(row, reduced)
                 if row:
                     extend_rref([], row)
+        for given_rows, snapshot in zip((rows, primitive), snapshots):
             assert [list(r.items()) for r in given_rows] == snapshot
-            assert rhs == rhs_snapshot
-            assert all(type(v) is type(w) for v, w in zip(rhs, rhs_snapshot))
+            # an int replaced by an equal Fraction would pass the equality above
+            assert all(type(v) is type(w) for r, s in zip(given_rows, snapshot) for v, (_, w) in zip(r.values(), s))
+        assert rhs == rhs_snapshot
+        assert all(type(v) is type(w) for v, w in zip(rhs, rhs_snapshot))
 
     def test_int_and_fraction_rows_give_the_same_form(self):
         # a caller with Fraction rows clears each one itself; any scale of a row gives the same form
