@@ -460,7 +460,7 @@ def classify(
     if graph is not None:
         restricted = restrict_to_graph(build_derivation(spec), graph)
         if f is not None:
-            on_graph = f.substitute(graph.substitution())
+            on_graph = graph.pull_back(f)
             if not on_graph.is_zero:
                 raise GraphInconsistency(
                     f"polynomial does not vanish on the graph; residue {on_graph}"

@@ -47,6 +47,7 @@ from functools import lru_cache
 from itertools import chain
 from operator import add, mul
 from struct import Struct
+from types import MappingProxyType
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -216,7 +217,7 @@ def weight_components(p: Poly, weight_of: Mapping[str, int]) -> Dict[int, Poly]:
     buckets: Dict[int, Dict[Tuple[int, ...], Fraction]] = {}
     for exponent, coeff in p.terms.items():
         buckets.setdefault(sum(map(mul, exponent, weights)), {})[exponent] = coeff
-    return {w: Poly(p.vars, t) for w, t in sorted(buckets.items())}
+    return {w: _raw(p.vars, t) for w, t in sorted(buckets.items())}
 
 
 def _ladder_membership(d: Derivation, p: Poly) -> Optional[Poly]:
@@ -381,15 +382,18 @@ def power_in_image(d: Derivation, h: Poly, kmax: int = 3) -> PowerInImage:
     """
     if not apply(d, h).is_zero:
         raise NonInvariantInput("power_in_image expects a polynomial killed by the derivation")
-    ladder = d.sl2_raise is not None and d.weight_of is not None
-    power = Poly.const(d.vars, 1)
+    if kmax >= 1 and d.sl2_raise is not None and d.weight_of is not None:
+        if not d.graded_linear:
+            raise ValueError("image membership requires a degree-preserving derivation")
+        preimage = _ladder_membership(d, h)
+        return PowerInImage(None if preimage is None else 1, preimage, kmax)
+    power = h
     for k in range(1, kmax + 1):
-        power = power * h
+        if k > 1:
+            power = power * h
         preimage = graded_image_membership(d, power)
         if preimage is not None:
             return PowerInImage(k, preimage, kmax)
-        if ladder:
-            break
     return PowerInImage(None, None, kmax)
 
 
@@ -398,6 +402,14 @@ def power_in_image(d: Derivation, h: Poly, kmax: int = 3) -> PowerInImage:
 
 
 _monomials = lru_cache(maxsize=None)(lambda n, degree: tuple(exponents_of_degree(n, degree)))
+_slice_candidates = lru_cache(maxsize=None)(lambda n, bound: tuple(exponents_up_to_degree(n, bound)))
+
+
+@lru_cache(maxsize=None)
+def _source_groups(n: int, degree: int, weights: Tuple[Tuple[int, ...], ...]) -> Mapping[object, Tuple[int, ...]]:
+    """``_weight_groups`` of ``_monomials(n, degree)`` by source weight under ``weights``, cached read-only."""
+    groups = _weight_groups(_monomials(n, degree), [(w, 0) for w in weights])
+    return MappingProxyType({key: tuple(group) for key, group in groups.items()})
 
 
 def _times(p: Dict[Exponent, int], q: Dict[Exponent, int]) -> Dict[Exponent, int]:
@@ -428,7 +440,7 @@ def _kernel_rref(d: Derivation, degree: int) -> List[Tuple[int, Row]]:
     ``|V_w| - |V_(w+2)|``.
     """
     monos = _monomials(len(d.vars), degree)
-    groups = _weight_groups(monos, [(w, 0) for w, _ in _gradings(d)])  # keyed by source weight
+    groups = _source_groups(len(d.vars), degree, tuple(tuple(w) for w, _ in _gradings(d)))
     ladder = d.sl2_raise is not None and d.weight_of is not None
     canonical: List[Tuple[int, Row]] = []
     for key, group in groups.items():
@@ -499,21 +511,61 @@ class GraphPresentation:
     free: Mapping[str, str]
     dependent: Mapping[str, Poly]
 
-    def substitution(self) -> Dict[str, Poly]:
-        """Ambient coordinate -> polynomial over the parameter table."""
-        table: Dict[str, Poly] = {}
-        for ambient, zname in self.free.items():
-            table[ambient] = Poly.variable(self.zvars, zname)
-        for ambient, image in self.dependent.items():
-            table[ambient] = image
-        return table
+    def pull_back(self, p: Poly) -> Poly:
+        """``p`` composed with the graph map, over the parameter table ``zvars``.
+
+        ``p`` and each dependent image ``h_k = H_k / s_k`` that occurs in
+        it are cleared to integers once.  Each term of ``p`` has its free exponents
+        relabelled onto ``zvars`` and joins the group of its dependent
+        exponents ``d``; a group is multiplied by the cached powers
+        ``H_k^d_k`` and by ``s_k^(m_k - d_k)``, with ``m_k`` the largest
+        ``d_k`` in ``p``, so every group sits over ``Dp * prod s_k^m_k``.
+        Only a surviving term becomes a ``Fraction``.
+        """
+        zvars = tuple(self.zvars)
+        if sorted(p.vars) != sorted([*self.free, *self.dependent]):
+            raise VariableTableMismatch(f"polynomial table {p.vars} is not the graph's ambient table")
+        for name, image in self.dependent.items():
+            if image.vars != zvars:
+                raise VariableTableMismatch(f"dependent image of {name!r} is not over {zvars}")
+        place = {z: j for j, z in enumerate(zvars)}
+        free = [(i, place[self.free[name]]) for i, name in enumerate(p.vars) if name in self.free]
+        dependent = [(i, self.dependent[name]) for i, name in enumerate(p.vars)
+                     if name in self.dependent and any(e[i] for e in p.terms)]
+        scale, numer = _cleared(list(p.terms.values()))
+        groups: Dict[Exponent, Dict[Exponent, int]] = {}
+        for exponent, c in zip(p.terms, numer):
+            relabelled = [0] * len(zvars)
+            for i, j in free:
+                relabelled[j] = exponent[i]
+            key = tuple(relabelled)
+            group = groups.setdefault(tuple(exponent[i] for i, _ in dependent), {})
+            group[key] = group.get(key, 0) + c
+        top = [max(powers) for powers in zip(*groups)]
+        images = []  # (s_k, [H_k^0, H_k^1, ...] as integer terms)
+        for (_, h), m in zip(dependent, top):
+            s, hn = _cleared(list(h.terms.values()))
+            images.append((s, [{(0,) * len(zvars): 1}, dict(zip(h.terms, hn))]))
+            scale *= s ** m
+        acc: Dict[Exponent, int] = {}
+        for d, terms in groups.items():
+            factor = 1
+            for (s, powers), e, m in zip(images, d, top):
+                factor *= s ** (m - e)
+                while len(powers) <= e:
+                    powers.append(_times(powers[-1], powers[1]))
+                if e:
+                    terms = _times(terms, powers[e])
+            for e, c in terms.items():
+                acc[e] = acc.get(e, 0) + factor * c
+        return _raw(zvars, {e: Fraction(c, scale) for e, c in acc.items() if c})
 
 
 def restrict_to_graph(d: Derivation, graph: GraphPresentation) -> Derivation:
     """Restrict a degree-preserving ambient derivation to a graph subvariety.
 
-    An image is a linear form ``Σ c_j x_j``, so on the graph it is
-    ``Σ c_j · substitution[x_j]``.  The graph must be stable under ``d``:
+    An image is a linear form; on the graph it is its pull-back
+    (:meth:`GraphPresentation.pull_back`).  The graph must be stable under ``d``:
     for each dependent coordinate ``x = h`` the image of ``x`` must equal
     ``D(h)`` (the chain rule), else :class:`GraphInconsistency`.
     """
@@ -524,23 +576,9 @@ def restrict_to_graph(d: Derivation, graph: GraphPresentation) -> Derivation:
         raise ValueError("graph must split the ambient coordinates into free and dependent")
     if sorted(graph.free.values()) != sorted(graph.zvars):
         raise ValueError("free coordinates must biject onto the parameter variables")
-    zvars = tuple(graph.zvars)
-    for name, image in graph.dependent.items():
-        if image.vars != zvars:
-            raise VariableTableMismatch(f"dependent image of {name!r} is not over {graph.zvars}")
-    substitution = graph.substitution()
-    on_graph = [substitution[name].terms for name in d.vars]
-
-    def compose(form: Poly) -> Poly:
-        acc: Dict[Tuple[int, ...], Fraction] = {}
-        for exponent, c in form.terms.items():
-            for e, v in on_graph[exponent.index(1)].items():
-                acc[e] = acc.get(e, 0) + c * v
-        return _raw(zvars, {e: v for e, v in acc.items() if v})
-
-    restricted = Derivation(zvars, {z: compose(d.images[x]) for x, z in graph.free.items()})
+    restricted = Derivation(graph.zvars, {z: graph.pull_back(d.images[x]) for x, z in graph.free.items()})
     for ambient_name, h in graph.dependent.items():
-        lhs = compose(d.images[ambient_name])
+        lhs = graph.pull_back(d.images[ambient_name])
         rhs = apply(restricted, h)
         if lhs != rhs:
             raise GraphInconsistency(
@@ -565,8 +603,7 @@ def slice_search(d: Derivation, degree_bound: int = 3) -> SliceSearch:
     search is an exact linear solve; a miss only means no slice exists
     up to the bound.
     """
-    candidates = list(exponents_up_to_degree(len(d.vars), degree_bound))
-    found = _solve_on(d, candidates, Poly.const(d.vars, 1))
+    found = _solve_on(d, _slice_candidates(len(d.vars), degree_bound), Poly.const(d.vars, 1))
     if found is None:
         return SliceSearch(None, degree_bound)
     if apply(d, found) != Poly.const(d.vars, 1):  # pragma: no cover - solver post-condition

@@ -97,15 +97,6 @@ class _Parser:
         self.index += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExprSyntaxError(
-                f"expected {kind!r}, found {tok.text!r}" if tok.text else f"expected {kind!r}, found end of input",
-                tok.pos,
-            )
-        return self.advance()
-
     # each parse method returns a list of terms
 
     def parse_expr(self) -> List[_Term]:

@@ -22,7 +22,7 @@ from gaquot.classify import (
     localized_quotient_affine,
 )
 from gaquot.classify import _candidate_blocks, _rational_zero
-from gaquot.errors import NonInvariantInput, VariableTableMismatch
+from gaquot.errors import GraphInconsistency, NonInvariantInput, VariableTableMismatch
 from gaquot.expr import parse
 from gaquot.fixtures import fixture
 from gaquot.poly import Poly
@@ -140,6 +140,18 @@ class TestClassifyGraphRoute:
         point = witness.point_dict()
         assert point["w7"] == 1
         assert all(point[name] == 0 for name in fx.spec.coords if name != "w7")
+
+
+    @pytest.mark.parametrize("extra, residue", [
+        ("w0", "z2*z5 - z3*z4 + 1"),  # f + w0 has no w0 term: the residue is the relabelled free part
+        ("2*w0", "2*z2*z5 - 2*z3*z4 + 2"),  # one w0 left, expanded through its dependent image
+    ])
+    def test_polynomial_off_the_graph_rejected(self, extra, residue):
+        fx = fixture("winkelmann")
+        f = fx.f + parse(extra, fx.spec.coord_names)
+        with pytest.raises(GraphInconsistency) as raised:
+            classify(fx.spec, f, fx.graph)
+        assert str(raised.value) == f"polynomial does not vanish on the graph; residue {residue}"
 
 
 class TestReportSerialization:

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaquot.cli import COMMANDS, SCHEMA, main
-from gaquot.fixtures import all_named_fixtures, job_for
+from gaquot.expr import parse
+from gaquot.fixtures import all_named_fixtures, fixture, job_for
 
 
 def _run(capsys, *argv):
@@ -275,6 +276,13 @@ class TestMalformedJobs:
         assert "output" in err and "yaml" in err
 
     GRAPH = {"zvars": ["z0"], "free": {"w0": "z0"}, "dependent": {}}
+
+    def test_polynomial_off_the_graph(self, tmp_path, capsys):
+        fx = fixture("winkelmann")
+        job = job_for(fx)
+        err = self._run_job(tmp_path, capsys, polynomial=str(fx.f + parse("w0", fx.spec.coord_names)),
+                            graph=job["graph"])
+        assert err == "error: polynomial does not vanish on the graph; residue z2*z5 - z3*z4 + 1\n"
 
     def test_non_list_zvars(self, tmp_path, capsys):
         err = self._run_job(tmp_path, capsys, graph={**self.GRAPH, "zvars": 5})

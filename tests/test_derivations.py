@@ -360,12 +360,68 @@ class TestHighestWeightSkip:
         assert [pivot for pivot, _ in _kernel_rref(d, degree)] == every
 
 
+def _graph_map(graph):
+    """Ambient coordinate -> its polynomial over the parameters, the images ``Poly.substitute`` takes."""
+    table = {ambient: Poly.variable(graph.zvars, z) for ambient, z in graph.free.items()}
+    table.update(graph.dependent)
+    return table
+
+
+# (ambient table, graph): every fixture graph, then family members whose phi has rational coefficients
+PULL_BACK_GRAPHS = [(fixture(name).spec.coord_names, fixture(name).graph)
+                    for name in NAMED_FIXTURES if fixture(name).graph is not None] + [
+    (RepSpec((1, 1, 1)).coord_names, build_family_member(RepSpec((1, 1, 1)), parse(phi, ("t",)), "minor[1,2]")[1])
+    for phi in ("1/2*t^2 - 3", "3/2*t^3 - t + 5", "-2/3*t^4 + 1/5*t")
+]
+
+
+class TestPullBack:
+    """``GraphPresentation.pull_back`` against ``Poly.substitute`` with the graph map as the oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_substitute(self, data):
+        ambient, graph = data.draw(st.sampled_from(PULL_BACK_GRAPHS))
+        table = data.draw(st.permutations(ambient))  # the relabel must not depend on table order
+        exponents = st.tuples(*[st.integers(min_value=0, max_value=3)] * len(table))
+        p = Poly(table, data.draw(st.dictionaries(exponents, coeffs, max_size=4)))
+        pulled = graph.pull_back(p)
+        assert pulled.vars == graph.zvars
+        assert pulled == p.substitute(_graph_map(graph))
+
+    @pytest.mark.parametrize("ambient, graph", PULL_BACK_GRAPHS)
+    def test_dependent_cubes_zero_and_constants(self, ambient, graph):
+        variables = {name: Poly.variable(ambient, name) for name in ambient}
+        cubes = Poly.const(ambient, Fraction(1, 3))
+        for name in graph.dependent:
+            cubes = cubes * variables[name] ** 3
+        p = cubes * (sum((variables[name] for name in graph.free), Poly.zero(ambient)) - Fraction(7, 2))
+        for q in (p, cubes, Poly.zero(ambient), Poly.const(ambient, Fraction(-5, 4))):
+            assert graph.pull_back(q) == q.substitute(_graph_map(graph))
+        assert graph.pull_back(Poly.zero(ambient)) == Poly.zero(graph.zvars)
+        assert graph.pull_back(Poly.const(ambient, Fraction(-5, 4))) == Poly.const(graph.zvars, Fraction(-5, 4))
+
+    @pytest.mark.parametrize("ambient, graph", PULL_BACK_GRAPHS)
+    def test_wrong_table_rejected(self, ambient, graph):
+        for table in (ambient[1:], ambient + ("extra",)):
+            with pytest.raises(VariableTableMismatch):
+                graph.pull_back(Poly.variable(table, ambient[-1]))
+
+    def test_dependent_image_off_the_parameter_table_rejected(self):
+        fx = fixture("winkelmann")
+        broken = GraphPresentation(
+            zvars=fx.graph.zvars, free=dict(fx.graph.free), dependent={"w0": parse("z1", ("z1", "z2"))}
+        )
+        with pytest.raises(VariableTableMismatch):
+            broken.pull_back(fx.f)
+
+
 class TestGraphs:
     def test_substitution_oracle(self):
         fx = fixture("winkelmann")
-        images = fx.graph.substitution()
-        assert str(images["w0"]) == "z2*z5 - z3*z4 + 1"
-        assert str(images["w3"]) == "z3"
+        ambient = fx.spec.coord_names
+        assert str(fx.graph.pull_back(Poly.variable(ambient, "w0"))) == "z2*z5 - z3*z4 + 1"
+        assert str(fx.graph.pull_back(Poly.variable(ambient, "w3"))) == "z3"
 
     def test_restriction_oracle(self):
         fx = fixture("winkelmann")
@@ -399,7 +455,7 @@ class TestGraphs:
     def _assert_images_match(d, graph):
         """Each restricted image is ``D(x)`` composed with the graph, computed the long way."""
         restricted = restrict_to_graph(d, graph)
-        substitution = graph.substitution()
+        substitution = _graph_map(graph)
         assert restricted.vars == graph.zvars
         for ambient, zname in graph.free.items():
             expected = apply(d, Poly.variable(d.vars, ambient)).substitute(substitution)
