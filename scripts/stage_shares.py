@@ -43,7 +43,6 @@ STAGES = (
     ("graph check `GraphPresentation.pull_back`", "gaquot.derivations", "GraphPresentation.pull_back"),
     ("`Poly.substitute`, every call", "gaquot.poly", "Poly.substitute"),
     ("`extend`, every call", "gaquot.transfer", "extend"),
-    ("`localized_quotient_affine`", "gaquot.classify", "localized_quotient_affine"),
     ("`slice_search`", "gaquot.derivations", "slice_search"),
     ("`jacobian_boundary_smoothness`", "gaquot.classify", "jacobian_boundary_smoothness"),
     ("`_find_unstable_point`", "gaquot.classify", "_find_unstable_point"),

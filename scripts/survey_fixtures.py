@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Classify every packaged example and print a one-line summary each.
 
-Usage: python3 scripts/survey_fixtures.py [--slice-deg N] [--kmax N]
+Usage: python3 scripts/survey_fixtures.py [--slice-deg N]
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ def describe(report) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--slice-deg", type=int, default=3)
-    parser.add_argument("--kmax", type=int, default=3)
     args = parser.parse_args()
-    bounds = Bounds(kmax=args.kmax, slice_degree=args.slice_deg)
+    bounds = Bounds(slice_degree=args.slice_deg)
 
     examples = list(all_named_fixtures()) + [fixture(name) for name in EXTRA]
     width = max(len(fx.name) for fx in examples)

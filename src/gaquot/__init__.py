@@ -25,7 +25,6 @@ from .classify import (
     compare_family,
     crosscheck_constant_removed,
     jacobian_boundary_smoothness,
-    localized_quotient_affine,
 )
 from .derivations import (
     Derivation,
@@ -123,7 +122,6 @@ __all__ = [
     "group_substitution",
     "jacobian_boundary_smoothness",
     "job_for",
-    "localized_quotient_affine",
     "nonstable_coordinates",
     "parse",
     "power_in_image",

@@ -2,15 +2,22 @@
 
 ``classify`` runs the whole chain on one input: verify invariance,
 certify stability by restricting to the non-stable coordinate subspace,
-extend across the group and read off the boundary class, search for a
-slice when a graph presentation is available, and record every
-independent route's agreement as a crosscheck.  One rational-point
-search serves both the unstable witness and the singular boundary
-points.  Its fixed table is a sequence of support blocks (the origin,
-each axis, each axis pair, then the seeded samples), searched in that
-order; a block on which some polynomial restricts to a non-zero
-constant is passed over without evaluating it.  A miss is evidence,
-never proof.  The verdicts:
+extend across the group once and read off the boundary class, search
+for a slice when a graph presentation is available, and record each
+independent route's agreement (the graph check, the slice) as a
+crosscheck.  For a certified input the quotient is affine exactly when
+``F00``, the weight-zero part of ``f``, is a non-zero constant; routes
+that only restate this (the constant-removed extension, powers in the
+image) are properties of the test suite, not report entries.  The
+boundary's smoothness is analysed only for a certified ``Intersects``:
+an uncertified input has no principal-bundle quotient to bound.
+
+One rational-point search serves both the unstable witness and the
+singular boundary points.  Its fixed table is a sequence of support
+blocks (the origin, each axis, each axis pair, then the seeded
+samples), searched in that order; a block on which some polynomial
+restricts to a non-zero constant is passed over without evaluating
+it.  A miss is evidence, never proof.  The verdicts:
 
 * ``Affine`` -- the lifted closure misses the boundary;
 * ``StrictlyQuasiAffine`` -- stability is certified but the closure
@@ -40,10 +47,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .derivations import (
     Derivation,
     GraphPresentation,
-    PowerInImage,
     SliceSearch,
     apply,
-    power_in_image,
     restrict_to_graph,
     slice_search,
 )
@@ -75,13 +80,11 @@ class Verdict(enum.Enum):
 class Bounds:
     """Search bounds; every bounded verdict cites the bound it honored."""
 
-    kmax: int = 3
     slice_degree: int = 3
     invariant_degree: int = 2
 
     def as_dict(self) -> Dict[str, int]:
         return {
-            "kmax": self.kmax,
             "sliceDeg": self.slice_degree,
             "invariantDeg": self.invariant_degree,
         }
@@ -347,38 +350,23 @@ def _find_unstable_point(
 
 
 # ----------------------------------------------------------------------
-# the crosscheck routes
+# the boundary
 
 
 def crosscheck_constant_removed(spec: RepSpec, f: Poly) -> bool:
     """Agreement of the boundary route with its constant-removed variant.
 
     For a certified input, the closure misses the boundary exactly when
-    the constant-removed polynomial's extension contains it; the check
-    compares the two routes and returns their agreement.
+    the constant-removed polynomial's extension contains it.  ``extend``
+    is linear, so this restates the boundary class; ``classify`` does not
+    run it, and the test suite checks it as a property.
     """
     certificate = certify_everywhere_stable(spec, f)
     if not certificate.certified:
         raise ValueError("constant-removed crosscheck expects a certified input")
     reduced = f - Poly.const(spec.coord_names, f.constant_term())
-    return _constant_removed_agrees(spec, reduced, extend(spec, f))
-
-
-def _constant_removed_agrees(spec: RepSpec, reduced: Poly, base: TransferResult) -> bool:
-    """The comparison behind the crosscheck, given ``f``'s own extension."""
-    affine_by_boundary = base.boundary is BoundaryClass.MISSES
-    reduced_contains = extend(spec, reduced).f00.is_zero
-    return affine_by_boundary == reduced_contains
-
-
-def localized_quotient_affine(spec: RepSpec, h: Poly, kmax: int = 3) -> PowerInImage:
-    """Bounded test for the localization at ``h`` having an affine quotient.
-
-    The localized quotient is affine with trivially-fibered quotient map
-    exactly when some power of ``h`` lies in the derivation's image;
-    the bounded search result carries the witness pair.
-    """
-    return power_in_image(build_derivation(spec), h, kmax)
+    affine_by_boundary = extend(spec, f).boundary is BoundaryClass.MISSES
+    return affine_by_boundary == extend(spec, reduced).f00.is_zero
 
 
 def jacobian_boundary_smoothness(f00: Poly) -> SmoothnessReport:
@@ -513,19 +501,6 @@ def classify(
                 "subspace was found within the sample budget"
             )
 
-    if f is not None and certified:
-        reduced = f - Poly.const(spec.coord_names, f.constant_term())
-        crosschecks.append(
-            ("constant-removed-boundary", _constant_removed_agrees(spec, reduced, transfer_result))
-        )
-        if bounds.kmax >= 1:  # exact on the sl2 ladder from kmax = 1 up
-            localized = localized_quotient_affine(spec, reduced, bounds.kmax)
-            crosschecks.append(
-                ("localized-power-duality", localized.found == (verdict is Verdict.AFFINE))
-            )
-        else:
-            notes.append(f"kmax = {bounds.kmax} tries no power; localized-power-duality not run")
-
     slice_result: Optional[SliceSearch] = None
     if restricted is not None:
         slice_result = slice_search(restricted, bounds.slice_degree)
@@ -545,7 +520,7 @@ def classify(
             crosschecks.append(("slice-agreement", found == (verdict is Verdict.AFFINE)))
 
     smoothness: Optional[SmoothnessReport] = None
-    if transfer_result is not None and transfer_result.boundary is BoundaryClass.INTERSECTS:
+    if verdict is Verdict.STRICTLY_QUASI_AFFINE:  # a certified Intersects
         smoothness = jacobian_boundary_smoothness(transfer_result.f00)
 
     return ClassificationReport(

@@ -48,7 +48,7 @@ COMMANDS = ("classify", "invariants", "transfer", "slice", "family-compare", "se
 OUTPUTS = ("text", "structured")
 
 # job key and command-line flag attribute, in the order of the ``Bounds`` fields
-_BOUND_FIELDS = (("kmax", "kmax"), ("sliceDeg", "slice_deg"), ("invariantDeg", "inv_deg"))
+_BOUND_FIELDS = (("sliceDeg", "slice_deg"), ("invariantDeg", "inv_deg"))
 
 _EXIT_BY_VERDICT = {
     Verdict.AFFINE: 0,
@@ -156,11 +156,7 @@ def _run_classify(job: Dict, bounds: Bounds) -> Handled:
     payload = report.to_dict()
     lines = [f"verdict: {payload['verdict']}"]
     bounds_echo = payload["bounds"]
-    lines.append(
-        "bounds: kmax={kmax} sliceDeg={sliceDeg} invariantDeg={invariantDeg}".format(
-            **bounds_echo
-        )
-    )
+    lines.append("bounds: sliceDeg={sliceDeg} invariantDeg={invariantDeg}".format(**bounds_echo))
     if "certificate" in payload:
         status = "certified" if payload["certificate"]["certified"] else "not certified"
         lines.append(
@@ -337,7 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help=f"run a packaged example ({', '.join(NAMED_FIXTURES)}, family-phi(<expr>))",
     )
-    parser.add_argument("--kmax", type=int, default=None, help="power bound for image membership")
     parser.add_argument("--slice-deg", type=int, default=None, help="degree bound for slice search")
     parser.add_argument("--inv-deg", type=int, default=None, help="degree bound for kernel generators")
     parser.add_argument(

@@ -504,12 +504,22 @@ class GraphPresentation:
     ``free`` identifies ambient coordinates with parameter variables
     one-for-one; ``dependent`` expresses the remaining coordinates as
     polynomials in the parameters.  Nothing is inferred: the split is
-    part of the data.
+    part of the data, and a malformed one is a ``ValueError`` here.
     """
 
     zvars: Tuple[str, ...]
     free: Mapping[str, str]
     dependent: Mapping[str, Poly]
+
+    def __post_init__(self) -> None:
+        zvars = tuple(self.zvars)
+        if len(set(zvars)) != len(zvars) or sorted(self.free.values()) != sorted(zvars):
+            raise ValueError("free coordinates must biject onto the parameter variables")
+        if set(self.free) & set(self.dependent):
+            raise ValueError("graph must split the ambient coordinates into free and dependent")
+        for name, image in self.dependent.items():
+            if image.vars != zvars:
+                raise VariableTableMismatch(f"dependent image of {name!r} is not over {zvars}")
 
     def pull_back(self, p: Poly) -> Poly:
         """``p`` composed with the graph map, over the parameter table ``zvars``.
@@ -525,9 +535,6 @@ class GraphPresentation:
         zvars = tuple(self.zvars)
         if sorted(p.vars) != sorted([*self.free, *self.dependent]):
             raise VariableTableMismatch(f"polynomial table {p.vars} is not the graph's ambient table")
-        for name, image in self.dependent.items():
-            if image.vars != zvars:
-                raise VariableTableMismatch(f"dependent image of {name!r} is not over {zvars}")
         place = {z: j for j, z in enumerate(zvars)}
         free = [(i, place[self.free[name]]) for i, name in enumerate(p.vars) if name in self.free]
         dependent = [(i, self.dependent[name]) for i, name in enumerate(p.vars)
@@ -571,11 +578,8 @@ def restrict_to_graph(d: Derivation, graph: GraphPresentation) -> Derivation:
     """
     if not d.graded_linear:
         raise ValueError("graph restriction requires a degree-preserving derivation")
-    ambient = set(graph.free) | set(graph.dependent)
-    if ambient != set(d.vars) or set(graph.free) & set(graph.dependent):
+    if set(graph.free) | set(graph.dependent) != set(d.vars):
         raise ValueError("graph must split the ambient coordinates into free and dependent")
-    if sorted(graph.free.values()) != sorted(graph.zvars):
-        raise ValueError("free coordinates must biject onto the parameter variables")
     restricted = Derivation(graph.zvars, {z: graph.pull_back(d.images[x]) for x, z in graph.free.items()})
     for ambient_name, h in graph.dependent.items():
         lhs = graph.pull_back(d.images[ambient_name])

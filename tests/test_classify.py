@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import importlib
 import json
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,16 +22,17 @@ from gaquot.classify import (
     compare_family,
     crosscheck_constant_removed,
     jacobian_boundary_smoothness,
-    localized_quotient_affine,
 )
 from gaquot.classify import _candidate_blocks, _rational_zero
+from gaquot.derivations import graded_kernel_generators, power_in_image
 from gaquot.errors import GraphInconsistency, NonInvariantInput, VariableTableMismatch
 from gaquot.expr import parse
-from gaquot.fixtures import fixture
+from gaquot.fixtures import all_named_fixtures, fixture
 from gaquot.poly import Poly
-from gaquot.reps import RepSpec
-from gaquot.transfer import extend
+from gaquot.reps import RepSpec, build_derivation
+from gaquot.transfer import BoundaryClass, extend
 
+CLASSIFY = importlib.import_module("gaquot.classify")  # the package exports the function by this name
 PAIR = RepSpec((1, 1))
 TRIPLE = RepSpec((1, 1, 1))
 WINKELMANN_F = "1 + w2*w5 - w3*w4 - w0"
@@ -41,10 +45,10 @@ def _phi(text):
 class TestBounds:
     def test_defaults_and_echo(self):
         bounds = Bounds()
-        assert bounds.as_dict() == {"kmax": 3, "sliceDeg": 3, "invariantDeg": 2}
+        assert bounds.as_dict() == {"sliceDeg": 3, "invariantDeg": 2}
 
     def test_custom(self):
-        assert Bounds(kmax=1, slice_degree=2).as_dict()["kmax"] == 1
+        assert Bounds(slice_degree=2).as_dict()["sliceDeg"] == 2
 
 
 class TestCertificate:
@@ -67,9 +71,7 @@ class TestClassifyHypersurfaceRoute:
     def test_winkelmann_without_graph(self):
         report = classify(TRIPLE, parse(WINKELMANN_F, TRIPLE.coords))
         assert report.verdict is Verdict.STRICTLY_QUASI_AFFINE
-        names = [name for name, _ in report.crosschecks]
-        assert names == ["constant-removed-boundary", "localized-power-duality"]
-        assert all(ok for _, ok in report.crosschecks)
+        assert report.crosschecks == ()  # no graph, so no independent route
         assert report.slice_result is None
         assert report.smoothness is not None
         assert report.smoothness.outcome == "SmoothProven"
@@ -159,7 +161,7 @@ class TestReportSerialization:
         report = classify(TRIPLE, parse(WINKELMANN_F, TRIPLE.coords))
         data = report.to_dict()
         assert data["verdict"] == "StrictlyQuasiAffine"
-        assert data["bounds"] == {"kmax": 3, "sliceDeg": 3, "invariantDeg": 2}
+        assert data["bounds"] == {"sliceDeg": 3, "invariantDeg": 2}
         assert data["certificate"] == {"restriction": "1", "certified": True}
         assert data["transfer"]["boundary"] == "Intersects"
         assert data["transfer"]["f00"] == "w2*w5 - w3*w4 + 1"
@@ -181,9 +183,124 @@ class TestCrosscheckHelpers:
 
     def test_localized_duality_values(self):
         reduced = parse(WINKELMANN_F, TRIPLE.coords) - 1
-        assert not localized_quotient_affine(TRIPLE, reduced).found
+        assert not power_in_image(build_derivation(TRIPLE), reduced).found
         spec = RepSpec((1,))
-        assert localized_quotient_affine(spec, parse("-w0", spec.coords)).found
+        assert power_in_image(build_derivation(spec), parse("-w0", spec.coords)).found
+
+
+def _golden_family_members():
+    path = Path(__file__).parent / "data" / "golden_reports.json"
+    return [name for name in json.loads(path.read_text(encoding="utf-8")) if name.startswith("family-phi")]
+
+
+# The transfer specs of the invariants-transfer benchmark pool with the
+# degree of their products: c + a*P for P a product of degree-1 and
+# degree-2 kernel generators.
+_PRODUCT_SPECS = (
+    ((5,), 5), ((6,), 5), ((4,), 6), ((3,), 7), ((2, 2), 7), ((3, 1), 7),
+    ((2, 1, 1), 7), ((4, 1), 6), ((3, 2), 6), ((4, 2), 6), ((3, 3), 6), ((6, 1), 5),
+    ((2, 2, 2), 6),
+)
+
+
+def _generator_products():
+    """``c + a*P`` per product spec, normalization and slot, as the benchmark builds them."""
+    rng = random.Random(18)
+    out = []
+    for normalization in ("section5", "unit"):
+        for summands, degree in _PRODUCT_SPECS:
+            spec = RepSpec(summands, normalization=normalization)
+            generators = graded_kernel_generators(build_derivation(spec), 2)
+            linear = [g for g in generators if g.total_degree() == 1]
+            quadratic = [g for g in generators if g.total_degree() == 2]
+            for slot in range(2):
+                product = Poly.const(spec.coord_names, 1)
+                for i in range(degree // 2):
+                    product = product * quadratic[(slot + i) % len(quadratic)]
+                if degree % 2:
+                    product = product * linear[slot % len(linear)]
+                a = rng.choice([-3, -2, -1, 1, 2, 3])
+                out.append((spec, product * a + rng.randint(1, 9)))
+    return out
+
+
+def _restatement_corpus():
+    """Certified fixtures, the golden family members and the generator products."""
+    named = [fx for fx in all_named_fixtures() if fx.f is not None]
+    members = [fixture(name) for name in _golden_family_members()]
+    return [(fx.spec, fx.f) for fx in named + members] + _generator_products()
+
+
+class TestBoundaryRestatements:
+    """The two routes that restate the boundary class hold as properties, not report entries."""
+
+    CORPUS = _restatement_corpus()
+
+    def test_corpus_covers_both_classes(self):
+        certified = [
+            extend(spec, f).boundary
+            for spec, f in self.CORPUS
+            if certify_everywhere_stable(spec, f).certified
+        ]
+        assert len(self.CORPUS) >= 50
+        assert BoundaryClass.MISSES in certified and BoundaryClass.INTERSECTS in certified
+
+    def test_constant_removed_route_holds(self):
+        checked = 0
+        for spec, f in self.CORPUS:
+            if certify_everywhere_stable(spec, f).certified:
+                assert crosscheck_constant_removed(spec, f), str(f)
+                checked += 1
+        assert checked >= 10
+
+    def test_power_in_image_iff_boundary_missed(self):
+        # f - c has no constant term, so its weight-zero part vanishes
+        # exactly when F00 = c, a non-zero constant
+        for spec, f in self.CORPUS:
+            c = f.constant_term()
+            assert c != 0
+            found = power_in_image(build_derivation(spec), f - c).found
+            assert found == (extend(spec, f).boundary is BoundaryClass.MISSES), str(f)
+
+
+class TestOneBoundaryRead:
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        original = getattr(CLASSIFY, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(CLASSIFY, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("with_graph", [False, True])
+    def test_certified_input_extends_once(self, monkeypatch, with_graph):
+        fx = fixture("winkelmann")
+        extends = self._count(monkeypatch, "extend")
+        smoothness = self._count(monkeypatch, "jacobian_boundary_smoothness")
+        report = classify(fx.spec, fx.f, fx.graph if with_graph else None)
+        assert report.verdict is Verdict.STRICTLY_QUASI_AFFINE
+        assert len(extends) == 1
+        assert len(smoothness) == 1
+
+    @pytest.mark.parametrize("text, verdict", [
+        ("w1^2 - 4*w0*w2 - 1", Verdict.NOT_EVERYWHERE_STABLE),
+        ("w1^2 - 4*w0*w2 + 1", Verdict.UNKNOWN),
+    ])
+    def test_uncertified_input_skips_smoothness(self, monkeypatch, text, verdict):
+        # the restriction w1^2 -/+ 1 is not constant, and F00 = f meets the boundary
+        spec = RepSpec((2, 1, 1))
+        extends = self._count(monkeypatch, "extend")
+        smoothness = self._count(monkeypatch, "jacobian_boundary_smoothness")
+        report = classify(spec, parse(text, spec.coords))
+        assert report.verdict is verdict
+        assert report.transfer.boundary is BoundaryClass.INTERSECTS
+        assert len(extends) == 1
+        assert smoothness == []
+        assert report.smoothness is None
 
 
 class TestBoundarySmoothness:

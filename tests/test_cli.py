@@ -60,9 +60,15 @@ class TestStructuredReports:
 
     def test_bound_flags_are_echoed(self, capsys):
         _, data = _run_json(
-            capsys, "--fixture", "winkelmann", "--kmax", "2", "--slice-deg", "1", "--inv-deg", "3"
+            capsys, "--fixture", "winkelmann", "--slice-deg", "1", "--inv-deg", "3"
         )
-        assert data["bounds"] == {"kmax": 2, "sliceDeg": 1, "invariantDeg": 3}
+        assert data["bounds"] == {"sliceDeg": 1, "invariantDeg": 3}
+
+    def test_no_power_bound_flag(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["--fixture", "winkelmann", "--kmax", "2"])
+        assert raised.value.code == 2
+        assert "--kmax" in capsys.readouterr().err
 
 
 class TestTextReports:
@@ -144,27 +150,17 @@ class TestCommands:
 class TestBoundedMisses:
     """A route that misses within its bound leaves a note, never a ``false`` crosscheck."""
 
-    @pytest.mark.parametrize("bound", [("--kmax", "0"), ("--slice-deg", "0")])
-    def test_selftest_passes_at_zero_bound(self, capsys, bound):
-        code, data = _run_json(capsys, "--command", "selftest", *bound)
+    def test_selftest_passes_at_zero_bound(self, capsys):
+        code, data = _run_json(capsys, "--command", "selftest", "--slice-deg", "0")
         assert code == 0
         assert data["passed"] and all(ok for _, ok in data["checks"])
 
     def test_affine_fixture_at_zero_bounds(self, capsys):
-        code, data = _run_json(
-            capsys, "--fixture", "affine-slice", "--kmax", "0", "--slice-deg", "0"
-        )
+        code, data = _run_json(capsys, "--fixture", "affine-slice", "--slice-deg", "0")
         assert code == 0
         assert data["verdict"] == "Affine"
-        assert [name for name, _ in data["crosschecks"]] == [
-            "graph-lies-on-hypersurface",
-            "constant-removed-boundary",
-        ]
-        assert all(ok for _, ok in data["crosschecks"])
-        assert data["notes"] == [
-            "kmax = 0 tries no power; localized-power-duality not run",
-            "no slice up to degree 0; bounded miss, not a refutation",
-        ]
+        assert data["crosschecks"] == [["graph-lies-on-hypersurface", True]]
+        assert data["notes"] == ["no slice up to degree 0; bounded miss, not a refutation"]
 
 
 class TestJobFiles:
@@ -237,6 +233,7 @@ class TestMalformedJobs:
         return err
 
     def test_valid_job_still_runs(self, tmp_path, capsys):
+        # a bound key the program no longer reads (kmax) is ignored
         job_path = tmp_path / "job.json"
         job_path.write_text(json.dumps({**self.WINKELMANN, "bounds": {"kmax": 0, "sliceDeg": 0}}))
         code, _, _ = _run(capsys, "--job", str(job_path))
@@ -249,10 +246,10 @@ class TestMalformedJobs:
         assert "representation" in self._run_job(tmp_path, capsys, representation="V")
 
     def test_negative_bounds(self, tmp_path, capsys):
-        err = self._run_job(tmp_path, capsys, bounds={"kmax": -2, "sliceDeg": -1})
-        assert "bounds.kmax" in err
-        err = self._run_job(tmp_path, capsys, bounds={"sliceDeg": -1})
+        err = self._run_job(tmp_path, capsys, bounds={"sliceDeg": -1, "invariantDeg": -2})
         assert "bounds.sliceDeg" in err
+        err = self._run_job(tmp_path, capsys, bounds={"invariantDeg": -2})
+        assert "bounds.invariantDeg" in err
 
     def test_slash_outside_a_literal(self, tmp_path, capsys):
         err = self._run_job(tmp_path, capsys, polynomial="w2*w5 - w3*w4 - (w0/2) + 1")
@@ -260,8 +257,8 @@ class TestMalformedJobs:
 
     @pytest.mark.parametrize("value", [2.7, True, "2", None])
     def test_non_integer_bounds(self, tmp_path, capsys, value):
-        err = self._run_job(tmp_path, capsys, bounds={"sliceDeg": 1, "kmax": value})
-        assert "bounds.kmax" in err
+        err = self._run_job(tmp_path, capsys, bounds={"sliceDeg": 1, "invariantDeg": value})
+        assert "bounds.invariantDeg" in err
 
     @pytest.mark.parametrize("value", [0, [], False, "", None])
     def test_non_object_bounds(self, tmp_path, capsys, value):
@@ -301,6 +298,10 @@ class TestMalformedJobs:
     def test_non_object_dependent(self, tmp_path, capsys):
         err = self._run_job(tmp_path, capsys, graph={**self.GRAPH, "dependent": []})
         assert "graph.dependent" in err
+
+    def test_overlapping_split(self, tmp_path, capsys):
+        err = self._run_job(tmp_path, capsys, graph={**self.GRAPH, "dependent": {"w0": "z0"}})
+        assert err == "error: graph must split the ambient coordinates into free and dependent\n"
 
     def test_non_list_citations(self, tmp_path, capsys):
         assert "citations" in self._run_job(tmp_path, capsys, citations=5)
@@ -380,7 +381,7 @@ _FIELDS = {
     "polynomial": _expressions,
     "graph": _graphs,
     "bounds": st.dictionaries(
-        st.sampled_from(["kmax", "sliceDeg", "invariantDeg"]), _small_ints, max_size=3
+        st.sampled_from(["sliceDeg", "invariantDeg"]), _small_ints, max_size=2
     ),
     "output": st.sampled_from(["text", "structured", "yaml"]),
     "citations": st.lists(st.sampled_from(["a", "b"]), max_size=2),

@@ -409,11 +409,30 @@ class TestPullBack:
 
     def test_dependent_image_off_the_parameter_table_rejected(self):
         fx = fixture("winkelmann")
-        broken = GraphPresentation(
-            zvars=fx.graph.zvars, free=dict(fx.graph.free), dependent={"w0": parse("z1", ("z1", "z2"))}
-        )
         with pytest.raises(VariableTableMismatch):
-            broken.pull_back(fx.f)
+            GraphPresentation(
+                zvars=fx.graph.zvars, free=dict(fx.graph.free), dependent={"w0": parse("z1", ("z1", "z2"))}
+            )
+
+
+class TestGraphSplit:
+    """A malformed split is a ``ValueError`` when the graph is built, never a bare ``KeyError`` later."""
+
+    def test_free_value_outside_the_parameters(self):
+        with pytest.raises(ValueError, match="biject"):
+            GraphPresentation(zvars=("z1",), free={"w0": "q"}, dependent={}).pull_back(
+                Poly.variable(("w0",), "w0")
+            )
+
+    def test_free_values_not_one_for_one(self):
+        with pytest.raises(ValueError, match="biject"):
+            GraphPresentation(zvars=("z1", "z1"), free={"w0": "z1", "w1": "z1"}, dependent={})
+        with pytest.raises(ValueError, match="biject"):
+            GraphPresentation(zvars=("z1", "z2"), free={"w0": "z1"}, dependent={})
+
+    def test_overlapping_free_and_dependent(self):
+        with pytest.raises(ValueError, match="split"):
+            GraphPresentation(zvars=("z1",), free={"w0": "z1"}, dependent={"w0": Poly.variable(("z1",), "z1")})
 
 
 class TestGraphs:

@@ -124,7 +124,7 @@ class TestJobExport:
             "normalization": "section5",
         }
         assert job["polynomial"] == "w2*w5 - w3*w4 - w0 + 1"
-        assert job["bounds"] == {"kmax": 3, "sliceDeg": 3, "invariantDeg": 2}
+        assert job["bounds"] == {"sliceDeg": 3, "invariantDeg": 2}
         assert job["output"] == "structured"
         assert job["graph"]["dependent"]["w0"] == "z2*z5 - z3*z4 + 1"
 
