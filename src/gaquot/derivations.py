@@ -37,6 +37,10 @@ keeps its ladder ``E^j(f)`` packed between steps.
 On the sl2 ladder the derivation raises weight by 2 and its kernel is
 made of highest-weight vectors, of weight ``>= 0``: kernel generators
 solve only those weight blocks and check each one's dimension.
+
+The module has no product or composition of its own: kernel generators
+multiply on ``poly._times``, and a graph's pull-back hands its plan to
+``poly._compose``.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from operator import add, mul
+from operator import mul
 from struct import Struct
 from types import MappingProxyType
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -57,7 +61,7 @@ from .errors import (
     VariableTableMismatch,
 )
 from .linalg import Row, extend_rref, nullspace, reduce_against, rref, solve
-from .poly import Exponent, Poly, _cleared, _raw, exponents_of_degree, exponents_up_to_degree
+from .poly import Exponent, Poly, _cleared, _compose, _raw, _times, exponents_of_degree, exponents_up_to_degree
 
 # (Dd, ((variable index, ((a*Dd, e'), ...)), ...), image degree) over the
 # variables with a non-zero image; see ``apply``
@@ -346,7 +350,7 @@ def graded_image_membership(d: Derivation, p: Poly) -> Optional[Poly]:
     if d.sl2_raise is not None and d.weight_of is not None and apply(d, p).is_zero:
         return _ladder_membership(d, p)
     preimage = Poly.zero(d.vars)
-    for degree, piece in p.homogeneous_components().items():
+    for degree, piece in weight_components(p, dict.fromkeys(p.vars, 1)).items():
         if degree == 0:
             return None
         part = _solve_on(d, _monomials(len(d.vars), degree), piece)
@@ -412,16 +416,6 @@ def _source_groups(n: int, degree: int, weights: Tuple[Tuple[int, ...], ...]) ->
     return MappingProxyType({key: tuple(group) for key, group in groups.items()})
 
 
-def _times(p: Dict[Exponent, int], q: Dict[Exponent, int]) -> Dict[Exponent, int]:
-    """The product of two polynomials given as integer terms, without cancelled terms (``linalg`` rows)."""
-    out: Dict[Exponent, int] = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            key = tuple(map(add, e1, e2))
-            out[key] = out.get(key, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
 def _kernel_rref(d: Derivation, degree: int) -> List[Tuple[int, Row]]:
     """Reduced row echelon basis of ``ker D`` on the monomials of ``degree``, indexed as ``_monomials``.
 
@@ -476,7 +470,7 @@ def graded_kernel_generators(d: Derivation, maxdeg: int) -> List[Poly]:
     generators: List[Tuple[int, Dict[Exponent, int]]] = []  # (degree, content-one integer terms)
     products = {0: [(0, {(0,) * n: 1})]}  # per degree: (index of the last factor, terms)
     for degree in range(1, maxdeg + 1):
-        products[degree] = [(i, _times(p, terms)) for i, (g, terms) in enumerate(generators)
+        products[degree] = [(i, _times(p.items(), terms.items())) for i, (g, terms) in enumerate(generators)
                             for last, p in products[degree - g] if last <= i]
         monos = _monomials(n, degree)
         index = {e: i for i, e in enumerate(monos)}
@@ -524,48 +518,16 @@ class GraphPresentation:
     def pull_back(self, p: Poly) -> Poly:
         """``p`` composed with the graph map, over the parameter table ``zvars``.
 
-        ``p`` and each dependent image ``h_k = H_k / s_k`` that occurs in
-        it are cleared to integers once.  Each term of ``p`` has its free exponents
-        relabelled onto ``zvars`` and joins the group of its dependent
-        exponents ``d``; a group is multiplied by the cached powers
-        ``H_k^d_k`` and by ``s_k^(m_k - d_k)``, with ``m_k`` the largest
-        ``d_k`` in ``p``, so every group sits over ``Dp * prod s_k^m_k``.
-        Only a surviving term becomes a ``Fraction``.
+        The plan for ``poly._compose`` comes from the split as it is: the
+        free coordinates are relabelled onto their parameters and the
+        dependent ones composed with their images.
         """
         zvars = tuple(self.zvars)
         if sorted(p.vars) != sorted([*self.free, *self.dependent]):
             raise VariableTableMismatch(f"polynomial table {p.vars} is not the graph's ambient table")
-        place = {z: j for j, z in enumerate(zvars)}
-        free = [(i, place[self.free[name]]) for i, name in enumerate(p.vars) if name in self.free]
-        dependent = [(i, self.dependent[name]) for i, name in enumerate(p.vars)
-                     if name in self.dependent and any(e[i] for e in p.terms)]
-        scale, numer = _cleared(list(p.terms.values()))
-        groups: Dict[Exponent, Dict[Exponent, int]] = {}
-        for exponent, c in zip(p.terms, numer):
-            relabelled = [0] * len(zvars)
-            for i, j in free:
-                relabelled[j] = exponent[i]
-            key = tuple(relabelled)
-            group = groups.setdefault(tuple(exponent[i] for i, _ in dependent), {})
-            group[key] = group.get(key, 0) + c
-        top = [max(powers) for powers in zip(*groups)]
-        images = []  # (s_k, [H_k^0, H_k^1, ...] as integer terms)
-        for (_, h), m in zip(dependent, top):
-            s, hn = _cleared(list(h.terms.values()))
-            images.append((s, [{(0,) * len(zvars): 1}, dict(zip(h.terms, hn))]))
-            scale *= s ** m
-        acc: Dict[Exponent, int] = {}
-        for d, terms in groups.items():
-            factor = 1
-            for (s, powers), e, m in zip(images, d, top):
-                factor *= s ** (m - e)
-                while len(powers) <= e:
-                    powers.append(_times(powers[-1], powers[1]))
-                if e:
-                    terms = _times(terms, powers[e])
-            for e, c in terms.items():
-                acc[e] = acc.get(e, 0) + factor * c
-        return _raw(zvars, {e: Fraction(c, scale) for e, c in acc.items() if c})
+        relabel = [(i, zvars.index(self.free[name])) for i, name in enumerate(p.vars) if name in self.free]
+        composed = [(i, self.dependent[name]) for i, name in enumerate(p.vars) if name in self.dependent]
+        return _compose(p, zvars, relabel, composed)
 
 
 def restrict_to_graph(d: Derivation, graph: GraphPresentation) -> Derivation:

@@ -11,23 +11,24 @@ Grammar (EBNF)::
 Multiplication is always explicit, ``^`` takes a non-negative integer
 exponent, and ``/`` appears only inside rational literals such as
 ``5/3``.  Syntax errors carry the character offset of the offending
-token.  ``parse(text)`` collects variables in order of first appearance;
-``parse(text, variables)`` checks identifiers against a fixed table.
+token.  The variable table is fixed before parsing: ``parse(text,
+variables)`` checks identifiers against the given table, ``parse(text)``
+takes them in order of first appearance, and every exponent is as wide
+as the table.
 
-Like monomials are merged after every product, and two caps bound the
-work of one parse: an exponent above ``MAX_EXPONENT`` and a product
-of two factors with more than ``MAX_TERMS`` term pairs are syntax
-errors.
+Products of the light term lists run on ``poly._times``, which merges
+like monomials.  Two caps bound the work of one parse: an exponent
+above ``MAX_EXPONENT`` and a product of two factors with more than
+``MAX_TERMS`` term pairs are syntax errors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import ExprSyntaxError
-from .poly import Poly
+from .poly import Poly, _times
 
 _OPS = set("+-*^/()")
 
@@ -77,8 +78,7 @@ def _tokenize(text: str) -> List[_Token]:
     return tokens
 
 
-# A term is (exponent tuple indexed like the parser's variable list, coefficient);
-# trailing zero exponents may be left off.
+# A term is (exponent tuple over the parser's variable table, coefficient).
 _Term = Tuple[Tuple[int, ...], Union[int, Fraction]]
 
 
@@ -86,8 +86,11 @@ class _Parser:
     def __init__(self, tokens: List[_Token], variables: Optional[Sequence[str]]):
         self.tokens = tokens
         self.index = 0
-        self.strict = variables is not None
-        self.variables: List[str] = list(variables) if variables else []
+        if variables is None:
+            variables = dict.fromkeys(tok.text for tok in tokens if tok.kind == "ident")
+        self.variables: Tuple[str, ...] = tuple(variables)
+        self.place = {name: i for i, name in enumerate(self.variables)}
+        self.one: Tuple[int, ...] = (0,) * len(self.variables)
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -133,7 +136,7 @@ class _Parser:
             power = int(self.advance().text)
             if power > MAX_EXPONENT:
                 raise ExprSyntaxError(f"exponent {power} exceeds the cap of {MAX_EXPONENT}", tok.pos)
-            result: List[_Term] = [((), 1)]
+            result: List[_Term] = [(self.one, 1)]
             for _ in range(power):
                 result = self.multiply(result, base, caret.pos)
             base = result
@@ -155,16 +158,13 @@ class _Parser:
                 if int(den.text) == 0:
                     raise ExprSyntaxError("zero denominator", den.pos)
                 value = Fraction(value, int(den.text))
-            return [((), value)]
+            return [(self.one, value)]
         if tok.kind == "ident":
             self.advance()
-            name = tok.text
-            if name not in self.variables:
-                if self.strict:
-                    raise ExprSyntaxError(f"unknown variable {name!r}", tok.pos)
-                self.variables.append(name)
-            idx = self.variables.index(name)
-            return [((0,) * idx + (1,), 1)]
+            i = self.place.get(tok.text)
+            if i is None:  # only a given table can miss a name
+                raise ExprSyntaxError(f"unknown variable {tok.text!r}", tok.pos)
+            return [(self.one[:i] + (1,) + self.one[i + 1:], 1)]
         if tok.kind == "(":
             self.advance()
             inner = self.parse_expr()
@@ -184,14 +184,7 @@ class _Parser:
             raise ExprSyntaxError(
                 f"product of {len(lhs)} by {len(rhs)} terms exceeds the cap of {MAX_TERMS} term products", pos
             )
-        n = len(self.variables)
-        out: Dict[Tuple[int, ...], Union[int, Fraction]] = {}
-        for m1, c1 in lhs:
-            e1 = m1 + (0,) * (n - len(m1))
-            for m2, c2 in rhs:
-                key = tuple(map(add, e1, m2 + (0,) * (n - len(m2))))
-                out[key] = out.get(key, 0) + c1 * c2
-        return [(m, c) for m, c in out.items() if c]
+        return list(_times(lhs, rhs).items())
 
 
 def parse(text: str, variables: Optional[Sequence[str]] = None) -> Poly:
@@ -206,9 +199,7 @@ def parse(text: str, variables: Optional[Sequence[str]] = None) -> Poly:
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ExprSyntaxError(f"unexpected token {trailing.text!r}", trailing.pos)
-    n = len(parser.variables)
     accum: Dict[Tuple[int, ...], Union[int, Fraction]] = {}
     for mono, coeff in terms:
-        key = mono + (0,) * (n - len(mono))
-        accum[key] = accum.get(key, 0) + coeff
-    return Poly(tuple(parser.variables), accum)
+        accum[mono] = accum.get(mono, 0) + coeff
+    return Poly(parser.variables, accum)

@@ -17,10 +17,16 @@ number is exact, in lowest terms, with positive denominator.
 Denominators are cleared by one helper, ``_cleared``: a sequence of
 rationals becomes their common denominator ``q`` and the integer
 numerators over it.  Every integer form of the package is built
-through it (point evaluation, ``normalized``, the candidate table of
-the rational-point search, the Leibniz kernel of ``derivations``, the
-right-hand side of ``linalg.solve`` and the rows its one rational
-caller hands to ``linalg``); ``linalg`` itself takes ``int`` rows.
+through it (point evaluation, products and compositions, ``normalized``,
+the candidate table of the rational-point search, the Leibniz kernel of
+``derivations``, the right-hand side of ``linalg.solve`` and the rows
+its one rational caller hands to ``linalg``).
+
+There is one product and one composition.  ``_times`` multiplies lists
+of exact terms: ``*`` and ``**`` on cleared numerators, ``exact_divide``,
+kernel generators and the parser on their own terms.  ``_compose`` runs
+a plan built by ``Poly.substitute`` or ``GraphPresentation.pull_back``:
+which variables are relabelled and which composed with a polynomial.
 
 Point evaluation has one integer kernel, ``PointBlock.scaled_values``.
 On first use a polynomial stores its integer form: the coefficients
@@ -40,8 +46,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import mul
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from operator import add, mul
+from typing import Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import NotDivisible, VariableTableMismatch
 
@@ -69,6 +75,17 @@ def _cleared(values: Sequence[Scalar]) -> Tuple[int, List[int]]:
     if q == 1:
         return 1, [v.numerator for v in values]
     return q, [v.numerator * (q // v.denominator) for v in values]
+
+
+def _times(p: Iterable[Tuple[Exponent, Scalar]], q: Collection[Tuple[Exponent, Scalar]]) -> Dict[Exponent, Scalar]:
+    """The product of two lists of exact terms, such as ``terms.items()``, as a term map without cancelled terms."""
+    out: Dict[Exponent, Scalar] = {}
+    get = out.get
+    for e1, c1 in p:
+        for e2, c2 in q:
+            key = tuple(map(add, e1, e2))
+            out[key] = get(key, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
 def grlex_key(exponent: Exponent) -> Tuple[int, Exponent]:
@@ -222,31 +239,25 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        out: Dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(key)
-                prod = c1 * c2
-                out[key] = prod if acc is None else acc + prod
-                if not out[key]:
-                    del out[key]
-        return _raw(self.vars, out)
+        s, p = _int_terms(self)
+        t, q = _int_terms(other)
+        s *= t
+        return _raw(self.vars, {e: Fraction(c, s) for e, c in _times(p.items(), q.items()).items()})
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers take non-negative integers")
-        result = Poly.const(self.vars, 1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        scale, base = _int_terms(self)
+        scale **= exponent
+        result = {(0,) * len(self.vars): 1}
+        while exponent:
+            if exponent & 1:
+                result = _times(result.items(), base.items())
+            base = _times(base.items(), base.items()) if exponent > 1 else base
+            exponent >>= 1
+        return _raw(self.vars, {e: Fraction(c, scale) for e, c in result.items()})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -255,8 +266,8 @@ class Poly:
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+    def __hash__(self):  # a constant equals its constant term, so it hashes like it
+        return hash(self.constant_term() if self.is_constant() else (self.vars, frozenset(self.terms.items())))
 
     # ------------------------------------------------------------------
     # structural operations
@@ -266,44 +277,34 @@ class Poly:
 
         All polynomial images must share one variable table, which becomes
         the table of the result.  When every image is a scalar the table
-        is unchanged.  An unmapped variable must exist in the target table.
+        is unchanged.  An unmapped variable must exist in the target table,
+        a mapped one in this table.  ``_compose`` relabels unmapped variables
+        and plain-variable images, and composes the rest (scalars as constants).
         """
-        poly_images = [p for p in images.values() if isinstance(p, Poly)]
-        if poly_images:
-            target = poly_images[0].vars
-            for p in poly_images[1:]:
-                if p.vars != target:
-                    raise VariableTableMismatch(
-                        "substitution images use more than one variable table"
-                    )
-        else:
-            target = self.vars
-        table: Dict[str, Poly] = {}
-        for name in self.vars:
-            if name in images:
-                img = images[name]
-                table[name] = img if isinstance(img, Poly) else Poly.const(target, img)
-            else:
+        unknown = set(images).difference(self.vars)
+        if unknown:
+            raise ValueError(f"images given for unknown variables {sorted(unknown)}")
+        tables = {img.vars for img in images.values() if isinstance(img, Poly)}
+        if len(tables) > 1:
+            raise VariableTableMismatch("substitution images use more than one variable table")
+        target = tables.pop() if tables else self.vars
+        relabel: List[Tuple[int, int]] = []
+        composed: List[Tuple[int, Poly]] = []
+        for i, name in enumerate(self.vars):
+            if name not in images:
                 if name not in target:
-                    raise VariableTableMismatch(
-                        f"unmapped variable {name!r} missing from target table {target}"
-                    )
-                table[name] = Poly.variable(target, name)
-        one = Poly.const(target, 1)
-        cache: Dict[str, List[Poly]] = {name: [one] for name in self.vars}
-        out: Dict[Exponent, Fraction] = {}
-        for exponent, coeff in self.terms.items():
-            term = one
-            for name, e in zip(self.vars, exponent):
-                if not e:
-                    continue
-                powers = cache[name]
-                while len(powers) <= e:
-                    powers.append(powers[-1] * table[name])
-                term = powers[e] if term is one else term * powers[e]
-            for e, c in term.terms.items():
-                out[e] = out.get(e, 0) + coeff * c
-        return _raw(target, {e: c for e, c in out.items() if c})
+                    raise VariableTableMismatch(f"unmapped variable {name!r} missing from target table {target}")
+                relabel.append((i, target.index(name)))
+                continue
+            img = images[name]
+            if not isinstance(img, Poly):
+                img = Poly.const(target, img)
+            e, c = next(iter(img.terms.items()), ((), 0))
+            if len(img.terms) == 1 and c == 1 and sum(e) == 1:
+                relabel.append((i, e.index(1)))
+            else:
+                composed.append((i, img))
+        return _compose(self, target, relabel, composed)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Full evaluation at a rational point covering every variable.
@@ -386,12 +387,6 @@ class Poly:
             out[tuple(e)] = coeff
         return _raw(vt, out)
 
-    def homogeneous_components(self) -> Dict[int, "Poly"]:
-        buckets: Dict[int, Dict[Exponent, Fraction]] = {}
-        for exponent, coeff in self.terms.items():
-            buckets.setdefault(sum(exponent), {})[exponent] = coeff
-        return {d: _raw(self.vars, t) for d, t in sorted(buckets.items())}
-
     def normalized(self) -> "Poly":
         """Scale to integer coefficients, content one, positive leading term."""
         if not self.terms:
@@ -443,6 +438,56 @@ def _raw(variables: Tuple[str, ...], terms: Dict[Exponent, Fraction]) -> Poly:
     object.__setattr__(p, "vars", variables)
     object.__setattr__(p, "terms", terms)
     return p
+
+
+def _int_terms(p: Poly) -> Tuple[int, Dict[Exponent, int]]:
+    """``(D, {e: c*D})`` for ``D`` the common denominator of ``p``'s coefficients."""
+    scale, numer = _cleared(list(p.terms.values()))
+    return scale, dict(zip(p.terms, numer))
+
+
+def _compose(p: Poly, target: Tuple[str, ...], relabel: Sequence[Tuple[int, int]],
+             composed: Sequence[Tuple[int, Poly]]) -> Poly:
+    """``p`` with variable ``i`` sent to target variable ``j`` for ``(i, j)`` in ``relabel``, to ``h`` for ``(i, h)`` in ``composed``.
+
+    The images ``h`` lie over ``target``, and every variable of ``p`` has
+    one image; relabelled exponents add up.  ``p`` and each composed image ``h_k = H_k / s_k`` that
+    occurs in it are cleared to integers once.  Each term of ``p`` has
+    its relabelled exponents added onto ``target`` and joins the group
+    of its composed exponents ``d``; a group is multiplied by the cached
+    powers ``H_k^d_k`` and by ``s_k^(m_k - d_k)``, with ``m_k`` the
+    largest ``d_k`` in ``p``, so every group sits over
+    ``Dp * prod s_k^m_k``.  Only a surviving term becomes a ``Fraction``.
+    """
+    n = len(target)
+    scale, terms = _int_terms(p)
+    groups: Dict[Exponent, Dict[Exponent, int]] = {}
+    for exponent, c in terms.items():
+        relabelled = [0] * n
+        for i, j in relabel:
+            relabelled[j] += exponent[i]
+        key = tuple(relabelled)
+        group = groups.setdefault(tuple([exponent[i] for i, _ in composed]), {})
+        group[key] = group.get(key, 0) + c
+    top = [max(powers) for powers in zip(*groups)]
+    one = {(0,) * n: 1}
+    images = []  # (s_k, [H_k^0, H_k^1, ...] as integer term maps)
+    for (_, h), m in zip(composed, top):
+        s, hn = _int_terms(h) if m else (1, one)  # an image that no term meets is never cleared
+        images.append((s, [one, hn]))
+        scale *= s ** m
+    acc: Dict[Exponent, int] = {}
+    for d, terms in groups.items():
+        factor = 1
+        for (s, powers), e, m in zip(images, d, top):
+            factor *= s ** (m - e)
+            while len(powers) <= e:
+                powers.append(_times(powers[-1].items(), powers[1].items()))
+            if e:
+                terms = _times(terms.items(), powers[e].items())
+        for e, c in terms.items():
+            acc[e] = acc.get(e, 0) + factor * c
+    return _raw(target, {e: Fraction(c, scale) for e, c in acc.items() if c})
 
 
 class PointBlock:
@@ -570,7 +615,7 @@ def exact_divide(p: Poly, q: Poly) -> Poly:
             raise NotDivisible(f"{p} is not divisible by {q}")
         coeff = rc / qc
         quotient[diff] = coeff
-        rest = rest - Poly.monomial(p.vars, diff, coeff) * q
+        rest = rest - _raw(p.vars, _times(((diff, coeff),), q.terms.items()))
     return Poly(p.vars, quotient)
 
 

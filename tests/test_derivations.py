@@ -376,7 +376,11 @@ PULL_BACK_GRAPHS = [(fixture(name).spec.coord_names, fixture(name).graph)
 
 
 class TestPullBack:
-    """``GraphPresentation.pull_back`` against ``Poly.substitute`` with the graph map as the oracle."""
+    """``GraphPresentation.pull_back`` against ``Poly.substitute`` with the graph map, and against evaluation.
+
+    Both fronts run ``poly._compose``, so the comparison with ``substitute``
+    checks that they build the same plan; evaluation is the independent oracle.
+    """
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -388,6 +392,18 @@ class TestPullBack:
         pulled = graph.pull_back(p)
         assert pulled.vars == graph.zvars
         assert pulled == p.substitute(_graph_map(graph))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_evaluation_at_graph_points(self, data):
+        """``pull_back(p)`` at ``z`` is ``p`` at the graph point over ``z``, by the ``PointBlock`` evaluator."""
+        ambient, graph = data.draw(st.sampled_from(PULL_BACK_GRAPHS))
+        exponents = st.tuples(*[st.integers(min_value=0, max_value=3)] * len(ambient))
+        p = Poly(ambient, data.draw(st.dictionaries(exponents, coeffs, max_size=4)))
+        z = data.draw(st.fixed_dictionaries({name: coeffs for name in graph.zvars}))
+        point = {name: z[zname] for name, zname in graph.free.items()}
+        point.update((name, image.evaluate(z)) for name, image in graph.dependent.items())
+        assert graph.pull_back(p).evaluate(z) == p.evaluate(point)
 
     @pytest.mark.parametrize("ambient, graph", PULL_BACK_GRAPHS)
     def test_dependent_cubes_zero_and_constants(self, ambient, graph):
@@ -551,7 +567,7 @@ def _dense_membership(d, p):
     """A preimage of ``p``, one dense solve per degree over every monomial of it, or ``None``."""
     parts = [
         _dense_solve(d, list(exponents_of_degree(len(d.vars), degree)), piece) if degree else None
-        for degree, piece in p.homogeneous_components().items()
+        for degree, piece in weight_components(p, dict.fromkeys(p.vars, 1)).items()
     ]
     return None if any(part is None for part in parts) else sum(parts, Poly.zero(d.vars))
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gaquot.derivations import weight_components
 from gaquot.errors import NotDivisible, VariableTableMismatch
 from gaquot.poly import (
     PointBlock,
@@ -102,6 +103,13 @@ class TestArithmetic:
         with pytest.raises(VariableTableMismatch):
             x + u
 
+    def test_constant_hashes_like_its_value(self):
+        # a constant polynomial equals its constant term, so it must find the same dictionary entry
+        assert Poly.const(("x",), 3) == 3
+        assert {3: "a"}.get(Poly.const(("x",), 3)) == "a"
+        assert {Fraction(-1, 2): "b"}.get(Poly.const(XYZ, Fraction(-1, 2))) == "b"
+        assert {0: "c"}.get(Poly.zero(XYZ)) == "c"
+
 
 class TestQueries:
     def test_degree_and_leading(self):
@@ -126,7 +134,8 @@ class TestQueries:
 
     def test_homogeneous_components(self):
         x, y, _ = ring(XYZ)
-        parts = (x * y + x - 3).homogeneous_components()
+        p = x * y + x - 3
+        parts = weight_components(p, dict.fromkeys(p.vars, 1))
         assert set(parts) == {0, 1, 2}
         assert parts[2] == x * y
         assert sum(parts.values(), Poly.zero(XYZ)) == x * y + x - 3
@@ -168,6 +177,13 @@ class TestSubstitution:
         x, y, _ = ring(XYZ)
         with pytest.raises(VariableTableMismatch):
             (x + y).substitute({"x": Poly.variable(("a",), "a"), "y": Poly.variable(("b",), "b")})
+
+    def test_images_of_unknown_variables_rejected(self):
+        x = Poly.variable(("x",), "x")
+        with pytest.raises(ValueError, match=r"unknown variables \['y'\]"):
+            x.substitute({"y": 1})
+        with pytest.raises(ValueError, match=r"unknown variables \['a', 'w'\]"):
+            x.substitute({"x": 2, "w": 0, "a": Poly.variable(("a",), "a")})
 
     def test_substitute_missing_target_variable_rejected(self):
         x, _, z = ring(XYZ)
@@ -289,6 +305,37 @@ class TestIntegerKernel:
         x, y, _ = ring(XYZ)
         with pytest.raises(TypeError):
             (x + y).evaluate({"x": 1, "y": 0.5, "z": 0})
+
+
+# substitution images over TARGET, which holds every variable of XYZ, so any of them may stay unmapped
+TARGET = ("t", "z", "y", "x")
+target_polys = st.dictionaries(st.tuples(*[st.integers(min_value=0, max_value=2)] * 4), coeffs, max_size=4).map(
+    lambda terms: Poly(TARGET, terms)
+)
+images = st.dictionaries(
+    st.sampled_from(XYZ),
+    st.one_of(
+        target_polys,
+        st.sampled_from(("t", "x")).map(lambda name: Poly.variable(TARGET, name)),  # relabels, often two onto one
+        coeffs,
+    ),
+)
+target_points = st.fixed_dictionaries({name: st.fractions(min_value=-4, max_value=4, max_denominator=6) for name in TARGET})
+
+
+class TestEvaluationOracles:
+    """Products and compositions against point evaluation, which runs on the separate ``PointBlock`` kernel."""
+
+    @given(polys, polys, points)
+    def test_product_evaluates_to_the_product_of_values(self, p, q, point):
+        assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
+
+    @given(polys, images, target_points)
+    def test_substitute_evaluates_at_the_images_values(self, p, m, point):
+        values = {name: point[name] for name in XYZ}
+        for name, image in m.items():
+            values[name] = image.evaluate(point) if isinstance(image, Poly) else image
+        assert p.substitute(m).evaluate(point) == p.evaluate(values)
 
 
 def _fraction_value(p, values):
