@@ -17,16 +17,18 @@ number is exact, in lowest terms, with positive denominator.
 Denominators are cleared by one helper, ``_cleared``: a sequence of
 rationals becomes their common denominator ``q`` and the integer
 numerators over it.  Every integer form of the package is built
-through it (point evaluation, products and compositions, ``normalized``,
-the candidate table of the rational-point search, the Leibniz kernel of
+through it (point evaluation, compositions, ``normalized``, the
+candidate table of the rational-point search, the Leibniz kernel of
 ``derivations``, the right-hand side of ``linalg.solve`` and the rows
 its one rational caller hands to ``linalg``).
 
 There is one product and one composition.  ``_times`` multiplies lists
-of exact terms: ``*`` and ``**`` on cleared numerators, ``exact_divide``,
-kernel generators and the parser on their own terms.  ``_compose`` runs
-a plan built by ``Poly.substitute`` or ``GraphPresentation.pull_back``:
-which variables are relabelled and which composed with a polynomial.
+of exact terms as they come: ``Fraction`` terms for ``*``, ``**`` and
+``exact_divide``, the parser's and kernel generators' own terms, and
+the integer numerators that ``_compose`` clears once.  ``_compose``
+runs a plan built by ``Poly.substitute`` or
+``GraphPresentation.pull_back``: which variables are relabelled and
+which composed with a polynomial.
 
 Point evaluation has one integer kernel, ``PointBlock.scaled_values``.
 On first use a polynomial stores its integer form: the coefficients
@@ -239,25 +241,20 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        s, p = _int_terms(self)
-        t, q = _int_terms(other)
-        s *= t
-        return _raw(self.vars, {e: Fraction(c, s) for e, c in _times(p.items(), q.items()).items()})
+        return _raw(self.vars, _times(self.terms.items(), other.terms.items()))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers take non-negative integers")
-        scale, base = _int_terms(self)
-        scale **= exponent
-        result = {(0,) * len(self.vars): 1}
+        result, base = {(0,) * len(self.vars): Fraction(1)}, self.terms
         while exponent:
             if exponent & 1:
                 result = _times(result.items(), base.items())
             base = _times(base.items(), base.items()) if exponent > 1 else base
             exponent >>= 1
-        return _raw(self.vars, {e: Fraction(c, scale) for e, c in result.items()})
+        return _raw(self.vars, result)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -278,8 +275,8 @@ class Poly:
         All polynomial images must share one variable table, which becomes
         the table of the result.  When every image is a scalar the table
         is unchanged.  An unmapped variable must exist in the target table,
-        a mapped one in this table.  ``_compose`` relabels unmapped variables
-        and plain-variable images, and composes the rest (scalars as constants).
+        a mapped one in this table.  ``_compose`` relabels the unmapped
+        variables and composes every image (scalars as constants).
         """
         unknown = set(images).difference(self.vars)
         if unknown:
@@ -297,13 +294,7 @@ class Poly:
                 relabel.append((i, target.index(name)))
                 continue
             img = images[name]
-            if not isinstance(img, Poly):
-                img = Poly.const(target, img)
-            e, c = next(iter(img.terms.items()), ((), 0))
-            if len(img.terms) == 1 and c == 1 and sum(e) == 1:
-                relabel.append((i, e.index(1)))
-            else:
-                composed.append((i, img))
+            composed.append((i, img if isinstance(img, Poly) else Poly.const(target, img)))
         return _compose(self, target, relabel, composed)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
@@ -450,10 +441,11 @@ def _compose(p: Poly, target: Tuple[str, ...], relabel: Sequence[Tuple[int, int]
              composed: Sequence[Tuple[int, Poly]]) -> Poly:
     """``p`` with variable ``i`` sent to target variable ``j`` for ``(i, j)`` in ``relabel``, to ``h`` for ``(i, h)`` in ``composed``.
 
-    The images ``h`` lie over ``target``, and every variable of ``p`` has
-    one image; relabelled exponents add up.  ``p`` and each composed image ``h_k = H_k / s_k`` that
-    occurs in it are cleared to integers once.  Each term of ``p`` has
-    its relabelled exponents added onto ``target`` and joins the group
+    The images ``h`` lie over ``target``, every variable of ``p`` has one
+    image, and no two variables relabel onto one target variable.  ``p``
+    and each composed image ``h_k = H_k / s_k`` that occurs in it are
+    cleared to integers once.  Each term of ``p`` has its relabelled
+    exponents placed in ``target`` and joins the group
     of its composed exponents ``d``; a group is multiplied by the cached
     powers ``H_k^d_k`` and by ``s_k^(m_k - d_k)``, with ``m_k`` the
     largest ``d_k`` in ``p``, so every group sits over
@@ -465,7 +457,7 @@ def _compose(p: Poly, target: Tuple[str, ...], relabel: Sequence[Tuple[int, int]
     for exponent, c in terms.items():
         relabelled = [0] * n
         for i, j in relabel:
-            relabelled[j] += exponent[i]
+            relabelled[j] = exponent[i]
         key = tuple(relabelled)
         group = groups.setdefault(tuple([exponent[i] for i, _ in composed]), {})
         group[key] = group.get(key, 0) + c
