@@ -20,7 +20,8 @@ numerators over it.  Every integer form of the package is built
 through it (point evaluation, compositions, ``normalized``, the
 candidate table of the rational-point search, the Leibniz kernel of
 ``derivations``, the right-hand side of ``linalg.solve`` and the rows
-its one rational caller hands to ``linalg``).
+its one rational caller hands to ``linalg``); ``linalg`` itself takes
+``int`` rows.
 
 There is one product and one composition.  ``_times`` multiplies lists
 of exact terms as they come: ``Fraction`` terms for ``*``, ``**`` and
