@@ -310,8 +310,8 @@ def _graph_constraints(
 
 def _find_unstable_point(
     spec: RepSpec,
-    graph: GraphPresentation,
     f: Optional[Poly],
+    graph: GraphPresentation,
     free_positive: Tuple[str, ...],
     constraints: Sequence[Poly],
 ) -> Optional[UnstableWitness]:
@@ -405,8 +405,7 @@ def _linear_gradient_analysis(f00: Poly, partials: Sequence[Poly]) -> Smoothness
     for p in partials:
         row: Row = {}
         constant = 0
-        _, numer = _cleared(list(p.terms.values()))  # linalg takes int rows
-        for exponent, coeff in zip(p.terms, numer):
+        for exponent, coeff in p.nums.items():  # linalg takes int rows
             if sum(exponent) == 0:
                 constant = coeff
             else:
@@ -455,20 +454,13 @@ def classify(
                 )
             crosschecks.append(("graph-lies-on-hypersurface", True))
 
-    if graph is None:  # the identity graph, cut by the certificate's restriction
-        search_graph = GraphPresentation(
-            zvars=spec.coord_names, free={name: name for name in spec.coord_names}, dependent={}
-        )
-        free_positive, constraints = nonstable_coordinates(spec), [certificate.restriction]
-    else:
-        search_graph = graph
-        free_positive, constraints = _graph_constraints(spec, graph)
-
     witness: Optional[UnstableWitness] = None
+    search = None  # (graph, free positive-weight coordinates, constraints) of the witness search
     if certificate is not None:
         certified = certificate.certified
     else:
-        certified = any(not c.is_zero and c.is_constant() for c in constraints)
+        search = (graph, *_graph_constraints(spec, graph))
+        certified = any(not c.is_zero and c.is_constant() for c in search[2])
         if certified:
             notes.append("graph avoids the non-stable subspace by a constant constraint")
 
@@ -491,7 +483,14 @@ def classify(
         else:
             verdict = Verdict.STRICTLY_QUASI_AFFINE
     else:
-        witness = _find_unstable_point(spec, search_graph, f, free_positive, constraints)
+        if graph is None:  # the identity graph, cut by the certificate's restriction
+            identity = GraphPresentation(
+                zvars=spec.coord_names, free={name: name for name in spec.coord_names}, dependent={}
+            )
+            search = (identity, nonstable_coordinates(spec), [certificate.restriction])
+        elif search is None:
+            search = (graph, *_graph_constraints(spec, graph))
+        witness = _find_unstable_point(spec, f, *search)
         if witness is not None:
             verdict = Verdict.NOT_EVERYWHERE_STABLE
         else:

@@ -43,6 +43,10 @@ from .transfer import extend
 
 SCHEMA = "gaquot-report/1"
 
+# The largest representation a job may name: the point search's candidate
+# table grows with the cube of the dimension.
+MAX_DIMENSION = 64
+
 COMMANDS = ("classify", "invariants", "transfer", "slice", "family-compare", "selftest")
 
 OUTPUTS = ("text", "structured")
@@ -89,6 +93,8 @@ def _spec_from_job(job: Dict) -> RepSpec:
                     isinstance(value, int) and not isinstance(value, bool),
                     f"representation.blocks[{i}].{key} must be an integer, got {value!r}",
                 )
+    dim = sum(max(block.get("sym", -1) + 1, 0) + 2 * max(block.get("vblock", 0), 0) for block in data["blocks"])
+    _require(dim <= MAX_DIMENSION, f"representation has {dim} coordinates, above the cap of {MAX_DIMENSION}")
     if "coordinates" in data:
         _require(
             _is_string_list(data["coordinates"]),

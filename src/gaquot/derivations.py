@@ -22,17 +22,17 @@ nullspace (``_gradings``).  ``D(s) = 1`` has weight 0 on the right, so
 a slice is solved on the block of image weight 0 alone.
 
 Both :func:`apply` and the solvers' operator matrices
-(``_operator_rows``) run on one integer Leibniz kernel, ``_leibniz``.  A
-:class:`Derivation` compiles once the common denominator ``Dd`` of its
-image coefficients, each image term as a scaled ``int`` with its
-exponent, and the image degree.  A monomial is packed into one ``int``,
-a little-endian digit per variable of the narrowest width (1, 2, 4 or 8
-bytes) that holds the largest input exponent plus the image degree, so
-each output key is one ``int`` addition of a packed delta
-``e' - unit_i`` that never carries.  :func:`apply` unpacks and builds a
-``Fraction`` only per surviving term; an operator matrix is the ``int``
-matrix of ``Dd * D``, rows keyed by packed monomials; ``transfer.extend``
-keeps its ladder ``E^j(f)`` packed between steps.
+(``_operator_rows``) run on one integer Leibniz kernel, ``_leibniz``, on
+``Poly`` numerators.  A :class:`Derivation` compiles once the common
+denominator ``Dd`` of its images, each image term as its numerator over
+``Dd`` with its exponent, and the image degree.  A monomial is packed
+into one ``int``, a little-endian digit per variable of the narrowest
+width (1, 2, 4 or 8 bytes) that holds the largest input exponent plus
+the image degree, so each output key is one ``int`` addition of a
+packed delta ``e' - unit_i`` that never carries.  :func:`apply` unpacks
+only the surviving terms, its numerators over ``p.den * Dd``; an
+operator matrix is the ``int`` matrix of ``Dd * D``, rows keyed by
+packed monomials; ``transfer.extend`` keeps its ladder packed.
 
 On the sl2 ladder the derivation raises weight by 2 and its kernel is
 made of highest-weight vectors, of weight ``>= 0``: kernel generators
@@ -49,6 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from math import lcm
 from operator import mul
 from struct import Struct
 from types import MappingProxyType
@@ -61,10 +62,10 @@ from .errors import (
     VariableTableMismatch,
 )
 from .linalg import Row, extend_rref, nullspace, reduce_against, rref, solve
-from .poly import Exponent, Poly, _cleared, _compose, _raw, _times, exponents_of_degree, exponents_up_to_degree
+from .poly import Exponent, Poly, _compose, _raw, _times, exponents_of_degree, exponents_up_to_degree
 
-# (Dd, ((variable index, ((a*Dd, e'), ...)), ...), image degree) over the
-# variables with a non-zero image; see ``apply``
+# (Dd, ((variable index, ((numerator over Dd, e'), ...)), ...), image
+# degree) over the variables with a non-zero image; see ``apply``
 IntImages = Tuple[int, Tuple[Tuple[int, Tuple[Tuple[int, Exponent], ...]], ...], int]
 
 
@@ -100,7 +101,7 @@ class Derivation:
         if unknown:
             raise ValueError(f"images given for unknown variables {sorted(unknown)}")
         graded = all(
-            img.is_zero or all(sum(e) == 1 for e in img.terms) for img in table.values()
+            img.is_zero or all(sum(e) == 1 for e in img.nums) for img in table.values()
         )
         object.__setattr__(self, "vars", vt)
         object.__setattr__(self, "images", table)
@@ -132,18 +133,17 @@ class Derivation:
 def _compile_images(images: Sequence[Poly]) -> IntImages:
     """Integer form of the generator images, built once per derivation.
 
-    Variables with a zero image are left out.  Each image term keeps
-    ``a*Dd`` and its exponent ``e'``; the image degree is the largest
-    total degree of an ``e'``.
+    ``Dd`` is the lcm of the images' denominators.  Variables with a zero
+    image are left out.  Each image term keeps ``a*Dd`` and its exponent
+    ``e'``; the image degree is the largest total degree of an ``e'``.
     """
-    scale, numer = _cleared([c for img in images for c in img.terms.values()])
-    scaled = iter(numer)
+    scale = lcm(*[img.den for img in images])
     active = []
     degree = 0
     for i, img in enumerate(images):
-        if img.terms:
-            active.append((i, tuple((next(scaled), ie) for ie in img.terms)))
-            degree = max(degree, max(map(sum, img.terms)))
+        if img.nums:
+            active.append((i, tuple((n * (scale // img.den), ie) for ie, n in img.nums.items())))
+            degree = max(degree, max(map(sum, img.nums)))
     return scale, tuple(active), degree
 
 
@@ -180,22 +180,20 @@ def apply(d: Derivation, p: Poly) -> Poly:
     """Apply the derivation via the Leibniz rule, on the packed integer kernel.
 
     With ``Dd`` the common denominator of the image coefficients and
-    ``Dp`` that of ``p``, a term ``c * x^e`` of ``p`` and a term
+    ``Dp = p.den``, a numerator ``c*Dp`` of ``p`` at ``x^e`` and a term
     ``a * x^e'`` of the image of ``x_i`` (where ``e_i > 0``) contribute
     ``(c*Dp) * e_i * (a*Dd)`` to the monomial ``e - unit_i + e'``, whose
     packed key is that of ``e`` plus the packed delta ``e' - unit_i``.
-    The ``int`` sums are divided by ``Dp * Dd`` once per non-zero
-    monomial, which is unpacked only then; the result equals the
-    term-by-term ``Fraction`` evaluation of the rule.
+    The non-zero ``int`` sums, unpacked only then, are the numerators of
+    the result over ``Dp * Dd``; it equals the term-by-term ``Fraction``
+    evaluation of the rule.
     """
     if p.vars != d.vars:
         raise VariableTableMismatch(f"polynomial table {p.vars} does not match {d.vars}")
-    key, unkey, images = _packed(d, max(chain.from_iterable(p.terms), default=0))
-    p_scale, numer = _cleared(list(p.terms.values()))
+    key, unkey, images = _packed(d, max(chain.from_iterable(p.nums), default=0))
     acc: Dict[int, int] = {}
-    _leibniz(acc, images, [(e, key(e), n) for e, n in zip(p.terms, numer)])
-    denom = p_scale * d._int_images[0]
-    return _raw(d.vars, {unkey(k): Fraction(v, denom) for k, v in acc.items() if v})
+    _leibniz(acc, images, [(e, key(e), n) for e, n in p.nums.items()])
+    return _raw(d.vars, {unkey(k): v for k, v in acc.items() if v}, p.den * d._int_images[0])
 
 
 def _leibniz(acc: Dict[int, int], images: tuple, terms: Iterable[Tuple[Exponent, int, int]]) -> None:
@@ -218,10 +216,10 @@ def _leibniz(acc: Dict[int, int], images: tuple, terms: Iterable[Tuple[Exponent,
 def weight_components(p: Poly, weight_of: Mapping[str, int]) -> Dict[int, Poly]:
     """Split by total monomial weight under the given per-variable weights."""
     weights = [weight_of[name] for name in p.vars]
-    buckets: Dict[int, Dict[Tuple[int, ...], Fraction]] = {}
-    for exponent, coeff in p.terms.items():
-        buckets.setdefault(sum(map(mul, exponent, weights)), {})[exponent] = coeff
-    return {w: _raw(p.vars, t) for w, t in sorted(buckets.items())}
+    buckets: Dict[int, Dict[Tuple[int, ...], int]] = {}
+    for exponent, n in p.nums.items():
+        buckets.setdefault(sum(map(mul, exponent, weights)), {})[exponent] = n
+    return {w: _raw(p.vars, t, p.den) for w, t in sorted(buckets.items())}
 
 
 def _ladder_membership(d: Derivation, p: Poly) -> Optional[Poly]:
@@ -309,17 +307,18 @@ def _solve_on(d: Derivation, monos: Sequence[Tuple[int, ...]], target: Poly) -> 
 
     Each weight part of ``target`` is solved on the columns whose image
     has its weight, with the free coefficients pinned to zero; the other
-    columns would only meet zero parts.  The matrix is that of ``Dd * D``,
-    so the right-hand side is scaled by ``Dd``.  A target monomial outside
-    every image gets an empty row, which makes the system inconsistent.
+    columns would only meet zero parts.  The matrix is that of ``Dd * D``
+    and the right-hand side ``Dd * nums`` of ``target``, so the solution
+    is divided by ``target.den``.  A target monomial outside every image
+    gets an empty row, which makes the system inconsistent.
     """
     scale = d._int_images[0]
     gradings = _gradings(d)
     groups = _weight_groups(monos, gradings)
-    wanted = list(target.terms)
+    wanted = list(target.nums)
     top = max(chain.from_iterable(chain(monos, wanted)), default=0)
     keys = list(map(_packed(d, top)[0], wanted))
-    packed = dict(zip(keys, target.terms.values()))
+    packed = dict(zip(keys, target.nums.values()))
     terms: Dict[Tuple[int, ...], Fraction] = {}
     for key, part in _weight_groups(wanted, [(w, 0) for w, _ in gradings]).items():
         columns = [monos[j] for j in groups.get(key, ())]
@@ -331,7 +330,7 @@ def _solve_on(d: Derivation, monos: Sequence[Tuple[int, ...]], target: Poly) -> 
         if outcome is None:
             return None
         terms.update((e, c) for e, c in zip(columns, outcome[0]) if c)
-    return _raw(d.vars, terms)
+    return Poly(d.vars, terms) * Fraction(1, target.den)
 
 
 def graded_image_membership(d: Derivation, p: Poly) -> Optional[Poly]:
@@ -484,7 +483,7 @@ def graded_kernel_generators(d: Derivation, maxdeg: int) -> List[Poly]:
                 products[degree].append((len(generators), terms))
                 generators.append((degree, terms))
                 extend_rref(spanned, remainder)
-    return [_raw(d.vars, {e: Fraction(v) for e, v in terms.items()}) for _, terms in generators]
+    return [_raw(d.vars, terms) for _, terms in generators]
 
 
 # ----------------------------------------------------------------------

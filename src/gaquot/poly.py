@@ -1,6 +1,6 @@
 """Sparse exact multivariate polynomials over the rationals.
 
-A polynomial is a map from exponent tuples to nonzero ``Fraction``
+A polynomial is a map from exponent tuples to nonzero rational
 coefficients together with an ordered tuple of variable names.  The
 variable table is part of the value: operations combine two polynomials
 only when their tables are identical, and a mismatch raises instead of
@@ -11,29 +11,26 @@ first, ties broken by comparing exponent vectors left to right, so
 earlier variables in the table are more significant.  Rendering and all
 deterministic generator listings use this order.
 
-Coefficients are ``fractions.Fraction`` throughout, so every computed
-number is exact, in lowest terms, with positive denominator.
-
-Denominators are cleared by one helper, ``_cleared``: a sequence of
-rationals becomes their common denominator ``q`` and the integer
-numerators over it.  Every integer form of the package is built
-through it (point evaluation, compositions, ``normalized``, the
-candidate table of the rational-point search, the Leibniz kernel of
-``derivations``, the right-hand side of ``linalg.solve`` and the rows
-its one rational caller hands to ``linalg``); ``linalg`` itself takes
-``int`` rows.
+Coefficients have one format: integer numerators ``nums`` (exponent to
+non-zero ``int``) over one positive ``den`` with ``gcd(den, *nums) == 1``
+(content and primitive part, Knuth, TAOCP vol. 2, 4.6.1).  The form is
+canonical, so ``==`` compares it directly; ``terms`` is a read-only
+``Fraction`` view built on first use.  Every operation and the integer
+kernels of ``derivations``, ``transfer`` and ``classify`` read and write
+it.  ``_cleared`` clears only the constructor's coefficients, points
+(``evaluate``, the rational-point search) and ``linalg.solve``'s
+right-hand side.
 
 There is one product and one composition.  ``_times`` multiplies lists
-of exact terms as they come: ``Fraction`` terms for ``*``, ``**`` and
-``exact_divide``, the parser's and kernel generators' own terms, and
-the integer numerators that ``_compose`` clears once.  ``_compose``
-runs a plan built by ``Poly.substitute`` or
+of exact terms as they come: the numerators of ``*``, ``**`` and
+``_compose``, and the parser's and kernel generators' own terms.
+``_compose`` runs a plan built by ``Poly.substitute`` or
 ``GraphPresentation.pull_back``: which variables are relabelled and
 which composed with a polynomial.
 
 Point evaluation has one integer kernel, ``PointBlock.scaled_values``.
-On first use a polynomial stores its integer form: the coefficients
-cleared to one denominator, each term with its variables as a bitmask.
+On first use a polynomial stores its integer form: each numerator with
+its non-zero exponents and its variables as a bitmask.
 A ``PointBlock`` holds cleared points that vanish off one support, as
 columns; ``restrict`` keeps the terms inside the support and
 ``scaled_values`` sums them over every point at once, column by column,
@@ -50,26 +47,19 @@ from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul
+from types import MappingProxyType
 from typing import Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import NotDivisible, VariableTableMismatch
 
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
-# (c*D, ((var index, exponent), ...), degree, bitmask of the variables)
+# (numerator, ((var index, exponent), ...), degree, bitmask of the variables)
 IntTerm = Tuple[int, Tuple[Tuple[int, int], ...], int, int]
 # (D, int terms, top degree)
 IntForm = Tuple[int, Tuple[IntTerm, ...], int]
 # the int terms of one form that survive on a block's support, and the form's top degree
 Restriction = Tuple[List[IntTerm], int]
-
-
-def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
 def _cleared(values: Sequence[Scalar]) -> Tuple[int, List[int]]:
@@ -99,26 +89,26 @@ def grlex_key(exponent: Exponent) -> Tuple[int, Exponent]:
 class Poly:
     """Immutable sparse polynomial over a fixed variable table."""
 
-    __slots__ = ("vars", "terms", "_int_form")
+    __slots__ = ("vars", "den", "nums", "_terms", "_int_form")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, Scalar]):
         vt = tuple(variables)
         if len(set(vt)) != len(vt):
             raise ValueError(f"duplicate variable names in table {vt}")
         n = len(vt)
-        clean: Dict[Exponent, Fraction] = {}
+        clean: Dict[Exponent, Scalar] = {}
         for exponent, coeff in terms.items():
             e = tuple(exponent)
             if len(e) != n or any(x < 0 for x in e):
                 raise ValueError(f"bad exponent {e} for table of {n} variables")
-            c = _as_fraction(coeff)
-            if c:
-                acc = clean.get(e)
-                clean[e] = c if acc is None else acc + c
-                if not clean[e]:
-                    del clean[e]
+            if not isinstance(coeff, (int, Fraction)):
+                raise TypeError(f"expected an exact rational, got {type(coeff).__name__}")
+            clean[e] = clean.get(e, 0) + coeff
+        clean = {e: c for e, c in clean.items() if c}
+        den, nums = _cleared(list(clean.values()))  # lowest-terms values clear to a canonical form
         object.__setattr__(self, "vars", vt)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", dict(zip(clean, nums)))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Poly is immutable")
@@ -133,55 +123,62 @@ class Poly:
     @classmethod
     def const(cls, variables: Sequence[str], value: Scalar) -> "Poly":
         n = len(tuple(variables))
-        return cls(variables, {(0,) * n: _as_fraction(value)})
+        return cls(variables, {(0,) * n: value})
 
     @classmethod
     def variable(cls, variables: Sequence[str], name: str) -> "Poly":
         vt = tuple(variables)
         idx = vt.index(name)
         exponent = tuple(1 if i == idx else 0 for i in range(len(vt)))
-        return cls(vt, {exponent: Fraction(1)})
+        return cls(vt, {exponent: 1})
 
     @classmethod
     def monomial(cls, variables: Sequence[str], exponent: Exponent, coeff: Scalar = 1) -> "Poly":
-        return cls(variables, {tuple(exponent): _as_fraction(coeff)})
+        return cls(variables, {tuple(exponent): coeff})
 
     # ------------------------------------------------------------------
     # basic queries
 
     @property
+    def terms(self) -> Mapping[Exponent, Fraction]:
+        """The coefficients as ``Fraction``s: a read-only view of ``nums`` over ``den``, built on first use."""
+        if not hasattr(self, "_terms"):
+            object.__setattr__(self, "_terms", MappingProxyType({e: Fraction(n, self.den) for e, n in self.nums.items()}))
+        return self._terms
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def total_degree(self) -> int:
         """Maximum term degree; the zero polynomial reports -1."""
-        if not self.terms:
+        if not self.nums:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.nums)
 
     def is_constant(self) -> bool:
         return self.total_degree() <= 0
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+        return Fraction(self.nums.get((0,) * len(self.vars), 0), self.den)
 
     def degree_in(self, name: str) -> int:
         idx = self.vars.index(name)
-        if not self.terms:
+        if not self.nums:
             return -1
-        return max(e[idx] for e in self.terms)
+        return max(e[idx] for e in self.nums)
 
     def leading(self) -> Tuple[Exponent, Fraction]:
         """Graded-lex largest term; raises on the zero polynomial."""
-        if not self.terms:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading term")
-        exponent = max(self.terms, key=grlex_key)
-        return exponent, self.terms[exponent]
+        exponent = max(self.nums, key=grlex_key)
+        return exponent, Fraction(self.nums[exponent], self.den)
 
     def support(self) -> Tuple[str, ...]:
         """Variables that actually occur, in table order."""
         used = [False] * len(self.vars)
-        for e in self.terms:
+        for e in self.nums:
             for i, x in enumerate(e):
                 if x:
                     used[i] = True
@@ -208,18 +205,18 @@ class Poly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in rhs.terms.items():
-            acc = out.get(e)
-            out[e] = c if acc is None else acc + c
-            if not out[e]:
-                del out[e]
-        return _raw(self.vars, out)
+        den = lcm(self.den, rhs.den)
+        a, b = den // self.den, den // rhs.den
+        out = {e: n * a for e, n in self.nums.items()}
+        get = out.get
+        for e, n in rhs.nums.items():
+            out[e] = get(e, 0) + n * b
+        return _raw(self.vars, {e: n for e, n in out.items() if n}, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return _raw(self.vars, {e: -c for e, c in self.terms.items()})
+        return _raw(self.vars, {e: -n for e, n in self.nums.items()}, self.den)
 
     def __sub__(self, other) -> "Poly":
         rhs = self._coerce(other)
@@ -235,37 +232,38 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
+            if not other:
                 return Poly.zero(self.vars)
-            return _raw(self.vars, {e: c * v for e, v in self.terms.items()})
+            c = other.numerator
+            return _raw(self.vars, {e: c * n for e, n in self.nums.items()}, self.den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        return _raw(self.vars, _times(self.terms.items(), other.terms.items()))
+        return _raw(self.vars, _times(self.nums.items(), other.nums.items()), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers take non-negative integers")
-        result, base = {(0,) * len(self.vars): Fraction(1)}, self.terms
+        den = self.den ** exponent
+        result, base = {(0,) * len(self.vars): 1}, self.nums
         while exponent:
             if exponent & 1:
                 result = _times(result.items(), base.items())
             base = _times(base.items(), base.items()) if exponent > 1 else base
             exponent >>= 1
-        return _raw(self.vars, result)
+        return _raw(self.vars, result, den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.vars, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):  # a constant equals its constant term, so it hashes like it
-        return hash(self.constant_term() if self.is_constant() else (self.vars, frozenset(self.terms.items())))
+        return hash(self.constant_term() if self.is_constant() else (self.vars, self.den, frozenset(self.nums.items())))
 
     # ------------------------------------------------------------------
     # structural operations
@@ -324,9 +322,8 @@ class Poly:
         try:
             return self._int_form
         except AttributeError:  # slot left unset so construction stays as cheap as before
-            scale, numer = _cleared(list(self.terms.values()))
             int_terms = []
-            for e, n in zip(self.terms, numer):
+            for e, n in self.nums.items():
                 factors, mask = [], 0
                 for i, x in enumerate(e):
                     if x:
@@ -334,22 +331,18 @@ class Poly:
                         mask |= 1 << i
                 int_terms.append((n, tuple(factors), sum(e), mask))
             top = max((degree for _, _, degree, _ in int_terms), default=0)
-            form = (scale, tuple(int_terms), top)
+            form = (self.den, tuple(int_terms), top)
             object.__setattr__(self, "_int_form", form)
             return form
 
     def partial(self, name: str) -> "Poly":
         idx = self.vars.index(name)
-        out: Dict[Exponent, Fraction] = {}
-        for exponent, coeff in self.terms.items():
+        out: Dict[Exponent, int] = {}
+        for exponent, n in self.nums.items():
             e = exponent[idx]
-            if not e:
-                continue
-            key = exponent[:idx] + (e - 1,) + exponent[idx + 1:]
-            acc = out.get(key)
-            val = coeff * e
-            out[key] = val if acc is None else acc + val
-        return _raw(self.vars, out)
+            if e:
+                out[exponent[:idx] + (e - 1,) + exponent[idx + 1:]] = n * e
+        return _raw(self.vars, out, self.den)
 
     def coefficient(self, fixed: Mapping[str, int]) -> "Poly":
         """Coefficient of ``prod(var^k)``, as a polynomial without those vars.
@@ -360,54 +353,52 @@ class Poly:
         idxs = {self.vars.index(name): k for name, k in fixed.items()}
         keep = [i for i in range(len(self.vars)) if i not in idxs]
         new_vars = tuple(self.vars[i] for i in keep)
-        out: Dict[Exponent, Fraction] = {}
-        for exponent, coeff in self.terms.items():
+        out: Dict[Exponent, int] = {}
+        for exponent, n in self.nums.items():
             if all(exponent[i] == k for i, k in idxs.items()):
-                out[tuple(exponent[i] for i in keep)] = coeff
-        return Poly(new_vars, out)
+                out[tuple(exponent[i] for i in keep)] = n
+        return _raw(new_vars, out, self.den)
 
     def extend_table(self, variables: Sequence[str]) -> "Poly":
         """Reinterpret over a larger table containing every current variable."""
         vt = tuple(variables)
         positions = [vt.index(name) for name in self.vars]
-        n = len(vt)
-        out: Dict[Exponent, Fraction] = {}
-        for exponent, coeff in self.terms.items():
-            e = [0] * n
+        out: Dict[Exponent, int] = {}
+        for exponent, n in self.nums.items():
+            e = [0] * len(vt)
             for pos, x in zip(positions, exponent):
                 e[pos] = x
-            out[tuple(e)] = coeff
-        return _raw(vt, out)
+            out[tuple(e)] = n
+        return _raw(vt, out, self.den)
 
     def normalized(self) -> "Poly":
         """Scale to integer coefficients, content one, positive leading term."""
-        if not self.terms:
+        if not self.nums:
             return self
-        denom, numer = _cleared(list(self.terms.values()))
-        scale = Fraction(denom, gcd(*numer))
-        _, lead = self.leading()
-        if lead < 0:
-            scale = -scale
-        return self * scale
+        g = gcd(*self.nums.values())
+        if self.nums[max(self.nums, key=grlex_key)] < 0:
+            g = -g
+        return _raw(self.vars, {e: n // g for e, n in self.nums.items()})
 
     # ------------------------------------------------------------------
     # rendering
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts: List[str] = []
-        for exponent in sorted(self.terms, key=grlex_key, reverse=True):
-            coeff = self.terms[exponent]
+        den = self.den
+        for exponent in sorted(self.nums, key=grlex_key, reverse=True):
+            n = self.nums[exponent]
             factors = []
             for name, e in zip(self.vars, exponent):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
                     factors.append(f"{name}^{e}")
-            # Fraction.__str__ renders n/d, or n when d == 1
-            n, d = coeff.numerator, coeff.denominator
-            mag = f"{abs(n)}" if d == 1 else f"{abs(n)}/{d}"
+            # the coefficient n/den in lowest terms, as Fraction.__str__ renders it
+            g = gcd(n, den) if den != 1 else 1
+            mag = f"{abs(n) // g}" if den == g else f"{abs(n) // g}/{den // g}"
             if not factors:
                 body = mag
             elif mag == "1":
@@ -424,18 +415,19 @@ class Poly:
         return f"Poly({'|'.join(self.vars)}: {self})"
 
 
-def _raw(variables: Tuple[str, ...], terms: Dict[Exponent, Fraction]) -> Poly:
-    """Internal constructor skipping validation for already-clean data."""
+def _raw(variables: Tuple[str, ...], nums: Dict[Exponent, int], den: int = 1) -> Poly:
+    """Unvalidated constructor of ``nums`` (none zero) over ``den != 0``, divided by their signed gcd."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        g = g if den > 0 else -g
+        if g != 1:
+            nums = {e: n // g for e, n in nums.items()}
+            den //= g
     p = object.__new__(Poly)
     object.__setattr__(p, "vars", variables)
-    object.__setattr__(p, "terms", terms)
+    object.__setattr__(p, "den", den)
+    object.__setattr__(p, "nums", nums)
     return p
-
-
-def _int_terms(p: Poly) -> Tuple[int, Dict[Exponent, int]]:
-    """``(D, {e: c*D})`` for ``D`` the common denominator of ``p``'s coefficients."""
-    scale, numer = _cleared(list(p.terms.values()))
-    return scale, dict(zip(p.terms, numer))
 
 
 def _compose(p: Poly, target: Tuple[str, ...], relabel: Sequence[Tuple[int, int]],
@@ -444,18 +436,18 @@ def _compose(p: Poly, target: Tuple[str, ...], relabel: Sequence[Tuple[int, int]
 
     The images ``h`` lie over ``target``, every variable of ``p`` has one
     image, and no two variables relabel onto one target variable.  ``p``
-    and each composed image ``h_k = H_k / s_k`` that occurs in it are
-    cleared to integers once.  Each term of ``p`` has its relabelled
+    and each composed image ``h_k = H_k / s_k`` are read as numerators
+    over their denominators.  Each term of ``p`` has its relabelled
     exponents placed in ``target`` and joins the group
     of its composed exponents ``d``; a group is multiplied by the cached
     powers ``H_k^d_k`` and by ``s_k^(m_k - d_k)``, with ``m_k`` the
     largest ``d_k`` in ``p``, so every group sits over
-    ``Dp * prod s_k^m_k``.  Only a surviving term becomes a ``Fraction``.
+    ``Dp * prod s_k^m_k``, the denominator of the result.
     """
     n = len(target)
-    scale, terms = _int_terms(p)
+    scale = p.den
     groups: Dict[Exponent, Dict[Exponent, int]] = {}
-    for exponent, c in terms.items():
+    for exponent, c in p.nums.items():
         relabelled = [0] * n
         for i, j in relabel:
             relabelled[j] = exponent[i]
@@ -466,7 +458,7 @@ def _compose(p: Poly, target: Tuple[str, ...], relabel: Sequence[Tuple[int, int]
     one = {(0,) * n: 1}
     images = []  # (s_k, [H_k^0, H_k^1, ...] as integer term maps)
     for (_, h), m in zip(composed, top):
-        s, hn = _int_terms(h) if m else (1, one)  # an image that no term meets is never cleared
+        s, hn = (h.den, h.nums) if m else (1, one)  # an image that no term meets adds no factor
         images.append((s, [one, hn]))
         scale *= s ** m
     acc: Dict[Exponent, int] = {}
@@ -480,7 +472,7 @@ def _compose(p: Poly, target: Tuple[str, ...], relabel: Sequence[Tuple[int, int]
                 terms = _times(terms.items(), powers[e].items())
         for e, c in terms.items():
             acc[e] = acc.get(e, 0) + factor * c
-    return _raw(target, {e: Fraction(c, scale) for e, c in acc.items() if c})
+    return _raw(target, {e: c for e, c in acc.items() if c}, scale)
 
 
 class PointBlock:
@@ -608,7 +600,7 @@ def exact_divide(p: Poly, q: Poly) -> Poly:
             raise NotDivisible(f"{p} is not divisible by {q}")
         coeff = rc / qc
         quotient[diff] = coeff
-        rest = rest - _raw(p.vars, _times(((diff, coeff),), q.terms.items()))
+        rest = rest - Poly.monomial(p.vars, diff, coeff) * q
     return Poly(p.vars, quotient)
 
 

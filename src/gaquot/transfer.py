@@ -16,11 +16,12 @@ is nilpotent.  Two checks guard the result: the derivation must kill
 ``f``, and every power of ``v`` must be non-negative, so a negative one
 convicts the input of non-invariance.
 
-The ladder stays in packed integers: ``f`` is cleared once to
-numerators over ``den`` and packed for its total degree, which ``E``
-keeps; each step is one pass of the packed Leibniz kernel of
-``derivations`` over the images of ``E`` (denominator ``Dd``), and each
-term is unpacked once, to a ``Fraction`` over ``(-1)^j * j! * den * Dd^j``.
+The ladder stays in packed integers: ``f``'s numerators are packed for
+its total degree, which ``E`` keeps; each step is one pass of the packed
+Leibniz kernel of ``derivations`` over the images of ``E`` (denominator
+``Dd``), so ``E^j(f)`` has numerators over ``(-1)^j * j! * den * Dd^j``.
+Each term is unpacked once, and ``F`` is written over the divisor of
+the last layer, which all the others divide.
 
 The constant coefficient ``F00`` (the ``u^0 v^0`` part of ``F``, which is
 the weight-zero part of ``f``) splits ``f = F00 + g`` and its shape
@@ -37,13 +38,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
 from operator import mul
 from typing import Dict
 
 from .derivations import _leibniz, _packed, apply
 from .errors import NonInvariantInput, VariableTableMismatch
-from .poly import Poly, _cleared, _raw
+from .poly import Poly, _raw
 from .reps import RepSpec, sl2_triple
 
 PLANE_COORDS = ("u", "v")
@@ -97,25 +97,27 @@ def extend(spec: RepSpec, f: Poly) -> TransferResult:
     weights = spec.weights
     raise_scale = triple.raising._int_images[0]
     key, unkey, images = _packed(triple.raising, f.total_degree())
-    divisor, numer = _cleared(list(f.terms.values()))
-    layer = [(e, key(e), n) for e, n in zip(f.terms, numer)]
-    terms: Dict[tuple, Fraction] = {}
-    j = 0
+    layer = [(e, key(e), n) for e, n in f.nums.items()]
+    numerators: Dict[tuple, int] = {}
+    divisors = [f.den]  # divisors[j] = (-1)^j * j! * den * Dd^j, under the numerators of E^j(f)
     while layer:
+        j = len(divisors) - 1
         for exponent, _, n in layer:
             vexp = j + sum(map(mul, exponent, weights))
             if vexp < 0:
                 raise NonInvariantInput(
                     f"term of E^{j}(f) needs v^{vexp}; input is not invariant"
                 )
-            terms[(j, vexp) + exponent] = Fraction(n, divisor)
+            numerators[(j, vexp) + exponent] = n
         acc: Dict[int, int] = {}
         _leibniz(acc, images, layer)
         layer = [(unkey(k), k, n) for k, n in acc.items() if n]
-        j += 1
-        divisor *= -j * raise_scale
-    extension = _raw(PLANE_COORDS + spec.coord_names, terms)
-    f00 = _raw(spec.coord_names, {key[2:]: c for key, c in terms.items() if not key[0] and not key[1]})
+        if layer:
+            divisors.append(divisors[j] * -(j + 1) * raise_scale)
+    scales = [divisors[-1] // d for d in divisors]  # each divisor divides the next
+    extension = _raw(PLANE_COORDS + spec.coord_names,
+                     {key: n * scales[key[0]] for key, n in numerators.items()}, divisors[-1])
+    f00 = _raw(spec.coord_names, {key[2:]: n for key, n in numerators.items() if not key[0] and not key[1]}, f.den)
     if f00.is_zero:
         boundary = BoundaryClass.CONTAINS
     elif f00.is_constant():

@@ -281,10 +281,19 @@ class TestOneBoundaryRead:
         fx = fixture("winkelmann")
         extends = self._count(monkeypatch, "extend")
         smoothness = self._count(monkeypatch, "jacobian_boundary_smoothness")
+        constraints = self._count(monkeypatch, "_graph_constraints")
         report = classify(fx.spec, fx.f, fx.graph if with_graph else None)
         assert report.verdict is Verdict.STRICTLY_QUASI_AFFINE
         assert len(extends) == 1
         assert len(smoothness) == 1
+        assert constraints == []  # only the witness search and a graph-only certificate read them
+
+    def test_graph_only_input_builds_its_constraints_once(self, monkeypatch):
+        fx = fixture("deveney-finston")
+        constraints = self._count(monkeypatch, "_graph_constraints")
+        report = classify(fx.spec, fx.f, fx.graph)
+        assert report.verdict is Verdict.NOT_EVERYWHERE_STABLE
+        assert len(constraints) == 1
 
     @pytest.mark.parametrize("text, verdict", [
         ("w1^2 - 4*w0*w2 - 1", Verdict.NOT_EVERYWHERE_STABLE),

@@ -268,6 +268,16 @@ class TestMalformedJobs:
         err = self._run_job(tmp_path, capsys, polynomial="(w0+w1+w2+w3+w4+w5)^30")
         assert "cap" in err
 
+    @pytest.mark.parametrize("blocks", [
+        [{"sym": 799}],
+        [{"sym": 64}],
+        [{"vblock": 10 ** 12}],
+        [{"vblock": 10 ** 12}, {"sym": -2 * 10 ** 12}],
+    ])
+    def test_over_sized_representation(self, tmp_path, capsys, blocks):
+        err = self._run_job(tmp_path, capsys, representation={"blocks": blocks})
+        assert "coordinates, above the cap of 64" in err
+
     def test_unknown_output(self, tmp_path, capsys):
         err = self._run_job(tmp_path, capsys, output="yaml")
         assert "output" in err and "yaml" in err

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gaquot.derivations import weight_components
+from gaquot.derivations import Derivation, apply, graded_kernel_generators, weight_components
 from gaquot.errors import NotDivisible, VariableTableMismatch
+from gaquot.expr import parse
 from gaquot.poly import (
     PointBlock,
     Poly,
@@ -19,6 +22,8 @@ from gaquot.poly import (
     ring,
     squarefree_distinct_root_count,
 )
+from gaquot.reps import RepSpec, build_derivation
+from gaquot.transfer import extend
 
 XYZ = ("x", "y", "z")
 
@@ -65,6 +70,16 @@ class TestConstruction:
     def test_const_and_monomial(self):
         assert Poly.const(XYZ, Fraction(3, 2)).constant_term() == Fraction(3, 2)
         assert str(Poly.monomial(XYZ, (2, 0, 1), 5)) == "5*x^2*z"
+
+    @pytest.mark.parametrize("make", [
+        lambda: Poly(XYZ, {(1, 0, 0): 0.5}),
+        lambda: Poly.const(XYZ, 0.5),
+        lambda: Poly.monomial(XYZ, (2, 0, 1), 0.5),
+        lambda: ring(XYZ)[0] * 0.5,
+    ])
+    def test_float_coefficient_rejected(self, make):
+        with pytest.raises(TypeError):
+            make()
 
 
 class TestArithmetic:
@@ -591,3 +606,77 @@ class TestRendering:
         x, _, _ = ring(XYZ)
         assert hash(x + 1 - 1) == hash(x)
         assert len({x, x + 0}) == 1
+
+
+# ----------------------------------------------------------------------
+# the one coefficient format
+
+
+def _assert_canonical(p):
+    """``nums`` over ``den`` in lowest terms, and ``terms`` the same coefficients as ``Fraction``s."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(n) is int and n for n in p.nums.values())
+    assert math.gcd(p.den, *p.nums.values()) == 1
+    assert p.terms == {e: Fraction(n, p.den) for e, n in p.nums.items()}
+
+
+def _assert_equal_exactly_when_terms_agree(made):
+    for a, b in itertools.combinations(made, 2):
+        same = a.vars == b.vars and dict(a.terms) == dict(b.terms)
+        assert (a == b) is same
+        if same:
+            assert hash(a) == hash(b)
+
+
+_SPECS = (RepSpec((1, 1)), RepSpec((2, 1, 1), normalization="unit"), RepSpec((3,)))
+
+
+@lru_cache(maxsize=None)
+def _kernel(spec):
+    return tuple(graded_kernel_generators(build_derivation(spec), 2))
+
+
+class TestCanonicalForm:
+    """Every way a ``Poly`` is made ends in the one canonical form, which ``==`` and ``hash`` read."""
+
+    @given(polys, polys, coeffs.filter(bool), st.integers(min_value=-3, max_value=3),
+           st.integers(min_value=0, max_value=3))
+    def test_every_operation(self, p, q, c, k, power):
+        _, y, z = ring(XYZ)
+        d = Derivation(XYZ, {"x": y * Fraction(1, 2), "y": z * Fraction(-2, 3)})
+        made = [
+            p, Poly.const(XYZ, c), Poly.monomial(XYZ, (1, 0, 2), c), parse(str(p), XYZ),
+            p + q, p - q, p * q, p * c, c * p, p * k, p * 0, p ** power,
+            p.partial("x"), p.coefficient({"y": 1}), p.extend_table(("w", *XYZ)), p.normalized(),
+            p.substitute({"x": q, "y": c}), apply(d, p), *weight_components(p, {"x": 1, "y": -1, "z": 2}).values(),
+            p * c * (1 / c), (p + q) - q, Poly(XYZ, dict(p.terms)),
+        ]
+        for r in made:
+            _assert_canonical(r)
+        _assert_equal_exactly_when_terms_agree(made)
+
+    @given(st.sampled_from(_SPECS), st.lists(
+        st.tuples(coeffs.filter(bool), st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=2)),
+        min_size=1, max_size=3,
+    ), coeffs)
+    def test_extension_and_kernel_generators(self, spec, picks, constant):
+        generators = _kernel(spec)
+        f = Poly.const(spec.coord_names, constant)
+        for c, indices in picks:
+            product = Poly.const(spec.coord_names, c)
+            for i in indices:
+                product = product * generators[i % len(generators)]
+            f = f + product
+        result = extend(spec, f)
+        made = [*generators, f, result.extension, result.f00, result.boundary_part]
+        for r in made:
+            _assert_canonical(r)
+        _assert_equal_exactly_when_terms_agree(made)
+        assert result.f00 + result.boundary_part == f
+
+    def test_negative_ladder_divisor(self):
+        # E^j(f) lies over (-1)^j * j! * den * Dd^j; here the last layer is j = 1, a negative divisor
+        spec = RepSpec((1, 1))
+        extension = extend(spec, parse("2*w0^2*w3 - 2*w0*w1*w2 + 3", spec.coord_names)).extension
+        _assert_canonical(extension)
+        assert extension == Poly(extension.vars, dict(extension.terms))
