@@ -2,15 +2,18 @@
 
 ``classify`` runs the whole chain on one input: verify invariance,
 certify stability by restricting to the non-stable coordinate subspace,
-extend across the group once and read off the boundary class, search
-for a slice when a graph presentation is available, and record each
-independent route's agreement (the graph check, the slice) as a
-crosscheck.  For a certified input the quotient is affine exactly when
-``F00``, the weight-zero part of ``f``, is a non-zero constant; routes
-that only restate this (the constant-removed extension, powers in the
-image) are properties of the test suite, not report entries.  The
-boundary's smoothness is analysed only for a certified ``Intersects``:
-an uncertified input has no principal-bundle quotient to bound.
+extend across the group once and read off the boundary class, and
+record the graph check as a crosscheck.  A slice (``D(s) = 1``) exists
+exactly when the quotient is affine (Freudenburg, *Algebraic Theory of
+Locally Nilpotent Derivations*, ch. 1), so the slice is searched only
+where a find can be read: on an ``Affine`` verdict it is a crosscheck,
+on an undecided graph alone it is the decision.  For a certified input
+the quotient is affine exactly when ``F00``, the weight-zero part of
+``f``, is a non-zero constant; routes that only restate this (the
+constant-removed extension, powers in the image) are properties of the
+test suite, not report entries.  The boundary's smoothness is analysed
+only for a certified ``Intersects``: an uncertified input has no
+principal-bundle quotient to bound.
 
 One rational-point search serves both the unstable witness and the
 singular boundary points.  Its fixed table is a sequence of support
@@ -19,19 +22,20 @@ samples), searched in that order; a block on which some polynomial
 restricts to a non-zero constant is passed over without evaluating
 it.  A miss is evidence, never proof.  The verdicts:
 
-* ``Affine`` -- the lifted closure misses the boundary;
+* ``Affine`` -- the lifted closure misses the boundary (or a graph has a slice);
 * ``StrictlyQuasiAffine`` -- stability is certified but the closure
   meets the boundary properly;
 * ``NotEverywhereStable`` -- an exact rational point of the variety
   lies in the non-stable subspace;
 * ``Unknown`` -- the certificate failed and the search found no
   *rational* witness (for a defining polynomial the variety then still
-  meets the subspace over an algebraic closure), or a graph alone
-  certified stability and no boundary test could run.
+  meets the subspace over an algebraic closure), or neither route
+  decided a graph alone and it has no slice up to ``sliceDeg``.
 
 Disagreement between routes that are theorems of each other never
 produces a verdict: it raises, because it can only mean broken code or
-a falsified input.
+a falsified input.  No slice on a non-affine verdict is a property of
+the test suite, not a run-time check.
 """
 
 from __future__ import annotations
@@ -501,22 +505,15 @@ def classify(
             )
 
     slice_result: Optional[SliceSearch] = None
-    if restricted is not None:
+    if restricted is not None and (verdict is Verdict.AFFINE or (verdict is Verdict.UNKNOWN and f is None)):
         slice_result = slice_search(restricted, bounds.slice_degree)
-        found = slice_result.found is not None
-        if found and verdict in (
-            Verdict.STRICTLY_QUASI_AFFINE,
-            Verdict.NOT_EVERYWHERE_STABLE,
-        ):
-            raise InternalInconsistency(
-                "a slice was found for a quotient classified as non-affine"
-            )
-        if verdict is Verdict.AFFINE and not found:
-            notes.append(
-                f"no slice up to degree {bounds.slice_degree}; bounded miss, not a refutation"
-            )
-        else:
-            crosschecks.append(("slice-agreement", found == (verdict is Verdict.AFFINE)))
+        if slice_result.found is None:
+            notes.append(f"no slice up to degree {bounds.slice_degree}; bounded miss, not a refutation")
+        elif verdict is Verdict.AFFINE:
+            crosschecks.append(("slice-agreement", True))
+        else:  # the slice decides the graph alone; the notes on why nothing else did no longer hold
+            verdict = Verdict.AFFINE
+            notes = [f"affine by the slice s = {slice_result.found}: D(s) = 1, so X is (X/G_a) x A^1"]
 
     smoothness: Optional[SmoothnessReport] = None
     if verdict is Verdict.STRICTLY_QUASI_AFFINE:  # a certified Intersects

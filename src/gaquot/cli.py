@@ -361,7 +361,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_job(args: argparse.Namespace) -> Dict:
     if args.job is not None:
         with open(args.job, "r", encoding="utf-8") as handle:
-            job = json.load(handle)
+            try:
+                job = json.load(handle)
+            except RecursionError:
+                raise JobError("job document is nested too deeply") from None
         _require(isinstance(job, dict), "job document must be a JSON object")
         return job
     if args.fixture is not None:

@@ -533,17 +533,19 @@ def restrict_to_graph(d: Derivation, graph: GraphPresentation) -> Derivation:
     """Restrict a degree-preserving ambient derivation to a graph subvariety.
 
     An image is a linear form; on the graph it is its pull-back
-    (:meth:`GraphPresentation.pull_back`).  The graph must be stable under ``d``:
-    for each dependent coordinate ``x = h`` the image of ``x`` must equal
-    ``D(h)`` (the chain rule), else :class:`GraphInconsistency`.
+    (:meth:`GraphPresentation.pull_back`), taken only when non-zero.  The
+    graph must be stable under ``d``: for each dependent coordinate
+    ``x = h`` the image of ``x`` must equal ``D(h)`` (the chain rule),
+    else :class:`GraphInconsistency`.
     """
     if not d.graded_linear:
         raise ValueError("graph restriction requires a degree-preserving derivation")
     if set(graph.free) | set(graph.dependent) != set(d.vars):
         raise ValueError("graph must split the ambient coordinates into free and dependent")
-    restricted = Derivation(graph.zvars, {z: graph.pull_back(d.images[x]) for x, z in graph.free.items()})
+    pulled = {x: graph.pull_back(image) for x, image in d.images.items() if not image.is_zero}
+    restricted = Derivation(graph.zvars, {z: pulled[x] for x, z in graph.free.items() if x in pulled})
     for ambient_name, h in graph.dependent.items():
-        lhs = graph.pull_back(d.images[ambient_name])
+        lhs = pulled[ambient_name] if ambient_name in pulled else Poly.zero(graph.zvars)
         rhs = apply(restricted, h)
         if lhs != rhs:
             raise GraphInconsistency(

@@ -17,9 +17,10 @@ takes them in order of first appearance, and every exponent is as wide
 as the table.
 
 Products of the light term lists run on ``poly._times``, which merges
-like monomials.  Two caps bound the work of one parse: an exponent
-above ``MAX_EXPONENT`` and a product of two factors with more than
-``MAX_TERMS`` term pairs are syntax errors.
+like monomials.  Three caps bound the work of one parse: an exponent
+above ``MAX_EXPONENT``, a product of two factors with more than
+``MAX_TERMS`` term pairs and parentheses nested deeper than
+``MAX_DEPTH`` are syntax errors.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ _OPS = set("+-*^/()")
 
 MAX_EXPONENT = 100
 MAX_TERMS = 50000
+MAX_DEPTH = 100
 _SLASH_MESSAGE = "'/' is only allowed inside rational literals"
 
 
@@ -86,6 +88,7 @@ class _Parser:
     def __init__(self, tokens: List[_Token], variables: Optional[Sequence[str]]):
         self.tokens = tokens
         self.index = 0
+        self.depth = 0  # parentheses open around the current token
         if variables is None:
             variables = dict.fromkeys(tok.text for tok in tokens if tok.kind == "ident")
         self.variables: Tuple[str, ...] = tuple(variables)
@@ -166,8 +169,12 @@ class _Parser:
                 raise ExprSyntaxError(f"unknown variable {tok.text!r}", tok.pos)
             return [(self.one[:i] + (1,) + self.one[i + 1:], 1)]
         if tok.kind == "(":
+            if self.depth == MAX_DEPTH:
+                raise ExprSyntaxError(f"parentheses nested deeper than the cap of {MAX_DEPTH}", tok.pos)
             self.advance()
+            self.depth += 1
             inner = self.parse_expr()
+            self.depth -= 1
             closing = self.peek()
             if closing.kind != ")":
                 raise ExprSyntaxError("unbalanced parenthesis", closing.pos)

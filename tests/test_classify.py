@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaquot.classify import (
@@ -24,7 +24,7 @@ from gaquot.classify import (
     jacobian_boundary_smoothness,
 )
 from gaquot.classify import _candidate_blocks, _rational_zero
-from gaquot.derivations import graded_kernel_generators, power_in_image
+from gaquot.derivations import graded_kernel_generators, power_in_image, restrict_to_graph, slice_search
 from gaquot.errors import GraphInconsistency, NonInvariantInput, VariableTableMismatch
 from gaquot.expr import parse
 from gaquot.fixtures import all_named_fixtures, fixture
@@ -122,16 +122,28 @@ class TestClassifyGraphRoute:
         assert str(report.slice_result.found) == "z1"
         assert dict(report.crosschecks)["slice-agreement"]
 
-    def test_graph_only_input_stays_inconclusive(self):
-        # a certified graph without a defining polynomial cannot run the
-        # boundary test; the found slice is surfaced as a disagreement
+    def test_graph_only_input_is_decided_by_the_slice(self):
+        # without a defining polynomial the boundary test cannot run; a
+        # slice proves X = (X/G_a) x A^1, so the slice decides
         fx = fixture("affine-slice")
         report = classify(fx.spec, None, fx.graph)
-        assert report.verdict is Verdict.UNKNOWN
-        assert report.crosschecks == (("slice-agreement", False),)
-        assert len(report.notes) == 2
-        assert "graph avoids the non-stable subspace by a constant constraint" in report.notes
+        assert report.verdict is Verdict.AFFINE
         assert str(report.slice_result.found) == "z1"
+        assert report.crosschecks == ()
+        assert report.notes == ("affine by the slice s = z1: D(s) = 1, so X is (X/G_a) x A^1",)
+
+    def test_graph_only_miss_stays_unknown(self):
+        fx = fixture("affine-slice")
+        report = classify(fx.spec, None, fx.graph, Bounds(slice_degree=0))
+        assert report.verdict is Verdict.UNKNOWN
+        assert report.slice_result.found is None
+        assert report.crosschecks == ()
+        assert report.notes == (
+            "graph avoids the non-stable subspace by a constant constraint",
+            "stability certified from the graph alone; no defining polynomial, "
+            "so the boundary test cannot run",
+            "no slice up to degree 0; bounded miss, not a refutation",
+        )
 
     def test_unstable_witness_point(self):
         fx = fixture("deveney-finston")
@@ -263,6 +275,36 @@ class TestBoundaryRestatements:
             assert found == (extend(spec, f).boundary is BoundaryClass.MISSES), str(f)
 
 
+@st.composite
+def _family_parameters(draw):
+    """A non-constant ``phi`` of degree 1 to 3 with ``phi(0) != -1``, so the member is stable."""
+    degree = draw(st.integers(1, 3))
+    lower = draw(st.lists(st.integers(-4, 4), min_size=degree, max_size=degree))
+    lead = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    assume(lower[0] != -1)
+    return Poly(("t",), {(k,): c for k, c in enumerate([*lower, lead])})
+
+
+class TestSliceTheorem:
+    """A slice exists exactly when the quotient is affine: a non-affine verdict has none at any degree."""
+
+    @staticmethod
+    def _assert_no_slice(fx):
+        assert classify(fx.spec, fx.f, fx.graph).verdict is not Verdict.AFFINE
+        assert slice_search(restrict_to_graph(build_derivation(fx.spec), fx.graph), 3).found is None
+
+    @pytest.mark.parametrize("name", [
+        fx.name for fx in all_named_fixtures() if fx.graph is not None and fx.expected_verdict is not Verdict.AFFINE
+    ] + _golden_family_members())
+    def test_no_slice_on_a_non_affine_fixture(self, name):
+        self._assert_no_slice(fixture(name))
+
+    @settings(max_examples=30, deadline=None)
+    @given(_family_parameters())
+    def test_no_slice_on_family_members(self, phi):
+        self._assert_no_slice(fixture(f"family-phi({phi})"))
+
+
 class TestOneBoundaryRead:
     @staticmethod
     def _count(monkeypatch, name):
@@ -294,6 +336,19 @@ class TestOneBoundaryRead:
         report = classify(fx.spec, fx.f, fx.graph)
         assert report.verdict is Verdict.NOT_EVERYWHERE_STABLE
         assert len(constraints) == 1
+
+    @pytest.mark.parametrize("name, with_f, searches", [
+        ("winkelmann", True, 0),
+        ("deveney-finston", False, 0),
+        ("affine-slice", True, 1),
+        ("affine-slice", False, 1),
+    ])
+    def test_slice_search_runs_only_where_a_find_is_read(self, monkeypatch, name, with_f, searches):
+        fx = fixture(name)
+        slices = self._count(monkeypatch, "slice_search")
+        report = classify(fx.spec, fx.f if with_f else None, fx.graph)
+        assert len(slices) == searches
+        assert (report.slice_result is None) == (searches == 0)
 
     @pytest.mark.parametrize("text, verdict", [
         ("w1^2 - 4*w0*w2 - 1", Verdict.NOT_EVERYWHERE_STABLE),

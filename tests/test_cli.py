@@ -79,16 +79,31 @@ class TestTextReports:
         assert lines[0] == "verdict: StrictlyQuasiAffine"
         assert any(line.startswith("certificate restriction:") for line in lines)
         assert any(line.startswith("boundary class:") for line in lines)
-        assert any(line.startswith("slice:") for line in lines)
+        assert not any(line.startswith("slice:") for line in lines)  # no slice exists to look for
         assert any(line.startswith("citation:") for line in lines)
+        code, out, _ = _run(capsys, "--fixture", "affine-slice", "--format", "text")
+        assert code == 0
+        assert "slice: z1" in out.splitlines()
 
     def test_oversized_slice_bound_finishes(self, capsys):
         # the slice system has only the columns of image weight 0 on the graph's grading
         code, out, _ = _run(
-            capsys, "--fixture", "family-phi(t^5 - 3*t)", "--slice-deg", "18", "--format", "text"
+            capsys, "--fixture", "family-phi(t^5 - 3*t)", "--command", "slice", "--slice-deg", "18",
+            "--format", "text",
         )
-        assert code == 10
+        assert code == 0
         assert "slice: none up to degree 18" in out.splitlines()
+
+    def test_graph_only_job_is_affine_by_its_slice(self, tmp_path, capsys):
+        job = job_for(fixture("affine-slice"))
+        del job["polynomial"]
+        job_path = tmp_path / "graph-only.json"
+        job_path.write_text(json.dumps(job))
+        code, data = _run_json(capsys, "--job", str(job_path))
+        assert code == 0
+        assert data["verdict"] == "Affine"
+        assert data["slice"] == {"degreeBound": 3, "found": "z1"}
+        assert data["crosschecks"] == []
 
     def test_witness_lines_for_unstable_case(self, capsys):
         _, out, _ = _run(capsys, "--fixture", "deveney-finston", "--format", "text")
@@ -267,6 +282,16 @@ class TestMalformedJobs:
     def test_over_cap_polynomial(self, tmp_path, capsys):
         err = self._run_job(tmp_path, capsys, polynomial="(w0+w1+w2+w3+w4+w5)^30")
         assert "cap" in err
+
+    def test_deeply_nested_polynomial(self, tmp_path, capsys):
+        err = self._run_job(tmp_path, capsys, polynomial="(" * 250 + "w0" + ")" * 250)
+        assert err == "error: parentheses nested deeper than the cap of 100 (at position 100)\n"
+
+    def test_deeply_nested_job_document(self, tmp_path, capsys):
+        job_path = tmp_path / "job.json"
+        job_path.write_text("[" * 1000 + "]" * 1000)
+        code, out, err = _run(capsys, "--job", str(job_path))
+        assert (code, out, err) == (1, "", "error: job document is nested too deeply\n")
 
     @pytest.mark.parametrize("blocks", [
         [{"sym": 799}],

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gaquot.errors import ExprSyntaxError
-from gaquot.expr import MAX_EXPONENT, MAX_TERMS, parse
+from gaquot.expr import MAX_DEPTH, MAX_EXPONENT, MAX_TERMS, parse
 from gaquot.poly import Poly, ring
 
 W = ("w0", "w1", "w2")
@@ -85,6 +85,13 @@ class TestExpansion:
         with pytest.raises(ExprSyntaxError, match=str(MAX_TERMS)) as info:
             parse("(w0+w1+w2+w3+w4+w5)^30")
         assert info.value.position == 19
+
+    def test_depth_cap(self):
+        assert parse("(" * MAX_DEPTH + "w0" + ")" * MAX_DEPTH, W) == parse("w0", W)
+        assert parse("(w1)*" * 300 + "w0", W) == Poly.monomial(W, (1, 300, 0))  # siblings do not nest
+        with pytest.raises(ExprSyntaxError, match=f"cap of {MAX_DEPTH}") as info:
+            parse("w0 + " + "(" * 250 + "w1" + ")" * 250, W)
+        assert info.value.position == 5 + MAX_DEPTH
 
 
 class TestErrors:
