@@ -43,6 +43,8 @@ STAGES = (
     ("graph check `GraphPresentation.pull_back`", "gaquot.derivations", "GraphPresentation.pull_back"),
     ("`Poly.substitute`, every call", "gaquot.poly", "Poly.substitute"),
     ("`extend`, every call", "gaquot.transfer", "extend"),
+    ("`boundary_split` outside `extend`", "gaquot.transfer", "boundary_split"),
+    ("extension ladder outside `extend` (first read)", "gaquot.transfer", "_ladder"),
     ("`slice_search`", "gaquot.derivations", "slice_search"),
     ("`jacobian_boundary_smoothness`", "gaquot.classify", "jacobian_boundary_smoothness"),
     ("`_find_unstable_point`", "gaquot.classify", "_find_unstable_point"),

@@ -72,7 +72,7 @@ from .reps import (
     spec_from_blocks,
     spec_to_blocks,
 )
-from .transfer import BoundaryClass, TransferResult, extend, extended_spec, verify_invariance
+from .transfer import BoundaryClass, TransferResult, boundary_split, extend, extended_spec, verify_invariance
 
 __all__ = [
     "BoundaryClass",
@@ -107,6 +107,7 @@ __all__ = [
     "VariableTableMismatch",
     "Verdict",
     "all_named_fixtures",
+    "boundary_split",
     "build_derivation",
     "build_family_member",
     "catalog_invariants",

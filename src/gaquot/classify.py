@@ -2,12 +2,15 @@
 
 ``classify`` runs the whole chain on one input: verify invariance,
 certify stability by restricting to the non-stable coordinate subspace,
-extend across the group once and read off the boundary class, and
-record the graph check as a crosscheck.  A slice (``D(s) = 1``) exists
-exactly when the quotient is affine (Freudenburg, *Algebraic Theory of
-Locally Nilpotent Derivations*, ch. 1), so the slice is searched only
-where a find can be read: on an ``Affine`` verdict it is a crosscheck,
-on an undecided graph alone it is the decision.  For a certified input
+split off the boundary class (``boundary_split``; the extension is built
+only when a report renders it), and record the graph check as a
+crosscheck.  A slice (``D(s) = 1``) exists exactly when the quotient is
+affine (Freudenburg, *Algebraic Theory of Locally Nilpotent
+Derivations*, ch. 1), so the slice is searched only where a find can be
+read: on an ``Affine`` verdict it is a crosscheck, on an undecided graph
+alone it is the decision.  The graph's restricted derivation is built
+for that search, and up front only where stability of the graph is not
+a theorem (no ``f``, or several dependent coordinates).  For a certified input
 the quotient is affine exactly when ``F00``, the weight-zero part of
 ``f``, is a non-zero constant; routes that only restate this (the
 constant-removed extension, powers in the image) are properties of the
@@ -46,7 +49,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .derivations import (
     Derivation,
@@ -65,7 +68,7 @@ from .errors import (
 from .linalg import Row, solve
 from .poly import PointBlock, Poly, _cleared, squarefree_distinct_root_count
 from .reps import RepSpec, build_derivation, catalog_invariants, nonstable_coordinates
-from .transfer import BoundaryClass, TransferResult, extend
+from .transfer import BoundaryClass, TransferResult, boundary_split, extend
 
 
 # The seeded tail of every point search: how many samples, from which seed.
@@ -243,7 +246,7 @@ def _placed_blocks(positions: Tuple[int, ...]) -> Tuple[PointBlock, ...]:
 
 
 def _rational_zero(
-    polys: Sequence[Poly], names: Sequence[str]
+    polys: Sequence[Poly], names: Sequence[str], more: Optional[Callable[[], List[Poly]]] = None
 ) -> Tuple[Optional[Dict[str, Fraction]], int]:
     """The first candidate over ``names`` killing every poly, and how many were tried.
 
@@ -253,16 +256,16 @@ def _rational_zero(
     searched one support block at a time, each placed onto the table
     positions of ``names`` (``_placed_blocks``): a block's support then
     holds no pinned variable, and the polys' own integer forms serve as
-    they are.  On each block every poly keeps only its integer terms in
-    the block's variables; if one of these restrictions is a non-zero
-    constant, no point of the block is a zero and the whole block is
-    passed over unevaluated.  Otherwise the polys are evaluated in
-    order over the block's points, column by column, each narrowing the
-    points still alive, and the first survivor is the hit; only it
-    becomes a ``Fraction`` point.  The count ``tried`` is the hit's
-    position in the flat table order, or the table's size on a miss,
-    so a passed-over block counts all its points.  A miss within the
-    table is evidence, not proof, that no zero exists.
+    they are.  ``PointBlock.common_zeros`` passes over a block on which
+    some poly restricts to a non-zero constant, and otherwise narrows
+    its points poly by poly; the first survivor is the hit, and only it
+    becomes a ``Fraction`` point.  ``more``, when given, builds further
+    polys that a hit must also kill: it runs on the first block where
+    ``polys`` have a zero, narrowing only those, so the result is that
+    of the search over ``[*polys, *more()]``.  The count ``tried`` is
+    the hit's position in the flat table order, or the table's size on
+    a miss.  A miss within the table is evidence, not proof, that no
+    zero exists.
     """
     names = tuple(names)
     table = polys[0].vars if polys else names
@@ -270,21 +273,18 @@ def _rational_zero(
         raise VariableTableMismatch("rational-point search needs one variable table")
     tried = 0
     for block in _placed_blocks(tuple(map(table.index, names))):
-        restrictions = []
-        for p in polys:
-            restriction = block.restrict(p)
-            if PointBlock.is_nonzero_constant(restriction):
-                break
-            restrictions.append(restriction)
-        else:
-            zeros = block.common_zeros(restrictions)
-            if zeros:
-                k = zeros[0]
-                point = dict.fromkeys(table, Fraction(0))
-                point.update(
-                    (table[i], Fraction(column[k], block.qs[k])) for i, column in block.columns.items()
-                )
-                return point, tried + k + 1
+        zeros = block.common_zeros(polys)
+        if zeros and more is not None:  # later blocks search every poly
+            extra = more()
+            zeros = block.common_zeros(extra, zeros)
+            polys, more = [*polys, *extra], None
+        if zeros:
+            k = zeros[0]
+            point = dict.fromkeys(table, Fraction(0))
+            point.update(
+                (table[i], Fraction(column[k], block.qs[k])) for i, column in block.columns.items()
+            )
+            return point, tried + k + 1
         tried += len(block)
     return None, tried
 
@@ -376,37 +376,36 @@ def crosscheck_constant_removed(spec: RepSpec, f: Poly) -> bool:
 def jacobian_boundary_smoothness(f00: Poly) -> SmoothnessReport:
     """Look for singular points: common zeros of ``f00`` and its gradient.
 
-    When every partial is linear, ``f00`` is a quadratic
-    ``x^T A x + b.x + c`` with gradient ``2Ax + b``, and the critical
-    locus is the affine subspace ``p + ker A`` for any particular
+    At degree two or less every partial is linear: ``f00`` is a
+    quadratic ``x^T A x + b.x + c`` with gradient ``2Ax + b``, and the
+    critical locus is the affine subspace ``p + ker A`` for any particular
     solution ``p``.  On it ``f00`` is constant: for ``k`` in ``ker A``,
     ``f00(p + k) = f00(p) + (2Ap + b).k + k^T A k = f00(p)``.  So one
     exact solve and one evaluation at ``p`` decide smoothness, and the
     answer is a proof either way.  Otherwise the rational-point search
-    over ``f00`` and its partials gives either a definitive
-    ``SingularWitness`` or ``SmoothOnSamples``, which is evidence only;
-    ``samples`` counts the candidates tried.
+    over ``f00`` and its partials (built once ``f00`` vanishes on a block)
+    gives either a definitive ``SingularWitness`` or ``SmoothOnSamples``,
+    which is evidence only; ``samples`` counts the candidates tried.
     """
     if f00.is_constant():
         raise ValueError("smoothness analysis expects a non-constant polynomial")
     names = f00.vars
-    partials = [f00.partial(name) for name in names]
-    if all(p.total_degree() <= 1 for p in partials):
-        return _linear_gradient_analysis(f00, partials)
-    point, tried = _rational_zero([f00, *partials], names)
+    if f00.total_degree() <= 2:
+        return _linear_gradient_analysis(f00)
+    point, tried = _rational_zero([f00], names, lambda: [f00.partial(name) for name in names])
     if point is None:
         return SmoothnessReport("SmoothOnSamples", None, tried)
     return SmoothnessReport("SingularWitness", tuple((name, point[name]) for name in names), tried)
 
 
-def _linear_gradient_analysis(f00: Poly, partials: Sequence[Poly]) -> SmoothnessReport:
+def _linear_gradient_analysis(f00: Poly) -> SmoothnessReport:
     """Exact treatment when the gradient system is linear: one critical point decides."""
     names = f00.vars
     n = len(names)
     unit = {tuple(1 if j == i else 0 for j in range(n)): i for i in range(n)}
     rows: List[Row] = []
     rhs: List[int] = []
-    for p in partials:
+    for p in map(f00.partial, names):
         row: Row = {}
         constant = 0
         for exponent, coeff in p.nums.items():  # linalg takes int rows
@@ -449,7 +448,10 @@ def classify(
 
     restricted: Optional[Derivation] = None
     if graph is not None:
-        restricted = restrict_to_graph(build_derivation(spec), graph)
+        # With f vanishing on a graph w_d = h, the graph is a component of V(f), which the connected
+        # G_a keeps: D(w_d - h) lies in (w_d - h), so the chain-rule check cannot fail.
+        if f is None or len(graph.dependent) > 1:
+            restricted = restrict_to_graph(build_derivation(spec), graph)
         if f is not None:
             on_graph = graph.pull_back(f)
             if not on_graph.is_zero:
@@ -468,7 +470,7 @@ def classify(
         if certified:
             notes.append("graph avoids the non-stable subspace by a constant constraint")
 
-    transfer_result = extend(spec, f) if f is not None else None
+    transfer_result = boundary_split(spec, f) if f is not None else None  # certify checked D(f) = 0
 
     if certified:
         if transfer_result is None:
@@ -505,7 +507,8 @@ def classify(
             )
 
     slice_result: Optional[SliceSearch] = None
-    if restricted is not None and (verdict is Verdict.AFFINE or (verdict is Verdict.UNKNOWN and f is None)):
+    if graph is not None and (verdict is Verdict.AFFINE or (verdict is Verdict.UNKNOWN and f is None)):
+        restricted = restricted or restrict_to_graph(build_derivation(spec), graph)
         slice_result = slice_search(restricted, bounds.slice_degree)
         if slice_result.found is None:
             notes.append(f"no slice up to degree {bounds.slice_degree}; bounded miss, not a refutation")

@@ -118,7 +118,7 @@ class Poly:
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "Poly":
-        return cls(variables, {})
+        return _raw(tuple(variables), {})
 
     @classmethod
     def const(cls, variables: Sequence[str], value: Scalar) -> "Poly":
@@ -523,12 +523,6 @@ class PointBlock:
         outside = ~self.mask
         return [t for t in terms if not t[3] & outside], top
 
-    @staticmethod
-    def is_nonzero_constant(restriction: Restriction) -> bool:
-        """Whether the restricted polynomial is a non-zero constant, so no point is a zero."""
-        terms, _ = restriction
-        return len(terms) == 1 and not terms[0][2]
-
     def _column(self, key: Tuple[int, int]) -> Sequence[int]:
         """The column ``x_i^e`` for ``key = (i, e)``, or ``q^e`` for ``i = -1``."""
         column = self._powers.get(key)
@@ -563,9 +557,12 @@ class PointBlock:
             vectors.append(vector)
         return list(map(sum, zip(*vectors))) if vectors else [0] * size
 
-    def common_zeros(self, restrictions: Sequence[Restriction]) -> List[int]:
-        """The points where every restriction vanishes, narrowed restriction by restriction in order."""
-        live = list(range(len(self.qs)))
+    def common_zeros(self, polys: Sequence[Poly], live: Optional[List[int]] = None) -> List[int]:
+        """The points (of ``live``, else all) where every poly vanishes; none if one restricts to a non-zero constant."""
+        restrictions = [self.restrict(p) for p in polys]
+        if any(len(terms) == 1 and not terms[0][2] for terms, _ in restrictions):  # a non-zero constant
+            return []
+        live = list(range(len(self.qs))) if live is None else live
         for restriction in restrictions:
             if live and restriction[0]:
                 values = self.scaled_values(restriction, live)

@@ -31,13 +31,16 @@ locus ``{u = v = 0}``:
 * ``F00`` a non-zero constant -- the closure misses the boundary;
 * ``F00 = 0`` -- the boundary is contained in the closure;
 * anything else -- the closure meets the boundary properly.
+
+``boundary_split`` reads ``F00`` off ``f`` alone; the ladder runs when
+``TransferResult.extension`` is first read, and at once in ``extend``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import mul
 from typing import Dict
 
@@ -55,11 +58,26 @@ class BoundaryClass(enum.Enum):
     CONTAINS = "Contains"
 
 
+class _ExtensionField:
+    """``TransferResult.extension``: a value, or a zero-argument builder run when the field is first read."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # so the dataclass sees no default
+            raise AttributeError("extension")
+        value = vars(obj)["extension"]
+        if callable(value):
+            value = vars(obj)["extension"] = value()
+        return value
+
+    def __set__(self, obj, value) -> None:
+        vars(obj)["extension"] = value
+
+
 @dataclass(frozen=True)
 class TransferResult:
-    """The invariant extension together with its boundary split."""
+    """The boundary split of an invariant and its extension, which ``repr`` and ``==`` read too."""
 
-    extension: Poly       # over ("u", "v") + coords
+    extension: Poly = _ExtensionField()  # over ("u", "v") + coords
     f00: Poly             # over coords
     boundary_part: Poly   # over coords; f = f00 + boundary_part
     boundary: BoundaryClass
@@ -75,14 +93,10 @@ def extended_spec(spec: RepSpec) -> RepSpec:
     )
 
 
-def extend(spec: RepSpec, f: Poly) -> TransferResult:
-    """Extend an invariant across the group and classify its boundary.
+def boundary_split(spec: RepSpec, f: Poly) -> TransferResult:
+    """Split ``f = F00 + boundary_part`` at the weight-zero terms and classify the boundary.
 
-    With ``E`` the raising operator of ``spec``,
-    ``F = sum_j (-1)^j/j! * u^j * v^(j + wt(m)) * m`` over the monomials
-    ``m`` of ``E^j(f)``.  Raises :class:`NonInvariantInput` when the
-    derivation does not kill ``f``; a negative power of ``v`` is the
-    same defect and raises identically.
+    The ladder waits for the first read of ``extension``; invariance is the caller's hypothesis.
     """
     if f.vars != spec.coord_names:
         raise VariableTableMismatch(
@@ -91,9 +105,36 @@ def extend(spec: RepSpec, f: Poly) -> TransferResult:
     collision = set(PLANE_COORDS) & set(spec.coord_names)
     if collision:
         raise ValueError(f"coordinates shadow the plane variables: {sorted(collision)}")
-    triple = sl2_triple(spec)
-    if not apply(triple.lower, f).is_zero:
+    weights = spec.weights
+    f00 = _raw(spec.coord_names, {e: n for e, n in f.nums.items() if not sum(map(mul, e, weights))}, f.den)
+    if f00.is_zero:
+        boundary = BoundaryClass.CONTAINS
+    elif f00.is_constant():
+        boundary = BoundaryClass.MISSES
+    else:
+        boundary = BoundaryClass.INTERSECTS
+    return TransferResult(partial(_ladder, spec, f), f00, f - f00, boundary)
+
+
+def extend(spec: RepSpec, f: Poly) -> TransferResult:
+    """Extend an invariant across the group and classify its boundary.
+
+    With ``E`` the raising operator of ``spec``,
+    ``F = sum_j (-1)^j/j! * u^j * v^(j + wt(m)) * m`` over the monomials
+    ``m`` of ``E^j(f)``.  Raises :class:`NonInvariantInput` when the
+    derivation does not kill ``f``; a negative power of ``v`` is the
+    same defect and raises identically, here rather than on first read.
+    """
+    result = boundary_split(spec, f)
+    if not apply(sl2_triple(spec).lower, f).is_zero:
         raise NonInvariantInput("transfer input is not killed by the derivation")
+    result.extension  # the ladder runs now, so a negative power of v raises here
+    return result
+
+
+def _ladder(spec: RepSpec, f: Poly) -> Poly:
+    """``F``, the sum of the ladder ``E^j(f)`` placed on the plane coordinates."""
+    triple = sl2_triple(spec)
     weights = spec.weights
     raise_scale = triple.raising._int_images[0]
     key, unkey, images = _packed(triple.raising, f.total_degree())
@@ -115,21 +156,8 @@ def extend(spec: RepSpec, f: Poly) -> TransferResult:
         if layer:
             divisors.append(divisors[j] * -(j + 1) * raise_scale)
     scales = [divisors[-1] // d for d in divisors]  # each divisor divides the next
-    extension = _raw(PLANE_COORDS + spec.coord_names,
-                     {key: n * scales[key[0]] for key, n in numerators.items()}, divisors[-1])
-    f00 = _raw(spec.coord_names, {key[2:]: n for key, n in numerators.items() if not key[0] and not key[1]}, f.den)
-    if f00.is_zero:
-        boundary = BoundaryClass.CONTAINS
-    elif f00.is_constant():
-        boundary = BoundaryClass.MISSES
-    else:
-        boundary = BoundaryClass.INTERSECTS
-    return TransferResult(
-        extension=extension,
-        f00=f00,
-        boundary_part=f - f00,
-        boundary=boundary,
-    )
+    return _raw(PLANE_COORDS + spec.coord_names,
+                {key: n * scales[key[0]] for key, n in numerators.items()}, divisors[-1])
 
 
 def verify_invariance(spec: RepSpec, extension: Poly) -> bool:

@@ -24,15 +24,22 @@ from gaquot.classify import (
     jacobian_boundary_smoothness,
 )
 from gaquot.classify import _candidate_blocks, _rational_zero
-from gaquot.derivations import graded_kernel_generators, power_in_image, restrict_to_graph, slice_search
+from gaquot.derivations import (
+    GraphPresentation,
+    graded_kernel_generators,
+    power_in_image,
+    restrict_to_graph,
+    slice_search,
+)
 from gaquot.errors import GraphInconsistency, NonInvariantInput, VariableTableMismatch
 from gaquot.expr import parse
 from gaquot.fixtures import all_named_fixtures, fixture
 from gaquot.poly import Poly
 from gaquot.reps import RepSpec, build_derivation
-from gaquot.transfer import BoundaryClass, extend
+from gaquot.transfer import BoundaryClass, boundary_split, extend
 
 CLASSIFY = importlib.import_module("gaquot.classify")  # the package exports the function by this name
+TRANSFER = importlib.import_module("gaquot.transfer")
 PAIR = RepSpec((1, 1))
 TRIPLE = RepSpec((1, 1, 1))
 WINKELMANN_F = "1 + w2*w5 - w3*w4 - w0"
@@ -307,28 +314,38 @@ class TestSliceTheorem:
 
 class TestOneBoundaryRead:
     @staticmethod
-    def _count(monkeypatch, name):
+    def _count(monkeypatch, name, module=CLASSIFY):
         calls = []
-        original = getattr(CLASSIFY, name)
+        original = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(CLASSIFY, name, counted)
+        monkeypatch.setattr(module, name, counted)
         return calls
 
     @pytest.mark.parametrize("with_graph", [False, True])
     def test_certified_input_extends_once(self, monkeypatch, with_graph):
+        # classify splits the boundary and runs no ladder; the extension is
+        # built once, when a rendered report first reads it
         fx = fixture("winkelmann")
         extends = self._count(monkeypatch, "extend")
+        splits = self._count(monkeypatch, "boundary_split")
+        ladders = self._count(monkeypatch, "_ladder", TRANSFER)
         smoothness = self._count(monkeypatch, "jacobian_boundary_smoothness")
         constraints = self._count(monkeypatch, "_graph_constraints")
         report = classify(fx.spec, fx.f, fx.graph if with_graph else None)
         assert report.verdict is Verdict.STRICTLY_QUASI_AFFINE
-        assert len(extends) == 1
+        assert extends == [] and ladders == []
+        assert len(splits) == 1
         assert len(smoothness) == 1
         assert constraints == []  # only the witness search and a graph-only certificate read them
+        rendered = report.to_dict()
+        assert len(ladders) == 1
+        assert report.to_dict() == rendered
+        assert rendered["transfer"]["extension"] == str(extend(fx.spec, fx.f).extension)
+        assert len(ladders) == 2  # the call to extend above runs its own ladder
 
     def test_graph_only_input_builds_its_constraints_once(self, monkeypatch):
         fx = fixture("deveney-finston")
@@ -350,6 +367,19 @@ class TestOneBoundaryRead:
         assert len(slices) == searches
         assert (report.slice_result is None) == (searches == 0)
 
+    @pytest.mark.parametrize("name, with_f, restrictions", [
+        ("winkelmann", True, 0),  # f vanishes on a one-dependent graph: stability is a theorem
+        ("winkelmann", False, 1),  # a graph alone is checked up front
+        ("deveney-finston", False, 1),
+        ("affine-slice", True, 1),  # the slice search reads the restriction
+        ("affine-slice", False, 1),  # checked up front, then read by the slice search
+    ])
+    def test_graph_restriction_runs_only_where_read_or_not_implied(self, monkeypatch, name, with_f, restrictions):
+        fx = fixture(name)
+        restricted = self._count(monkeypatch, "restrict_to_graph")
+        classify(fx.spec, fx.f if with_f else None, fx.graph)
+        assert len(restricted) == restrictions
+
     @pytest.mark.parametrize("text, verdict", [
         ("w1^2 - 4*w0*w2 - 1", Verdict.NOT_EVERYWHERE_STABLE),
         ("w1^2 - 4*w0*w2 + 1", Verdict.UNKNOWN),
@@ -357,14 +387,90 @@ class TestOneBoundaryRead:
     def test_uncertified_input_skips_smoothness(self, monkeypatch, text, verdict):
         # the restriction w1^2 -/+ 1 is not constant, and F00 = f meets the boundary
         spec = RepSpec((2, 1, 1))
-        extends = self._count(monkeypatch, "extend")
+        splits = self._count(monkeypatch, "boundary_split")
+        ladders = self._count(monkeypatch, "_ladder", TRANSFER)
         smoothness = self._count(monkeypatch, "jacobian_boundary_smoothness")
         report = classify(spec, parse(text, spec.coords))
         assert report.verdict is verdict
         assert report.transfer.boundary is BoundaryClass.INTERSECTS
-        assert len(extends) == 1
+        assert len(splits) == 1
+        assert ladders == []
         assert smoothness == []
         assert report.smoothness is None
+
+
+def _one_dependent_members():
+    """Every input with a polynomial and a graph of one dependent coordinate: fixtures and golden members."""
+    named = [fx for fx in all_named_fixtures() if fx.f is not None and fx.graph is not None]
+    members = [fixture(name) for name in _golden_family_members()]
+    return [fx for fx in named + members if len(fx.graph.dependent) == 1]
+
+
+class TestGraphStabilityTheorem:
+    """With f and one dependent coordinate on which f vanishes, the graph is a G_a-stable component of V(f)."""
+
+    @staticmethod
+    def _assert_stable(spec, f, graph):
+        assert len(graph.dependent) == 1
+        assert graph.pull_back(f).is_zero
+        restrict_to_graph(build_derivation(spec), graph)  # the chain-rule check passes
+
+    def test_fixtures_and_golden_members(self):
+        members = _one_dependent_members()
+        assert {"winkelmann", "affine-slice", "quadric-relation"} <= {fx.name for fx in members}
+        assert len(members) >= 5
+        for fx in members:
+            self._assert_stable(fx.spec, fx.f, fx.graph)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_family_parameters())
+    def test_family_members(self, phi):
+        fx = fixture(f"family-phi({phi})")
+        self._assert_stable(fx.spec, fx.f, fx.graph)
+
+    UNSTABLE = "graph is not stable under the derivation at 'w0': ambient action gives 0, chain rule gives z1"
+
+    @staticmethod
+    def _unstable_graph():
+        fx = fixture("winkelmann")
+        dependent = {"w0": parse("z1", fx.graph.zvars)}
+        return fx, GraphPresentation(zvars=fx.graph.zvars, free=dict(fx.graph.free), dependent=dependent)
+
+    def test_graph_alone_is_checked_up_front(self):
+        fx, broken = self._unstable_graph()
+        with pytest.raises(GraphInconsistency) as raised:
+            classify(fx.spec, None, broken)
+        assert str(raised.value) == self.UNSTABLE
+
+    def test_unstable_one_dependent_graph_misses_the_hypersurface(self):
+        # by the theorem f cannot vanish on it, so the pull-back check rejects it
+        fx, broken = self._unstable_graph()
+        with pytest.raises(GraphInconsistency) as raised:
+            classify(fx.spec, fx.f, broken)
+        assert str(raised.value) == "polynomial does not vanish on the graph; residue z2*z5 - z3*z4 - z1 + 1"
+
+    @pytest.mark.parametrize("w2, message", [
+        ("1", None),  # w2 is invariant, so {w2 = 1} cut with V(f) is stable
+        ("z3", "graph is not stable under the derivation at 'w0': ambient action gives 0, chain rule gives z3*z5"),
+    ])
+    def test_multi_dependent_graph_is_checked_with_f(self, w2, message):
+        # a graph of codimension two in the ambient space is no component of
+        # V(f), so f vanishing on it proves nothing: the chain rule still runs
+        fx = fixture("winkelmann")
+        zvars = ("z1", "z3", "z4", "z5")
+        w2_image = parse(w2, zvars)
+        graph = GraphPresentation(
+            zvars=zvars,
+            free={"w1": "z1", "w3": "z3", "w4": "z4", "w5": "z5"},
+            dependent={"w0": parse("1 - z3*z4", zvars) + w2_image * parse("z5", zvars), "w2": w2_image},
+        )
+        assert graph.pull_back(fx.f).is_zero
+        if message is None:
+            assert classify(fx.spec, fx.f, graph).verdict is Verdict.STRICTLY_QUASI_AFFINE
+        else:
+            with pytest.raises(GraphInconsistency) as raised:
+                classify(fx.spec, fx.f, graph)
+            assert str(raised.value) == message
 
 
 class TestBoundarySmoothness:
@@ -523,6 +629,12 @@ class TestRationalZero:
     def test_agrees_with_per_point_evaluation(self, search):
         _same_search(*search)
 
+    @settings(max_examples=80)
+    @given(zero_searches())
+    def test_deferred_polys_give_the_same_search(self, search):
+        polys, names = search
+        assert _rational_zero(polys[:1], names, lambda: polys[1:]) == _rational_zero(polys, names)
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_zero_and_constant(self, n):
         table = _LETTERS[: n + 1]
@@ -582,6 +694,68 @@ class TestRationalZero:
         x = Poly.variable(("x", "y"), "x")
         with pytest.raises(VariableTableMismatch):
             _rational_zero([x, Poly.variable(("y", "x"), "x")], ("x",))
+
+
+def _boundary_polynomials():
+    """Non-constant ``F00`` of every fixture and of the golden family members."""
+    inputs = [fx for fx in all_named_fixtures() if fx.f is not None]
+    inputs += [fixture(name) for name in _golden_family_members()]
+    f00s = [boundary_split(fx.spec, fx.f).f00 for fx in inputs]
+    return [f00 for f00 in f00s if not f00.is_constant()]
+
+
+class TestGradientOnDemand:
+    """The smoothness search builds the gradient only where ``F00`` vanishes, with the eager result."""
+
+    @staticmethod
+    def _lazy_search(f00):
+        built = []
+
+        def gradient():
+            built.append(True)
+            return [f00.partial(name) for name in f00.vars]
+
+        point, tried = _rational_zero([f00], f00.vars, gradient)
+        eager = _rational_zero([f00, *(f00.partial(name) for name in f00.vars)], f00.vars)
+        assert (point, tried) == eager
+        assert len(built) <= 1
+        return point, tried, len(built)
+
+    def test_fixtures_and_golden_members(self):
+        f00s = _boundary_polynomials()
+        assert len(f00s) >= 4
+        for f00 in f00s:
+            self._lazy_search(f00)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_family_parameters())
+    def test_family_members(self, phi):
+        fx = fixture(f"family-phi({phi})")
+        self._lazy_search(boundary_split(fx.spec, fx.f).f00)
+
+    @pytest.mark.parametrize("phi, outcome, samples, builds", [
+        ("t^2 - 2*t", "SingularWitness", 250, 1),  # (t - 1)^2: F00 and its gradient vanish at w2 = w5 = 1
+        ("t^2 - 2", "SmoothOnSamples", 377, 1),  # F00 vanishes on the (w2, w5) pair block, the gradient does not
+        ("t^5 - 3*t", "SmoothOnSamples", 377, 0),  # F00 has no zero on the table: no partial is built
+    ])
+    def test_pinned_members(self, phi, outcome, samples, builds):
+        fx = fixture(f"family-phi({phi})")
+        f00 = boundary_split(fx.spec, fx.f).f00
+        point, tried, built = self._lazy_search(f00)
+        assert (tried, built) == (samples, builds)
+        partials = [f00.partial(name) for name in f00.vars]
+        assert (point, tried) == _oracle_rational_zero([f00, *partials], f00.vars)
+        report = jacobian_boundary_smoothness(f00)
+        assert (report.outcome, report.samples) == (outcome, samples)
+        assert classify(fx.spec, fx.f, fx.graph).smoothness == report
+        if phi == "t^2 - 2":
+            assert _rational_zero([f00], f00.vars)[1] == 250  # F00 alone stops at the pair block
+
+    def test_linear_branch_is_degree_two(self):
+        # total degree at most two is the same condition as every partial being linear
+        for f00 in _boundary_polynomials():
+            linear = all(f00.partial(name).total_degree() <= 1 for name in f00.vars)
+            assert linear == (f00.total_degree() <= 2)
 
 
 class TestFamilyBuilder:

@@ -436,16 +436,19 @@ class TestPointBlock:
             full = block.scaled_values(restriction)
             assert block.scaled_values(restriction, live) == [full[k] for k in live]
         zeros = [k for k, point in enumerate(points) if all(_fraction_value(p, point) == 0 for p in polys)]
-        assert block.common_zeros(restrictions) == zeros
+        assert block.common_zeros(polys) == zeros
+        assert block.common_zeros(polys, live) == [k for k in live if k in zeros]
 
     @given(blocks_and_polys())
     def test_nonzero_constant_restriction_has_no_zero(self, drawn):
         _, points, polys = drawn
         block = PointBlock([_cleared(point) for point in points])
         for p in polys:
-            if PointBlock.is_nonzero_constant(block.restrict(p)):
+            terms, _ = block.restrict(p)
+            if len(terms) == 1 and not terms[0][2]:  # a non-zero constant on the block's support
                 values = {_fraction_value(p, point) for point in points}
                 assert len(values) == 1 and 0 not in values
+                assert block.common_zeros([p]) == []
 
     def test_support_is_the_nonzero_coordinates(self):
         block = PointBlock([_cleared(point) for point in ((0, 2, 0), (0, Fraction(1, 2), 3))])
@@ -454,9 +457,10 @@ class TestPointBlock:
         assert block.qs == (1, 2)
         x, y, z = ring(XYZ)
         p = x * y + 2 * x + 5
-        assert PointBlock.is_nonzero_constant(block.restrict(p))
+        assert block.restrict(p)[0] == [(5, (), 0, 0)]  # only the constant term survives
         assert block.restrict(y * z)[0]
-        assert block.common_zeros([block.restrict(y * z)]) == [0]
+        assert block.common_zeros([y * z]) == [0]
+        assert block.common_zeros([y * z, p]) == []  # p restricts to the constant 5
 
 
 class TestCalculusAndShaping:

@@ -16,6 +16,7 @@ from gaquot.poly import Poly
 from gaquot.reps import RepSpec, Sl2Triple, build_derivation, catalog_invariants, sl2_triple
 from gaquot.transfer import (
     BoundaryClass,
+    boundary_split,
     extend,
     extended_spec,
     verify_invariance,
@@ -161,6 +162,45 @@ class TestExtendProperties:
             assert result.boundary is BoundaryClass.MISSES
         else:
             assert result.boundary is BoundaryClass.INTERSECTS
+
+
+class TestBoundarySplit:
+    """``boundary_split`` runs no ladder; its result equals ``extend``'s once the extension is read."""
+
+    @given(picks, small)
+    def test_agrees_with_extend(self, pairs, shift):
+        f = _combination(pairs) + shift
+        split, eager = boundary_split(TRIPLE, f), extend(TRIPLE, f)
+        assert (split.f00, split.boundary_part, split.boundary) == (eager.f00, eager.boundary_part, eager.boundary)
+        assert split == eager and hash(split) == hash(eager)
+        assert repr(split) == repr(eager)
+        assert repr(split).startswith("TransferResult(extension=Poly(")
+
+    def test_ladder_runs_on_first_read_only(self, monkeypatch):
+        runs = []
+        ladder = transfer._ladder
+        monkeypatch.setattr(transfer, "_ladder", lambda spec, f: runs.append(f) or ladder(spec, f))
+        f = parse("1 + w2*w5 - w3*w4 - w0", TRIPLE.coords)
+        result = boundary_split(TRIPLE, f)
+        assert runs == []
+        assert result.extension is result.extension
+        assert runs == [f]
+        extend(TRIPLE, f)
+        assert len(runs) == 2  # extend runs its ladder at once
+
+    def test_negative_v_power_raises_on_read(self, monkeypatch):
+        # the split trusts the caller's invariance check; the ladder still convicts
+        triple = sl2_triple(PAIR)
+        blind = Sl2Triple(Derivation(PAIR.coords, {}), triple.raising, triple.diag)
+        monkeypatch.setattr(transfer, "sl2_triple", lambda spec: blind)
+        result = boundary_split(PAIR, parse("w1", PAIR.coords))
+        with pytest.raises(NonInvariantInput, match="v\\^-1"):
+            result.extension
+
+    @pytest.mark.parametrize("spec, table", [(PAIR, ("x",)), (RepSpec((1,), coord_names=("u", "w")), ("u", "w"))])
+    def test_guards(self, spec, table):
+        with pytest.raises(ValueError):
+            boundary_split(spec, parse(table[0], table))
 
 
 class TestVerifyInvariance:
