@@ -18,12 +18,20 @@ test suite, not report entries.  The boundary's smoothness is analysed
 only for a certified ``Intersects``: an uncertified input has no
 principal-bundle quotient to bound.
 
+Whether the input meets the non-stable subspace is asked once, by
+``_nonstable_system``: equations on a graph's parameters left after
+zeroing the free positive-weight ones (a bare polynomial is its identity
+graph, and its one equation the certificate's restriction of ``f``).  A
+non-zero constant equation certifies a graph alone; otherwise the
+witness search runs on exactly those parameters.
+
 One rational-point search serves both the unstable witness and the
 singular boundary points.  Its fixed table is a sequence of support
 blocks (the origin, each axis, each axis pair, then the seeded
-samples), searched in that order; a block on which some polynomial
-restricts to a non-zero constant is passed over without evaluating
-it.  A miss is evidence, never proof.  The verdicts:
+samples) over the polynomials' own variables, searched in that order;
+a block on which some polynomial restricts to a non-zero constant is
+passed over without evaluating it.  A miss is evidence, never proof.
+The verdicts:
 
 * ``Affine`` -- the lifted closure misses the boundary (or a graph has a slice);
 * ``StrictlyQuasiAffine`` -- stability is certified but the closure
@@ -99,7 +107,7 @@ class Bounds:
 
 @dataclass(frozen=True)
 class StabilityCertificate:
-    """Restriction of the defining polynomial to the non-stable subspace.
+    """Restriction of the defining polynomial to the non-stable subspace, over the non-positive coordinates.
 
     ``certified`` means the restriction is a non-zero constant, so the
     variety avoids the subspace entirely.  For a single polynomial ``f``
@@ -202,7 +210,7 @@ def certify_everywhere_stable(spec: RepSpec, f: Poly) -> StabilityCertificate:
     if not apply(derivation, f).is_zero:
         raise NonInvariantInput("stability certificate expects an invariant polynomial")
     pinned = dict.fromkeys(nonstable_coordinates(spec), 0)
-    restriction = f.coefficient(pinned).extend_table(spec.coord_names)
+    restriction = f.coefficient(pinned)
     certified = (not restriction.is_zero) and restriction.is_constant()
     return StabilityCertificate(restriction=restriction, certified=certified)
 
@@ -239,26 +247,16 @@ def _candidate_blocks(n: int) -> Tuple[PointBlock, ...]:
     return tuple(PointBlock([_cleared(point) for point in block]) for block in blocks)
 
 
-@functools.lru_cache(maxsize=None)
-def _placed_blocks(positions: Tuple[int, ...]) -> Tuple[PointBlock, ...]:
-    """``_candidate_blocks(len(positions))`` with coordinate ``i`` at table position ``positions[i]``."""
-    return tuple(block.placed(positions) for block in _candidate_blocks(len(positions)))
-
-
 def _rational_zero(
-    polys: Sequence[Poly], names: Sequence[str], more: Optional[Callable[[], List[Poly]]] = None
+    polys: Sequence[Poly], table: Tuple[str, ...], more: Optional[Callable[[], List[Poly]]] = None
 ) -> Tuple[Optional[Dict[str, Fraction]], int]:
-    """The first candidate over ``names`` killing every poly, and how many were tried.
+    """The first candidate over ``table`` killing every poly, and how many were tried.
 
-    The polys share one variable table, which holds ``names``; its
-    other variables are zero, which is exact at every call site (they
-    are pinned to zero).  The candidates are ``_candidate_blocks``,
-    searched one support block at a time, each placed onto the table
-    positions of ``names`` (``_placed_blocks``): a block's support then
-    holds no pinned variable, and the polys' own integer forms serve as
-    they are.  ``PointBlock.common_zeros`` passes over a block on which
-    some poly restricts to a non-zero constant, and otherwise narrows
-    its points poly by poly; the first survivor is the hit, and only it
+    Every poly lies over ``table``.  The candidates are
+    ``_candidate_blocks(len(table))``, searched one support block at a
+    time.  ``PointBlock.common_zeros`` passes over a block on which some
+    poly restricts to a non-zero constant, and otherwise narrows its
+    points poly by poly; the first survivor is the hit, and only it
     becomes a ``Fraction`` point.  ``more``, when given, builds further
     polys that a hit must also kill: it runs on the first block where
     ``polys`` have a zero, narrowing only those, so the result is that
@@ -267,12 +265,10 @@ def _rational_zero(
     a miss.  A miss within the table is evidence, not proof, that no
     zero exists.
     """
-    names = tuple(names)
-    table = polys[0].vars if polys else names
     if any(p.vars != table for p in polys):
         raise VariableTableMismatch("rational-point search needs one variable table")
     tried = 0
-    for block in _placed_blocks(tuple(map(table.index, names))):
+    for block in _candidate_blocks(len(table)):
         zeros = block.common_zeros(polys)
         if zeros and more is not None:  # later blocks search every poly
             extra = more()
@@ -281,74 +277,54 @@ def _rational_zero(
         if zeros:
             k = zeros[0]
             point = dict.fromkeys(table, Fraction(0))
-            point.update(
-                (table[i], Fraction(column[k], block.qs[k])) for i, column in block.columns.items()
-            )
+            point.update((table[i], Fraction(column[k], block.qs[k])) for i, column in block.columns.items())
             return point, tried + k + 1
         tried += len(block)
     return None, tried
 
 
-def _graph_constraints(
-    spec: RepSpec, graph: GraphPresentation
-) -> Tuple[Tuple[str, ...], List[Poly]]:
-    """The graph's equations for its points in the non-stable subspace.
+def _nonstable_system(
+    spec: RepSpec, graph: Optional[GraphPresentation], restriction: Optional[Poly] = None
+) -> Tuple[GraphPresentation, Tuple[str, ...], List[Poly]]:
+    """The input's points in the non-stable subspace, as equations on its graph's parameters.
 
-    Returns the free positive-weight coordinates, whose parameters are
-    zeroed, and the dependent positive-weight images after that
-    substitution, each of which must vanish.  A non-zero constant among
-    them certifies that the graph avoids the subspace.
+    Returns the graph, the free positive-weight coordinates, whose
+    parameters are zeroed, and the dependent positive-weight images with
+    those pinned, each over exactly the parameters left.  A bare
+    polynomial is its identity graph, with ``restriction`` as its one
+    equation.  A non-zero constant equation certifies stability.
     """
-    positive = set(nonstable_coordinates(spec))
-    free_positive = tuple(
-        name for name in spec.coord_names if name in positive and name in graph.free
-    )
+    positive = nonstable_coordinates(spec)
+    if graph is None:
+        identity = GraphPresentation(spec.coord_names, dict(zip(spec.coord_names, spec.coord_names)), {})
+        return identity, positive, [restriction]
+    free_positive = tuple(name for name in positive if name in graph.free)
     pinned = {graph.free[name]: 0 for name in free_positive}
-    constraints = [
-        image.coefficient(pinned).extend_table(graph.zvars)
-        for name, image in graph.dependent.items()
-        if name in positive
-    ]
-    return free_positive, constraints
+    equations = [image.coefficient(pinned) for name, image in graph.dependent.items() if name in positive]
+    return graph, free_positive, equations
 
 
 def _find_unstable_point(
-    spec: RepSpec,
-    f: Optional[Poly],
-    graph: GraphPresentation,
-    free_positive: Tuple[str, ...],
-    constraints: Sequence[Poly],
+    spec: RepSpec, f: Optional[Poly], graph: GraphPresentation, free_positive: Tuple[str, ...], equations: List[Poly]
 ) -> Optional[UnstableWitness]:
-    """Witness search on a graph: zero the parameters of ``free_positive``, solve ``constraints``.
+    """Witness search on a ``_nonstable_system``: zero the parameters of ``free_positive``, solve ``equations``.
 
-    The graph route passes the system built by ``_graph_constraints``;
-    a bare polynomial passes the identity graph with its certificate's
-    restriction as the one constraint.  When the constraints vanish
-    identically the witness subspace is cut by the free positive-weight
-    coordinates alone.
+    When the equations vanish identically the witness subspace is cut
+    by the free positive-weight coordinates alone.
     """
-    positive = set(nonstable_coordinates(spec))
+    positive = nonstable_coordinates(spec)
     zero_z = {graph.free[name]: Fraction(0) for name in free_positive}
-    remaining = [z for z in graph.zvars if z not in zero_z]
-    solution, _ = _rational_zero(constraints, remaining)
+    solution, _ = _rational_zero(equations, tuple(z for z in graph.zvars if z not in zero_z))
     if solution is None:
         return None
-    zpoint: Dict[str, Fraction] = {**zero_z, **solution}
-    ambient: Dict[str, Fraction] = {}
-    for name, zname in graph.free.items():
-        ambient[name] = zpoint[zname]
-    for name, image in graph.dependent.items():
-        ambient[name] = image.evaluate(zpoint)
-    for name in positive:
-        if ambient[name] != 0:  # pragma: no cover - search post-condition
-            raise InternalInconsistency("witness left a positive-weight coordinate alive")
+    zpoint = {**zero_z, **solution}
+    ambient = {name: zpoint[z] for name, z in graph.free.items()}
+    ambient.update((name, image.evaluate(zpoint)) for name, image in graph.dependent.items())
+    if any(ambient[name] for name in positive):  # pragma: no cover - search post-condition
+        raise InternalInconsistency("witness left a positive-weight coordinate alive")
     if f is not None and f.evaluate(ambient) != 0:  # pragma: no cover - ditto
         raise InternalInconsistency("witness is not on the hypersurface")
-    subspace = (
-        free_positive
-        if all(c.is_zero for c in constraints)
-        else tuple(name for name in spec.coord_names if name in positive)
-    )
+    subspace = free_positive if all(c.is_zero for c in equations) else positive
     point = tuple((name, ambient[name]) for name in spec.coord_names)
     return UnstableWitness(subspace=subspace, point=point)
 
@@ -461,12 +437,12 @@ def classify(
             crosschecks.append(("graph-lies-on-hypersurface", True))
 
     witness: Optional[UnstableWitness] = None
-    search = None  # (graph, free positive-weight coordinates, constraints) of the witness search
+    system = None  # built at most once: for a graph-only certificate or for the witness search
     if certificate is not None:
         certified = certificate.certified
     else:
-        search = (graph, *_graph_constraints(spec, graph))
-        certified = any(not c.is_zero and c.is_constant() for c in search[2])
+        system = _nonstable_system(spec, graph)
+        certified = any(not c.is_zero and c.is_constant() for c in system[2])
         if certified:
             notes.append("graph avoids the non-stable subspace by a constant constraint")
 
@@ -489,14 +465,8 @@ def classify(
         else:
             verdict = Verdict.STRICTLY_QUASI_AFFINE
     else:
-        if graph is None:  # the identity graph, cut by the certificate's restriction
-            identity = GraphPresentation(
-                zvars=spec.coord_names, free={name: name for name in spec.coord_names}, dependent={}
-            )
-            search = (identity, nonstable_coordinates(spec), [certificate.restriction])
-        elif search is None:
-            search = (graph, *_graph_constraints(spec, graph))
-        witness = _find_unstable_point(spec, f, *search)
+        system = system or _nonstable_system(spec, graph, certificate.restriction)
+        witness = _find_unstable_point(spec, f, *system)
         if witness is not None:
             verdict = Verdict.NOT_EVERYWHERE_STABLE
         else:

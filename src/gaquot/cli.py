@@ -85,15 +85,20 @@ def _spec_from_job(job: Dict) -> RepSpec:
         and all(isinstance(block, dict) for block in data["blocks"]),
         f"representation must be an object with a 'blocks' list of objects, got {data!r}",
     )
+    _require(data["blocks"], "representation needs at least one block, got an empty 'blocks' list")
     for i, block in enumerate(data["blocks"]):
-        for key in ("sym", "vblock"):
-            if key in block:
-                value = block[key]
-                _require(
-                    isinstance(value, int) and not isinstance(value, bool),
-                    f"representation.blocks[{i}].{key} must be an integer, got {value!r}",
-                )
-    dim = sum(max(block.get("sym", -1) + 1, 0) + 2 * max(block.get("vblock", 0), 0) for block in data["blocks"])
+        keys = [key for key in ("sym", "vblock") if key in block]
+        _require(
+            len(keys) == 1,
+            f"representation.blocks[{i}] must name exactly one of 'sym' and 'vblock', got {block!r}",
+        )
+        value = block[keys[0]]
+        _require(
+            isinstance(value, int) and not isinstance(value, bool),
+            f"representation.blocks[{i}].{keys[0]} must be an integer, got {value!r}",
+        )
+        _require("sym" in block or value > 0, f"representation.blocks[{i}].vblock must be positive, got {value}")
+    dim = sum(max(block["sym"] + 1, 0) if "sym" in block else 2 * block["vblock"] for block in data["blocks"])
     _require(dim <= MAX_DIMENSION, f"representation has {dim} coordinates, above the cap of {MAX_DIMENSION}")
     if "coordinates" in data:
         _require(

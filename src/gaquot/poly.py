@@ -509,14 +509,6 @@ class PointBlock:
     def __len__(self) -> int:
         return len(self.qs)
 
-    def placed(self, positions: Sequence[int]) -> "PointBlock":
-        """The same points with variable ``i`` at position ``positions[i]``, with its own power cache."""
-        block = object.__new__(PointBlock)
-        block.qs, block._integral, block._powers = self.qs, self._integral, {}
-        block.columns = {positions[i]: column for i, column in self.columns.items()}
-        block.mask = sum(1 << i for i in block.columns)
-        return block
-
     def restrict(self, p: Poly) -> Restriction:
         """``p``'s integer terms whose variables all lie in the support, and its top degree."""
         _, terms, top = p._integer_form()

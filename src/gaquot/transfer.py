@@ -106,14 +106,17 @@ def boundary_split(spec: RepSpec, f: Poly) -> TransferResult:
     if collision:
         raise ValueError(f"coordinates shadow the plane variables: {sorted(collision)}")
     weights = spec.weights
-    f00 = _raw(spec.coord_names, {e: n for e, n in f.nums.items() if not sum(map(mul, e, weights))}, f.den)
+    parts = ({}, {})  # the numerators of weight zero, then of non-zero weight
+    for e, n in f.nums.items():
+        parts[bool(sum(map(mul, e, weights)))][e] = n
+    f00, boundary_part = (_raw(spec.coord_names, nums, f.den) for nums in parts)
     if f00.is_zero:
         boundary = BoundaryClass.CONTAINS
     elif f00.is_constant():
         boundary = BoundaryClass.MISSES
     else:
         boundary = BoundaryClass.INTERSECTS
-    return TransferResult(partial(_ladder, spec, f), f00, f - f00, boundary)
+    return TransferResult(partial(_ladder, spec, f), f00, boundary_part, boundary)
 
 
 def extend(spec: RepSpec, f: Poly) -> TransferResult:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import importlib
 import json
 import math
@@ -35,7 +36,7 @@ from gaquot.errors import GraphInconsistency, NonInvariantInput, VariableTableMi
 from gaquot.expr import parse
 from gaquot.fixtures import all_named_fixtures, fixture
 from gaquot.poly import Poly
-from gaquot.reps import RepSpec, build_derivation
+from gaquot.reps import RepSpec, build_derivation, nonstable_coordinates
 from gaquot.transfer import BoundaryClass, boundary_split, extend
 
 CLASSIFY = importlib.import_module("gaquot.classify")  # the package exports the function by this name
@@ -334,13 +335,13 @@ class TestOneBoundaryRead:
         splits = self._count(monkeypatch, "boundary_split")
         ladders = self._count(monkeypatch, "_ladder", TRANSFER)
         smoothness = self._count(monkeypatch, "jacobian_boundary_smoothness")
-        constraints = self._count(monkeypatch, "_graph_constraints")
+        systems = self._count(monkeypatch, "_nonstable_system")
         report = classify(fx.spec, fx.f, fx.graph if with_graph else None)
         assert report.verdict is Verdict.STRICTLY_QUASI_AFFINE
         assert extends == [] and ladders == []
         assert len(splits) == 1
         assert len(smoothness) == 1
-        assert constraints == []  # only the witness search and a graph-only certificate read them
+        assert systems == []  # only the witness search and a graph-only certificate read it
         rendered = report.to_dict()
         assert len(ladders) == 1
         assert report.to_dict() == rendered
@@ -349,10 +350,10 @@ class TestOneBoundaryRead:
 
     def test_graph_only_input_builds_its_constraints_once(self, monkeypatch):
         fx = fixture("deveney-finston")
-        constraints = self._count(monkeypatch, "_graph_constraints")
+        systems = self._count(monkeypatch, "_nonstable_system")
         report = classify(fx.spec, fx.f, fx.graph)
         assert report.verdict is Verdict.NOT_EVERYWHERE_STABLE
-        assert len(constraints) == 1
+        assert len(systems) == 1  # the graph-only certificate and the witness search share it
 
     @pytest.mark.parametrize("name, with_f, searches", [
         ("winkelmann", True, 0),
@@ -581,9 +582,9 @@ def _oracle_rational_zero(polys, names):
     return None, len(table)
 
 
-def _same_search(polys, names):
-    point, tried = _rational_zero(polys, names)
-    expected_point, expected_tried = _oracle_rational_zero(polys, names)
+def _same_search(polys, table):
+    point, tried = _rational_zero(polys, table)
+    expected_point, expected_tried = _oracle_rational_zero(polys, table)
     assert tried == expected_tried
     assert (point is None) == (expected_point is None)
     if point is not None:
@@ -596,18 +597,15 @@ _PLANTED = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
 
 @st.composite
 def zero_searches(draw):
-    """One shared table, ``names`` a subset of it, and polys that may vanish on the candidates.
+    """One table, in any order, and polys over it that may vanish on the candidates.
 
-    A planted linear factor ``(x - v)`` with ``x`` in ``names`` makes
-    hits likely; terms in a variable outside ``names`` vanish there.
+    A planted linear factor ``(x - v)`` with ``x`` in the table makes
+    hits likely.
     """
     n = draw(st.integers(min_value=1, max_value=5))
-    table = _LETTERS[: n + draw(st.integers(min_value=0, max_value=2))]
-    names = draw(st.permutations(table))[:n]
-    if draw(st.booleans()):
-        names = [name for name in table if name in names]
+    table = tuple(draw(st.permutations(_LETTERS[:n])))
     coeffs = st.builds(Fraction, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=4))
-    exponents = st.tuples(*[st.integers(min_value=0, max_value=2)] * len(table))
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=2)] * n)
     polys = []
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         kind = draw(st.sampled_from(("zero", "constant", "random", "planted")))
@@ -618,9 +616,9 @@ def zero_searches(draw):
         else:
             p = Poly(table, draw(st.dictionaries(exponents, coeffs, max_size=4)))
             if kind == "planted":
-                p = p * (Poly.variable(table, draw(st.sampled_from(names))) - draw(st.sampled_from(_PLANTED)))
+                p = p * (Poly.variable(table, draw(st.sampled_from(table))) - draw(st.sampled_from(_PLANTED)))
             polys.append(p)
-    return polys, tuple(names)
+    return polys, table
 
 
 class TestRationalZero:
@@ -632,34 +630,32 @@ class TestRationalZero:
     @settings(max_examples=80)
     @given(zero_searches())
     def test_deferred_polys_give_the_same_search(self, search):
-        polys, names = search
-        assert _rational_zero(polys[:1], names, lambda: polys[1:]) == _rational_zero(polys, names)
+        polys, table = search
+        assert _rational_zero(polys[:1], table, lambda: polys[1:]) == _rational_zero(polys, table)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_zero_and_constant(self, n):
-        table = _LETTERS[: n + 1]
-        names = table[1:]
+        table = _LETTERS[:n]
         zero, constant = Poly.zero(table), Poly.const(table, Fraction(-2, 3))
         for polys in ([zero], [constant], [zero, constant], [constant, zero]):
-            _same_search(polys, names)
-        assert _rational_zero([zero], names) == (dict.fromkeys(table, Fraction(0)), 1)
-        assert _rational_zero([constant], names) == (None, len(_fraction_points(n)))
+            _same_search(polys, table)
+        assert _rational_zero([zero], table) == (dict.fromkeys(table, Fraction(0)), 1)
+        assert _rational_zero([constant], table) == (None, len(_fraction_points(n)))
 
     @pytest.mark.parametrize("n, k", [(2, 31), (3, 31), (4, 28), (6, 33)])
     def test_zero_at_a_dense_sample(self, n, k):
         # a sum of squares vanishes only at the k-th seeded sample, which no
-        # sparse block contains; the table carries one extra, zeroed variable
-        table = _LETTERS[: n + 1]
-        names = table[1:]
+        # sparse block contains
+        table = _LETTERS[:n]
         sparse = 1 + 12 * n + 16 * math.comb(n, 2)
         sample = _fraction_points(n)[sparse + k - 1]
-        variables = [Poly.variable(table, name) for name in names]
+        variables = [Poly.variable(table, name) for name in table]
         squares = sum(((x - v) ** 2 for x, v in zip(variables, sample)), Poly.zero(table))
         for polys in ([squares], [variables[0] - sample[0], squares]):
-            _same_search(polys, names)
-            point, tried = _rational_zero(polys, names)
+            _same_search(polys, table)
+            point, tried = _rational_zero(polys, table)
             assert tried == sparse + k
-            assert tuple(point[name] for name in names) == sample
+            assert tuple(point[name] for name in table) == sample
 
     def test_constant_on_every_axis_but_zero_on_a_pair(self):
         table = ("x", "y", "z")
@@ -693,7 +689,80 @@ class TestRationalZero:
     def test_tables_must_agree(self):
         x = Poly.variable(("x", "y"), "x")
         with pytest.raises(VariableTableMismatch):
-            _rational_zero([x, Poly.variable(("y", "x"), "x")], ("x",))
+            _rational_zero([x, Poly.variable(("y", "x"), "x")], ("x", "y"))
+        with pytest.raises(VariableTableMismatch):  # every poly lies over the searched table itself
+            _rational_zero([x], ("x",))
+
+
+def _oracle_witness(spec, f, graph):
+    """The first zero of the input's non-stable system on the oracle, mapped through the graph.
+
+    The graph's positive-weight images (``f`` on the identity graph)
+    keep their full parameter table; the oracle zeroes the parameters of
+    the free positive-weight coordinates and searches the others.
+    Returns ``None`` when the input is certified and the search does
+    not run, else the ambient point or ``None`` on a miss.
+    """
+    positive = nonstable_coordinates(spec)
+    if graph is None:
+        graph = GraphPresentation(zvars=spec.coord_names, free={n: n for n in spec.coord_names}, dependent={})
+        equations = [f]
+    else:
+        equations = [image for name, image in graph.dependent.items() if name in positive]
+    zeroed = {graph.free[name]: 0 for name in positive if name in graph.free}
+    pinned = [e.substitute(zeroed) for e in equations]
+    if any(not p.is_zero and p.is_constant() for p in pinned):
+        return None
+    point, _ = _oracle_rational_zero(equations, [z for z in graph.zvars if z not in zeroed])
+    if point is None:
+        return None
+    ambient = {name: point[z] for name, z in graph.free.items()}
+    ambient.update((name, image.evaluate(point)) for name, image in graph.dependent.items())
+    return tuple((name, ambient[name]) for name in spec.coord_names)
+
+
+def _assert_witness_is_the_oracle_zero(spec, f, graph):
+    report = classify(spec, f, graph)
+    if f is not None:
+        positive = nonstable_coordinates(spec)
+        assert report.certificate.restriction.vars == tuple(n for n in spec.coord_names if n not in positive)
+    expected = None if f is not None and report.certificate.certified else _oracle_witness(spec, f, graph)
+    assert (report.witness and report.witness.point) == expected
+    assert (report.verdict is Verdict.NOT_EVERYWHERE_STABLE) == (expected is not None)
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_generators(summands):
+    return tuple(graded_kernel_generators(build_derivation(RepSpec(summands)), 2))
+
+
+@st.composite
+def _uncertified_products(draw):
+    """``c + a*P`` for ``P`` a product of kernel generators whose restriction is not a non-zero constant."""
+    summands = draw(st.sampled_from([(2, 1, 1), (4,), (2, 2)]))
+    spec, generators = RepSpec(summands), _kernel_generators(summands)
+    product = Poly.const(spec.coord_names, draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))
+    for index in draw(st.lists(st.integers(0, len(generators) - 1), min_size=1, max_size=3)):
+        product = product * generators[index]
+    f = product + draw(st.integers(-9, 9))
+    assume(not f.is_constant() and not certify_everywhere_stable(spec, f).certified)
+    return spec, f
+
+
+class TestWitnessIsTheSystemsFirstZero:
+    """The witness is the oracle's first zero of the non-stable system, mapped through the graph."""
+
+    @pytest.mark.parametrize("name", [fx.name for fx in all_named_fixtures()] + _golden_family_members())
+    def test_fixtures_and_golden_members(self, name):
+        fx = fixture(name)
+        for f, graph in ((fx.f, fx.graph), (fx.f, None), (None, fx.graph)):
+            if f is not None or graph is not None:
+                _assert_witness_is_the_oracle_zero(fx.spec, f, graph)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_uncertified_products())
+    def test_uncertified_generator_products(self, drawn):
+        _assert_witness_is_the_oracle_zero(*drawn, None)
 
 
 def _boundary_polynomials():

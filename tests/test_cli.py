@@ -303,6 +303,26 @@ class TestMalformedJobs:
         err = self._run_job(tmp_path, capsys, representation={"blocks": blocks})
         assert "coordinates, above the cap of 64" in err
 
+    @pytest.mark.parametrize("blocks, i", [
+        ([{"sym": 1, "vblock": 40}], 0),
+        ([{"sym": 1, "vblock": 2}], 0),
+        ([{"sym": 1}, {}], 1),
+        ([{"vblock": 2, "normalization": "unit"}, {"coordinates": ["a"]}], 1),
+    ])
+    def test_block_names_exactly_one_key(self, tmp_path, capsys, blocks, i):
+        err = self._run_job(tmp_path, capsys, representation={"blocks": blocks})
+        assert err.startswith(f"error: representation.blocks[{i}] must name exactly one of 'sym' and 'vblock', got ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_non_positive_vblock(self, tmp_path, capsys, count):
+        err = self._run_job(tmp_path, capsys, representation={"blocks": [{"sym": 2}, {"vblock": count}]})
+        assert err == f"error: representation.blocks[1].vblock must be positive, got {count}\n"
+
+    def test_empty_blocks(self, tmp_path, capsys):
+        err = self._run_job(tmp_path, capsys, representation={"blocks": []})
+        assert err == "error: representation needs at least one block, got an empty 'blocks' list\n"
+
     def test_unknown_output(self, tmp_path, capsys):
         err = self._run_job(tmp_path, capsys, output="yaml")
         assert "output" in err and "yaml" in err

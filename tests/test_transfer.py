@@ -12,6 +12,7 @@ from gaquot import transfer
 from gaquot.derivations import Derivation, apply, graded_kernel_generators
 from gaquot.errors import NonInvariantInput, VariableTableMismatch
 from gaquot.expr import parse
+from gaquot.fixtures import all_named_fixtures
 from gaquot.poly import Poly
 from gaquot.reps import RepSpec, Sl2Triple, build_derivation, catalog_invariants, sl2_triple
 from gaquot.transfer import (
@@ -304,6 +305,24 @@ class TestIntegerLadder:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(transfer, "sl2_triple", lambda _: patched)
             _assert_matches_reference(spec, patched, f)
+
+
+def _assert_boundary_part_is_the_difference(spec, f):
+    split = boundary_split(spec, f)
+    assert split.boundary_part == f - split.f00
+    assert repr(split.boundary_part) == repr(f - split.f00)
+
+
+class TestBoundaryPart:
+    """``boundary_split`` partitions the terms of ``f`` by weight; the non-zero-weight part is ``f - F00``."""
+
+    @pytest.mark.parametrize("fx", [fx for fx in all_named_fixtures() if fx.f is not None], ids=lambda fx: fx.name)
+    def test_fixtures(self, fx):
+        _assert_boundary_part_is_the_difference(fx.spec, fx.f)
+
+    @given(invariants())
+    def test_generator_combinations(self, drawn):
+        _assert_boundary_part_is_the_difference(*drawn)
 
 
 # ----------------------------------------------------------------------
