@@ -169,17 +169,9 @@ class ClassificationReport:
                 "certified": self.certificate.certified,
             }
         if self.transfer is not None:
-            out["transfer"] = {
-                "extension": str(self.transfer.extension),
-                "f00": str(self.transfer.f00),
-                "boundaryPart": str(self.transfer.boundary_part),
-                "boundary": self.transfer.boundary.value,
-            }
+            out["transfer"] = self.transfer.to_dict()
         if self.slice_result is not None:
-            out["slice"] = {
-                "found": None if self.slice_result.found is None else str(self.slice_result.found),
-                "degreeBound": self.slice_result.degree_bound,
-            }
+            out["slice"] = self.slice_result.to_dict()
         if self.witness is not None:
             out["witness"] = {
                 "subspace": list(self.witness.subspace),

@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import astuple
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .classify import (
@@ -43,16 +42,12 @@ from .transfer import extend
 
 SCHEMA = "gaquot-report/1"
 
-# The largest representation a job may name: the point search's candidate
-# table grows with the cube of the dimension.
-MAX_DIMENSION = 64
-
 COMMANDS = ("classify", "invariants", "transfer", "slice", "family-compare", "selftest")
 
 OUTPUTS = ("text", "structured")
 
-# job key and command-line flag attribute, in the order of the ``Bounds`` fields
-_BOUND_FIELDS = (("sliceDeg", "slice_deg"), ("invariantDeg", "inv_deg"))
+# command-line flag attributes, in the order of the ``Bounds`` fields and their job keys
+_BOUND_FLAGS = ("slice_deg", "inv_deg")
 
 _EXIT_BY_VERDICT = {
     Verdict.AFFINE: 0,
@@ -78,34 +73,7 @@ def _parse_field(text, field: str, names: Sequence[str]):
 
 def _spec_from_job(job: Dict) -> RepSpec:
     _require("representation" in job, "job is missing 'representation'")
-    data = job["representation"]
-    _require(
-        isinstance(data, dict)
-        and isinstance(data.get("blocks"), list)
-        and all(isinstance(block, dict) for block in data["blocks"]),
-        f"representation must be an object with a 'blocks' list of objects, got {data!r}",
-    )
-    _require(data["blocks"], "representation needs at least one block, got an empty 'blocks' list")
-    for i, block in enumerate(data["blocks"]):
-        keys = [key for key in ("sym", "vblock") if key in block]
-        _require(
-            len(keys) == 1,
-            f"representation.blocks[{i}] must name exactly one of 'sym' and 'vblock', got {block!r}",
-        )
-        value = block[keys[0]]
-        _require(
-            isinstance(value, int) and not isinstance(value, bool),
-            f"representation.blocks[{i}].{keys[0]} must be an integer, got {value!r}",
-        )
-        _require("sym" in block or value > 0, f"representation.blocks[{i}].vblock must be positive, got {value}")
-    dim = sum(max(block["sym"] + 1, 0) if "sym" in block else 2 * block["vblock"] for block in data["blocks"])
-    _require(dim <= MAX_DIMENSION, f"representation has {dim} coordinates, above the cap of {MAX_DIMENSION}")
-    if "coordinates" in data:
-        _require(
-            _is_string_list(data["coordinates"]),
-            f"representation.coordinates must be a list of strings, got {data['coordinates']!r}",
-        )
-    return spec_from_blocks(data)
+    return spec_from_blocks(job["representation"])
 
 
 def _graph_from_job(data: Dict) -> GraphPresentation:
@@ -136,7 +104,7 @@ def _bounds_from(job: Dict, args: argparse.Namespace) -> Bounds:
     raw = job.get("bounds", {})
     _require(isinstance(raw, dict), f"bounds must be an object, got {raw!r}")
     values = []
-    for (key, flag), default in zip(_BOUND_FIELDS, astuple(Bounds())):
+    for flag, (key, default) in zip(_BOUND_FLAGS, Bounds().as_dict().items()):
         value = getattr(args, flag)
         field = "--" + flag.replace("_", "-")
         if value is None:
@@ -157,6 +125,13 @@ def _bounds_from(job: Dict, args: argparse.Namespace) -> Bounds:
 Handled = Tuple[Dict, List[str], int]
 
 
+def _slice_line(result: Dict) -> str:
+    """The ``slice:`` line of a slice payload."""
+    if result["found"] is None:
+        return f"slice: none up to degree {result['degreeBound']}"
+    return f"slice: {result['found']}"
+
+
 def _run_classify(job: Dict, bounds: Bounds) -> Handled:
     spec = _spec_from_job(job)
     f = None
@@ -166,8 +141,7 @@ def _run_classify(job: Dict, bounds: Bounds) -> Handled:
     report = classify(spec, f, graph, bounds)
     payload = report.to_dict()
     lines = [f"verdict: {payload['verdict']}"]
-    bounds_echo = payload["bounds"]
-    lines.append("bounds: sliceDeg={sliceDeg} invariantDeg={invariantDeg}".format(**bounds_echo))
+    lines.append("bounds: " + " ".join(f"{key}={value}" for key, value in payload["bounds"].items()))
     if "certificate" in payload:
         status = "certified" if payload["certificate"]["certified"] else "not certified"
         lines.append(
@@ -178,11 +152,7 @@ def _run_classify(job: Dict, bounds: Bounds) -> Handled:
         lines.append(f"F00: {payload['transfer']['f00']}")
         lines.append(f"boundary part: {payload['transfer']['boundaryPart']}")
     if "slice" in payload:
-        found = payload["slice"]["found"]
-        bound = payload["slice"]["degreeBound"]
-        lines.append(
-            f"slice: {found}" if found is not None else f"slice: none up to degree {bound}"
-        )
+        lines.append(_slice_line(payload["slice"]))
     if "witness" in payload:
         subspace = ", ".join(f"{name} = 0" for name in payload["witness"]["subspace"])
         point = ", ".join(
@@ -204,10 +174,7 @@ def _run_invariants(job: Dict, bounds: Bounds) -> Handled:
     generators = graded_kernel_generators(
         build_derivation(spec), bounds.invariant_degree
     )
-    payload = {
-        "bounds": bounds.as_dict(),
-        "generators": [str(g) for g in generators],
-    }
+    payload = {"generators": [str(g) for g in generators]}
     lines = [f"kernel generators up to degree {bounds.invariant_degree}:"]
     lines.extend(f"  {g}" for g in payload["generators"])
     return payload, lines, 0
@@ -217,14 +184,7 @@ def _run_transfer(job: Dict, bounds: Bounds) -> Handled:
     spec = _spec_from_job(job)
     _require("polynomial" in job, "transfer needs 'polynomial'")
     f = _parse_field(job["polynomial"], "polynomial", spec.coord_names)
-    result = extend(spec, f)
-    payload = {
-        "bounds": bounds.as_dict(),
-        "extension": str(result.extension),
-        "f00": str(result.f00),
-        "boundaryPart": str(result.boundary_part),
-        "boundary": result.boundary.value,
-    }
+    payload = extend(spec, f).to_dict()
     lines = [
         f"extension: {payload['extension']}",
         f"F00: {payload['f00']}",
@@ -239,18 +199,8 @@ def _run_slice(job: Dict, bounds: Bounds) -> Handled:
     derivation = build_derivation(spec)
     if "graph" in job:
         derivation = restrict_to_graph(derivation, _graph_from_job(job["graph"]))
-    result = slice_search(derivation, bounds.slice_degree)
-    payload = {
-        "bounds": bounds.as_dict(),
-        "found": None if result.found is None else str(result.found),
-        "degreeBound": result.degree_bound,
-    }
-    lines = [
-        f"slice: {payload['found']}"
-        if payload["found"] is not None
-        else f"slice: none up to degree {result.degree_bound}"
-    ]
-    return payload, lines, 0
+    payload = slice_search(derivation, bounds.slice_degree).to_dict()
+    return payload, [_slice_line(payload)], 0
 
 
 def _run_family_compare(job: Dict, bounds: Bounds) -> Handled:
@@ -269,7 +219,6 @@ def _run_family_compare(job: Dict, bounds: Bounds) -> Handled:
     ]
     comparison = compare_family(members[0], members[1])
     payload = {
-        "bounds": bounds.as_dict(),
         "outcome": comparison.outcome.value,
         "counts": list(comparison.counts),
     }
@@ -311,7 +260,6 @@ def _run_selftest(job: Dict, bounds: Bounds) -> Handled:
     checks.append(("family counts distinguish t from t^2 - 1", comparison.counts == (1, 2)))
     passed = all(ok for _, ok in checks)
     payload = {
-        "bounds": bounds.as_dict(),
         "checks": [[name, ok] for name, ok in checks],
         "passed": passed,
     }
@@ -382,7 +330,7 @@ def _load_job(args: argparse.Namespace) -> Dict:
 
 
 def run(job: Dict, bounds: Bounds) -> Handled:
-    """Dispatch one job; the payload is the structured report body."""
+    """Dispatch one job; the payload is the structured report body, echoing the bounds."""
     command = job.get("command", "classify")
     _require(
         isinstance(command, str) and command in _HANDLERS,
@@ -394,6 +342,7 @@ def run(job: Dict, bounds: Bounds) -> Handled:
             f"citations must be a list of strings, got {job['citations']!r}",
         )
     payload, lines, code = _HANDLERS[command](job, bounds)
+    payload["bounds"] = bounds.as_dict()
     payload["schema"] = SCHEMA
     payload["command"] = command
     if "citations" in job:

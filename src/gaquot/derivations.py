@@ -562,6 +562,12 @@ class SliceSearch:
     found: Optional[Poly]
     degree_bound: int
 
+    def to_dict(self) -> Dict:
+        return {
+            "found": None if self.found is None else str(self.found),
+            "degreeBound": self.degree_bound,
+        }
+
 
 def slice_search(d: Derivation, degree_bound: int = 3) -> SliceSearch:
     """Look for ``s`` with ``D(s) = 1`` among polynomials of bounded degree.

@@ -45,6 +45,10 @@ from .poly import Poly
 
 NORMALIZATIONS = ("section5", "unit")
 
+# The largest representation a job may name: the point search's candidate
+# table grows with the cube of the dimension.
+MAX_DIMENSION = 64
+
 
 @dataclass(frozen=True)
 class RepSpec:
@@ -126,24 +130,44 @@ def spec_to_blocks(spec: RepSpec) -> Dict:
 
 
 def spec_from_blocks(data: Mapping) -> RepSpec:
-    """Inverse of :func:`spec_to_blocks`; accepts either block form."""
+    """Inverse of :func:`spec_to_blocks`, and the one reader of a job's ``representation``.
+
+    Each fault raises ``ValueError`` naming its JSON path; a block is
+    counted against :data:`MAX_DIMENSION` before it grows the summands.
+    """
+    blocks = data.get("blocks") if isinstance(data, Mapping) else None
+    if not (isinstance(blocks, list) and all(isinstance(block, Mapping) for block in blocks)):
+        raise ValueError(f"representation must be an object with a 'blocks' list of objects, got {data!r}")
+    if not blocks:
+        raise ValueError("representation needs at least one block, got an empty 'blocks' list")
     summands: List[int] = []
-    for block in data["blocks"]:
-        if "sym" in block:
-            summands.append(int(block["sym"]))
-        elif "vblock" in block:
-            count = int(block["vblock"])
-            if count < 1:
-                raise ValueError(f"vblock count must be positive, got {count}")
-            summands.extend([1] * count)
-        else:
-            raise ValueError(f"block must name 'sym' or 'vblock': {block}")
-    names = tuple(data.get("coordinates", ()))
-    return RepSpec(
-        tuple(summands),
-        normalization=data.get("normalization", "section5"),
-        coord_names=names,
-    )
+    dim = 0
+    for i, block in enumerate(blocks):
+        keys = [key for key in ("sym", "vblock") if key in block]
+        if len(keys) != 1:
+            raise ValueError(
+                f"representation.blocks[{i}] must name exactly one of 'sym' and 'vblock', got {block!r}"
+            )
+        value = block[keys[0]]
+        path = f"representation.blocks[{i}].{keys[0]}"
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{path} must be an integer, got {value!r}")
+        sym = "sym" in block
+        if value < (0 if sym else 1):
+            raise ValueError(f"{path} must be {'non-negative' if sym else 'positive'}, got {value}")
+        dim += value + 1 if sym else 2 * value
+        if dim > MAX_DIMENSION:
+            raise ValueError(f"representation has {dim} coordinates, above the cap of {MAX_DIMENSION}")
+        summands.extend([value] if sym else [1] * value)
+    names = data.get("coordinates", [])
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+        raise ValueError(f"representation.coordinates must be a list of strings, got {names!r}")
+    normalization = data.get("normalization", "section5")
+    if normalization not in NORMALIZATIONS:
+        raise ValueError(
+            f"representation.normalization must be one of {', '.join(NORMALIZATIONS)}, got {normalization!r}"
+        )
+    return RepSpec(tuple(summands), normalization=normalization, coord_names=tuple(names))
 
 
 # ----------------------------------------------------------------------

@@ -82,6 +82,15 @@ class TransferResult:
     boundary_part: Poly   # over coords; f = f00 + boundary_part
     boundary: BoundaryClass
 
+    def to_dict(self) -> Dict[str, str]:
+        """JSON-ready fields; reading them runs the ladder if it has not run."""
+        return {
+            "extension": str(self.extension),
+            "f00": str(self.f00),
+            "boundaryPart": str(self.boundary_part),
+            "boundary": self.boundary.value,
+        }
+
 
 @lru_cache(maxsize=None)
 def extended_spec(spec: RepSpec) -> RepSpec:

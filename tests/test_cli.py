@@ -137,6 +137,19 @@ class TestCommands:
         assert data["found"] is None
         assert data["degreeBound"] == 3
 
+    @pytest.mark.parametrize("name", ["winkelmann", "sl2-in-v2", "family-phi(t^2 - 2)"])
+    def test_transfer_fields_match_the_classify_report(self, capsys, name):
+        _, report = _run_json(capsys, "--fixture", name)
+        _, data = _run_json(capsys, "--fixture", name, "--command", "transfer")
+        for envelope in ("bounds", "schema", "command", "citations"):
+            del data[envelope]
+        assert data == report["transfer"]
+
+    def test_slice_fields_match_the_classify_report(self, capsys):
+        _, report = _run_json(capsys, "--fixture", "affine-slice")
+        _, data = _run_json(capsys, "--fixture", "affine-slice", "--command", "slice")
+        assert {key: data[key] for key in ("found", "degreeBound")} == report["slice"]
+
     def test_selftest_standalone(self, capsys):
         code, out, _ = _run(capsys, "--command", "selftest")
         assert code == 0
@@ -314,10 +327,14 @@ class TestMalformedJobs:
         assert err.startswith(f"error: representation.blocks[{i}] must name exactly one of 'sym' and 'vblock', got ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("count", [0, -2])
-    def test_non_positive_vblock(self, tmp_path, capsys, count):
-        err = self._run_job(tmp_path, capsys, representation={"blocks": [{"sym": 2}, {"vblock": count}]})
-        assert err == f"error: representation.blocks[1].vblock must be positive, got {count}\n"
+    @pytest.mark.parametrize("block, message", [
+        pytest.param({"vblock": 0}, "vblock must be positive, got 0", id="vblock=0"),
+        pytest.param({"vblock": -2}, "vblock must be positive, got -2", id="vblock=-2"),
+        pytest.param({"sym": -1}, "sym must be non-negative, got -1", id="sym=-1"),
+    ])
+    def test_out_of_range_block(self, tmp_path, capsys, block, message):
+        err = self._run_job(tmp_path, capsys, representation={"blocks": [{"vblock": 2}, block]})
+        assert err == f"error: representation.blocks[1].{message}\n"
 
     def test_empty_blocks(self, tmp_path, capsys):
         err = self._run_job(tmp_path, capsys, representation={"blocks": []})

@@ -72,6 +72,30 @@ class TestRepSpec:
     def test_block_serialization_round_trip(self, spec):
         assert spec_from_blocks(spec_to_blocks(spec)) == spec
 
+    @pytest.mark.parametrize("data, message", [
+        ({"blocks": [{"sym": 1, "vblock": 2}]},
+         "representation.blocks[0] must name exactly one of 'sym' and 'vblock', got {'sym': 1, 'vblock': 2}"),
+        ({"blocks": [{"sym": 1}, {}]},
+         "representation.blocks[1] must name exactly one of 'sym' and 'vblock', got {}"),
+        ({"blocks": [{"sym": True}]}, "representation.blocks[0].sym must be an integer, got True"),
+        ({"blocks": [{"sym": "3"}]}, "representation.blocks[0].sym must be an integer, got '3'"),
+        ({"blocks": [{"sym": -1}]}, "representation.blocks[0].sym must be non-negative, got -1"),
+        ({"blocks": [{"vblock": 0}]}, "representation.blocks[0].vblock must be positive, got 0"),
+        ({"blocks": {"sym": 1}},
+         "representation must be an object with a 'blocks' list of objects, got {'blocks': {'sym': 1}}"),
+        ({"blocks": []}, "representation needs at least one block, got an empty 'blocks' list"),
+        ({"blocks": [{"sym": 1}], "coordinates": None},
+         "representation.coordinates must be a list of strings, got None"),
+        ({"blocks": [{"sym": 1}], "normalization": "fancy"},
+         "representation.normalization must be one of section5, unit, got 'fancy'"),
+        ({"blocks": [{"vblock": 10 ** 12}]},
+         "representation has 2000000000000 coordinates, above the cap of 64"),
+    ])
+    def test_block_reader_names_the_fault(self, data, message):
+        with pytest.raises(ValueError) as excinfo:
+            spec_from_blocks(data)
+        assert str(excinfo.value) == message
+
     def test_block_serialization_shape(self):
         blocks = spec_to_blocks(RepSpec((1, 1, 3), "unit", tuple(f"w{i}" for i in range(1, 9))))
         assert blocks["normalization"] == "unit"
