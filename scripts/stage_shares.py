@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Share of a warm benchmark pass spent in each ``classify`` stage.
+"""Share of a warm benchmark pass spent in parsing, each ``classify`` stage and rendering.
 
 Usage (from the repository root):
     python3 scripts/stage_shares.py WORKLOAD [--seed N]
@@ -36,8 +36,9 @@ from gqbench.workloads import WORKLOADS, setup  # noqa: E402
 
 PASSES = 5
 
-# (row label, module, attribute or Class.method), in pipeline order
+# (row label, module, attribute or Class.method), in pipeline order: parse, stages, render
 STAGES = (
+    ("`expr.parse`", "gaquot.expr", "parse"),
     ("`certify_everywhere_stable`", "gaquot.classify", "certify_everywhere_stable"),
     ("`restrict_to_graph`", "gaquot.derivations", "restrict_to_graph"),
     ("graph check `GraphPresentation.pull_back`", "gaquot.derivations", "GraphPresentation.pull_back"),
@@ -50,6 +51,7 @@ STAGES = (
     ("`_find_unstable_point`", "gaquot.classify", "_find_unstable_point"),
     ("`graded_kernel_generators`", "gaquot.derivations", "graded_kernel_generators"),
     ("`verify_invariance`", "gaquot.transfer", "verify_invariance"),
+    ("`Poly.__str__` (report rendering)", "gaquot.poly", "Poly.__str__"),
 )
 
 

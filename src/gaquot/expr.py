@@ -16,20 +16,26 @@ variables)`` checks identifiers against the given table, ``parse(text)``
 takes them in order of first appearance, and every exponent is as wide
 as the table.
 
-Products of the light term lists run on ``poly._times``, which merges
-like monomials.  Three caps bound the work of one parse: an exponent
-above ``MAX_EXPONENT``, a product of two factors with more than
-``MAX_TERMS`` term pairs and parentheses nested deeper than
-``MAX_DEPTH`` are syntax errors.
+Each rule returns a list of ``(exponent, coefficient)`` terms, which a
+sum extends.  A product of two monomials adds their exponents and a
+power of one scales its exponent; a product with a longer operand runs
+on ``poly._times``, which merges like monomials.  A vanished
+coefficient leaves an empty list either way.  Three caps bound the work
+of one parse: an exponent above ``MAX_EXPONENT``, a product of two
+factors with more than ``MAX_TERMS`` term pairs and parentheses nested
+deeper than ``MAX_DEPTH`` are syntax errors.  An all-integer result over
+a table of distinct names is already canonical and skips ``Poly``'s
+validation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import ExprSyntaxError
-from .poly import Poly, _times
+from .poly import Poly, _raw, _times
 
 _OPS = set("+-*^/()")
 
@@ -39,13 +45,8 @@ MAX_DEPTH = 100
 _SLASH_MESSAGE = "'/' is only allowed inside rational literals"
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
+# A token is (kind, text, pos): kind is an operator character, "int", "ident" or "end".
+_Token = Tuple[str, str, int]
 
 
 def _tokenize(text: str) -> List[_Token]:
@@ -58,25 +59,25 @@ def _tokenize(text: str) -> List[_Token]:
             i += 1
             continue
         if ch in _OPS:
-            tokens.append(_Token(ch, ch, i))
+            tokens.append((ch, ch, i))
             i += 1
             continue
         if ch.isdigit():
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(_Token("int", text[i:j], i))
+            tokens.append(("int", text[i:j], i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(_Token("ident", text[i:j], i))
+            tokens.append(("ident", text[i:j], i))
             i = j
             continue
         raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
+    tokens.append(("end", "", n))
     return tokens
 
 
@@ -90,7 +91,7 @@ class _Parser:
         self.index = 0
         self.depth = 0  # parentheses open around the current token
         if variables is None:
-            variables = dict.fromkeys(tok.text for tok in tokens if tok.kind == "ident")
+            variables = dict.fromkeys(text for kind, text, _ in tokens if kind == "ident")
         self.variables: Tuple[str, ...] = tuple(variables)
         self.place = {name: i for i, name in enumerate(self.variables)}
         self.one: Tuple[int, ...] = (0,) * len(self.variables)
@@ -103,90 +104,94 @@ class _Parser:
         self.index += 1
         return tok
 
-    # each parse method returns a list of terms
+    # each parse method returns a fresh list of terms, which its caller may extend
 
     def parse_expr(self) -> List[_Term]:
         terms = self.parse_term()
-        while self.peek().kind in "+-":
-            op = self.advance().kind
+        while self.peek()[0] in "+-":
+            op = self.advance()[0]
             rhs = self.parse_term()
-            if op == "-":
-                rhs = [(m, -c) for m, c in rhs]
-            terms = terms + rhs
+            terms.extend(rhs if op == "+" else [(m, -c) for m, c in rhs])
         return terms
 
     def parse_term(self) -> List[_Term]:
         acc = self.parse_factor()
-        while self.peek().kind == "*":
-            star = self.advance()
-            rhs = self.parse_factor()
-            acc = self.multiply(acc, rhs, star.pos)
-        if self.peek().kind == "/":  # a rational literal has consumed its own slash
-            raise ExprSyntaxError(_SLASH_MESSAGE, self.peek().pos)
+        while self.peek()[0] == "*":
+            star = self.advance()[2]
+            acc = self.multiply(acc, self.parse_factor(), star)
+        if self.peek()[0] == "/":  # a rational literal has consumed its own slash
+            raise ExprSyntaxError(_SLASH_MESSAGE, self.peek()[2])
         return acc
 
     def parse_factor(self) -> List[_Term]:
         sign = 1
-        while self.peek().kind in "+-":
-            if self.advance().kind == "-":
+        while self.peek()[0] in "+-":
+            if self.advance()[0] == "-":
                 sign = -sign
         base = self.parse_atom()
-        if self.peek().kind == "^":
-            caret = self.advance()
-            tok = self.peek()
-            if tok.kind != "int":
-                raise ExprSyntaxError("exponent must be a non-negative integer", tok.pos if tok.kind != "end" else caret.pos)
-            power = int(self.advance().text)
+        if self.peek()[0] == "^":
+            caret = self.advance()[2]
+            kind, text, pos = self.peek()
+            if kind != "int":
+                raise ExprSyntaxError("exponent must be a non-negative integer", pos if kind != "end" else caret)
+            self.advance()
+            power = int(text)
             if power > MAX_EXPONENT:
-                raise ExprSyntaxError(f"exponent {power} exceeds the cap of {MAX_EXPONENT}", tok.pos)
-            result: List[_Term] = [(self.one, 1)]
-            for _ in range(power):
-                result = self.multiply(result, base, caret.pos)
-            base = result
+                raise ExprSyntaxError(f"exponent {power} exceeds the cap of {MAX_EXPONENT}", pos)
+            if len(base) == 1:  # one monomial: scale its exponent, power its coefficient
+                (e, c), = base
+                c = c ** power
+                base = [(tuple([x * power for x in e]), c)] if c else []
+            else:
+                result: List[_Term] = [(self.one, 1)]
+                for _ in range(power):
+                    result = self.multiply(result, base, caret)
+                base = result
         if sign < 0:
             base = [(m, -c) for m, c in base]
         return base
 
     def parse_atom(self) -> List[_Term]:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            value: Union[int, Fraction] = int(tok.text)
-            if self.peek().kind == "/":
+        kind, text, pos = self.advance()
+        if kind == "int":
+            value: Union[int, Fraction] = int(text)
+            if self.peek()[0] == "/":
                 self.advance()
-                den = self.peek()
-                if den.kind != "int":
-                    raise ExprSyntaxError("expected an integer denominator", den.pos)
+                kind, den, pos = self.peek()
+                if kind != "int":
+                    raise ExprSyntaxError("expected an integer denominator", pos)
                 self.advance()
-                if int(den.text) == 0:
-                    raise ExprSyntaxError("zero denominator", den.pos)
-                value = Fraction(value, int(den.text))
+                if int(den) == 0:
+                    raise ExprSyntaxError("zero denominator", pos)
+                value = Fraction(value, int(den))
             return [(self.one, value)]
-        if tok.kind == "ident":
-            self.advance()
-            i = self.place.get(tok.text)
+        if kind == "ident":
+            i = self.place.get(text)
             if i is None:  # only a given table can miss a name
-                raise ExprSyntaxError(f"unknown variable {tok.text!r}", tok.pos)
+                raise ExprSyntaxError(f"unknown variable {text!r}", pos)
             return [(self.one[:i] + (1,) + self.one[i + 1:], 1)]
-        if tok.kind == "(":
+        if kind == "(":
             if self.depth == MAX_DEPTH:
-                raise ExprSyntaxError(f"parentheses nested deeper than the cap of {MAX_DEPTH}", tok.pos)
-            self.advance()
+                raise ExprSyntaxError(f"parentheses nested deeper than the cap of {MAX_DEPTH}", pos)
             self.depth += 1
             inner = self.parse_expr()
             self.depth -= 1
-            closing = self.peek()
-            if closing.kind != ")":
-                raise ExprSyntaxError("unbalanced parenthesis", closing.pos)
-            self.advance()
+            kind, _, pos = self.advance()
+            if kind != ")":
+                raise ExprSyntaxError("unbalanced parenthesis", pos)
             return inner
-        if tok.kind == "/":
-            raise ExprSyntaxError(_SLASH_MESSAGE, tok.pos)
-        msg = "unexpected end of input" if tok.kind == "end" else f"unexpected token {tok.text!r}"
-        raise ExprSyntaxError(msg, tok.pos)
+        if kind == "/":
+            raise ExprSyntaxError(_SLASH_MESSAGE, pos)
+        msg = "unexpected end of input" if kind == "end" else f"unexpected token {text!r}"
+        raise ExprSyntaxError(msg, pos)
 
     def multiply(self, lhs: List[_Term], rhs: List[_Term], pos: int) -> List[_Term]:
         """Product with like monomials merged; ``pos`` locates a cap violation."""
+        if len(lhs) == 1 == len(rhs):  # two monomials: add the exponents
+            (e1, c1), = lhs
+            (e2, c2), = rhs
+            c = c1 * c2
+            return [(tuple(map(add, e1, e2)), c)] if c else []
         if len(lhs) * len(rhs) > MAX_TERMS:
             raise ExprSyntaxError(
                 f"product of {len(lhs)} by {len(rhs)} terms exceeds the cap of {MAX_TERMS} term products", pos
@@ -203,10 +208,13 @@ def parse(text: str, variables: Optional[Sequence[str]] = None) -> Poly:
     """
     parser = _Parser(_tokenize(text), variables)
     terms = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ExprSyntaxError(f"unexpected token {trailing.text!r}", trailing.pos)
+    kind, trailing, pos = parser.peek()
+    if kind != "end":
+        raise ExprSyntaxError(f"unexpected token {trailing!r}", pos)
     accum: Dict[Tuple[int, ...], Union[int, Fraction]] = {}
+    get = accum.get
     for mono, coeff in terms:
-        accum[mono] = accum.get(mono, 0) + coeff
-    return Poly(parser.variables, accum)
+        accum[mono] = get(mono, 0) + coeff
+    if len(parser.place) == len(parser.variables) and all(type(c) is int for c in accum.values()):
+        return _raw(parser.variables, {m: c for m, c in accum.items() if c})
+    return Poly(parser.variables, accum)  # validates the table and clears the Fractions

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from .derivations import Derivation, apply
@@ -88,7 +88,7 @@ class RepSpec:
             offset += k + 1
         return out
 
-    @property
+    @cached_property  # frozen, but the cache writes the instance ``__dict__`` directly
     def weights(self) -> Tuple[int, ...]:
         out: List[int] = []
         for k in self.summands:
@@ -97,6 +97,7 @@ class RepSpec:
 
     @property
     def weight_of(self) -> Dict[str, int]:
+        """A fresh map on every read: a ``Derivation`` keeps the one it is given."""
         return dict(zip(self.coord_names, self.weights))
 
 
@@ -162,6 +163,8 @@ def spec_from_blocks(data: Mapping) -> RepSpec:
     names = data.get("coordinates", [])
     if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
         raise ValueError(f"representation.coordinates must be a list of strings, got {names!r}")
+    if names and (len(names) != dim or len(set(names)) != dim):
+        raise ValueError(f"representation.coordinates must be {dim} distinct names, got {names!r}")
     normalization = data.get("normalization", "section5")
     if normalization not in NORMALIZATIONS:
         raise ValueError(

@@ -41,6 +41,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain
 from operator import mul
 from typing import Dict
 
@@ -179,7 +180,9 @@ def verify_invariance(spec: RepSpec, extension: Poly) -> bool:
     and acts on the original coordinates as before.  Only the lowering
     and raising operators are applied: the diagonal operator is their
     bracket (asserted on every generator by ``sl2_triple``), so it kills
-    whatever both of them kill.
+    whatever both of them kill.  When their images have one degree, both
+    pack exponents to one digit width, and ``extension`` is packed once
+    for the two Leibniz passes.
     """
     enlarged = extended_spec(spec)
     if extension.vars != enlarged.coord_names:
@@ -187,4 +190,15 @@ def verify_invariance(spec: RepSpec, extension: Poly) -> bool:
             f"polynomial table {extension.vars} does not match {enlarged.coord_names}"
         )
     triple = sl2_triple(enlarged)
-    return apply(triple.lower, extension).is_zero and apply(triple.raising, extension).is_zero
+    lower, raising = triple.lower, triple.raising
+    if lower._int_images[2] != raising._int_images[2]:
+        return apply(lower, extension).is_zero and apply(raising, extension).is_zero
+    top = max(chain.from_iterable(extension.nums), default=0)
+    key, _, lower_images = _packed(lower, top)
+    terms = [(e, key(e), n) for e, n in extension.nums.items()]
+    for images in (lower_images, _packed(raising, top)[2]):
+        acc: Dict[int, int] = {}
+        _leibniz(acc, images, terms)
+        if any(acc.values()):
+            return False
+    return True

@@ -336,6 +336,11 @@ class TestMalformedJobs:
         err = self._run_job(tmp_path, capsys, representation={"blocks": [{"vblock": 2}, block]})
         assert err == f"error: representation.blocks[1].{message}\n"
 
+    @pytest.mark.parametrize("names", [["a"], ["a", "b", "c"], ["a", "b", "a", "c", "d", "e"]])
+    def test_coordinate_names_of_the_wrong_number_or_repeated(self, tmp_path, capsys, names):
+        err = self._run_job(tmp_path, capsys, representation={"blocks": [{"vblock": 3}], "coordinates": names})
+        assert err == f"error: representation.coordinates must be 6 distinct names, got {names!r}\n"
+
     def test_empty_blocks(self, tmp_path, capsys):
         err = self._run_job(tmp_path, capsys, representation={"blocks": []})
         assert err == "error: representation needs at least one block, got an empty 'blocks' list\n"

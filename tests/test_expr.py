@@ -86,6 +86,19 @@ class TestExpansion:
             parse("(w0+w1+w2+w3+w4+w5)^30")
         assert info.value.position == 19
 
+    @pytest.mark.parametrize("zero", ["0^2", "0*w2", "(w2 - w2)^2"])
+    def test_a_vanished_factor_adds_no_term_to_the_pair_count(self, zero):
+        # 250 unmerged terms by 200: exactly the cap of term products, so one more term would exceed it
+        lhs = "(" + zero + " + " + " + ".join(["w0"] * 250) + ")"
+        rhs = "(" + " + ".join(["w1"] * 200) + ")"
+        assert parse(f"{lhs} * {rhs}", W) == Poly.monomial(W, (1, 1, 0), MAX_TERMS)
+        assert parse(f"{zero} * {rhs} * {rhs} * {rhs}", W).is_zero
+
+    def test_a_unit_power_counts_as_one_term(self):
+        lhs = "(0^0 + " + " + ".join(["w0"] * 250) + ")"
+        with pytest.raises(ExprSyntaxError, match="product of 251 by 200 terms"):
+            parse(lhs + " * (" + " + ".join(["w1"] * 200) + ")", W)
+
     def test_depth_cap(self):
         assert parse("(" * MAX_DEPTH + "w0" + ")" * MAX_DEPTH, W) == parse("w0", W)
         assert parse("(w1)*" * 300 + "w0", W) == Poly.monomial(W, (1, 300, 0))  # siblings do not nest
@@ -113,6 +126,12 @@ class TestErrors:
         with pytest.raises(ExprSyntaxError, match="q"):
             parse("w0 + q", W)
 
+    @pytest.mark.parametrize("text", ["w0", "2*w0^2 - 1", "3/2", "0"])
+    def test_duplicate_names_in_a_given_table(self, text):
+        with pytest.raises(ValueError) as info:
+            parse(text, ("w0", "w0"))
+        assert str(info.value) == "duplicate variable names in table ('w0', 'w0')"
+
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 exponent3 = st.tuples(
@@ -127,3 +146,65 @@ class TestRoundTrip:
     @given(polys)
     def test_parse_inverts_render(self, p):
         assert parse(str(p), W) == p
+
+
+# An expression tree is (text, value, level): the text is in the grammar
+# and parses at the level given (0 atom, 1 factor, 2 term, 3 expr); the
+# value is the same tree built with ``Poly`` arithmetic.
+
+
+def _at(node, level):
+    """``node``'s text, parenthesised unless it parses at ``level`` or below."""
+    text, _, own = node
+    return text if own <= level else f"({text})"
+
+
+literals = st.one_of(
+    st.sampled_from(W).map(lambda name: (name, Poly.variable(W, name), 0)),
+    st.just(("0", Poly.zero(W), 0)),
+    st.integers(min_value=1, max_value=12).map(lambda n: (str(n), Poly.const(W, n), 0)),
+    st.tuples(st.integers(min_value=0, max_value=9), st.integers(min_value=1, max_value=6)).map(
+        lambda nd: (f"{nd[0]}/{nd[1]}", Poly.const(W, Fraction(*nd)), 0)
+    ),
+)
+
+
+def _compound(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        pairs.map(lambda ab: (f"{_at(ab[0], 3)} + {_at(ab[1], 2)}", ab[0][1] + ab[1][1], 3)),
+        pairs.map(lambda ab: (f"{_at(ab[0], 3)} - {_at(ab[1], 2)}", ab[0][1] - ab[1][1], 3)),
+        pairs.map(lambda ab: (f"{_at(ab[0], 2)}*{_at(ab[1], 1)}", ab[0][1] * ab[1][1], 2)),
+        st.tuples(children, st.integers(min_value=0, max_value=3)).map(
+            lambda bk: (f"{_at(bk[0], 0)}^{bk[1]}", bk[0][1] ** bk[1], 1)
+        ),
+        st.tuples(st.sampled_from("+-"), children).map(
+            lambda sx: (sx[0] + _at(sx[1], 1), -sx[1][1] if sx[0] == "-" else sx[1][1], 1)
+        ),
+    )
+
+
+expressions = st.recursive(literals, _compound, max_leaves=10)
+
+
+class TestArithmeticOracle:
+    """``parse`` against the same tree built with ``Poly`` arithmetic."""
+
+    @given(expressions)
+    def test_parse_matches_poly_arithmetic(self, tree):
+        text, value, _ = tree
+        assert parse(text, W) == value
+
+    @pytest.mark.parametrize("text,expected", [
+        ("0^0", lambda w0, w1: w0 ** 0),
+        ("0*w0", lambda w0, w1: 0 * w0),
+        ("w0^0", lambda w0, w1: w0 ** 0),
+        ("(3/2)^0", lambda w0, w1: w0 ** 0),
+        ("(w0 - w0)^2", lambda w0, w1: 0 * w0),
+        ("0^2*(w0 + w1)", lambda w0, w1: 0 * w0),
+        ("-(2*w0)^3", lambda w0, w1: -8 * w0 ** 3),
+        ("(-1/2*w1)^2*w0", lambda w0, w1: Fraction(1, 4) * w1 ** 2 * w0),
+    ])
+    def test_monomial_shortcuts(self, text, expected):
+        w0, w1, _ = ring(W)
+        assert parse(text, W) == expected(w0, w1)

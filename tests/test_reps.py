@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -86,6 +87,10 @@ class TestRepSpec:
         ({"blocks": []}, "representation needs at least one block, got an empty 'blocks' list"),
         ({"blocks": [{"sym": 1}], "coordinates": None},
          "representation.coordinates must be a list of strings, got None"),
+        ({"blocks": [{"sym": 1}], "coordinates": ["a"]},
+         "representation.coordinates must be 2 distinct names, got ['a']"),
+        ({"blocks": [{"sym": 1}], "coordinates": ["a", "a"]},
+         "representation.coordinates must be 2 distinct names, got ['a', 'a']"),
         ({"blocks": [{"sym": 1}], "normalization": "fancy"},
          "representation.normalization must be one of section5, unit, got 'fancy'"),
         ({"blocks": [{"vblock": 10 ** 12}]},
@@ -101,6 +106,13 @@ class TestRepSpec:
         assert blocks["normalization"] == "unit"
         assert blocks["blocks"] == [{"vblock": 2}, {"sym": 3}]
         assert blocks["coordinates"] == [f"w{i}" for i in range(1, 9)]
+
+    def test_weights_are_computed_once_per_spec(self):
+        spec = RepSpec((1, 2))
+        assert spec.weights is spec.weights
+        assert spec.weight_of is not spec.weight_of  # a Derivation keeps the map it is given
+        assert spec == RepSpec((1, 2)) and hash(spec) == hash(RepSpec((1, 2)))
+        assert dataclasses.replace(spec, summands=(4,)).weights == (4, 2, 0, -2, -4)
 
     def test_weights_sum_to_zero(self):
         for spec in SMALL_SPECS:
