@@ -87,14 +87,14 @@ class TestRepSpec:
         ({"blocks": []}, "representation needs at least one block, got an empty 'blocks' list"),
         ({"blocks": [{"sym": 1}], "coordinates": None},
          "representation.coordinates must be a list of strings, got None"),
-        ({"blocks": [{"sym": 1}], "coordinates": ["a"]},
-         "representation.coordinates must be 2 distinct names, got ['a']"),
-        ({"blocks": [{"sym": 1}], "coordinates": ["a", "a"]},
-         "representation.coordinates must be 2 distinct names, got ['a', 'a']"),
         ({"blocks": [{"sym": 1}], "normalization": "fancy"},
          "representation.normalization must be one of section5, unit, got 'fancy'"),
         ({"blocks": [{"vblock": 10 ** 12}]},
          "representation has 2000000000000 coordinates, above the cap of 64"),
+        ({"blocks": [{"sym": 1}], "coordinates": ["a"]},
+         "representation.coordinates must be 2 distinct names, got ['a']"),
+        ({"blocks": [{"sym": 1}], "coordinates": ["a", "a"]},
+         "representation.coordinates must be 2 distinct names, got ['a', 'a']"),
     ])
     def test_block_reader_names_the_fault(self, data, message):
         with pytest.raises(ValueError) as excinfo:
