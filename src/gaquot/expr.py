@@ -23,9 +23,9 @@ on ``poly._times``, which merges like monomials.  A vanished
 coefficient leaves an empty list either way.  Three caps bound the work
 of one parse: an exponent above ``MAX_EXPONENT``, a product of two
 factors with more than ``MAX_TERMS`` term pairs and parentheses nested
-deeper than ``MAX_DEPTH`` are syntax errors.  An all-integer result over
-a table of distinct names is already canonical and skips ``Poly``'s
-validation.
+deeper than ``MAX_DEPTH`` are syntax errors.  An all-integer result is
+already canonical: only its table goes through ``Poly``'s duplicate-name
+check (``poly._table``) before ``poly._raw`` builds it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import ExprSyntaxError
-from .poly import Poly, _raw, _times
+from .poly import Poly, _raw, _table, _times
 
 _OPS = set("+-*^/()")
 
@@ -215,6 +215,6 @@ def parse(text: str, variables: Optional[Sequence[str]] = None) -> Poly:
     get = accum.get
     for mono, coeff in terms:
         accum[mono] = get(mono, 0) + coeff
-    if len(parser.place) == len(parser.variables) and all(type(c) is int for c in accum.values()):
-        return _raw(parser.variables, {m: c for m, c in accum.items() if c})
+    if all(type(c) is int for c in accum.values()):
+        return _raw(_table(parser.variables), {m: c for m, c in accum.items() if c})
     return Poly(parser.variables, accum)  # validates the table and clears the Fractions

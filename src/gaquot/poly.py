@@ -92,9 +92,7 @@ class Poly:
     __slots__ = ("vars", "den", "nums", "_terms", "_int_form")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, Scalar]):
-        vt = tuple(variables)
-        if len(set(vt)) != len(vt):
-            raise ValueError(f"duplicate variable names in table {vt}")
+        vt = _table(variables)
         n = len(vt)
         clean: Dict[Exponent, Scalar] = {}
         for exponent, coeff in terms.items():
@@ -413,6 +411,14 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({'|'.join(self.vars)}: {self})"
+
+
+def _table(variables: Sequence[str]) -> Tuple[str, ...]:
+    """``variables`` as a tuple, which must not repeat a name."""
+    vt = tuple(variables)
+    if len(set(vt)) != len(vt):
+        raise ValueError(f"duplicate variable names in table {vt}")
+    return vt
 
 
 def _raw(variables: Tuple[str, ...], nums: Dict[Exponent, int], den: int = 1) -> Poly:

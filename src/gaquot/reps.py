@@ -163,14 +163,15 @@ def spec_from_blocks(data: Mapping) -> RepSpec:
     names = data.get("coordinates", [])
     if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
         raise ValueError(f"representation.coordinates must be a list of strings, got {names!r}")
-    if names and (len(names) != dim or len(set(names)) != dim):
-        raise ValueError(f"representation.coordinates must be {dim} distinct names, got {names!r}")
     normalization = data.get("normalization", "section5")
     if normalization not in NORMALIZATIONS:
         raise ValueError(
             f"representation.normalization must be one of {', '.join(NORMALIZATIONS)}, got {normalization!r}"
         )
-    return RepSpec(tuple(summands), normalization=normalization, coord_names=tuple(names))
+    try:
+        return RepSpec(tuple(summands), normalization=normalization, coord_names=tuple(names))
+    except ValueError as err:  # the blocks and normalization passed above: the names are at fault
+        raise ValueError(f"representation.coordinates: {err}") from None
 
 
 # ----------------------------------------------------------------------

@@ -180,8 +180,8 @@ def verify_invariance(spec: RepSpec, extension: Poly) -> bool:
     and acts on the original coordinates as before.  Only the lowering
     and raising operators are applied: the diagonal operator is their
     bracket (asserted on every generator by ``sl2_triple``), so it kills
-    whatever both of them kill.  When their images have one degree, both
-    pack exponents to one digit width, and ``extension`` is packed once
+    whatever both of them kill.  Both operators act linearly, so they
+    pack exponents to one digit width and ``extension`` is packed once
     for the two Leibniz passes.
     """
     enlarged = extended_spec(spec)
@@ -191,8 +191,7 @@ def verify_invariance(spec: RepSpec, extension: Poly) -> bool:
         )
     triple = sl2_triple(enlarged)
     lower, raising = triple.lower, triple.raising
-    if lower._int_images[2] != raising._int_images[2]:
-        return apply(lower, extension).is_zero and apply(raising, extension).is_zero
+    assert lower._int_images[2] == raising._int_images[2] == 1  # the plane summand moves under both
     top = max(chain.from_iterable(extension.nums), default=0)
     key, _, lower_images = _packed(lower, top)
     terms = [(e, key(e), n) for e, n in extension.nums.items()]

@@ -339,7 +339,7 @@ class TestMalformedJobs:
     @pytest.mark.parametrize("names", [["a"], ["a", "b", "c"], ["a", "b", "a", "c", "d", "e"]])
     def test_coordinate_names_of_the_wrong_number_or_repeated(self, tmp_path, capsys, names):
         err = self._run_job(tmp_path, capsys, representation={"blocks": [{"vblock": 3}], "coordinates": names})
-        assert err == f"error: representation.coordinates must be 6 distinct names, got {names!r}\n"
+        assert err == f"error: representation.coordinates: need 6 distinct coordinate names, got {tuple(names)!r}\n"
 
     def test_empty_blocks(self, tmp_path, capsys):
         err = self._run_job(tmp_path, capsys, representation={"blocks": []})

@@ -92,9 +92,9 @@ class TestRepSpec:
         ({"blocks": [{"vblock": 10 ** 12}]},
          "representation has 2000000000000 coordinates, above the cap of 64"),
         ({"blocks": [{"sym": 1}], "coordinates": ["a"]},
-         "representation.coordinates must be 2 distinct names, got ['a']"),
+         "representation.coordinates: need 2 distinct coordinate names, got ('a',)"),
         ({"blocks": [{"sym": 1}], "coordinates": ["a", "a"]},
-         "representation.coordinates must be 2 distinct names, got ['a', 'a']"),
+         "representation.coordinates: need 2 distinct coordinate names, got ('a', 'a')"),
     ])
     def test_block_reader_names_the_fault(self, data, message):
         with pytest.raises(ValueError) as excinfo:
