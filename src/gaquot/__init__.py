@@ -31,7 +31,6 @@ from .derivations import (
     GraphPresentation,
     PowerInImage,
     SliceSearch,
-    graded_image_membership,
     graded_kernel_generators,
     power_in_image,
     restrict_to_graph,
@@ -45,7 +44,6 @@ from .errors import (
     InternalInconsistency,
     JobError,
     NonInvariantInput,
-    NotDivisible,
     UnsupportedBlock,
     VariableTableMismatch,
 )
@@ -93,7 +91,6 @@ __all__ = [
     "JobError",
     "NAMED_FIXTURES",
     "NonInvariantInput",
-    "NotDivisible",
     "Poly",
     "PowerInImage",
     "RepSpec",
@@ -118,7 +115,6 @@ __all__ = [
     "extend",
     "extended_spec",
     "fixture",
-    "graded_image_membership",
     "graded_kernel_generators",
     "group_substitution",
     "jacobian_boundary_smoothness",

@@ -1,19 +1,17 @@
 """Derivations of a polynomial ring and exact graded solvers.
 
 A :class:`Derivation` is determined by its images on the generators and
-extends by the Leibniz rule.  The solvers in this module decide, per
-homogeneous degree, whether a polynomial lies in the image of a
-degree-preserving derivation, compute kernel generators, restrict a
-derivation to a graph subvariety, and search for slice elements.  Every
-decision is an exact rational linear-algebra computation.
+extends by the Leibniz rule.  The solvers in this module decide
+whether a polynomial lies in the image of a derivation, compute kernel
+generators, restrict a derivation to a graph subvariety, and search for
+slice elements.  Every decision is exact rational arithmetic.
 
-When a derivation carries an attached weight grading and a raising
-partner (set up by the representation layer), membership tests for
-polynomials the derivation kills use the operator identity
-``D(E(q)) = weight(q) * q``: components of nonzero weight get an
-explicit preimage ``E(q)/weight`` and a nonzero weight-zero component
-is a proof of non-membership.  The generic per-degree linear solver
-handles everything else.
+Image membership runs on the sl2 ladder alone: a derivation that
+carries an attached weight grading and a raising partner (set up by the
+representation layer).  For a polynomial the derivation kills it uses
+the operator identity ``D(E(q)) = weight(q) * q``: components of
+nonzero weight get an explicit preimage ``E(q)/weight`` and a nonzero
+weight-zero component is a proof of non-membership.
 
 The same grading splits each linear system into weight blocks.  A
 derivation without one, such as a restriction to a graph, is still
@@ -302,65 +300,6 @@ def _operator_rows(d: Derivation, columns: Sequence[Exponent], top: int) -> Dict
     return rows
 
 
-def _solve_on(d: Derivation, monos: Sequence[Tuple[int, ...]], target: Poly) -> Optional[Poly]:
-    """One ``x`` in the span of ``monos`` with ``D(x) = target``, or ``None``.
-
-    Each weight part of ``target`` is solved on the columns whose image
-    has its weight, with the free coefficients pinned to zero; the other
-    columns would only meet zero parts.  The matrix is that of ``Dd * D``
-    and the right-hand side ``Dd * nums`` of ``target``, so the solution
-    is divided by ``target.den``.  A target monomial outside every image
-    gets an empty row, which makes the system inconsistent.
-    """
-    scale = d._int_images[0]
-    gradings = _gradings(d)
-    groups = _weight_groups(monos, gradings)
-    wanted = list(target.nums)
-    top = max(chain.from_iterable(chain(monos, wanted)), default=0)
-    keys = list(map(_packed(d, top)[0], wanted))
-    packed = dict(zip(keys, target.nums.values()))
-    terms: Dict[Tuple[int, ...], Fraction] = {}
-    for key, part in _weight_groups(wanted, [(w, 0) for w, _ in gradings]).items():
-        columns = [monos[j] for j in groups.get(key, ())]
-        rows = _operator_rows(d, columns, top)
-        for j in part:
-            rows.setdefault(keys[j], {})
-        rhs = [packed.get(k, 0) * scale for k in rows]
-        outcome = solve(list(rows.values()), rhs, len(columns))
-        if outcome is None:
-            return None
-        terms.update((e, c) for e, c in zip(columns, outcome[0]) if c)
-    return Poly(d.vars, terms) * Fraction(1, target.den)
-
-
-def graded_image_membership(d: Derivation, p: Poly) -> Optional[Poly]:
-    """Exact preimage of ``p`` under a degree-preserving derivation, or ``None``.
-
-    The decision is complete: each homogeneous piece is a
-    finite-dimensional linear system over the rationals.  ``None`` means
-    ``p`` is certainly not in the image.
-    """
-    if not d.graded_linear:
-        raise ValueError("image membership requires a degree-preserving derivation")
-    if p.vars != d.vars:
-        raise VariableTableMismatch(f"polynomial table {p.vars} does not match {d.vars}")
-    if p.is_zero:
-        return Poly.zero(d.vars)
-    if d.sl2_raise is not None and d.weight_of is not None and apply(d, p).is_zero:
-        return _ladder_membership(d, p)
-    preimage = Poly.zero(d.vars)
-    for degree, piece in weight_components(p, dict.fromkeys(p.vars, 1)).items():
-        if degree == 0:
-            return None
-        part = _solve_on(d, _monomials(len(d.vars), degree), piece)
-        if part is None:
-            return None
-        preimage = preimage + part
-    if apply(d, preimage) != p:  # pragma: no cover - solver post-condition
-        raise InternalInconsistency("linear solve produced a wrong preimage")
-    return preimage
-
-
 @dataclass(frozen=True)
 class PowerInImage:
     """Outcome of the bounded search for a power inside the image."""
@@ -375,29 +314,21 @@ class PowerInImage:
 
 
 def power_in_image(d: Derivation, h: Poly, kmax: int = 3) -> PowerInImage:
-    """Smallest ``k <= kmax`` with ``h^k`` in the image of ``d``.
+    """Smallest ``k <= kmax`` with ``h^k`` in the image of ``d``, on the sl2 ladder.
 
-    Requires ``d`` to kill ``h`` (so every power is again killed) and to
-    be degree-preserving.  On the sl2 ladder only ``h`` is tried: the
-    ladder refuses ``h`` only for a non-zero weight-zero part ``h_0``, and
-    as no weight of ``h`` is negative, the weight-zero part of ``h^k`` is
-    ``h_0^k``, again non-zero, so every higher power is refused too.
+    ``d`` must carry the ladder (``sl2_raise`` and ``weight_of``, as
+    ``reps.build_derivation`` gives it), else ``ValueError``, and must
+    kill ``h``.  Only ``h`` is tried: the ladder refuses ``h`` only for a
+    non-zero weight-zero part ``h_0``, and as no weight of ``h`` is
+    negative, the weight-zero part of ``h^k`` is ``h_0^k``, again
+    non-zero, so every higher power is refused too.
     """
+    if d.sl2_raise is None or d.weight_of is None:
+        raise ValueError("power_in_image needs the sl2 ladder of build_derivation(spec)")
     if not apply(d, h).is_zero:
         raise NonInvariantInput("power_in_image expects a polynomial killed by the derivation")
-    if kmax >= 1 and d.sl2_raise is not None and d.weight_of is not None:
-        if not d.graded_linear:
-            raise ValueError("image membership requires a degree-preserving derivation")
-        preimage = _ladder_membership(d, h)
-        return PowerInImage(None if preimage is None else 1, preimage, kmax)
-    power = h
-    for k in range(1, kmax + 1):
-        if k > 1:
-            power = power * h
-        preimage = graded_image_membership(d, power)
-        if preimage is not None:
-            return PowerInImage(k, preimage, kmax)
-    return PowerInImage(None, None, kmax)
+    preimage = _ladder_membership(d, h) if kmax >= 1 else None
+    return PowerInImage(None if preimage is None else 1, preimage, kmax)
 
 
 # ----------------------------------------------------------------------
@@ -574,11 +505,21 @@ def slice_search(d: Derivation, degree_bound: int = 3) -> SliceSearch:
 
     The ansatz is linear in the unknown coefficients, so the bounded
     search is an exact linear solve; a miss only means no slice exists
-    up to the bound.
+    up to the bound.  ``1`` has weight 0 under every grading of
+    ``_gradings``, so the columns are the candidates of image weight 0
+    alone, and the free coefficients are pinned to zero.  The matrix is
+    that of ``Dd * D``, so the constant row asks for ``Dd``.
     """
-    found = _solve_on(d, _slice_candidates(len(d.vars), degree_bound), Poly.const(d.vars, 1))
-    if found is None:
+    candidates = _slice_candidates(len(d.vars), degree_bound)
+    gradings = _gradings(d)
+    group = _weight_groups(candidates, gradings).get((0,) * len(gradings) if gradings else None, ())
+    columns = [candidates[j] for j in group]
+    rows = _operator_rows(d, columns, max(chain.from_iterable(candidates), default=0))
+    rows.setdefault(0, {})  # the constant monomial packs to 0
+    outcome = solve(list(rows.values()), [d._int_images[0] if k == 0 else 0 for k in rows], len(columns))
+    if outcome is None:
         return SliceSearch(None, degree_bound)
+    found = Poly(d.vars, {e: c for e, c in zip(columns, outcome[0]) if c})
     if apply(d, found) != Poly.const(d.vars, 1):  # pragma: no cover - solver post-condition
         raise InternalInconsistency("slice candidate failed verification")
     return SliceSearch(found, degree_bound)

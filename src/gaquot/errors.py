@@ -23,10 +23,6 @@ class ExprSyntaxError(GaquotError, ValueError):
         self.position = position
 
 
-class NotDivisible(GaquotError, ArithmeticError):
-    """Exact division was requested but the quotient is not polynomial."""
-
-
 class NonInvariantInput(GaquotError, ValueError):
     """A polynomial that must be killed by the derivation is not."""
 

@@ -10,11 +10,11 @@ Grammar (EBNF)::
 
 Multiplication is always explicit, ``^`` takes a non-negative integer
 exponent, and ``/`` appears only inside rational literals such as
-``5/3``.  Syntax errors carry the character offset of the offending
-token.  The variable table is fixed before parsing: ``parse(text,
-variables)`` checks identifiers against the given table, ``parse(text)``
-takes them in order of first appearance, and every exponent is as wide
-as the table.
+``5/3``.  An integer is a run of the ASCII digits ``0``-``9``.  Syntax
+errors carry the character offset of the offending token.  The variable
+table is fixed before parsing: ``parse(text, variables)`` checks
+identifiers against the given table, ``parse(text)`` takes them in order
+of first appearance, and every exponent is as wide as the table.
 
 Each rule returns a list of ``(exponent, coefficient)`` terms, which a
 sum extends.  A product of two monomials adds their exponents and a
@@ -62,9 +62,9 @@ def _tokenize(text: str) -> List[_Token]:
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # not ``str.isdigit``, which also takes "²" (``int`` refuses it) and "٣" (read as 3)
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j

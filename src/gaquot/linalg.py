@@ -20,8 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import NotDivisible
-from .poly import Poly, _cleared, exact_divide
+from .poly import _cleared
 
 Row = Dict[int, int]
 
@@ -160,36 +159,3 @@ def extend_rref(reduced: List[Tuple[int, Row]], remainder: Row) -> None:
     row = _positive(remainder, pivot)
     _clear(reduced, pivot, row)
     reduced.append((pivot, row))
-
-
-def det_bareiss(matrix: Sequence[Sequence[Poly]]) -> Poly:
-    """Fraction-free determinant of a square matrix of polynomials.
-
-    Bareiss two-step elimination; every division is exact, so the result
-    and all intermediates stay polynomial.
-    """
-    n = len(matrix)
-    if n == 0:
-        raise ValueError("empty matrix")
-    table = matrix[0][0].vars
-    m = [[entry for entry in row] for row in matrix]
-    sign = 1
-    previous = Poly.const(table, 1)
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
-            if swap is None:
-                return Poly.zero(table)
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                numerator = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                try:
-                    m[i][j] = exact_divide(numerator, previous)
-                except NotDivisible as exc:  # pragma: no cover - structural guarantee
-                    raise AssertionError("Bareiss division must be exact") from exc
-            m[i][k] = Poly.zero(table)
-        previous = m[k][k]
-    result = m[n - 1][n - 1]
-    return result if sign > 0 else -result

@@ -50,7 +50,7 @@ from operator import add, mul
 from types import MappingProxyType
 from typing import Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import NotDivisible, VariableTableMismatch
+from .errors import VariableTableMismatch
 
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -572,31 +572,6 @@ def ring(names: Union[str, Sequence[str]]) -> Tuple[Poly, ...]:
     """Generators of a polynomial ring: ``x, y = ring("x y")``."""
     table = tuple(names.split()) if isinstance(names, str) else tuple(names)
     return tuple(Poly.variable(table, name) for name in table)
-
-
-def exact_divide(p: Poly, q: Poly) -> Poly:
-    """Exact quotient ``p / q``; raises :class:`NotDivisible` otherwise.
-
-    Greedy division by leading terms under the graded-lex order.  For a
-    true factorisation the leading term of the remainder is always
-    divisible by the leading term of ``q``, so a failed step proves
-    non-divisibility.
-    """
-    if q.is_zero:
-        raise NotDivisible("division by the zero polynomial")
-    p._check(q)
-    qe, qc = q.leading()
-    quotient: Dict[Exponent, Fraction] = {}
-    rest = p
-    while not rest.is_zero:
-        re, rc = rest.leading()
-        diff = tuple(a - b for a, b in zip(re, qe))
-        if any(x < 0 for x in diff):
-            raise NotDivisible(f"{p} is not divisible by {q}")
-        coeff = rc / qc
-        quotient[diff] = coeff
-        rest = rest - Poly.monomial(p.vars, diff, coeff) * q
-    return Poly(p.vars, quotient)
 
 
 # ----------------------------------------------------------------------

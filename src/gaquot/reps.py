@@ -40,7 +40,6 @@ from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from .derivations import Derivation, apply
 from .errors import ConstructionFailure, UnsupportedBlock, VariableTableMismatch
-from .linalg import det_bareiss
 from .poly import Poly
 
 NORMALIZATIONS = ("section5", "unit")
@@ -341,6 +340,30 @@ def _binary_form_coefficients(spec: RepSpec, k: int, names: Tuple[str, ...]) -> 
     ]
 
 
+def _determinant(matrix: Sequence[Sequence[Poly]], table: Tuple[str, ...]) -> Poly:
+    """Determinant by Laplace expansion along the rows; it never divides.
+
+    The rows are taken from the last one up.  The minor on the rows
+    taken so far is kept under its set of columns, a bitmask, so an
+    ``n x n`` matrix stores at most ``2^n`` minors (256 for the 8 x 8
+    Sylvester matrix of the quintic).
+    """
+    minors = {0: Poly.const(table, 1)}
+    for row in reversed(matrix):
+        larger: Dict[int, Poly] = {}
+        for cols, minor in minors.items():
+            for j, entry in enumerate(row):
+                if cols >> j & 1 or entry.is_zero:
+                    continue
+                term = entry * minor
+                if (cols & ((1 << j) - 1)).bit_count() % 2:  # odd place among the larger minor's columns
+                    term = -term
+                key = cols | 1 << j
+                larger[key] = larger[key] + term if key in larger else term
+        minors = {cols: minor for cols, minor in larger.items() if not minor.is_zero}
+    return minors.get((1 << len(matrix)) - 1, Poly.zero(table))
+
+
 def _discriminant(spec: RepSpec, k: int, names: Tuple[str, ...]) -> Poly:
     """Discriminant of an odd binary form via the resultant of its partials."""
     c = _binary_form_coefficients(spec, k, names)
@@ -360,7 +383,7 @@ def _discriminant(spec: RepSpec, k: int, names: Tuple[str, ...]) -> Poly:
         for idx, entry in enumerate(fy):
             row[shift + idx] = entry
         sylvester.append(row)
-    resultant = det_bareiss(sylvester)
+    resultant = _determinant(sylvester, spec.coord_names)
     if resultant.is_zero:
         raise ConstructionFailure("vanishing discriminant resultant")
     return resultant.normalized()

@@ -283,6 +283,10 @@ class TestMalformedJobs:
         err = self._run_job(tmp_path, capsys, polynomial="w2*w5 - w3*w4 - (w0/2) + 1")
         assert err == "error: '/' is only allowed inside rational literals (at position 19)\n"
 
+    def test_non_ascii_digit(self, tmp_path, capsys):
+        err = self._run_job(tmp_path, capsys, polynomial="w0^\u00b2")
+        assert err == "error: unexpected character '\u00b2' (at position 3)\n"
+
     @pytest.mark.parametrize("value", [2.7, True, "2", None])
     def test_non_integer_bounds(self, tmp_path, capsys, value):
         err = self._run_job(tmp_path, capsys, bounds={"sliceDeg": 1, "invariantDeg": value})

@@ -13,10 +13,8 @@ from gaquot.derivations import (
     _gradings,
     _kernel_rref,
     _operator_rows,
-    _packed,
     _weight_groups,
     apply,
-    graded_image_membership,
     graded_kernel_generators,
     power_in_image,
     restrict_to_graph,
@@ -30,10 +28,12 @@ from gaquot.errors import (
 )
 from gaquot.expr import parse
 from gaquot.fixtures import NAMED_FIXTURES, fixture
-from gaquot.linalg import extend_rref, nullspace, reduce_against, rref, solve
+from gaquot.linalg import extend_rref, nullspace, reduce_against, rref
 from gaquot.poly import Poly, _cleared, exponents_of_degree, exponents_up_to_degree, ring
 from gaquot.reps import RepSpec, build_derivation, sl2_triple
 from gaquot.transfer import extend, verify_invariance
+
+from dense_oracle import dense_slice
 
 XY = ("x", "y")
 
@@ -49,9 +49,7 @@ exponent2 = st.tuples(
 )
 polys_xy = st.dictionaries(exponent2, coeffs, max_size=5).map(lambda t: Poly(XY, t))
 
-W6 = RepSpec((1, 1, 1)).coords
 exponent6 = st.tuples(*[st.integers(min_value=0, max_value=1)] * 6)
-polys_w = st.dictionaries(exponent6, coeffs, max_size=4).map(lambda t: Poly(W6, t))
 
 
 class TestApply:
@@ -147,65 +145,6 @@ class TestWeightComponents:
         assert parts[1] == parse("w0", spec.coords)
 
 
-class TestImageMembership:
-    def setup_method(self):
-        self.spec = RepSpec((1, 1, 1))
-        self.d = build_derivation(self.spec)
-
-    def test_direct_image_element(self):
-        h = parse("w0", self.spec.coords)
-        g = graded_image_membership(self.d, h)
-        assert g is not None and apply(self.d, g) == h
-
-    def test_invariant_with_weight_zero_part_is_outside(self):
-        assert graded_image_membership(self.d, parse("w0*w3 - w1*w2", self.spec.coords)) is None
-
-    @given(polys_w)
-    def test_constructed_images_are_recognized(self, g):
-        h = apply(self.d, g)
-        preimage = graded_image_membership(self.d, h)
-        assert preimage is not None
-        assert apply(self.d, preimage) == h
-
-
-class TestOperatorWeightShift:
-    """Membership for the raising and diagonal operators, whose weight shift is not +2."""
-
-    SPECS = (RepSpec((1,)), RepSpec((1, 1)), RepSpec((3,)))
-
-    def test_raising_image_of_the_lowest_weight(self):
-        raising = sl2_triple(RepSpec((1,))).raising
-        w0, w1 = ring(raising.vars)
-        assert apply(raising, w0) == w1
-        preimage = graded_image_membership(raising, w1)
-        assert preimage is not None and apply(raising, preimage) == w1
-
-    def test_agrees_with_the_ungraded_solver(self):
-        # like the ladder crosscheck: the copy without sl2 metadata solves on its own
-        # grading lattice, and the dense solve on every monomial of each degree
-        found = 0
-        for spec in self.SPECS:
-            triple = sl2_triple(spec)
-            for op in (triple.raising, triple.diag):
-                generic = Derivation(op.vars, op.images)
-                assert generic.weight_of is None and op.weight_of is not None
-                monomials = [
-                    Poly.monomial(op.vars, e) for degree in (1, 2) for e in exponents_of_degree(len(op.vars), degree)
-                ]
-                images = [apply(op, m) for m in monomials]
-                sums = [a + b for a, b in zip(monomials, monomials[1:])]
-                for p in monomials + images + sums:
-                    graded = graded_image_membership(op, p)
-                    assert (graded is None) == (graded_image_membership(generic, p) is None), str(p)
-                    assert (graded is None) == (_dense_membership(op, p) is None), str(p)
-                    if graded is not None:
-                        assert apply(op, graded) == p
-                        found += 1
-                    else:
-                        assert p not in images, str(p)
-        assert found > 40
-
-
 class TestPowerInImage:
     def setup_method(self):
         self.spec = RepSpec((1, 1, 1))
@@ -231,6 +170,11 @@ class TestPowerInImage:
     def test_requires_kernel_element(self):
         with pytest.raises(NonInvariantInput):
             self._run("w1")
+
+    def test_requires_the_ladder(self):
+        generic = Derivation(self.d.vars, self.d.images)
+        with pytest.raises(ValueError, match="sl2 ladder"):
+            power_in_image(generic, parse("w0", self.spec.coords))
 
 
 class TestKernelGenerators:
@@ -546,34 +490,6 @@ class TestSliceSearch:
         assert slice_search(d, 4).found is None
 
 
-def _dense_solve(d, monos, target):
-    """The single-group solve: every column of ``monos`` in one system, free coefficients zero."""
-    top = max([x for e in [*monos, *target.terms] for x in e], default=0)
-    rows = _operator_rows(d, monos, top)  # keyed by packed exponents
-    pack = _packed(d, top)[0]
-    packed = {pack(e): c for e, c in target.terms.items()}
-    for k in packed:
-        rows.setdefault(k, {})
-    rhs = [packed.get(k, 0) * d._int_images[0] for k in rows]
-    outcome = solve(list(rows.values()), rhs, len(monos))
-    if outcome is None:
-        return None
-    return Poly(d.vars, {e: c for e, c in zip(monos, outcome[0]) if c})
-
-
-def _dense_slice(d, bound):
-    return _dense_solve(d, list(exponents_up_to_degree(len(d.vars), bound)), Poly.const(d.vars, 1))
-
-
-def _dense_membership(d, p):
-    """A preimage of ``p``, one dense solve per degree over every monomial of it, or ``None``."""
-    parts = [
-        _dense_solve(d, list(exponents_of_degree(len(d.vars), degree)), piece) if degree else None
-        for degree, piece in weight_components(p, dict.fromkeys(p.vars, 1)).items()
-    ]
-    return None if any(part is None for part in parts) else sum(parts, Poly.zero(d.vars))
-
-
 def _below(k):
     """Exponents in the first ``k`` variables of ``XYZ``."""
     return st.tuples(*[st.integers(min_value=0, max_value=2)] * k + [st.just(0)] * (3 - k))
@@ -601,7 +517,7 @@ class TestGradedSliceOracle:
 
     @staticmethod
     def _assert_agrees(d, bound):
-        expected = _dense_slice(d, bound)
+        expected = dense_slice(d, bound)
         found = slice_search(d, bound).found
         assert (found is None) == (expected is None)
         assert str(found) == str(expected)
@@ -653,9 +569,12 @@ class TestGradingLattice:
         assert self._assert_homogeneous(_restricted(name))
 
     def test_sl2_derivation_keeps_its_own_grading(self):
+        # every operator of the triple keeps the attached grading, each with its own shift
         spec = RepSpec((1, 1))
-        d = build_derivation(spec)
-        assert _gradings(d) == [([spec.weight_of[name] for name in d.vars], 2)]
+        triple = sl2_triple(spec)
+        weights = [spec.weight_of[name] for name in spec.coords]
+        for op, shift in ((triple.lower, 2), (triple.raising, -2), (triple.diag, 0)):
+            assert self._assert_homogeneous(op) == [(weights, shift)]
 
     def test_trivial_lattice_is_one_group(self):
         z1 = Poly.variable(("z1",), "z1")
@@ -663,7 +582,7 @@ class TestGradingLattice:
         assert _gradings(d) == []
         monos = list(exponents_up_to_degree(1, 3))
         assert _weight_groups(monos, _gradings(d)) == {None: [0, 1, 2]}
-        assert str(slice_search(d, 3).found) == str(_dense_slice(d, 3)) == "None"
+        assert str(slice_search(d, 3).found) == str(dense_slice(d, 3)) == "None"
 
     def test_groups_split_by_image_weight(self):
         # D = d/dx on k[x, y]: weight -1 shift in x, y free

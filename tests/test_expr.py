@@ -28,6 +28,8 @@ MALFORMED = [
     ("w0^(2)", 3),
     (")w0", 0),
     ("1..5", 1),
+    ("w0^\u00b2", 3),  # a superscript two is a digit to ``str.isdigit`` but not to ``int``
+    ("1 + w0^\u0663", 7),  # an Arabic-Indic three, which ``int`` would read as 3
 ]
 
 

@@ -1,14 +1,13 @@
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import comb, gcd
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gaquot.linalg import det_bareiss, extend_rref, nullspace, reduce_against, rref, solve
-from gaquot.poly import Poly, _cleared, ring
+from gaquot.linalg import extend_rref, nullspace, reduce_against, rref, solve
+from gaquot.poly import _cleared
 
 
 def _rows(dense):
@@ -137,33 +136,6 @@ class TestReduceAgainst:
             if remainder:
                 extend_rref(reduced, remainder)
         assert sorted(reduced, key=lambda pair: pair[0]) == rref(_rows(dense), 5)
-
-
-class TestDeterminant:
-    def test_polynomial_entries(self):
-        a, b, c, d = ring(("a", "b", "c", "d"))
-        assert det_bareiss([[a, b], [c, d]]) == a * d - b * c
-
-    def test_integer_matrix_against_permutation_expansion(self):
-        table = ("x",)
-        dense = [[3, 1, 4], [1, 5, 9], [2, 6, 5]]
-        matrix = [[Poly.const(table, v) for v in row] for row in dense]
-        expected = Fraction(0)
-        for perm in itertools.permutations(range(3)):
-            sign = 1
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    if perm[i] > perm[j]:
-                        sign = -sign
-            product = Fraction(1)
-            for i in range(3):
-                product *= dense[i][perm[i]]
-            expected += sign * product
-        assert det_bareiss(matrix).constant_term() == expected
-
-    def test_singular_matrix(self):
-        x, y = ring(("x", "y"))
-        assert det_bareiss([[x, y], [x, y]]).is_zero
 
 
 # ----------------------------------------------------------------------

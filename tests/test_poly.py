@@ -10,13 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gaquot.derivations import Derivation, apply, graded_kernel_generators, weight_components
-from gaquot.errors import NotDivisible, VariableTableMismatch
+from gaquot.errors import VariableTableMismatch
 from gaquot.expr import parse
 from gaquot.poly import (
     PointBlock,
     Poly,
     _cleared,
-    exact_divide,
     exponents_of_degree,
     exponents_up_to_degree,
     ring,
@@ -502,23 +501,6 @@ class TestCalculusAndShaping:
         _, lead_p = p.leading()
         assert n * lead_p == p * lead_n
         assert lead_n > 0
-
-
-class TestDivision:
-    @given(polys, nonzero_polys)
-    def test_exact_divide_inverts_multiplication(self, p, q):
-        assert exact_divide(p * q, q) == p
-
-    def test_exact_divide_rejects_nondivisor(self):
-        x, y, _ = ring(XYZ)
-        with pytest.raises(NotDivisible):
-            exact_divide(x * y + 1, x)
-
-    def test_divides_returns_quotient_or_none(self):
-        x, y, _ = ring(XYZ)
-        assert exact_divide(x ** 2 - y ** 2, x - y) == x + y
-        with pytest.raises(NotDivisible):
-            exact_divide(x ** 2 + y, x - y)
 
 
 class TestUnivariateRoots:

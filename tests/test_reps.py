@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -337,6 +339,36 @@ class TestCatalog:
         assert entry.poly.total_degree() == 8
         parts = weight_components(entry.poly, dict.fromkeys(entry.poly.vars, 1))
         assert list(parts) == [8]
+
+    @pytest.mark.parametrize(
+        "normalization, digest",
+        [
+            ("section5", "90f30df5a759cffeee061156d01bcfdd82490c6aec83e8cb347a77291bcd4f85"),
+            ("unit", "ec5ffb7e34477d7852b227031a1a1b88d218c44fc8a6d7dbdeac09b0c0ade616"),
+        ],
+    )
+    def test_quintic_discriminant_is_pinned(self, normalization, digest):
+        (entry,) = catalog_invariants(RepSpec((5,), normalization))
+        assert hashlib.sha256(str(entry.poly).encode()).hexdigest() == digest
+
+    def test_deveney_finston_discriminant_is_pinned(self):
+        entries = catalog_invariants(RepSpec((1, 1, 3), "unit", tuple(f"w{i}" for i in range(1, 9))))
+        assert [e.label for e in entries] == ["minor[0,1]", "disc[2]"]
+        assert str(entries[1].poly) == "9*w5^2*w8^2 - 18*w5*w6*w7*w8 + 8*w5*w7^3 + 6*w6^3*w8 - 3*w6^2*w7^2"
+
+    def test_determinant_against_permutation_expansion(self):
+        x, y, z = (Poly.variable(("x", "y", "z"), name) for name in ("x", "y", "z"))
+        dense = [[x, 3, y, 0], [1, z, 0, x], [y, 0, 2, 5], [0, x + y, z, 1]]
+        matrix = [[entry if isinstance(entry, Poly) else Poly.const(x.vars, entry) for entry in row] for row in dense]
+        expected = Poly.zero(x.vars)
+        for perm in itertools.permutations(range(4)):
+            inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+            product = Poly.const(x.vars, (-1) ** inversions)
+            for i in range(4):
+                product = product * matrix[i][perm[i]]
+            expected = expected + product
+        assert reps._determinant(matrix, x.vars) == expected
+        assert reps._determinant([matrix[0], matrix[1], matrix[0], matrix[3]], x.vars).is_zero
 
     @pytest.mark.parametrize("spec", [RepSpec((1, 1)), RepSpec((3,)), RepSpec((1, 3))])
     def test_entries_killed_by_whole_triple(self, spec):
