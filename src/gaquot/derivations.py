@@ -34,7 +34,7 @@ packed monomials; ``transfer.extend`` keeps its ladder packed.
 
 On the sl2 ladder the derivation raises weight by 2 and its kernel is
 made of highest-weight vectors, of weight ``>= 0``: kernel generators
-solve only those weight blocks and check each one's dimension.
+solve only those blocks not filled by products, checking each dimension.
 
 The module has no product or composition of its own: kernel generators
 multiply on ``poly._times``, and a graph's pull-back hands its plan to
@@ -51,7 +51,7 @@ from math import lcm
 from operator import mul
 from struct import Struct
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     GraphInconsistency,
@@ -346,7 +346,7 @@ def _source_groups(n: int, degree: int, weights: Tuple[Tuple[int, ...], ...]) ->
     return MappingProxyType({key: tuple(group) for key, group in groups.items()})
 
 
-def _kernel_rref(d: Derivation, degree: int) -> List[Tuple[int, Row]]:
+def _kernel_rref(d: Derivation, degree: int, filled: FrozenSet[int] = frozenset()) -> List[Tuple[int, Row]]:
     """Reduced row echelon basis of ``ker D`` on the monomials of ``degree``, indexed as ``_monomials``.
 
     Each weight block is solved on its own columns; the union of the
@@ -360,20 +360,30 @@ def _kernel_rref(d: Derivation, degree: int) -> List[Tuple[int, Row]]:
     On the sl2 ladder (``sl2_raise`` and ``weight_of`` set)
     ``D: V_w -> V_(w+2)`` is one-to-one for ``w < 0`` and onto
     for ``w >= -1`` (finite-dimensional sl2 theory): negative weights
-    are skipped, and each kept block must have a kernel of dimension
-    ``|V_w| - |V_(w+2)|``.
+    are skipped, and a kept block has the Cayley-Sylvester kernel
+    dimension ``|V_w| - |V_(w+2)|``.  A block holding that many pivot
+    columns ``filled`` of a span inside the kernel is skipped unsolved
+    (an empty kernel too); more of them, or a solved kernel of another
+    dimension, raise ``InternalInconsistency``.
     """
     monos = _monomials(len(d.vars), degree)
     groups = _source_groups(len(d.vars), degree, tuple(tuple(w) for w, _ in _gradings(d)))
     ladder = d.sl2_raise is not None and d.weight_of is not None
     canonical: List[Tuple[int, Row]] = []
     for key, group in groups.items():
-        if ladder and key[0] < 0:
-            continue
+        if ladder:
+            if key[0] < 0:
+                continue
+            dimension = len(group) - len(groups.get((key[0] + 2,), ()))
+            rank = len(filled.intersection(group))
+            if rank > dimension:
+                raise InternalInconsistency(f"products of rank {rank} exceed the kernel of weight {key[0]}")
+            if rank == dimension:
+                continue
         columns = group[::-1]
         rows = _operator_rows(d, [monos[j] for j in columns], degree)
         basis = nullspace(list(rows.values()), len(columns))
-        if ladder and len(basis) != len(group) - len(groups.get((key[0] + 2,), ())):
+        if ladder and len(basis) != dimension:
             raise InternalInconsistency(f"kernel of weight {key[0]} has the wrong dimension {len(basis)}")
         for vector in basis:
             row = {columns[c]: v for c, v in vector.items()}
@@ -391,8 +401,12 @@ def graded_kernel_generators(d: Derivation, maxdeg: int) -> List[Poly]:
     on their integer coefficients; a primitive integer remainder becomes
     a generator, signed to a positive leading coefficient.  The product
     span is row-reduced once per degree and extended by each new
-    generator.  The listing is deterministic: degree ascending, then
-    leading monomial descending.
+    generator.  The products are weight-homogeneous: on the sl2 ladder a
+    block where their rank reaches ``|V_w| - |V_(w+2)|``, the kernel
+    dimension, holds no new generator and is not solved, and a rank
+    above it raises ``InternalInconsistency`` (``_kernel_rref``).  The
+    listing is deterministic: degree ascending, then leading monomial
+    descending.
     """
     if not d.graded_linear:
         raise ValueError("kernel generators require a degree-preserving derivation")
@@ -405,7 +419,7 @@ def graded_kernel_generators(d: Derivation, maxdeg: int) -> List[Poly]:
         monos = _monomials(n, degree)
         index = {e: i for i, e in enumerate(monos)}
         spanned = rref([{index[e]: c for e, c in p.items()} for _, p in products[degree]], len(monos))
-        for _, row in _kernel_rref(d, degree):
+        for _, row in _kernel_rref(d, degree, frozenset(pivot for pivot, _ in spanned)):
             remainder = reduce_against(row, spanned)
             if remainder:
                 # monos run graded-lex descending, so the first column is the leading monomial

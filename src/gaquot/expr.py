@@ -10,11 +10,12 @@ Grammar (EBNF)::
 
 Multiplication is always explicit, ``^`` takes a non-negative integer
 exponent, and ``/`` appears only inside rational literals such as
-``5/3``.  An integer is a run of the ASCII digits ``0``-``9``.  Syntax
-errors carry the character offset of the offending token.  The variable
-table is fixed before parsing: ``parse(text, variables)`` checks
-identifiers against the given table, ``parse(text)`` takes them in order
-of first appearance, and every exponent is as wide as the table.
+``5/3``.  An integer is a run of the ASCII digits ``0``-``9``; an
+identifier is ASCII letters, digits and ``_``, not led by a digit.
+Syntax errors carry the character offset of the offending token.  The
+variable table is fixed before parsing: ``parse(text, variables)``
+checks identifiers against it, ``parse(text)`` takes them in order of
+first appearance, and every exponent is as wide as the table.
 
 Each rule returns a list of ``(exponent, coefficient)`` terms, which a
 sum extends.  A product of two monomials adds their exponents and a
@@ -69,9 +70,9 @@ def _tokenize(text: str) -> List[_Token]:
             tokens.append(("int", text[i:j], i))
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch.isascii() and (ch.isalpha() or ch == "_"):  # so "x²" is not a name
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j].isascii() and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             tokens.append(("ident", text[i:j], i))
             i = j

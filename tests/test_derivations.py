@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaquot import derivations
 from gaquot.classify import build_family_member
 from gaquot.derivations import (
     Derivation,
@@ -23,6 +24,7 @@ from gaquot.derivations import (
 )
 from gaquot.errors import (
     GraphInconsistency,
+    InternalInconsistency,
     NonInvariantInput,
     VariableTableMismatch,
 )
@@ -302,6 +304,49 @@ class TestHighestWeightSkip:
         every = sorted(min(row) for _, group, basis in blocks for row in
                        ({group[::-1][c]: v for c, v in vector.items()} for vector in basis))
         assert [pivot for pivot, _ in _kernel_rref(d, degree)] == every
+
+    @pytest.mark.parametrize("summands, maxdeg", [((4, 1, 1), 6), ((2, 2, 2), 5), ((3, 2), 6), ((4,), 8)])
+    @pytest.mark.parametrize("normalization", ["section5", "unit"])
+    def test_blocks_filled_by_products_are_skipped(self, summands, maxdeg, normalization, monkeypatch):
+        d = build_derivation(RepSpec(summands, normalization))
+        found, solved = _generators_and_solved_blocks(d, maxdeg, monkeypatch)
+        assert [g.terms for g in found] == [g.terms for g in _oracle_kernel_generators(d, maxdeg)]
+        assert solved < _kept_blocks(d, maxdeg)
+
+    def test_degree_eight_solves_a_minority_of_the_kept_blocks(self, monkeypatch):
+        d = build_derivation(RepSpec((4, 1, 1)))
+        found, solved = _generators_and_solved_blocks(d, 8, monkeypatch)
+        assert len(found) == 56
+        assert 0 < solved < _kept_blocks(d, 8) // 2
+
+    @pytest.mark.parametrize("summands, degree", [((1, 1, 1), 2), ((4, 1, 1), 3), ((3, 2), 4)])
+    def test_product_rank_above_the_kernel_dimension_raises(self, summands, degree):
+        d = build_derivation(RepSpec(summands))
+        every_column = frozenset(range(len(list(exponents_of_degree(len(d.vars), degree)))))
+        with pytest.raises(InternalInconsistency, match="exceed the kernel"):
+            _kernel_rref(d, degree, every_column)
+
+
+def _kept_blocks(d, maxdeg):
+    """Number of weight blocks of weight ``>= 0`` in degrees ``1..maxdeg``, those the ladder does not skip by weight."""
+    weights = [d.weight_of[name] for name in d.vars]
+    return sum(len({w for c in exponents_of_degree(len(d.vars), degree)
+                    if (w := sum(x * e for x, e in zip(weights, c))) >= 0})
+               for degree in range(1, maxdeg + 1))
+
+
+def _generators_and_solved_blocks(d, maxdeg, monkeypatch):
+    """``graded_kernel_generators(d, maxdeg)`` and the number of weight blocks that reached ``nullspace``."""
+    calls = []
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return nullspace(rows, ncols)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(derivations, "nullspace", counting)
+        found = graded_kernel_generators(d, maxdeg)
+    return found, len(calls)
 
 
 def _graph_map(graph):

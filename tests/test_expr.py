@@ -30,6 +30,10 @@ MALFORMED = [
     ("1..5", 1),
     ("w0^\u00b2", 3),  # a superscript two is a digit to ``str.isdigit`` but not to ``int``
     ("1 + w0^\u0663", 7),  # an Arabic-Indic three, which ``int`` would read as 3
+    ("w0\u00b2", 2),  # identifiers are ASCII: the superscript is not part of the name
+    ("x\u00b2 + 1", 1),
+    ("w\u0663", 1),
+    ("w0 + \u00e9", 5),
 ]
 
 
@@ -121,6 +125,12 @@ class TestErrors:
     )
     def test_slash_outside_a_literal(self, text, position):
         with pytest.raises(ExprSyntaxError, match="'/' is only allowed inside rational literals") as info:
+            parse(text)
+        assert info.value.position == position
+
+    @pytest.mark.parametrize("text,position", [("x\u00b2 + 1", 1), ("x\u0663", 1), ("\u00e9 + 1", 0)])
+    def test_non_ascii_identifier_without_a_table(self, text, position):
+        with pytest.raises(ExprSyntaxError, match="unexpected character") as info:
             parse(text)
         assert info.value.position == position
 
