@@ -6,18 +6,18 @@ whether a polynomial lies in the image of a derivation, compute kernel
 generators, restrict a derivation to a graph subvariety, and search for
 slice elements.  Every decision is exact rational arithmetic.
 
-Image membership runs on the sl2 ladder alone: a derivation that
-carries an attached weight grading and a raising partner (set up by the
-representation layer).  For a polynomial the derivation kills it uses
-the operator identity ``D(E(q)) = weight(q) * q``: components of
-nonzero weight get an explicit preimage ``E(q)/weight`` and a nonzero
-weight-zero component is a proof of non-membership.
+Image membership and kernel generators run on the sl2 ladder alone: a
+derivation that carries an attached weight grading and a raising
+partner, as the lowering operator of ``reps.sl2_triple`` does; any other
+derivation is a ``ValueError`` there.  For a polynomial the derivation
+kills, membership uses the operator identity ``D(E(q)) = weight(q) * q``:
+components of nonzero weight get an explicit preimage ``E(q)/weight``
+and a nonzero weight-zero component is a proof of non-membership.
 
-The same grading splits each linear system into weight blocks.  A
-derivation without one, such as a restriction to a graph, is still
-homogeneous under a lattice of integer gradings found by one small
-nullspace (``_gradings``).  ``D(s) = 1`` has weight 0 on the right, so
-a slice is solved on the block of image weight 0 alone.
+Every other grading is the lattice of integer gradings under which a
+derivation is homogeneous, found by one small nullspace
+(``_gradings``).  ``D(s) = 1`` has weight 0 on the right, so a slice is
+solved on the block of image weight 0 alone.
 
 Both :func:`apply` and the solvers' operator matrices
 (``_operator_rows``) run on one integer Leibniz kernel, ``_leibniz``, on
@@ -32,9 +32,9 @@ only the surviving terms, its numerators over ``p.den * Dd``; an
 operator matrix is the ``int`` matrix of ``Dd * D``, rows keyed by
 packed monomials; ``transfer.extend`` keeps its ladder packed.
 
-On the sl2 ladder the derivation raises weight by 2 and its kernel is
-made of highest-weight vectors, of weight ``>= 0``: kernel generators
-solve only those blocks not filled by products, checking each dimension.
+On the ladder the derivation raises weight by 2 and its kernel is made
+of highest-weight vectors, of weight ``>= 0``: kernel generators solve
+only those blocks not filled by products, checking each dimension.
 
 The module has no product or composition of its own: kernel generators
 multiply on ``poly._times``, and a graph's pull-back hands its plan to
@@ -70,12 +70,13 @@ IntImages = Tuple[int, Tuple[Tuple[int, Tuple[Tuple[int, Exponent], ...]], ...],
 class Derivation:
     """A derivation of ``k[vars]`` given by generator images.
 
-    ``weight_of``, when given, is a grading of the variables for which
-    the derivation is homogeneous: it maps each weight piece into one
-    weight piece.
+    ``weight_of`` and ``sl2_raise`` together are the sl2 ladder, which
+    only the lowering operator of ``reps.sl2_triple`` carries: the
+    variable weights, raised by 2 by the derivation, and the raising
+    partner.  Kernel generators and image membership require them.
     """
 
-    __slots__ = ("vars", "images", "graded_linear", "weight_of", "sl2_raise", "_int_images", "_packed")
+    __slots__ = ("vars", "images", "weight_of", "sl2_raise", "_int_images", "_packed")
 
     def __init__(
         self,
@@ -98,12 +99,8 @@ class Derivation:
         unknown = set(images) - set(vt)
         if unknown:
             raise ValueError(f"images given for unknown variables {sorted(unknown)}")
-        graded = all(
-            img.is_zero or all(sum(e) == 1 for e in img.nums) for img in table.values()
-        )
         object.__setattr__(self, "vars", vt)
         object.__setattr__(self, "images", table)
-        object.__setattr__(self, "graded_linear", graded)
         object.__setattr__(self, "weight_of", dict(weight_of) if weight_of else None)
         object.__setattr__(self, "sl2_raise", sl2_raise)
         object.__setattr__(self, "_int_images", _compile_images([table[name] for name in vt]))
@@ -239,26 +236,16 @@ def _ladder_membership(d: Derivation, p: Poly) -> Optional[Poly]:
 
 
 def _gradings(d: Derivation) -> List[Tuple[Sequence[int], int]]:
-    """Integer gradings ``(w, e)``: ``d`` adds ``e`` to the weight ``w·c`` of every monomial.
+    """A basis of the integer gradings ``(w, e)``: ``d`` adds ``e`` to the weight ``w·c`` of every monomial.
 
-    A derivation with an attached grading gets that one, with the shift
-    of its sl2 operator (``+2`` lowering, ``-2`` raising, ``0`` diagonal).
-    Otherwise this is a basis of the lattice of all of them, which is cut
-    out by ``w·m = w_i + e`` for each monomial ``m`` of the image of
-    ``z_i``: one equation ``w·(m - unit_i) - e = 0`` per image term.
+    The lattice of all of them is cut out by ``w·m = w_i + e`` for each
+    monomial ``m`` of the image of ``z_i``: one equation
+    ``w·(m - unit_i) - e = 0`` per image term.  It holds the ladder's
+    weights of an sl2 operator too, with its shift.
     """
-    active = d._int_images[1]
-    if d.weight_of is not None:
-        weights = [d.weight_of[name] for name in d.vars]
-        shift = 0
-        if active:
-            i, image = active[0]
-            # image-monomial weight minus variable weight: one value for graded ``d``
-            shift = sum(map(mul, weights, image[0][1])) - weights[i]
-        return [(weights, shift)]
     n = len(d.vars)
     rows = []
-    for i, image in active:
+    for i, image in d._int_images[1]:
         for _, ie in image:
             delta = list(ie)
             delta[i] -= 1
@@ -302,19 +289,18 @@ def _operator_rows(d: Derivation, columns: Sequence[Exponent], top: int) -> Dict
 
 @dataclass(frozen=True)
 class PowerInImage:
-    """Outcome of the bounded search for a power inside the image."""
+    """Outcome of the power search: ``power`` 1 with its preimage, or ``None`` for no power."""
 
     power: Optional[int]
     preimage: Optional[Poly]
-    kmax: int
 
     @property
     def found(self) -> bool:
         return self.power is not None
 
 
-def power_in_image(d: Derivation, h: Poly, kmax: int = 3) -> PowerInImage:
-    """Smallest ``k <= kmax`` with ``h^k`` in the image of ``d``, on the sl2 ladder.
+def power_in_image(d: Derivation, h: Poly) -> PowerInImage:
+    """Smallest ``k`` with ``h^k`` in the image of ``d``, on the sl2 ladder.
 
     ``d`` must carry the ladder (``sl2_raise`` and ``weight_of``, as
     ``reps.build_derivation`` gives it), else ``ValueError``, and must
@@ -327,8 +313,8 @@ def power_in_image(d: Derivation, h: Poly, kmax: int = 3) -> PowerInImage:
         raise ValueError("power_in_image needs the sl2 ladder of build_derivation(spec)")
     if not apply(d, h).is_zero:
         raise NonInvariantInput("power_in_image expects a polynomial killed by the derivation")
-    preimage = _ladder_membership(d, h) if kmax >= 1 else None
-    return PowerInImage(None if preimage is None else 1, preimage, kmax)
+    preimage = _ladder_membership(d, h)
+    return PowerInImage(None if preimage is None else 1, preimage)
 
 
 # ----------------------------------------------------------------------
@@ -340,51 +326,49 @@ _slice_candidates = lru_cache(maxsize=None)(lambda n, bound: tuple(exponents_up_
 
 
 @lru_cache(maxsize=None)
-def _source_groups(n: int, degree: int, weights: Tuple[Tuple[int, ...], ...]) -> Mapping[object, Tuple[int, ...]]:
-    """``_weight_groups`` of ``_monomials(n, degree)`` by source weight under ``weights``, cached read-only."""
-    groups = _weight_groups(_monomials(n, degree), [(w, 0) for w in weights])
-    return MappingProxyType({key: tuple(group) for key, group in groups.items()})
+def _source_groups(n: int, degree: int, weights: Tuple[int, ...]) -> Mapping[int, Tuple[int, ...]]:
+    """``_weight_groups`` of ``_monomials(n, degree)`` keyed by source weight under ``weights``, cached read-only."""
+    groups = _weight_groups(_monomials(n, degree), [(weights, 0)])
+    return MappingProxyType({w: tuple(group) for (w,), group in groups.items()})
 
 
-def _kernel_rref(d: Derivation, degree: int, filled: FrozenSet[int] = frozenset()) -> List[Tuple[int, Row]]:
+def _kernel_rref(d: Derivation, degree: int, filled: FrozenSet[int]) -> List[Tuple[int, Row]]:
     """Reduced row echelon basis of ``ker D`` on the monomials of ``degree``, indexed as ``_monomials``.
 
-    Each weight block is solved on its own columns; the union of the
-    block bases, sorted by pivot column, is the reduced echelon form of
-    the whole kernel because the blocks have disjoint supports.  Within
-    a block the columns are eliminated in reverse order: each nullspace
-    vector is then positive at its free column, zero at the other free
-    columns and non-zero elsewhere only at later pivot columns, which
-    makes the basis reduced echelon in the original order.
+    ``d`` carries the sl2 ladder and its weight blocks are those of
+    ``d.weight_of``.  Each block is solved on its own columns; the union
+    of the block bases, sorted by pivot column, is the reduced echelon
+    form of the whole kernel because the blocks have disjoint supports.
+    Within a block the columns are eliminated in reverse order: each
+    nullspace vector is then positive at its free column, zero at the
+    other free columns and non-zero elsewhere only at later pivot
+    columns, which makes the basis reduced echelon in the original order.
 
-    On the sl2 ladder (``sl2_raise`` and ``weight_of`` set)
-    ``D: V_w -> V_(w+2)`` is one-to-one for ``w < 0`` and onto
-    for ``w >= -1`` (finite-dimensional sl2 theory): negative weights
-    are skipped, and a kept block has the Cayley-Sylvester kernel
-    dimension ``|V_w| - |V_(w+2)|``.  A block holding that many pivot
-    columns ``filled`` of a span inside the kernel is skipped unsolved
-    (an empty kernel too); more of them, or a solved kernel of another
-    dimension, raise ``InternalInconsistency``.
+    ``D: V_w -> V_(w+2)`` is one-to-one for ``w < 0`` and onto for
+    ``w >= -1`` (finite-dimensional sl2 theory): negative weights are
+    skipped, and a kept block has the Cayley-Sylvester kernel dimension
+    ``|V_w| - |V_(w+2)|``.  A block holding that many pivot columns
+    ``filled`` of a span inside the kernel is skipped unsolved (an empty
+    kernel too); more of them, or a solved kernel of another dimension,
+    raise ``InternalInconsistency``.
     """
     monos = _monomials(len(d.vars), degree)
-    groups = _source_groups(len(d.vars), degree, tuple(tuple(w) for w, _ in _gradings(d)))
-    ladder = d.sl2_raise is not None and d.weight_of is not None
+    groups = _source_groups(len(d.vars), degree, tuple(d.weight_of[name] for name in d.vars))
     canonical: List[Tuple[int, Row]] = []
-    for key, group in groups.items():
-        if ladder:
-            if key[0] < 0:
-                continue
-            dimension = len(group) - len(groups.get((key[0] + 2,), ()))
-            rank = len(filled.intersection(group))
-            if rank > dimension:
-                raise InternalInconsistency(f"products of rank {rank} exceed the kernel of weight {key[0]}")
-            if rank == dimension:
-                continue
+    for weight, group in groups.items():
+        if weight < 0:
+            continue
+        dimension = len(group) - len(groups.get(weight + 2, ()))
+        rank = len(filled.intersection(group))
+        if rank > dimension:
+            raise InternalInconsistency(f"products of rank {rank} exceed the kernel of weight {weight}")
+        if rank == dimension:
+            continue
         columns = group[::-1]
         rows = _operator_rows(d, [monos[j] for j in columns], degree)
         basis = nullspace(list(rows.values()), len(columns))
-        if ladder and len(basis) != dimension:
-            raise InternalInconsistency(f"kernel of weight {key[0]} has the wrong dimension {len(basis)}")
+        if len(basis) != dimension:
+            raise InternalInconsistency(f"kernel of weight {weight} has the wrong dimension {len(basis)}")
         for vector in basis:
             row = {columns[c]: v for c, v in vector.items()}
             canonical.append((min(row), row))
@@ -395,21 +379,22 @@ def _kernel_rref(d: Derivation, degree: int, filled: FrozenSet[int] = frozenset(
 def graded_kernel_generators(d: Derivation, maxdeg: int) -> List[Poly]:
     """Minimal homogeneous kernel generators up to the degree bound.
 
-    In each degree the kernel is computed exactly, one weight block at a
-    time (on the sl2 ladder only weights ``>= 0``, see ``_kernel_rref``),
-    and reduced modulo products of lower-degree generators, multiplied
-    on their integer coefficients; a primitive integer remainder becomes
-    a generator, signed to a positive leading coefficient.  The product
-    span is row-reduced once per degree and extended by each new
-    generator.  The products are weight-homogeneous: on the sl2 ladder a
-    block where their rank reaches ``|V_w| - |V_(w+2)|``, the kernel
-    dimension, holds no new generator and is not solved, and a rank
-    above it raises ``InternalInconsistency`` (``_kernel_rref``).  The
-    listing is deterministic: degree ascending, then leading monomial
-    descending.
+    ``d`` must carry the sl2 ladder (``sl2_raise`` and ``weight_of``, as
+    ``reps.build_derivation`` gives it), else ``ValueError``.  In each
+    degree the kernel is computed exactly, one weight block of weight
+    ``>= 0`` at a time (``_kernel_rref``), and reduced modulo products of
+    lower-degree generators, multiplied on their integer coefficients; a
+    primitive integer remainder becomes a generator, signed to a positive
+    leading coefficient.  The product span is row-reduced once per degree
+    and extended by each new generator.  The products are
+    weight-homogeneous: a block where their rank reaches
+    ``|V_w| - |V_(w+2)|``, the kernel dimension, holds no new generator
+    and is not solved, and a rank above it raises
+    ``InternalInconsistency``.  The listing is deterministic: degree
+    ascending, then leading monomial descending.
     """
-    if not d.graded_linear:
-        raise ValueError("kernel generators require a degree-preserving derivation")
+    if d.sl2_raise is None or d.weight_of is None:
+        raise ValueError("graded_kernel_generators needs the sl2 ladder of build_derivation(spec)")
     n = len(d.vars)
     generators: List[Tuple[int, Dict[Exponent, int]]] = []  # (degree, content-one integer terms)
     products = {0: [(0, {(0,) * n: 1})]}  # per degree: (index of the last factor, terms)
@@ -475,16 +460,14 @@ class GraphPresentation:
 
 
 def restrict_to_graph(d: Derivation, graph: GraphPresentation) -> Derivation:
-    """Restrict a degree-preserving ambient derivation to a graph subvariety.
+    """Restrict an ambient derivation to a graph subvariety.
 
-    An image is a linear form; on the graph it is its pull-back
+    On the graph an image is its pull-back
     (:meth:`GraphPresentation.pull_back`), taken only when non-zero.  The
     graph must be stable under ``d``: for each dependent coordinate
-    ``x = h`` the image of ``x`` must equal ``D(h)`` (the chain rule),
-    else :class:`GraphInconsistency`.
+    ``x = h`` the image of ``x`` must equal ``D(h)`` (the chain rule,
+    which holds for any derivation), else :class:`GraphInconsistency`.
     """
-    if not d.graded_linear:
-        raise ValueError("graph restriction requires a degree-preserving derivation")
     if set(graph.free) | set(graph.dependent) != set(d.vars):
         raise ValueError("graph must split the ambient coordinates into free and dependent")
     pulled = {x: graph.pull_back(image) for x, image in d.images.items() if not image.is_zero}

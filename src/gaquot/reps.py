@@ -296,8 +296,8 @@ def sl2_triple(spec: RepSpec) -> Sl2Triple:
     diag_images = {
         name: Poly.variable(coords, name) * weight_of[name] for name in coords
     }
-    raising = Derivation(coords, raising_images, weight_of=weight_of)
-    diag = Derivation(coords, diag_images, weight_of=weight_of)
+    raising = Derivation(coords, raising_images)
+    diag = Derivation(coords, diag_images)
     lower = Derivation(coords, lower_images, weight_of=weight_of, sl2_raise=raising)
     _check_brackets(coords, lower, raising, diag)
     return Sl2Triple(lower=lower, raising=raising, diag=diag)

@@ -193,7 +193,7 @@ def test_criterion_4_boundary_image_duality():
         d = build_derivation(spec)
         for h in _duality_corpus(spec):
             result = extend(spec, h)
-            membership = power_in_image(d, h, 3)
+            membership = power_in_image(d, h)
             assert result.f00.is_zero == membership.found, str(h)
             if result.boundary is BoundaryClass.CONTAINS:
                 # a contained boundary must come with an explicit preimage
@@ -211,7 +211,7 @@ def test_ladder_power_search_agrees_with_generic_solver():
         d = build_derivation(spec)
         for h in _duality_corpus(spec):
             power = next((k for k in (1, 2, 3) if dense_membership(d, h ** k) is not None), None)
-            assert power_in_image(d, h, 3).power == power, str(h)
+            assert power_in_image(d, h).power == power, str(h)
             checked += 1
     assert checked > 50
 
