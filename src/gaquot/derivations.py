@@ -27,7 +27,9 @@ denominator ``Dd`` of its images, each image term as its numerator over
 into one ``int``, a little-endian digit per variable of the narrowest
 width (1, 2, 4 or 8 bytes) that holds the largest input exponent plus
 the image degree, so each output key is one ``int`` addition of a
-packed delta ``e' - unit_i`` that never carries.  :func:`apply` unpacks
+packed delta ``e' - unit_i`` that never carries.  The image terms of
+all variables are kept as one flat list of ``(i, a*Dd, delta)``
+triples, so the kernel runs one loop per input term.  :func:`apply` unpacks
 only the surviving terms, its numerators over ``p.den * Dd``; an
 operator matrix is the ``int`` matrix of ``Dd * D``, rows keyed by
 packed monomials; ``transfer.extend`` keeps its ladder packed.
@@ -150,7 +152,8 @@ def _packed(d: Derivation, top: int) -> Tuple[Callable[[Exponent], int], Callabl
     """``(key, unkey, images)`` for exponents up to ``top`` over ``d.vars``.
 
     ``key`` packs an exponent into one ``int``, ``unkey`` reads it back,
-    and ``images`` are those of ``d`` with packed deltas ``e' - unit_i``.
+    and ``images`` lists every image term of ``d`` as one flat triple
+    ``(i, a*Dd, e' - unit_i)``, the delta packed, variable by variable.
     All three are built once per digit width and kept on ``d``.
     """
     bits = (top + d._int_images[2]).bit_length()
@@ -163,11 +166,9 @@ def _packed(d: Derivation, top: int) -> Tuple[Callable[[Exponent], int], Callabl
         form = Struct(f"<{len(d.vars)}{code}")
         key = lambda exponent: int.from_bytes(form.pack(*exponent), "little")
         unkey = lambda packed: form.unpack(packed.to_bytes(form.size, "little"))
-        images = []
-        for i, image in d._int_images[1]:
-            unit = 1 << 8 * width * i
-            images.append((i, tuple((c, key(ie) - unit) for c, ie in image)))
-        d._packed[width] = (key, unkey, tuple(images))
+        images = tuple((i, c, key(ie) - (1 << 8 * width * i))
+                       for i, image in d._int_images[1] for c, ie in image)
+        d._packed[width] = (key, unkey, images)
     return d._packed[width]
 
 
@@ -192,16 +193,17 @@ def apply(d: Derivation, p: Poly) -> Poly:
 
 
 def _leibniz(acc: Dict[int, int], images: tuple, terms: Iterable[Tuple[Exponent, int, int]]) -> None:
-    """Add ``Dd * D`` of the terms ``(exponent, packed exponent, numer)`` to ``acc``, per packed monomial."""
+    """Add ``Dd * D`` of the terms ``(exponent, packed exponent, numer)`` to ``acc``, per packed monomial.
+
+    One loop over ``_packed``'s flat image triples per term, in their order.
+    """
     get = acc.get
     for exponent, key, numer in terms:
-        for i, image in images:
+        for i, c, delta in images:
             e = exponent[i]
             if e:
-                factor = numer * e
-                for c, delta in image:
-                    k = key + delta
-                    acc[k] = get(k, 0) + factor * c
+                k = key + delta
+                acc[k] = get(k, 0) + numer * e * c
 
 
 # ----------------------------------------------------------------------

@@ -1,17 +1,21 @@
 """Exact sparse linear algebra over the rationals, on integer rows.
 
-Rows are dicts mapping column index to a non-zero ``int``.  Elimination
-is fraction-free (Bareiss, Math. Comp. 1968): :func:`rref` divides each
-row by its content, a pivot row ``r`` with pivot ``p`` clears the entry
-``a`` of a row ``t`` as ``(p/g)*t - (a/g)*r`` with ``g = gcd(a, p)``,
-and the result is divided by its content.  :func:`rref`,
-:func:`nullspace`, :func:`reduce_against` and :func:`extend_rref` return
-primitive integer rows (content one); only :func:`solve` reads
-``Fraction`` results off them.  Pivot choice prefers the sparsest
-available row, first in input order: fill-in stays low and the result
-is deterministic.  The pivot search goes through a column index, the
-rows holding each column (fill-in added as it appears, rows that lost
-the column skipped), so each column touches only its holders.
+Rows are dicts mapping column index to a non-zero ``int``.  Every row
+is kept primitive (content one), and no fractions are formed: a pivot
+row ``r`` with pivot ``p`` clears the entry ``a`` of a row ``t`` as
+``(p/g)*t - (a/g)*r`` with ``g = gcd(a, p)``, and the result is divided
+by its content.  :func:`rref` runs a forward elimination over the
+columns that some row holds, in increasing order: the sparsest row
+holding the column, first in input order, becomes its pivot row (fill-in
+stays low and the result is deterministic) and clears the column from
+the other rows.  A column index, the rows holding each column (fill-in
+added as it appears, rows that lost the column skipped), lets each
+column touch only its holders.  One back-substitution follows, from the
+last pivot row to the first, each row reduced only against rows that
+are already final.  The primitive reduced echelon form with positive
+pivots is unique, and :func:`rref`, :func:`nullspace`,
+:func:`reduce_against` and :func:`extend_rref` return primitive rows in
+that form; only :func:`solve` reads ``Fraction`` results off them.
 """
 
 from __future__ import annotations
@@ -69,8 +73,8 @@ def rref(rows: Sequence[Row], ncols: int) -> List[Tuple[int, Row]]:
             for c in row:
                 holders.setdefault(c, set()).add(index)
     pivots: List[Tuple[int, Row]] = []
-    for col in range(ncols):
-        held = [i for i in holders.pop(col, ()) if col in work.get(i, ())]
+    for col in sorted(c for c in holders if c < ncols):  # fill-in lands only on held columns
+        held = [i for i in holders.pop(col) if col in work.get(i, ())]
         if not held:
             continue
         chosen = min(held, key=lambda i: (len(work[i]), i))
@@ -82,8 +86,14 @@ def rref(rows: Sequence[Row], ncols: int) -> List[Tuple[int, Row]]:
                     del work[i]
                 for c in target.keys() & row.keys():
                     holders[c].add(i)
-        _clear(pivots, col, row)
         pivots.append((col, row))
+    final: Dict[int, Row] = {}  # pivot column -> its row, reduced against the later pivot rows
+    for k in range(len(pivots) - 1, -1, -1):
+        col, row = pivots[k]
+        for c in [c for c in row if c in final]:
+            row = _eliminate(row, c, final[c])
+        pivots[k] = (col, row)
+        final[col] = row
     return pivots
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaquot.linalg import extend_rref, nullspace, reduce_against, rref, solve
@@ -242,6 +242,22 @@ def tall_sparse_systems(draw):
     return rows, rhs, ncols
 
 
+@st.composite
+def wide_sparse_systems(draw):
+    """The shape of a kernel product span: a few dozen rows over far more columns.
+
+    Each row holds 1 to 4 of up to 200 columns, so most columns are held
+    by no row and ``rref`` skips them.
+    """
+    ncols = draw(st.integers(min_value=1, max_value=200))
+    entries = st.dictionaries(
+        st.integers(min_value=0, max_value=ncols - 1), integers.filter(bool), min_size=1, max_size=4
+    )
+    rows = draw(st.lists(entries, max_size=45))
+    rhs = draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+    return rows, rhs, ncols
+
+
 def rational_systems():
     return st.one_of(small_systems(), tall_sparse_systems())
 
@@ -346,3 +362,23 @@ class TestIntegerElimination:
             assert free == []
             assert solution == [inverse[i][k] for i in range(n)]
         assert max(abs(v) for row in inverse for v in row) > 10**9
+
+    @settings(max_examples=60)
+    @given(wide_sparse_systems())
+    def test_wide_sparse_systems_agree_with_fraction_reference(self, system):
+        rows, rhs, ncols = system
+        reduced = rref(rows, ncols)
+        expected = _oracle_rref(rows, ncols)
+        assert [col for col, _ in reduced] == [col for col, _ in expected]
+        assert [_unit(row, col) for col, row in reduced] == [row for _, row in expected]
+        assert solve(rows, rhs, ncols) == _oracle_solve(rows, rhs, ncols)
+        expected = _oracle_nullspace(rows, ncols)
+        free_cols = [next(iter(vec)) for vec in expected]
+        assert [_unit(vec, c) for vec, c in zip(nullspace(rows, ncols), free_cols)] == expected
+
+    def test_back_substitution_uses_the_reduced_later_rows(self):
+        # forward elimination leaves the chain untouched; reducing row 0 by the final
+        # row 1 fills in column 3, which row 0 never held, and clears column 2
+        rows = [{0: 2, 1: 3}, {1: 2, 2: 5}, {2: 3, 3: 7}]
+        assert rref(rows, 5) == [(0, {0: 4, 3: 35}), (1, {1: 6, 3: -35}), (2, {2: 3, 3: 7})]
+        assert nullspace(rows, 5) == [{3: 12, 0: -105, 1: 70, 2: -28}, {4: 1}]

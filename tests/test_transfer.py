@@ -371,3 +371,36 @@ class TestVerifyInvarianceByWeights:
         assert verdict == _three_applies(spec, p)
         if kind != "arbitrary":
             assert verdict is (kind == "extension")
+
+
+def _assert_weight_check_decides(spec, p):
+    """``p`` is killed by the lowering operator but holds a monomial of non-zero weight."""
+    enlarged = extended_spec(spec)
+    assert apply(sl2_triple(enlarged).lower, p).is_zero
+    assert any(sum(map(mul, e, enlarged.weights)) for e in p.terms)
+    assert verify_invariance(spec, p) is False
+    assert _three_applies(spec, p) is False
+
+
+class TestWeightCheckDecides:
+    """Inputs the lowering operator kills, so only the weight of a monomial refuses them."""
+
+    @pytest.mark.parametrize("spec", LADDER_SPECS, ids=lambda spec: f"{spec.summands}-{spec.normalization}")
+    def test_plane_coordinate(self, spec):
+        _assert_weight_check_decides(spec, Poly.variable(extended_spec(spec).coord_names, "u"))
+
+    @settings(max_examples=30)
+    @given(invariants())
+    def test_plane_coordinate_times_an_extension(self, drawn):
+        spec, f = drawn
+        extension = extend(spec, f).extension
+        assume(not extension.is_zero)
+        _assert_weight_check_decides(spec, Poly.variable(extension.vars, "u") * extension)
+
+    @pytest.mark.parametrize("spec", LADDER_SPECS, ids=lambda spec: f"{spec.summands}-{spec.normalization}")
+    def test_invariants_of_non_zero_weight_on_the_enlarged_table(self, spec):
+        table = extended_spec(spec).coord_names
+        weighted = [g for g in _generators(spec) if any(sum(map(mul, e, spec.weights)) for e in g.terms)]
+        assert weighted
+        for g in weighted:
+            _assert_weight_check_decides(spec, g.extend_table(table))
