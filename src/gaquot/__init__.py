@@ -25,6 +25,7 @@ from .classify import (
     compare_family,
     crosscheck_constant_removed,
     jacobian_boundary_smoothness,
+    squarefree_distinct_root_count,
 )
 from .derivations import (
     Derivation,
@@ -57,7 +58,7 @@ from .fixtures import (
     verify_winkelmann_relation,
     winkelmann_invariant_images,
 )
-from .poly import Poly, squarefree_distinct_root_count
+from .poly import Poly
 from .reps import (
     CatalogEntry,
     RepSpec,

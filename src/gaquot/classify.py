@@ -73,8 +73,8 @@ from .errors import (
     NonInvariantInput,
     VariableTableMismatch,
 )
-from .linalg import Row, solve
-from .poly import PointBlock, Poly, _cleared, squarefree_distinct_root_count
+from .linalg import Row, rref, solve
+from .poly import PointBlock, Poly, _cleared
 from .reps import RepSpec, build_derivation, catalog_invariants, nonstable_coordinates
 from .transfer import BoundaryClass, TransferResult, boundary_split, extend
 
@@ -565,6 +565,33 @@ def build_family_member(
     free = {name: z for name, z in zip(others, zvars)}
     dependent = {pivot: Poly(zvars, h_phi.coefficient({pivot: 0}).terms)}  # others[i] is zvars[i]
     return f, GraphPresentation(zvars=zvars, free=free, dependent=dependent)
+
+
+def squarefree_distinct_root_count(p: Poly) -> Tuple[int, bool]:
+    """Distinct-root count of a univariate polynomial and a squarefree flag.
+
+    The count is ``deg p - deg gcd(p, p')``, exact over the rationals, so
+    it counts roots in an algebraic closure without ever factoring.  With
+    ``m = deg p``, the Sylvester matrix of ``p`` and ``p'`` (``m - 1``
+    shifted rows of ``p`` above ``m`` of ``p'``, integer numerators,
+    columns by descending degree) has rank ``2m - 1 - deg gcd(p, p')``
+    (von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 6), so
+    one :func:`rref` gives the count as ``rank - m + 1`` and the flag as
+    full rank.
+    """
+    if p.is_constant():
+        raise ValueError("root counting needs a non-constant univariate polynomial")
+    sup = p.support()
+    if len(sup) > 1:
+        raise ValueError(f"expected a univariate polynomial, got one in {sup}")
+    coeffs = {sum(e): n for e, n in p.nums.items()}  # one variable: the total degree is its exponent
+    derivative = {d - 1: d * n for d, n in coeffs.items() if d}
+    m = max(coeffs)
+    size = 2 * m - 1
+    rows = [{size - 1 - shift - d: n for d, n in part.items()}
+            for part, shifts in ((coeffs, m - 1), (derivative, m)) for shift in range(shifts)]
+    rank = len(rref(rows, size))
+    return rank - m + 1, rank == size
 
 
 def compare_family(m1: FamilyMember, m2: FamilyMember) -> FamilyComparison:

@@ -32,14 +32,6 @@ from .expr import parse
 from .poly import Poly
 from .reps import RepSpec, spec_to_blocks
 
-NAMED_FIXTURES = (
-    "winkelmann",
-    "sl2-in-v2",
-    "affine-slice",
-    "deveney-finston",
-    "quadric-relation",
-)
-
 FAMILY_PREFIX = "family-phi("
 
 RELATION_VARS = ("x1", "x2", "x3", "x4", "x5")
@@ -166,6 +158,17 @@ def _quadric_relation() -> Fixture:
     )
 
 
+_BUILDERS = {
+    "winkelmann": _winkelmann,
+    "sl2-in-v2": _sl2_in_v2,
+    "affine-slice": _affine_slice,
+    "deveney-finston": _deveney_finston,
+    "quadric-relation": _quadric_relation,
+}
+
+NAMED_FIXTURES = tuple(_BUILDERS)
+
+
 def _family(name: str) -> Fixture:
     phi_text = name[len(FAMILY_PREFIX):-1]
     phi = parse(phi_text, ("t",))
@@ -187,15 +190,8 @@ def _family(name: str) -> Fixture:
 
 def fixture(name: str) -> Fixture:
     """Look up a fixture by name; family members parse their parameter."""
-    builders = {
-        "winkelmann": _winkelmann,
-        "sl2-in-v2": _sl2_in_v2,
-        "affine-slice": _affine_slice,
-        "deveney-finston": _deveney_finston,
-        "quadric-relation": _quadric_relation,
-    }
-    if name in builders:
-        return builders[name]()
+    if name in _BUILDERS:
+        return _BUILDERS[name]()
     if name.startswith(FAMILY_PREFIX) and name.endswith(")"):
         return _family(name)
     raise ValueError(f"unknown fixture {name!r}; known: {', '.join(NAMED_FIXTURES)} "

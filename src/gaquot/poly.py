@@ -575,66 +575,6 @@ def ring(names: Union[str, Sequence[str]]) -> Tuple[Poly, ...]:
 
 
 # ----------------------------------------------------------------------
-# univariate helpers
-
-
-def _univariate_coeffs(p: Poly) -> Tuple[int, List[Fraction]]:
-    """Variable index and dense coefficient list (ascending degree)."""
-    sup = p.support()
-    if len(sup) > 1:
-        raise ValueError(f"expected a univariate polynomial, got one in {sup}")
-    if not sup:
-        return 0, [p.constant_term()] if not p.is_zero else []
-    idx = p.vars.index(sup[0])
-    coeffs = [Fraction(0)] * (p.degree_in(sup[0]) + 1)
-    for exponent, coeff in p.terms.items():
-        coeffs[exponent[idx]] = coeff
-    return idx, coeffs
-
-
-def _strip(coeffs: List[Fraction]) -> List[Fraction]:
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_mod(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    a = a[:]
-    while len(a) >= len(b) and a:
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-        _strip(a)
-    return a
-
-
-def _univariate_gcd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    a, b = _strip(a[:]), _strip(b[:])
-    while b:
-        a, b = b, _poly_mod(a, b)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def squarefree_distinct_root_count(p: Poly) -> Tuple[int, bool]:
-    """Distinct-root count of a univariate polynomial and a squarefree flag.
-
-    The count is ``deg p - deg gcd(p, p')``, exact over the rationals, so
-    it counts roots in an algebraic closure without ever factoring.
-    """
-    if p.is_constant():
-        raise ValueError("root counting needs a non-constant univariate polynomial")
-    _, coeffs = _univariate_coeffs(p)
-    derivative = [c * i for i, c in enumerate(coeffs)][1:]
-    g = _univariate_gcd(coeffs, derivative)
-    count = (len(coeffs) - 1) - (len(g) - 1)
-    return count, len(g) == 1
-
-
-# ----------------------------------------------------------------------
 # monomial enumeration
 
 

@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from .derivations import Derivation, apply
@@ -308,6 +309,24 @@ def build_derivation(spec: RepSpec) -> Derivation:
     return sl2_triple(spec).lower
 
 
+def _killed_by_triple(spec: RepSpec, p: Poly) -> bool:
+    """Whether all three operators of the triple of ``spec`` kill ``p``.
+
+    The diagonal operator ``H`` scales a monomial by its weight, so the
+    answer is whether every monomial has weight 0 and the lowering
+    operator ``D`` kills ``p``; the raising operator ``E`` is not
+    applied.  If ``H(p) = D(p) = 0``, then ``D(E(p)) = E(D(p)) + H(p) = 0``
+    (the bracket :func:`sl2_triple` asserts on every generator), so
+    ``E(p)`` would be a highest-weight vector of weight ``-2`` in a
+    degree piece of the ring, a finite-dimensional sl2-module.  None
+    exists, so ``E(p) = 0`` (Humphreys, *Introduction to Lie Algebras and
+    Representation Theory*, §7).  Conversely, what ``D`` and ``E`` kill,
+    their bracket ``H`` kills too.
+    """
+    weights = spec.weights
+    return not any(sum(map(mul, e, weights)) for e in p.nums) and apply(build_derivation(spec), p).is_zero
+
+
 def nonstable_coordinates(spec: RepSpec) -> Tuple[str, ...]:
     """Coordinates of strictly positive weight.
 
@@ -396,10 +415,9 @@ def catalog_invariants(spec: RepSpec) -> Tuple[CatalogEntry, ...]:
     Pairs of one-dimensional summands contribute their two-by-two
     minors; odd symmetric powers up to the fifth contribute their
     discriminants.  Every returned polynomial is checked to be killed by
-    all three operators of the triple.  A spec providing none of these
-    raises :class:`UnsupportedBlock`.
+    all three operators of the triple (:func:`_killed_by_triple`).  A
+    spec providing none of these raises :class:`UnsupportedBlock`.
     """
-    triple = sl2_triple(spec)
     coords = spec.coord_names
     entries: List[CatalogEntry] = []
     vblocks = [(idx, names) for idx, (k, names) in enumerate(spec.blocks()) if k == 1]
@@ -421,7 +439,6 @@ def catalog_invariants(spec: RepSpec) -> Tuple[CatalogEntry, ...]:
             "supported: paired one-dimensional blocks, odd symmetric powers up to five"
         )
     for entry in entries:
-        for op in (triple.lower, triple.raising, triple.diag):
-            if not apply(op, entry.poly).is_zero:
-                raise ConstructionFailure(f"catalog entry {entry.label} is not invariant")
+        if not _killed_by_triple(spec, entry.poly):
+            raise ConstructionFailure(f"catalog entry {entry.label} is not invariant")
     return tuple(entries)

@@ -41,14 +41,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain
 from operator import mul
 from typing import Dict
 
 from .derivations import _leibniz, _packed, apply
 from .errors import NonInvariantInput, VariableTableMismatch
 from .poly import Poly, _raw
-from .reps import RepSpec, sl2_triple
+from .reps import RepSpec, _killed_by_triple, sl2_triple
 
 PLANE_COORDS = ("u", "v")
 
@@ -177,28 +176,12 @@ def verify_invariance(spec: RepSpec, extension: Poly) -> bool:
     """Whether the operator triple of the enlarged spec kills ``extension``.
 
     The enlarged action puts weights ``+1`` and ``-1`` on ``u`` and ``v``
-    and acts on the original coordinates as before.  The diagonal
-    operator ``H`` scales a monomial by its weight, so the answer is
-    whether every monomial has weight 0 and the lowering operator ``D``
-    kills ``extension``; the raising operator ``E`` is not applied.  If
-    ``H(p) = D(p) = 0``, then ``D(E(p)) = E(D(p)) + H(p) = 0`` (the
-    bracket ``sl2_triple`` asserts on every generator), so ``E(p)`` would
-    be a highest-weight vector of weight ``-2`` in a degree piece of the
-    ring, a finite-dimensional sl2-module.  None exists, so ``E(p) = 0``
-    (Humphreys, *Introduction to Lie Algebras and Representation
-    Theory*, §7).  Conversely, what ``D`` and ``E`` kill, their bracket
-    ``H`` kills too.
+    and acts on the original coordinates as before; the test is
+    ``reps._killed_by_triple`` on the enlarged spec.
     """
     enlarged = extended_spec(spec)
     if extension.vars != enlarged.coord_names:
         raise VariableTableMismatch(
             f"polynomial table {extension.vars} does not match {enlarged.coord_names}"
         )
-    weights = enlarged.weights
-    if any(sum(map(mul, e, weights)) for e in extension.nums):
-        return False
-    top = max(chain.from_iterable(extension.nums), default=0)
-    key, _, images = _packed(sl2_triple(enlarged).lower, top)
-    acc: Dict[int, int] = {}
-    _leibniz(acc, images, [(e, key(e), n) for e, n in extension.nums.items()])
-    return not any(acc.values())
+    return _killed_by_triple(enlarged, extension)

@@ -6,9 +6,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from gaquot.classify import squarefree_distinct_root_count
 from gaquot.derivations import Derivation, apply, graded_kernel_generators, weight_components
 from gaquot.errors import VariableTableMismatch
 from gaquot.expr import parse
@@ -19,7 +20,6 @@ from gaquot.poly import (
     exponents_of_degree,
     exponents_up_to_degree,
     ring,
-    squarefree_distinct_root_count,
 )
 from gaquot.reps import RepSpec, build_derivation
 from gaquot.transfer import extend
@@ -523,6 +523,44 @@ class TestUnivariateRoots:
         x, y, _ = ring(XYZ)
         with pytest.raises(ValueError):
             squarefree_distinct_root_count(x * y)
+
+
+# distinct linear factors b*t - a (root a/b) with multiplicities, an optional
+# t^2 + c (c > 0, two non-real roots) with its multiplicity, and a rational unit
+root_factors = st.lists(
+    st.tuples(st.fractions(min_value=-9, max_value=9, max_denominator=5), st.integers(1, 3)),
+    max_size=4,
+    unique_by=lambda factor: factor[0],
+)
+quadratic_factor = st.none() | st.tuples(st.integers(1, 9), st.integers(1, 3))
+units = st.fractions(min_value=-7, max_value=7, max_denominator=6).filter(bool)
+
+
+class TestRootCountProperty:
+    @given(root_factors, quadratic_factor, units, st.sampled_from([("t",), ("s", "t")]))
+    def test_count_and_flag_of_a_factored_product(self, roots, quadratic, unit, table):
+        assume(roots or quadratic)
+        t = Poly.variable(table, "t")
+        p = Poly.const(table, unit)
+        multiplicities = []
+        for root, k in roots:
+            p = p * (root.denominator * t - root.numerator) ** k
+            multiplicities.append(k)
+        if quadratic is not None:
+            c, k = quadratic
+            p = p * (t ** 2 + c) ** k
+            multiplicities.append(k)
+        expected = len(roots) + (2 if quadratic is not None else 0)
+        assert squarefree_distinct_root_count(p) == (expected, all(k == 1 for k in multiplicities))
+
+    def test_error_messages_in_check_order(self):
+        x, y, _ = ring(XYZ)
+        with pytest.raises(ValueError, match=r"^root counting needs a non-constant univariate polynomial$"):
+            squarefree_distinct_root_count(Poly.zero(XYZ))
+        with pytest.raises(ValueError, match=r"^root counting needs a non-constant univariate polynomial$"):
+            squarefree_distinct_root_count(Poly.const(XYZ, 3))
+        with pytest.raises(ValueError, match=r"^expected a univariate polynomial, got one in \('x', 'y'\)$"):
+            squarefree_distinct_root_count(x * y + 1)
 
 
 class TestExponentEnumeration:
