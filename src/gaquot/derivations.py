@@ -15,9 +15,9 @@ components of nonzero weight get an explicit preimage ``E(q)/weight``
 and a nonzero weight-zero component is a proof of non-membership.
 
 Every other grading is the lattice of integer gradings under which a
-derivation is homogeneous, found by one small nullspace
-(``_gradings``).  ``D(s) = 1`` has weight 0 on the right, so a slice is
-solved on the block of image weight 0 alone.
+derivation is homogeneous, found by one small nullspace once per
+derivation (``_gradings``).  ``D(s) = 1`` has weight 0 on the right, so
+a slice is solved on the block of image weight 0 alone.
 
 Both :func:`apply` and the solvers' operator matrices
 (``_operator_rows``) run on one integer Leibniz kernel, ``_leibniz``, on
@@ -36,7 +36,8 @@ packed monomials; ``transfer.extend`` keeps its ladder packed.
 
 On the ladder the derivation raises weight by 2 and its kernel is made
 of highest-weight vectors, of weight ``>= 0``: kernel generators solve
-only those blocks not filled by products, checking each dimension.
+only the lattice blocks (weight and summand degrees) that products do
+not fill and the derivation does not kill, checking each dimension.
 
 The module has no product or composition of its own: kernel generators
 multiply on ``poly._times``, and a graph's pull-back hands its plan to
@@ -49,11 +50,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import lcm
+from math import comb, lcm
 from operator import mul
 from struct import Struct
-from types import MappingProxyType
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     GraphInconsistency,
@@ -61,7 +61,7 @@ from .errors import (
     NonInvariantInput,
     VariableTableMismatch,
 )
-from .linalg import Row, extend_rref, nullspace, reduce_against, rref, solve
+from .linalg import Row, extend_rref, nullspace, reduce_against, solve
 from .poly import Exponent, Poly, _compose, _raw, _times, exponents_of_degree, exponents_up_to_degree
 
 # (Dd, ((variable index, ((numerator over Dd, e'), ...)), ...), image
@@ -78,7 +78,7 @@ class Derivation:
     partner.  Kernel generators and image membership require them.
     """
 
-    __slots__ = ("vars", "images", "weight_of", "sl2_raise", "_int_images", "_packed")
+    __slots__ = ("vars", "images", "weight_of", "sl2_raise", "_int_images", "_packed", "_lattice", "_blocks")
 
     def __init__(
         self,
@@ -107,6 +107,8 @@ class Derivation:
         object.__setattr__(self, "sl2_raise", sl2_raise)
         object.__setattr__(self, "_int_images", _compile_images([table[name] for name in vt]))
         object.__setattr__(self, "_packed", {})  # digit width -> _packed's triple
+        object.__setattr__(self, "_lattice", None)  # _gradings, once asked for
+        object.__setattr__(self, "_blocks", {})  # degree -> _blocks' triple
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Derivation is immutable")
@@ -243,19 +245,21 @@ def _gradings(d: Derivation) -> List[Tuple[Sequence[int], int]]:
     The lattice of all of them is cut out by ``w·m = w_i + e`` for each
     monomial ``m`` of the image of ``z_i``: one equation
     ``w·(m - unit_i) - e = 0`` per image term.  It holds the ladder's
-    weights of an sl2 operator too, with its shift.
+    weights of an sl2 operator too, with its shift.  It is kept on ``d``.
     """
-    n = len(d.vars)
-    rows = []
-    for i, image in d._int_images[1]:
-        for _, ie in image:
-            delta = list(ie)
-            delta[i] -= 1
-            row = {j: x for j, x in enumerate(delta) if x}
-            row[n] = -1
-            rows.append(row)
-    basis = [[v.get(j, 0) for j in range(n + 1)] for v in nullspace(rows, n + 1)]
-    return [(w[:n], w[n]) for w in basis]
+    if d._lattice is None:
+        n = len(d.vars)
+        rows = []
+        for i, image in d._int_images[1]:
+            for _, ie in image:
+                delta = list(ie)
+                delta[i] -= 1
+                row = {j: x for j, x in enumerate(delta) if x}
+                row[n] = -1
+                rows.append(row)
+        basis = [[v.get(j, 0) for j in range(n + 1)] for v in nullspace(rows, n + 1)]
+        object.__setattr__(d, "_lattice", [(w[:n], w[n]) for w in basis])
+    return d._lattice
 
 
 def _weight_groups(monos: Sequence[Tuple[int, ...]], gradings: Sequence[Tuple[Sequence[int], int]]) -> Dict[object, List[int]]:
@@ -326,95 +330,99 @@ def power_in_image(d: Derivation, h: Poly) -> PowerInImage:
 _monomials = lru_cache(maxsize=None)(lambda n, degree: tuple(exponents_of_degree(n, degree)))
 _slice_candidates = lru_cache(maxsize=None)(lambda n, bound: tuple(exponents_up_to_degree(n, bound)))
 
-
-@lru_cache(maxsize=None)
-def _source_groups(n: int, degree: int, weights: Tuple[int, ...]) -> Mapping[int, Tuple[int, ...]]:
-    """``_weight_groups`` of ``_monomials(n, degree)`` keyed by source weight under ``weights``, cached read-only."""
-    groups = _weight_groups(_monomials(n, degree), [(weights, 0)])
-    return MappingProxyType({w: tuple(group) for (w,), group in groups.items()})
+# The most monomials, C(n + d - 1, d), graded_kernel_generators takes in its top degree d.
+MAX_MONOMIALS = 50000
 
 
-def _kernel_rref(d: Derivation, degree: int, filled: FrozenSet[int]) -> List[Tuple[int, Row]]:
-    """Reduced row echelon basis of ``ker D`` on the monomials of ``degree``, indexed as ``_monomials``.
+def _blocks(d: Derivation, degree: int) -> Tuple[Dict[Exponent, int], List[int], List[Tuple[Tuple[int, ...], int, bool]]]:
+    """``(index, block_of, blocks)`` of the monomials of ``degree`` under ``_gradings(d)``, kept on ``d``.
 
-    ``d`` carries the sl2 ladder and its weight blocks are those of
-    ``d.weight_of``.  Each block is solved on its own columns; the union
-    of the block bases, sorted by pivot column, is the reduced echelon
-    form of the whole kernel because the blocks have disjoint supports.
-    Within a block the columns are eliminated in reverse order: each
-    nullspace vector is then positive at its free column, zero at the
-    other free columns and non-zero elsewhere only at later pivot
-    columns, which makes the basis reduced echelon in the original order.
-
-    ``D: V_w -> V_(w+2)`` is one-to-one for ``w < 0`` and onto for
-    ``w >= -1`` (finite-dimensional sl2 theory): negative weights are
-    skipped, and a kept block has the Cayley-Sylvester kernel dimension
-    ``|V_w| - |V_(w+2)|``.  A block holding that many pivot columns
-    ``filled`` of a span inside the kernel is skipped unsolved (an empty
-    kernel too); more of them, or a solved kernel of another dimension,
-    raise ``InternalInconsistency``.
+    ``index`` maps a monomial to its ``_monomials`` column, ``block_of`` a
+    column to its block ``(columns descending, kernel dimension, whole)``.
+    ``D`` maps block ``g`` into block ``g + e``, ``e`` the lattice shifts;
+    on the ladder a block is a weight space of one sl2 submodule, so its
+    kernel dimension is ``|V_g| - |V_(g+e)|`` at weight ``>= 0`` (Cayley-
+    Sylvester) and 0 below.  ``D`` kills a ``whole`` block: its target is empty.
     """
-    monos = _monomials(len(d.vars), degree)
-    groups = _source_groups(len(d.vars), degree, tuple(d.weight_of[name] for name in d.vars))
-    canonical: List[Tuple[int, Row]] = []
-    for weight, group in groups.items():
-        if weight < 0:
-            continue
-        dimension = len(group) - len(groups.get(weight + 2, ()))
-        rank = len(filled.intersection(group))
-        if rank > dimension:
-            raise InternalInconsistency(f"products of rank {rank} exceed the kernel of weight {weight}")
-        if rank == dimension:
-            continue
-        columns = group[::-1]
-        rows = _operator_rows(d, [monos[j] for j in columns], degree)
-        basis = nullspace(list(rows.values()), len(columns))
-        if len(basis) != dimension:
-            raise InternalInconsistency(f"kernel of weight {weight} has the wrong dimension {len(basis)}")
-        for vector in basis:
-            row = {columns[c]: v for c, v in vector.items()}
-            canonical.append((min(row), row))
-    canonical.sort(key=lambda pair: pair[0])
-    return canonical
+    if degree not in d._blocks:
+        monos = _monomials(len(d.vars), degree)
+        gradings = _gradings(d)
+        groups = _weight_groups(monos, gradings)
+        weights = [d.weight_of[name] for name in d.vars]
+        block_of = [0] * len(monos)
+        blocks = []
+        for key, group in groups.items():
+            for j in group:
+                block_of[j] = len(blocks)
+            target = len(groups.get(tuple(g + e for g, (_, e) in zip(key, gradings)), ()))
+            dimension = len(group) - target if sum(map(mul, monos[group[0]], weights)) >= 0 else 0
+            blocks.append((tuple(group[::-1]), dimension, not target))
+        d._blocks[degree] = ({e: j for j, e in enumerate(monos)}, block_of, blocks)
+    return d._blocks[degree]
 
 
 def graded_kernel_generators(d: Derivation, maxdeg: int) -> List[Poly]:
     """Minimal homogeneous kernel generators up to the degree bound.
 
     ``d`` must carry the sl2 ladder (``sl2_raise`` and ``weight_of``, as
-    ``reps.build_derivation`` gives it), else ``ValueError``.  In each
-    degree the kernel is computed exactly, one weight block of weight
-    ``>= 0`` at a time (``_kernel_rref``), and reduced modulo products of
-    lower-degree generators, multiplied on their integer coefficients; a
-    primitive integer remainder becomes a generator, signed to a positive
-    leading coefficient.  The product span is row-reduced once per degree
-    and extended by each new generator.  The products are
-    weight-homogeneous: a block where their rank reaches
-    ``|V_w| - |V_(w+2)|``, the kernel dimension, holds no new generator
-    and is not solved, and a rank above it raises
-    ``InternalInconsistency``.  The listing is deterministic: degree
-    ascending, then leading monomial descending.
+    ``reps.build_derivation`` gives it), and the top degree at most
+    ``MAX_MONOMIALS`` monomials, else ``ValueError``.  Products of lower
+    generators, on integer coefficients, are row-reduced one at a time
+    into their ``_blocks`` block's span.  A full block is skipped, a whole
+    one is its monomials, the rest are solved on reversed columns: each
+    nullspace vector is then non-zero, besides its own free column, only
+    at later pivot columns, so the basis is reduced echelon.  The
+    kernel rows, by pivot column, are reduced modulo their block's span:
+    reduced echelon forms are unique and blocks have disjoint supports,
+    so that is reduction modulo all products.  A primitive integer
+    remainder becomes a generator, signed to a positive leading
+    coefficient.  A product left over in a full block, or a basis of
+    another dimension, raises ``InternalInconsistency``.  The listing is
+    degree ascending, then leading monomial descending.
     """
     if d.sl2_raise is None or d.weight_of is None:
         raise ValueError("graded_kernel_generators needs the sl2 ladder of build_derivation(spec)")
     n = len(d.vars)
+    count = comb(n + maxdeg - 1, maxdeg) if maxdeg > 0 else 0
+    if count > MAX_MONOMIALS:
+        raise ValueError(f"invariant degree {maxdeg} has {count} monomials in {n} variables, "
+                         f"above the cap of {MAX_MONOMIALS}")
     generators: List[Tuple[int, Dict[Exponent, int]]] = []  # (degree, content-one integer terms)
     products = {0: [(0, {(0,) * n: 1})]}  # per degree: (index of the last factor, terms)
     for degree in range(1, maxdeg + 1):
         products[degree] = [(i, _times(p.items(), terms.items())) for i, (g, terms) in enumerate(generators)
                             for last, p in products[degree - g] if last <= i]
         monos = _monomials(n, degree)
-        index = {e: i for i, e in enumerate(monos)}
-        spanned = rref([{index[e]: c for e, c in p.items()} for _, p in products[degree]], len(monos))
-        for _, row in _kernel_rref(d, degree, frozenset(pivot for pivot, _ in spanned)):
-            remainder = reduce_against(row, spanned)
+        index, block_of, blocks = _blocks(d, degree)
+        spans: List[List[Tuple[int, Row]]] = [[] for _ in blocks]
+        for _, p in products[degree]:
+            row = {index[e]: c for e, c in p.items()}
+            b = block_of[next(iter(row))]
+            remainder = reduce_against(row, spans[b])
+            if remainder:
+                if len(spans[b]) == blocks[b][1]:
+                    raise InternalInconsistency(f"products exceed the kernel dimension {blocks[b][1]} at {next(iter(p))}")
+                extend_rref(spans[b], remainder)
+        kernel = []  # (pivot column, block, row)
+        for b, (columns, dimension, whole) in enumerate(blocks):
+            if len(spans[b]) < dimension:
+                basis = ([{c: 1} for c in range(len(columns))] if whole else
+                         nullspace(list(_operator_rows(d, [monos[j] for j in columns], degree).values()), len(columns)))
+                if len(basis) != dimension:
+                    raise InternalInconsistency(f"kernel at {monos[columns[0]]} has the wrong dimension {len(basis)}")
+                for vector in basis:
+                    row = {columns[c]: v for c, v in vector.items()}
+                    kernel.append((min(row), b, row))
+        kernel.sort(key=lambda entry: entry[0])
+        for _, b, row in kernel:
+            remainder = reduce_against(row, spans[b])
             if remainder:
                 # monos run graded-lex descending, so the first column is the leading monomial
                 sign = 1 if remainder[min(remainder)] > 0 else -1
                 terms = {monos[c]: sign * v for c, v in remainder.items()}
                 products[degree].append((len(generators), terms))
                 generators.append((degree, terms))
-                extend_rref(spanned, remainder)
+                extend_rref(spans[b], remainder)
     return [_raw(d.vars, terms) for _, terms in generators]
 
 

@@ -320,6 +320,11 @@ class TestMalformedJobs:
         err = self._run_job(tmp_path, capsys, representation={"blocks": blocks})
         assert "coordinates, above the cap of 64" in err
 
+    def test_over_sized_invariant_degree(self, tmp_path, capsys):
+        err = self._run_job(tmp_path, capsys, command="invariants",
+                            representation={"blocks": [{"sym": 4}, {"vblock": 2}]}, bounds={"invariantDeg": 40})
+        assert err == "error: invariant degree 40 has 377348994 monomials in 9 variables, above the cap of 50000\n"
+
     @pytest.mark.parametrize("blocks, i", [
         ([{"sym": 1, "vblock": 40}], 0),
         ([{"sym": 1, "vblock": 2}], 0),

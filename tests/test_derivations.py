@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,8 @@ from gaquot.classify import build_family_member
 from gaquot.derivations import (
     Derivation,
     GraphPresentation,
+    _blocks,
     _gradings,
-    _kernel_rref,
     _operator_rows,
     _weight_groups,
     apply,
@@ -262,7 +263,7 @@ ladder_specs = st.builds(
 
 
 class TestHighestWeightSkip:
-    """On the sl2 ladder ``_kernel_rref`` solves only the blocks of weight ``>= 0``."""
+    """On the sl2 ladder kernel generators solve only the lattice blocks of weight ``>= 0`` that products do not fill."""
 
     @settings(max_examples=40)
     @given(ladder_specs, st.integers(min_value=1, max_value=4))
@@ -287,16 +288,21 @@ class TestHighestWeightSkip:
     def test_negative_blocks_are_empty_and_kept_blocks_have_their_dimension(self, spec, degree):
         d = build_derivation(spec)
         monos = list(exponents_of_degree(len(d.vars), degree))
-        blocks = _all_weight_blocks(d, monos)
-        size = {weight: len(group) for weight, group, _ in blocks}
-        for weight, group, basis in blocks:
-            if weight < 0:
-                assert basis == []
+        weights = [d.weight_of[name] for name in d.vars]
+        canonical = []
+        for columns, dimension, whole in _blocks(d, degree)[2]:
+            rows = _operator_rows(d, [monos[j] for j in columns], degree)
+            basis = nullspace(list(rows.values()), len(columns))
+            if sum(w * e for w, e in zip(weights, monos[columns[0]])) < 0:
+                assert basis == [] and dimension == 0
             else:
-                assert len(basis) == len(group) - size.get(weight + 2, 0)
-        every = sorted(min(row) for _, group, basis in blocks for row in
+                assert len(basis) == dimension
+            assert whole == (not rows)
+            canonical.extend((min(row), row) for row in ({columns[c]: v for c, v in vector.items()} for vector in basis))
+        # the lattice blocks refine the weight blocks and give the same reduced echelon kernel
+        every = sorted((min(row), row) for _, group, basis in _all_weight_blocks(d, monos) for row in
                        ({group[::-1][c]: v for c, v in vector.items()} for vector in basis))
-        assert [pivot for pivot, _ in _kernel_rref(d, degree, frozenset())] == every
+        assert sorted(canonical, key=lambda pair: pair[0]) == every
 
     @pytest.mark.parametrize("summands, maxdeg", [((4, 1, 1), 6), ((2, 2, 2), 5), ((3, 2), 6), ((4,), 8)])
     @pytest.mark.parametrize("normalization", ["section5", "unit"])
@@ -313,31 +319,111 @@ class TestHighestWeightSkip:
         assert 0 < solved < _kept_blocks(d, 8) // 2
 
     @pytest.mark.parametrize("summands, degree", [((1, 1, 1), 2), ((4, 1, 1), 3), ((3, 2), 4)])
-    def test_product_rank_above_the_kernel_dimension_raises(self, summands, degree):
-        d = build_derivation(RepSpec(summands))
-        every_column = frozenset(range(len(list(exponents_of_degree(len(d.vars), degree)))))
+    def test_product_rank_above_the_kernel_dimension_raises(self, summands, degree, monkeypatch):
+        # every block of the degree doctored to an empty kernel: the first product exceeds it
+        d = _fresh_derivation(RepSpec(summands))
+        _doctor_blocks(monkeypatch, degree, lambda b, block_of, dimension: 0)
         with pytest.raises(InternalInconsistency, match="exceed the kernel"):
-            _kernel_rref(d, degree, every_column)
+            graded_kernel_generators(d, degree)
+
+    @pytest.mark.parametrize("summands, degree", [((1, 1, 1), 2), ((4, 1, 1), 3), ((3, 2), 4), ((2,), 2)])
+    def test_block_dimension_one_too_small_raises(self, summands, degree, monkeypatch):
+        # the block of the first monomial, w0^degree: D kills it whole, so no solve checks its
+        # dimension, and the power of the first generator fills it
+        d = _fresh_derivation(RepSpec(summands))
+        _doctor_blocks(monkeypatch, degree, lambda b, block_of, dimension: dimension - (b == block_of[0]))
+        with pytest.raises(InternalInconsistency, match="exceed the kernel"):
+            graded_kernel_generators(d, degree)
+
+    @pytest.mark.parametrize("summands, degree", [((2,), 2), ((1, 1, 1), 2), ((3, 2), 4)])
+    def test_solved_block_of_another_dimension_raises(self, summands, degree, monkeypatch):
+        # one more than the true dimension: products cannot fill a block, so the first one with a target is solved
+        d = _fresh_derivation(RepSpec(summands))
+        _doctor_blocks(monkeypatch, degree, lambda b, block_of, dimension: dimension + 1)
+        with pytest.raises(InternalInconsistency, match="wrong dimension"):
+            graded_kernel_generators(d, degree)
+
+    @pytest.mark.parametrize("summands, maxdeg", [((1, 1, 1, 1, 1), 4), ((0, 1, 1, 3), 5)])
+    @pytest.mark.parametrize("normalization", ["section5", "unit"])
+    def test_matches_the_oracle_on_more_summands(self, summands, maxdeg, normalization):
+        d = build_derivation(RepSpec(summands, normalization))
+        assert [g.terms for g in graded_kernel_generators(d, maxdeg)] == [
+            g.terms for g in _oracle_kernel_generators(d, maxdeg)
+        ]
+
+    def test_sym_one_solves_no_block(self, monkeypatch):
+        # every block is full or killed whole; the one nullspace is the grading lattice's own
+        d = _fresh_derivation(RepSpec((1,)))
+        operator_rows, nullspaces = _counting(monkeypatch, "_operator_rows"), _counting(monkeypatch, "nullspace")
+        assert [str(g) for g in graded_kernel_generators(d, 6)] == ["w0"]
+        assert (len(operator_rows), len(nullspaces)) == (0, 1)
+
+
+class TestKernelGeneratorCap:
+    def test_over_sized_top_degree_is_refused_before_any_work(self, monkeypatch):
+        d = _fresh_derivation(RepSpec((4, 1, 1)))
+        lattices = _counting(monkeypatch, "nullspace")
+        with pytest.raises(ValueError, match=r"^invariant degree 40 has 377348994 monomials in 9 variables, "
+                                             r"above the cap of 50000$"):
+            graded_kernel_generators(d, 40)
+        assert lattices == [] and d._blocks == {}
+
+    def test_cap_admits_degree_ten_of_the_ci_job(self):
+        assert comb(9 + 10 - 1, 10) == 43758 <= derivations.MAX_MONOMIALS < comb(9 + 11 - 1, 11)
+        with pytest.raises(ValueError, match="above the cap"):
+            graded_kernel_generators(build_derivation(RepSpec((4, 1, 1))), 11)
+
+    def test_bounds_below_one_are_empty(self):
+        d = build_derivation(RepSpec((4, 1, 1)))
+        assert graded_kernel_generators(d, 0) == graded_kernel_generators(d, -1) == []
+
+
+def _fresh_derivation(spec):
+    """The lowering operator of ``spec`` as a new object, so nothing is cached on it yet."""
+    d = build_derivation(spec)
+    return Derivation(d.vars, d.images, d.weight_of, d.sl2_raise)
+
+
+def _counting(monkeypatch, name):
+    """Replace ``derivations.<name>`` by a wrapper that records each call; return the record."""
+    calls = []
+    real = getattr(derivations, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(derivations, name, counting)
+    return calls
+
+
+def _doctor_blocks(monkeypatch, degree, doctor):
+    """Make ``_blocks`` report block ``b`` of ``degree`` with the dimension ``doctor(b, block_of, dimension)``.
+
+    The true blocks stay cached on the derivation.
+    """
+    real = derivations._blocks
+
+    def doctored(d, at):
+        index, block_of, blocks = real(d, at)
+        if at == degree:
+            blocks = [(columns, doctor(b, block_of, dimension), whole)
+                      for b, (columns, dimension, whole) in enumerate(blocks)]
+        return index, block_of, blocks
+
+    monkeypatch.setattr(derivations, "_blocks", doctored)
 
 
 def _kept_blocks(d, maxdeg):
-    """Number of weight blocks of weight ``>= 0`` in degrees ``1..maxdeg``, those the ladder does not skip by weight."""
-    weights = [d.weight_of[name] for name in d.vars]
-    return sum(len({w for c in exponents_of_degree(len(d.vars), degree)
-                    if (w := sum(x * e for x, e in zip(weights, c))) >= 0})
-               for degree in range(1, maxdeg + 1))
+    """Number of lattice blocks in degrees ``1..maxdeg`` that only a solve could fill: a kernel, and a target."""
+    return sum(dimension > 0 and not whole for degree in range(1, maxdeg + 1)
+               for _, dimension, whole in _blocks(d, degree)[2])
 
 
 def _generators_and_solved_blocks(d, maxdeg, monkeypatch):
-    """``graded_kernel_generators(d, maxdeg)`` and the number of weight blocks that reached ``nullspace``."""
-    calls = []
-
-    def counting(rows, ncols):
-        calls.append(ncols)
-        return nullspace(rows, ncols)
-
+    """``graded_kernel_generators(d, maxdeg)`` and the number of blocks that reached ``_operator_rows``."""
     with monkeypatch.context() as patch:
-        patch.setattr(derivations, "nullspace", counting)
+        calls = _counting(patch, "_operator_rows")
         found = graded_kernel_generators(d, maxdeg)
     return found, len(calls)
 
