@@ -41,7 +41,8 @@ STAGES = (
     ("`expr.parse`", "gaquot.expr", "parse"),
     ("`certify_everywhere_stable`", "gaquot.classify", "certify_everywhere_stable"),
     ("`restrict_to_graph`", "gaquot.derivations", "restrict_to_graph"),
-    ("graph check `GraphPresentation.pull_back`", "gaquot.derivations", "GraphPresentation.pull_back"),
+    ("graph check by terms `GraphPresentation.defines`", "gaquot.derivations", "GraphPresentation.defines"),
+    ("graph check by composition `GraphPresentation.pull_back`", "gaquot.derivations", "GraphPresentation.pull_back"),
     ("`Poly.substitute`, every call", "gaquot.poly", "Poly.substitute"),
     ("`extend`, every call", "gaquot.transfer", "extend"),
     ("`boundary_split` outside `extend`", "gaquot.transfer", "boundary_split"),

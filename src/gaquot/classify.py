@@ -4,11 +4,17 @@
 certify stability by restricting to the non-stable coordinate subspace,
 split off the boundary class (``boundary_split``; the extension is built
 only when a report renders it), and record the graph check as a
-crosscheck.  A slice (``D(s) = 1``) exists exactly when the quotient is
-affine (Freudenburg, *Algebraic Theory of Locally Nilpotent
-Derivations*, ch. 1), so the slice is searched only where a find can be
-read: on an ``Affine`` verdict it is a crosscheck, on an undecided graph
-alone it is the decision.  The graph's restricted derivation is built
+crosscheck.  A graph of one dependent coordinate ``w_d = h`` is the
+hypersurface ``w_d - h``, so with ``f`` the check is that ``f`` is a
+scalar multiple of ``w_d - h``, by comparing terms; ``f = q*(w_d - h)``
+with ``q`` non-constant is rejected, as the graph is then only one
+component of ``V(f)``.  With more dependent coordinates ``f`` must
+vanish on the graph, by composing it with the graph map.  A slice
+(``D(s) = 1``) exists exactly when the quotient is affine (Freudenburg,
+*Algebraic Theory of Locally Nilpotent Derivations*, ch. 1), so the
+slice is searched only where a find can be read: on an ``Affine``
+verdict it is a crosscheck, on an undecided graph alone it is the
+decision.  The graph's restricted derivation is built
 for that search, and up front only where stability of the graph is not
 a theorem (no ``f``, or several dependent coordinates).  For a certified input
 the quotient is affine exactly when ``F00``, the weight-zero part of
@@ -396,6 +402,28 @@ def _linear_gradient_analysis(f00: Poly) -> SmoothnessReport:
 # the pipeline
 
 
+def _check_on_graph(f: Poly, graph: GraphPresentation) -> None:
+    """Raise ``GraphInconsistency`` unless ``graph`` presents ``V(f)``, or lies on it for several dependent coordinates.
+
+    A graph of one dependent coordinate ``w = h`` is the hypersurface
+    ``w - h``, and ``f`` must be a scalar multiple of it
+    (``GraphPresentation.defines``, a comparison of terms).  Only when
+    that fails is ``f`` pulled back, to tell a residue from a factor
+    ``q`` of ``f = q*(w - h)``.  Otherwise ``f`` must pull back to zero.
+    """
+    if len(graph.dependent) == 1 and graph.defines(f):
+        return
+    on_graph = graph.pull_back(f)
+    if not on_graph.is_zero:
+        raise GraphInconsistency(f"polynomial does not vanish on the graph; residue {on_graph}")
+    if len(graph.dependent) == 1:
+        ((name, h),) = graph.dependent.items()
+        raise GraphInconsistency(
+            f"polynomial vanishes on the graph {name} = {h} but is not a scalar multiple of "
+            "its equation; the graph is only one component of V(f)"
+        )
+
+
 def classify(
     spec: RepSpec,
     f: Optional[Poly] = None,
@@ -416,16 +444,12 @@ def classify(
 
     restricted: Optional[Derivation] = None
     if graph is not None:
-        # With f vanishing on a graph w_d = h, the graph is a component of V(f), which the connected
-        # G_a keeps: D(w_d - h) lies in (w_d - h), so the chain-rule check cannot fail.
+        # With f a scalar multiple of w_d - h, the graph is V(f), which the connected G_a keeps:
+        # D(w_d - h) lies in (w_d - h), so the chain-rule check cannot fail.
         if f is None or len(graph.dependent) > 1:
             restricted = restrict_to_graph(build_derivation(spec), graph)
         if f is not None:
-            on_graph = graph.pull_back(f)
-            if not on_graph.is_zero:
-                raise GraphInconsistency(
-                    f"polynomial does not vanish on the graph; residue {on_graph}"
-                )
+            _check_on_graph(f, graph)
             crosschecks.append(("graph-lies-on-hypersurface", True))
 
     witness: Optional[UnstableWitness] = None

@@ -16,8 +16,10 @@ and a nonzero weight-zero component is a proof of non-membership.
 
 Every other grading is the lattice of integer gradings under which a
 derivation is homogeneous, found by one small nullspace once per
-derivation (``_gradings``).  ``D(s) = 1`` has weight 0 on the right, so
-a slice is solved on the block of image weight 0 alone.
+derivation (``_gradings``).  A monomial's image weights are packed into
+one ``int`` key, one dot product in a mixed radix (``_weight_groups``).
+``D(s) = 1`` has weight 0 on the right, so a slice is solved on the
+block of image weight 0 alone.
 
 Both :func:`apply` and the solvers' operator matrices
 (``_operator_rows``) run on one integer Leibniz kernel, ``_leibniz``, on
@@ -41,7 +43,8 @@ not fill and the derivation does not kill, checking each dimension.
 
 The module has no product or composition of its own: kernel generators
 multiply on ``poly._times``, and a graph's pull-back hands its plan to
-``poly._compose``.
+``poly._compose``.  A graph of one dependent coordinate compares its
+equation with a polynomial term by term (``GraphPresentation.defines``).
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from .errors import (
     VariableTableMismatch,
 )
 from .linalg import Row, extend_rref, nullspace, reduce_against, solve
-from .poly import Exponent, Poly, _compose, _raw, _times, exponents_of_degree, exponents_up_to_degree
+from .poly import Exponent, Poly, _compose, _projector, _raw, _times, exponents_of_degree, exponents_up_to_degree
 
 # (Dd, ((variable index, ((numerator over Dd, e'), ...)), ...), image
 # degree) over the variables with a non-zero image; see ``apply``
@@ -262,19 +265,38 @@ def _gradings(d: Derivation) -> List[Tuple[Sequence[int], int]]:
     return d._lattice
 
 
-def _weight_groups(monos: Sequence[Tuple[int, ...]], gradings: Sequence[Tuple[Sequence[int], int]]) -> Dict[object, List[int]]:
-    """Indices into ``monos`` keyed by image weights ``(w·c + e, ...)``, each group ascending.
+def _weight_groups(
+    monos: Sequence[Tuple[int, ...]], gradings: Sequence[Tuple[Sequence[int], int]]
+) -> Tuple[Dict[int, List[int]], Optional[int], int]:
+    """Indices into ``monos`` grouped by image weights ``(w·c + e, ...)``, each group ascending.
 
     ``d`` maps every group into one weight piece, so its operator matrix
-    is block-diagonal over them.  With no grading every index sits in
-    the one group ``None``.
+    is block-diagonal over them.  The weights are packed into one ``int``
+    key per monomial, a digit per grading in a mixed radix: for
+    monomials of degree at most ``top``, ``w·c + e`` lies within
+    ``top * min(0, w) + e`` and ``top * max(0, w) + e``, and each digit's
+    range is widened by ``|e|`` so that a shifted key never carries.  So
+    the key is one dot product ``W·c + offset``.  Returns the groups, the
+    key of the all-zero weights (``None`` when some digit cannot hold 0),
+    and the key shift: ``d`` maps the group keyed ``g`` into the one keyed
+    ``g + shift``.  With no grading every index sits in the group ``0``.
     """
-    if not gradings:
-        return {None: list(range(len(monos)))}
-    groups: Dict[object, List[int]] = {}
+    top = max(map(sum, monos), default=0)
+    weights = [0] * len(monos[0]) if monos else []
+    offset = shift = zero = 0
+    radix = 1
+    for w, e in gradings:
+        lo = top * min(0, *w) + e + min(0, e)
+        hi = top * max(0, *w) + e + max(0, e)
+        weights = [a + radix * b for a, b in zip(weights, w)]
+        offset += radix * (e - lo)
+        shift += radix * e
+        zero = zero - radix * lo if zero is not None and lo <= 0 <= hi else None
+        radix *= hi - lo + 1
+    groups: Dict[int, List[int]] = {}
     for j, c in enumerate(monos):
-        groups.setdefault(tuple([sum(map(mul, c, w)) + e for w, e in gradings]), []).append(j)
-    return groups
+        groups.setdefault(sum(map(mul, c, weights)) + offset, []).append(j)
+    return groups, zero, shift
 
 
 def _operator_rows(d: Derivation, columns: Sequence[Exponent], top: int) -> Dict[int, Row]:
@@ -330,7 +352,8 @@ def power_in_image(d: Derivation, h: Poly) -> PowerInImage:
 _monomials = lru_cache(maxsize=None)(lambda n, degree: tuple(exponents_of_degree(n, degree)))
 _slice_candidates = lru_cache(maxsize=None)(lambda n, bound: tuple(exponents_up_to_degree(n, bound)))
 
-# The most monomials, C(n + d - 1, d), graded_kernel_generators takes in its top degree d.
+# The most monomials graded_kernel_generators takes in its top degree d, C(n + d - 1, d), and
+# the most candidates slice_search takes up to its degree bound d, C(n + d, d) - 1.
 MAX_MONOMIALS = 50000
 
 
@@ -346,15 +369,14 @@ def _blocks(d: Derivation, degree: int) -> Tuple[Dict[Exponent, int], List[int],
     """
     if degree not in d._blocks:
         monos = _monomials(len(d.vars), degree)
-        gradings = _gradings(d)
-        groups = _weight_groups(monos, gradings)
+        groups, _, shift = _weight_groups(monos, _gradings(d))
         weights = [d.weight_of[name] for name in d.vars]
         block_of = [0] * len(monos)
         blocks = []
         for key, group in groups.items():
             for j in group:
                 block_of[j] = len(blocks)
-            target = len(groups.get(tuple(g + e for g, (_, e) in zip(key, gradings)), ()))
+            target = len(groups.get(key + shift, ()))
             dimension = len(group) - target if sum(map(mul, monos[group[0]], weights)) >= 0 else 0
             blocks.append((tuple(group[::-1]), dimension, not target))
         d._blocks[degree] = ({e: j for j, e in enumerate(monos)}, block_of, blocks)
@@ -462,11 +484,40 @@ class GraphPresentation:
         dependent ones composed with their images.
         """
         zvars = tuple(self.zvars)
-        if sorted(p.vars) != sorted([*self.free, *self.dependent]):
-            raise VariableTableMismatch(f"polynomial table {p.vars} is not the graph's ambient table")
+        self._check_ambient(p)
         relabel = [(i, zvars.index(self.free[name])) for i, name in enumerate(p.vars) if name in self.free]
         composed = [(i, self.dependent[name]) for i, name in enumerate(p.vars) if name in self.dependent]
         return _compose(p, zvars, relabel, composed)
+
+    def defines(self, p: Poly) -> bool:
+        """Whether ``p`` is a non-zero scalar multiple of ``w - h``, for the one dependent coordinate ``w = h``.
+
+        ``w - h`` is the graph as a hypersurface: with ``h = H/s``, its
+        numerators are ``s`` at ``w`` and ``-H`` at ``H``'s exponents
+        relabelled onto ``p``'s table through ``free``.  The check
+        compares terms, no composition: ``p``'s numerators ``P`` have the
+        same support, and ``P[e]*s == -H[e]*P[w]`` for every term of
+        ``H``.  A graph of another number of dependent coordinates is a
+        ``ValueError``.
+        """
+        self._check_ambient(p)
+        if len(self.dependent) != 1:
+            raise ValueError(f"a graph of {len(self.dependent)} dependent coordinates is no hypersurface")
+        ((name, h),) = self.dependent.items()
+        zvars = tuple(self.zvars)
+        slot = {z: i for i, z in enumerate(zvars)}
+        at = [slot[self.free[x]] if x in self.free else len(zvars) for x in p.vars]  # w reads the 0 appended
+        relabel = _projector(at)
+        w = tuple(int(x == name) for x in p.vars)
+        nums = p.nums
+        if len(nums) != len(h.nums) + 1 or w not in nums:
+            return False
+        pw, s = nums[w], h.den
+        return all(nums.get(relabel((*e, 0)), 0) * s == -c * pw for e, c in h.nums.items())
+
+    def _check_ambient(self, p: Poly) -> None:
+        if sorted(p.vars) != sorted([*self.free, *self.dependent]):
+            raise VariableTableMismatch(f"polynomial table {p.vars} is not the graph's ambient table")
 
 
 def restrict_to_graph(d: Derivation, graph: GraphPresentation) -> Derivation:
@@ -517,9 +568,14 @@ def slice_search(d: Derivation, degree_bound: int = 3) -> SliceSearch:
     alone, and the free coefficients are pinned to zero.  The matrix is
     that of ``Dd * D``, so the constant row asks for ``Dd``.
     """
-    candidates = _slice_candidates(len(d.vars), degree_bound)
-    gradings = _gradings(d)
-    group = _weight_groups(candidates, gradings).get((0,) * len(gradings) if gradings else None, ())
+    n = len(d.vars)
+    count = comb(n + degree_bound, degree_bound) - 1 if degree_bound > 0 else 0
+    if count > MAX_MONOMIALS:
+        raise ValueError(f"slice degree {degree_bound} has {count} candidates in {n} variables, "
+                         f"above the cap of {MAX_MONOMIALS}")
+    candidates = _slice_candidates(n, degree_bound)
+    groups, zero, _ = _weight_groups(candidates, _gradings(d))
+    group = groups.get(zero, ())
     columns = [candidates[j] for j in group]
     rows = _operator_rows(d, columns, max(chain.from_iterable(candidates), default=0))
     rows.setdefault(0, {})  # the constant monomial packs to 0

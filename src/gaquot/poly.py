@@ -46,9 +46,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, itemgetter, mul
 from types import MappingProxyType
-from typing import Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Collection, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import VariableTableMismatch
 
@@ -350,12 +350,9 @@ class Poly:
         """
         idxs = {self.vars.index(name): k for name, k in fixed.items()}
         keep = [i for i in range(len(self.vars)) if i not in idxs]
-        new_vars = tuple(self.vars[i] for i in keep)
-        out: Dict[Exponent, int] = {}
-        for exponent, n in self.nums.items():
-            if all(exponent[i] == k for i, k in idxs.items()):
-                out[tuple(exponent[i] for i in keep)] = n
-        return _raw(new_vars, out, self.den)
+        pinned, want, project = _projector(list(idxs)), tuple(idxs.values()), _projector(keep)
+        out = {project(e): n for e, n in self.nums.items() if pinned(e) == want}
+        return _raw(tuple(self.vars[i] for i in keep), out, self.den)
 
     def extend_table(self, variables: Sequence[str]) -> "Poly":
         """Reinterpret over a larger table containing every current variable."""
@@ -419,6 +416,13 @@ def _table(variables: Sequence[str]) -> Tuple[str, ...]:
     if len(set(vt)) != len(vt):
         raise ValueError(f"duplicate variable names in table {vt}")
     return vt
+
+
+def _projector(indices: Sequence[int]) -> Callable[[Exponent], Exponent]:
+    """The exponent entries at ``indices``, in order, as a tuple (``itemgetter`` of one index gives a bare entry)."""
+    if len(indices) == 1:
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(*indices) if indices else itemgetter(slice(0, 0))
 
 
 def _raw(variables: Tuple[str, ...], nums: Dict[Exponent, int], den: int = 1) -> Poly:

@@ -413,6 +413,7 @@ class TestGraphStabilityTheorem:
     @staticmethod
     def _assert_stable(spec, f, graph):
         assert len(graph.dependent) == 1
+        assert graph.defines(f)  # the term check classify runs agrees with the composition
         assert graph.pull_back(f).is_zero
         restrict_to_graph(build_derivation(spec), graph)  # the chain-rule check passes
 
@@ -472,6 +473,72 @@ class TestGraphStabilityTheorem:
             with pytest.raises(GraphInconsistency) as raised:
                 classify(fx.spec, fx.f, graph)
             assert str(raised.value) == message
+
+
+class TestGraphIsTheHypersurface:
+    """With one dependent coordinate ``w = h``, ``classify`` checks ``f = c*(w - h)`` by comparing terms."""
+
+    FACTOR = ("polynomial vanishes on the graph w0 = z2*z5 - z3*z4 + 1 but is not a scalar multiple of "
+              "its equation; the graph is only one component of V(f)")
+
+    @staticmethod
+    def _counting_pull_backs(monkeypatch):
+        calls = []
+        real = GraphPresentation.pull_back
+
+        def counting(graph, p):
+            calls.append(p)
+            return real(graph, p)
+
+        monkeypatch.setattr(GraphPresentation, "pull_back", counting)
+        return calls
+
+    @pytest.mark.parametrize("c", [-3, Fraction(1, 2)])
+    def test_scalar_multiples_pass(self, c):
+        for fx in _one_dependent_members():
+            assert fx.graph.defines(c * fx.f)
+            assert classify(fx.spec, c * fx.f, fx.graph).verdict is classify(fx.spec, fx.f, fx.graph).verdict
+
+    def test_factor_times_the_graph_equation_is_rejected(self):
+        fx = fixture("winkelmann")
+        generators = [g for g in graded_kernel_generators(build_derivation(fx.spec), 2) if not g.is_constant()]
+        assert len(generators) == 6
+        for g in generators:
+            assert fx.graph.pull_back(fx.f * g).is_zero and not fx.graph.defines(fx.f * g)
+            with pytest.raises(GraphInconsistency) as raised:
+                classify(fx.spec, fx.f * g, fx.graph)
+            assert str(raised.value) == self.FACTOR
+
+    def test_certified_one_dependent_classify_composes_nothing(self, monkeypatch):
+        members = [fx for fx in _one_dependent_members() if certify_everywhere_stable(fx.spec, fx.f).certified]
+        assert "winkelmann" in {fx.name for fx in members}
+        calls = self._counting_pull_backs(monkeypatch)
+        for fx in members:
+            calls.clear()
+            report = classify(fx.spec, fx.f, fx.graph)
+            assert dict(report.crosschecks)["graph-lies-on-hypersurface"]
+            assert fx.f not in calls, fx.name
+            if report.verdict is not Verdict.AFFINE:  # an affine verdict restricts D for its slice search
+                assert calls == [], fx.name
+        calls.clear()
+        fx = fixture("winkelmann")
+        with pytest.raises(GraphInconsistency):
+            classify(fx.spec, fx.f * parse("w2", fx.spec.coord_names), fx.graph)
+        assert len(calls) == 1  # the counter sees the pull-back of a failed comparison
+
+    def test_multi_dependent_graph_still_pulls_back(self, monkeypatch):
+        fx = fixture("winkelmann")
+        zvars = ("z1", "z3", "z4", "z5")
+        graph = GraphPresentation(
+            zvars=zvars,
+            free={"w1": "z1", "w3": "z3", "w4": "z4", "w5": "z5"},
+            dependent={"w0": parse("1 - z3*z4 + z5", zvars), "w2": Poly.const(zvars, 1)},
+        )
+        with pytest.raises(ValueError, match="no hypersurface"):
+            graph.defines(fx.f)
+        calls = self._counting_pull_backs(monkeypatch)
+        assert classify(fx.spec, fx.f, graph).verdict is Verdict.STRICTLY_QUASI_AFFINE
+        assert fx.f in calls
 
 
 class TestBoundarySmoothness:

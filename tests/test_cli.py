@@ -320,6 +320,19 @@ class TestMalformedJobs:
         err = self._run_job(tmp_path, capsys, representation={"blocks": blocks})
         assert "coordinates, above the cap of 64" in err
 
+    def test_graph_one_component_of_the_zero_set(self, tmp_path, capsys):
+        # winkelmann's f times the invariant w2 vanishes on its graph, which is only one component of V(f*w2)
+        job = job_for(fixture("winkelmann"))
+        err = self._run_job(tmp_path, capsys, polynomial="(w2*w5 - w3*w4 - w0 + 1)*w2", graph=job["graph"])
+        assert err == ("error: polynomial vanishes on the graph w0 = z2*z5 - z3*z4 + 1 but is not a scalar "
+                       "multiple of its equation; the graph is only one component of V(f)\n")
+
+    def test_over_sized_slice_degree(self, capsys):
+        code, out, err = _run(capsys, "--fixture", "family-phi(t^5 - 3*t)", "--command", "slice",
+                              "--slice-deg", "40", "--format", "text")
+        assert (code, out) == (1, "")
+        assert err == "error: slice degree 40 has 1221758 candidates in 5 variables, above the cap of 50000\n"
+
     def test_over_sized_invariant_degree(self, tmp_path, capsys):
         err = self._run_job(tmp_path, capsys, command="invariants",
                             representation={"blocks": [{"sym": 4}, {"vblock": 2}]}, bounds={"invariantDeg": 40})

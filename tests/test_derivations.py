@@ -499,6 +499,58 @@ class TestPullBack:
             )
 
 
+class TestDefines:
+    """``GraphPresentation.defines`` against the normalized graph equation ``w - h``, built by ``substitute``."""
+
+    ONE_DEPENDENT = [(ambient, graph) for ambient, graph in PULL_BACK_GRAPHS if len(graph.dependent) == 1]
+
+    @staticmethod
+    def _equation(graph, table):
+        """``w - h`` over ``table``, with ``h``'s parameters sent to their ambient coordinates."""
+        ((name, h),) = graph.dependent.items()
+        return Poly.variable(table, name) - h.substitute({z: Poly.variable(table, x) for x, z in graph.free.items()})
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_the_normalized_equation(self, data):
+        ambient, graph = data.draw(st.sampled_from(self.ONE_DEPENDENT))
+        table = data.draw(st.permutations(ambient))  # the relabel must not depend on table order
+        equation = self._equation(graph, table)
+        p = equation * data.draw(coeffs)
+        if data.draw(st.booleans()):
+            exponents = st.tuples(*[st.integers(min_value=0, max_value=2)] * len(table))
+            p = p + Poly(table, data.draw(st.dictionaries(exponents, coeffs, max_size=2)))
+        assert graph.defines(p) == (not p.is_zero and p.normalized() == equation.normalized())
+
+    @pytest.mark.parametrize("ambient, graph", ONE_DEPENDENT)
+    def test_same_support_other_ratios_fail(self, ambient, graph):
+        equation = self._equation(graph, ambient)
+        assert graph.defines(equation) and graph.defines(Fraction(-2, 7) * equation)
+        lead, c = equation.leading()
+        assert not graph.defines(equation + Poly(ambient, {lead: c}))  # every term kept, one doubled
+        assert not graph.defines(Poly.zero(ambient))
+
+    def test_one_variable_table(self):
+        graph = GraphPresentation(zvars=(), free={}, dependent={"w": Poly.const((), 3)})
+        assert graph.defines(Poly(("w",), {(1,): 2, (0,): -6}))
+        assert not graph.defines(Poly(("w",), {(1,): 1, (0,): -2}))
+        assert not graph.defines(Poly(("w",), {(2,): 1, (0,): -9}))
+
+    @pytest.mark.parametrize("ambient, graph", ONE_DEPENDENT)
+    def test_wrong_table_rejected(self, ambient, graph):
+        for table in (ambient[1:], ambient + ("extra",)):
+            with pytest.raises(VariableTableMismatch):
+                graph.defines(Poly.variable(table, ambient[-1]))
+
+    def test_several_dependent_coordinates_rejected(self):
+        graphs = [graph for _, graph in PULL_BACK_GRAPHS if len(graph.dependent) != 1]
+        assert graphs
+        for graph in graphs:
+            ambient = (*graph.free, *graph.dependent)
+            with pytest.raises(ValueError, match=f"^a graph of {len(graph.dependent)} dependent coordinates"):
+                graph.defines(Poly.variable(ambient, ambient[0]))
+
+
 class TestGraphSplit:
     """A malformed split is a ``ValueError`` when the graph is built, never a bare ``KeyError`` later."""
 
@@ -625,6 +677,24 @@ class TestSliceSearch:
         d = build_derivation(RepSpec((1,)))
         assert slice_search(d, 4).found is None
 
+    def test_over_sized_bound_is_refused_before_the_candidates(self, monkeypatch):
+        d = _restricted("family-phi(t^5 - 3*t)")
+        built = _counting(monkeypatch, "_slice_candidates")
+        with pytest.raises(ValueError, match=r"^slice degree 40 has 1221758 candidates in 5 variables, "
+                                             r"above the cap of 50000$"):
+            slice_search(d, 40)
+        assert built == []
+
+    def test_cap_admits_degree_eighteen_of_the_ci_job(self):
+        assert comb(5 + 18, 18) - 1 == 33648 <= comb(5 + 19, 19) - 1 <= derivations.MAX_MONOMIALS
+        assert comb(5 + 20, 20) - 1 == 53129 > derivations.MAX_MONOMIALS
+        with pytest.raises(ValueError, match="53129 candidates"):
+            slice_search(_restricted("family-phi(t^5 - 3*t)"), 20)
+
+    def test_bounds_below_one_are_searched(self):
+        d = _restricted("affine-slice")
+        assert slice_search(d, 0).found is None and slice_search(d, -1).found is None
+
 
 def _below(k):
     """Exponents in the first ``k`` variables of ``XYZ``."""
@@ -719,15 +789,54 @@ class TestGradingLattice:
         d = Derivation(("z1",), {"z1": 1 + z1})
         assert _gradings(d) == []
         monos = list(exponents_up_to_degree(1, 3))
-        assert _weight_groups(monos, _gradings(d)) == {None: [0, 1, 2]}
+        assert _weight_groups(monos, _gradings(d)) == ({0: [0, 1, 2]}, 0, 0)
         assert str(slice_search(d, 3).found) == str(dense_slice(d, 3)) == "None"
+
+    @staticmethod
+    def _assert_packed_like_tuples(gradings, monos):
+        """``_weight_groups``' packed keys against the weight tuples ``(w·c + e, ...)`` they pack."""
+        groups, zero, shift = _weight_groups(monos, gradings)
+        by_tuple = {}
+        for j, c in enumerate(monos):
+            by_tuple.setdefault(tuple(sum(w_i * c_i for w_i, c_i in zip(w, c)) + e for w, e in gradings), []).append(j)
+        assert sorted(groups.values()) == sorted(by_tuple.values())
+        key_of = {tuple(group): key for key, group in groups.items()}
+        for weights, group in by_tuple.items():
+            target = tuple(v + e for v, (_, e) in zip(weights, gradings))
+            assert groups.get(key_of[tuple(group)] + shift, []) == by_tuple.get(target, [])  # never a carry
+        assert groups.get(zero, []) == by_tuple.get((0,) * len(gradings), [])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(derivations_xyz, triangular_xyz), st.integers(min_value=0, max_value=4))
+    def test_packed_keys_group_like_the_weight_tuples(self, d, bound):
+        self._assert_packed_like_tuples(_gradings(d), list(exponents_up_to_degree(3, bound)))
+
+    @pytest.mark.parametrize("gradings", [
+        [((1, 0), 2), ((1, 1), 0)],  # x^2 shifted past the first digit's values would carry onto y^3
+        [((0, -1), -2), ((1, 1), 1)],
+        [((1, 0), 2), ((0, 1), -3), ((1, 1), 1)],
+    ])
+    def test_shifted_keys_never_carry(self, gradings):
+        # _gradings puts its one non-zero shift on the last grading; _weight_groups may not rely on that
+        self._assert_packed_like_tuples(gradings, list(exponents_up_to_degree(2, 3)))
+
+    @pytest.mark.parametrize("d", [
+        _ddx(),
+        *(_restricted(name) for name in GRAPH_FIXTURES + FAMILY_MEMBERS),
+        *(op for summands in ((1,), (2,), (1, 1), (4, 1, 1)) for triple in [sl2_triple(RepSpec(summands))]
+          for op in (triple.lower, triple.raising, triple.diag)),
+    ])
+    def test_packed_keys_on_fixture_derivations(self, d):
+        n = len(d.vars)
+        self._assert_packed_like_tuples(_gradings(d), list(exponents_up_to_degree(n, 3)))
+        self._assert_packed_like_tuples(_gradings(d), list(exponents_of_degree(n, 4)))
 
     def test_groups_split_by_image_weight(self):
         # D = d/dx on k[x, y]: weight -1 shift in x, y free
         d = _ddx()
         gradings = _gradings(d)
         monos = list(exponents_up_to_degree(2, 2))
-        groups = _weight_groups(monos, gradings)
+        groups, _, _ = _weight_groups(monos, gradings)
         assert len(groups) == len(monos)
         assert str(slice_search(d, 2).found) == "x"
 

@@ -481,6 +481,35 @@ class TestCalculusAndShaping:
         assert c == -3 * Poly.variable(("y", "z"), "z")
         assert p.coefficient({"x": 0}) == Poly.variable(("y", "z"), "y")
 
+    def test_coefficient_without_pins_is_the_polynomial(self):
+        x, y, z = ring(XYZ)
+        p = Fraction(2, 3) * x ** 2 * y - z + 5
+        assert p.coefficient({}) == p and p.coefficient({}).vars == XYZ
+
+    def test_coefficient_of_one_pin_with_a_non_zero_value(self):
+        x, y, z = ring(XYZ)
+        p = 4 * x * y ** 2 * z + 6 * y ** 2 - y * z
+        assert p.coefficient({"y": 2}) == 4 * Poly.variable(("x", "z"), "x") * Poly.variable(("x", "z"), "z") + 6
+        assert p.coefficient({"z": 1}) == parse("4*x*y^2 - y", ("x", "y"))
+        assert p.coefficient({"y": 3}).is_zero
+
+    def test_coefficient_of_every_pin_is_a_constant(self):
+        x, y, z = ring(XYZ)
+        p = Fraction(-3, 4) * x * y ** 2 * z + 6 * y ** 2
+        assert p.coefficient({"z": 1, "x": 1, "y": 2}) == Poly.const((), Fraction(-3, 4))
+        assert p.coefficient({"x": 0, "y": 2, "z": 0}) == Poly.const((), 6)
+        assert p.coefficient(dict.fromkeys(XYZ, 1)).is_zero
+
+    @given(polys, st.dictionaries(st.sampled_from(XYZ), st.integers(min_value=0, max_value=3)))
+    def test_coefficient_matches_the_generator_form(self, p, fixed):
+        """The term selection by one ``all(...)`` generator per term, on ``Fraction`` terms, is the oracle."""
+        idxs = {p.vars.index(name): k for name, k in fixed.items()}
+        keep = [i for i in range(len(p.vars)) if i not in idxs]
+        expected = Poly(tuple(p.vars[i] for i in keep), {
+            tuple(e[i] for i in keep): c for e, c in p.terms.items() if all(e[i] == k for i, k in idxs.items())
+        })
+        assert p.coefficient(fixed) == expected and p.coefficient(fixed).vars == expected.vars
+
     def test_extend_table_round_trip(self):
         x, y, _ = ring(XYZ)
         p = x * y + 2
