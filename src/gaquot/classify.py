@@ -526,6 +526,10 @@ def classify(
 # families
 
 
+# the Sylvester matrix of a degree-d parameter has 2d - 1 columns
+MAX_PARAMETER_DEGREE = 100
+
+
 @dataclass(frozen=True)
 class FamilyMember:
     """One member of the hypersurface family ``1 + phi(invariant) - w0``."""
@@ -629,11 +633,16 @@ def compare_family(m1: FamilyMember, m2: FamilyMember) -> FamilyComparison:
     on the parameters alone and does not rebuild the members; stability
     of each member is the caller's hypothesis (the builder's origin guard
     is deliberately not repeated here, so parameters whose value at zero
-    is -1 can still be compared).
+    is -1 can still be compared).  A parameter above degree
+    ``MAX_PARAMETER_DEGREE`` is refused before any Sylvester matrix is built.
     """
     if m1.spec != m2.spec or m1.delta_label != m2.delta_label:
         raise ValueError("family members must share a representation and invariant choice")
     _catalog_invariant(m1.spec, m1.delta_label)
+    for member in (m1, m2):
+        degree = member.phi.total_degree()
+        if degree > MAX_PARAMETER_DEGREE:
+            raise ValueError(f"family parameter has degree {degree}, above the cap of {MAX_PARAMETER_DEGREE}")
     counts: List[int] = []
     for member in (m1, m2):
         count, squarefree = squarefree_distinct_root_count(member.phi)

@@ -12,16 +12,20 @@ scales a monomial of weight ``w`` by ``v^w``, so
     F = sum_j (-1)^j / j! * u^j * v^(j + wt(m)) * m
 
 over the monomials ``m`` of ``E^j(f)``; the sum is finite because ``E``
-is nilpotent.  Two checks guard the result: the derivation must kill
-``f``, and every power of ``v`` must be non-negative, so a negative one
-convicts the input of non-invariance.
+is nilpotent.  Each weight component ``f_w`` of ``f`` climbs on its own,
+its layer ``E^j(f_w)`` on ``v^(w - j)``; one check, ``w >= 0`` and
+``E^(w+1)(f_w) = 0``, keeps every power of ``v`` non-negative and decides
+invariance: in a degree piece of the ring, a finite-dimensional
+sl2-module, the derivation kills no vector of negative weight and kills
+one of weight ``w >= 0`` exactly when ``E^(w+1)`` does (Humphreys, §7, as
+cited in ``reps``), and components of different weights share no monomial.
 
 The ladder stays in packed integers: ``f``'s numerators are packed for
 its total degree, which ``E`` keeps; each step is one pass of the packed
 Leibniz kernel of ``derivations`` over the images of ``E`` (denominator
 ``Dd``), so ``E^j(f)`` has numerators over ``(-1)^j * j! * den * Dd^j``.
-Each term is unpacked once, and ``F`` is written over the divisor of
-the last layer, which all the others divide.
+Each term is unpacked once and scaled as it is written to the divisor of
+the top layer, the largest weight, which all the others divide.
 
 The constant coefficient ``F00`` (the ``u^0 v^0`` part of ``F``, which is
 the weight-zero part of ``f``) splits ``f = F00 + g`` and its shape
@@ -44,7 +48,7 @@ from functools import lru_cache, partial
 from operator import mul
 from typing import Dict
 
-from .derivations import _leibniz, _packed, apply
+from .derivations import _leibniz, _packed
 from .errors import NonInvariantInput, VariableTableMismatch
 from .poly import Poly, _raw
 from .reps import RepSpec, _killed_by_triple, sl2_triple
@@ -133,43 +137,39 @@ def extend(spec: RepSpec, f: Poly) -> TransferResult:
 
     With ``E`` the raising operator of ``spec``,
     ``F = sum_j (-1)^j/j! * u^j * v^(j + wt(m)) * m`` over the monomials
-    ``m`` of ``E^j(f)``.  Raises :class:`NonInvariantInput` when the
-    derivation does not kill ``f``; a negative power of ``v`` is the
-    same defect and raises identically, here rather than on first read.
+    ``m`` of ``E^j(f)``.  The ladder runs at once, so a non-invariant ``f``
+    raises :class:`NonInvariantInput` here, naming its lowest failing weight.
     """
     result = boundary_split(spec, f)
-    if not apply(sl2_triple(spec).lower, f).is_zero:
-        raise NonInvariantInput("transfer input is not killed by the derivation")
-    result.extension  # the ladder runs now, so a negative power of v raises here
+    result.extension  # the ladder runs now, so a non-invariant input raises here
     return result
 
 
 def _ladder(spec: RepSpec, f: Poly) -> Poly:
-    """``F``, the sum of the ladder ``E^j(f)`` placed on the plane coordinates."""
+    """``F``, the ladders ``E^j(f_w)`` of the weight components of ``f`` placed on the plane coordinates."""
     triple = sl2_triple(spec)
     weights = spec.weights
-    raise_scale = triple.raising._int_images[0]
     key, unkey, images = _packed(triple.raising, f.total_degree())
-    layer = [(e, key(e), n) for e, n in f.nums.items()]
+    components: Dict[int, list] = {}  # weight w -> the packed terms of f_w
+    for e, n in f.nums.items():
+        components.setdefault(sum(map(mul, e, weights)), []).append((e, key(e), n))
+    top = max(components, default=0)
+    scales = [1] * (top + 1)  # scales[j] * (-1)^j * j! * den * Dd^j is the divisor of layer top
+    for j in range(top, 0, -1):
+        scales[j - 1] = scales[j] * -j * triple.raising._int_images[0]  # Dd, the denominator of E
     numerators: Dict[tuple, int] = {}
-    divisors = [f.den]  # divisors[j] = (-1)^j * j! * den * Dd^j, under the numerators of E^j(f)
-    while layer:
-        j = len(divisors) - 1
-        for exponent, _, n in layer:
-            vexp = j + sum(map(mul, exponent, weights))
-            if vexp < 0:
-                raise NonInvariantInput(
-                    f"term of E^{j}(f) needs v^{vexp}; input is not invariant"
-                )
-            numerators[(j, vexp) + exponent] = n
-        acc: Dict[int, int] = {}
-        _leibniz(acc, images, layer)
-        layer = [(unkey(k), k, n) for k, n in acc.items() if n]
-        if layer:
-            divisors.append(divisors[j] * -(j + 1) * raise_scale)
-    scales = [divisors[-1] // d for d in divisors]  # each divisor divides the next
-    return _raw(PLANE_COORDS + spec.coord_names,
-                {key: n * scales[key[0]] for key, n in numerators.items()}, divisors[-1])
+    for w, layer in sorted(components.items()):
+        for j in range(w + 1):
+            place, scale = (j, w - j), scales[j]
+            for exponent, _, n in layer:
+                numerators[place + exponent] = n * scale
+            acc: Dict[int, int] = {}
+            _leibniz(acc, images, layer)
+            layer = [(unkey(k), k, n) for k, n in acc.items() if n]
+        if layer:  # E^j(f_w) lands on v^(w - j) < 0
+            j = max(w + 1, 0)
+            raise NonInvariantInput(f"term of E^{j}(f) needs v^{w - j}; input is not invariant")
+    return _raw(PLANE_COORDS + spec.coord_names, numerators, f.den * scales[0])
 
 
 def verify_invariance(spec: RepSpec, extension: Poly) -> bool:

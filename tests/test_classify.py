@@ -959,6 +959,23 @@ class TestFamilyComparison:
         with pytest.raises(ValueError):
             compare_family(a, c)
 
+    @pytest.mark.parametrize("first", [True, False])
+    def test_parameter_degree_cap(self, monkeypatch, first):
+        """A parameter above ``MAX_PARAMETER_DEGREE`` is refused before either member's matrix is built."""
+        counted = []
+        monkeypatch.setattr(CLASSIFY, "squarefree_distinct_root_count",
+                            lambda p: counted.append(p) or (1, True))
+        at_cap = FamilyMember(TRIPLE, _phi("t^100 - 2"), "minor[1,2]")
+        # each factor is under the parser's exponent cap, the product is not
+        above = FamilyMember(TRIPLE, _phi("(t^100 + 1)*(t - 3)"), "minor[1,2]")
+        assert CLASSIFY.MAX_PARAMETER_DEGREE == 100
+        compare_family(at_cap, at_cap)
+        assert len(counted) == 2
+        pair = (above, at_cap) if first else (at_cap, above)
+        with pytest.raises(ValueError, match=r"^family parameter has degree 101, above the cap of 100$"):
+            compare_family(*pair)
+        assert len(counted) == 2
+
     def test_unknown_delta_rejected(self):
         a = FamilyMember(TRIPLE, _phi("t"), "no-such-invariant")
         b = FamilyMember(TRIPLE, _phi("t^2 - 1"), "no-such-invariant")

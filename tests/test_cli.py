@@ -429,6 +429,17 @@ class TestMalformedJobs:
         )
         assert "delta" in err
 
+    def test_parameter_above_degree_cap(self, tmp_path, capsys):
+        err = self._run_job(
+            tmp_path, capsys, command="family-compare", delta="minor[1,2]",
+            parameters=["t^2 - 2", "(t^100 + 1)*(t^100 - 3) + 1"],
+        )
+        assert err == "error: family parameter has degree 200, above the cap of 100\n"
+
+    def test_non_invariant_transfer(self, tmp_path, capsys):
+        err = self._run_job(tmp_path, capsys, command="transfer", polynomial="w1^2")
+        assert err == "error: term of E^0(f) needs v^-2; input is not invariant\n"
+
     def test_unknown_delta(self, tmp_path, capsys):
         err = self._run_job(
             tmp_path, capsys, command="family-compare", delta="no-such-invariant",

@@ -1,19 +1,20 @@
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from gaquot import transfer
-from gaquot.derivations import Derivation, apply, graded_kernel_generators
+from gaquot import derivations, transfer
+from gaquot.derivations import Derivation, _leibniz, _packed, apply, graded_kernel_generators
 from gaquot.errors import NonInvariantInput, VariableTableMismatch
 from gaquot.expr import parse
 from gaquot.fixtures import all_named_fixtures
-from gaquot.poly import Poly
+from gaquot.poly import Poly, _raw
 from gaquot.reps import RepSpec, Sl2Triple, build_derivation, catalog_invariants, sl2_triple
 from gaquot.transfer import (
     BoundaryClass,
@@ -97,13 +98,33 @@ class TestExtendGuards:
         with pytest.raises(NonInvariantInput):
             extend(spec, parse(text, spec.coords))
 
-    def test_negative_v_power_rejected(self, monkeypatch):
-        """The v-power guard convicts input that the derivation check let through."""
-        triple = sl2_triple(PAIR)
-        blind = Sl2Triple(Derivation(PAIR.coords, {}), triple.raising, triple.diag)
-        monkeypatch.setattr(transfer, "sl2_triple", lambda spec: blind)
-        with pytest.raises(NonInvariantInput, match="v\\^-1"):
+    def test_negative_v_power_rejected(self):
+        """A component of negative weight is convicted at ``E^0``: ``w1`` has weight -1 on ``(1,1)``."""
+        with pytest.raises(NonInvariantInput, match=r"^term of E\^0\(f\) needs v\^-1; input is not invariant$"):
             extend(PAIR, parse("w1", PAIR.coords))
+
+    @pytest.mark.parametrize("text, weight", [("w0*w3", 0), ("w0^2*w1*w3", 0), ("w0*w1*w2", 1), ("w0^2*w1", 1)])
+    def test_non_negative_weight_convicted_one_step_past_its_weight(self, text, weight):
+        """A weight-``w >= 0`` component the derivation does not kill leaves ``E^(w+1)`` non-zero, on ``v^-1``."""
+        f = parse(text, PAIR.coords)
+        assert sum(map(mul, next(iter(f.terms)), PAIR.weights)) == weight
+        assert not apply(build_derivation(PAIR), f).is_zero
+        with pytest.raises(NonInvariantInput, match=rf"^term of E\^{weight + 1}\(f\) needs v\^-1;"):
+            extend(PAIR, f)
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("w1 + w0*w3", r"E\^0\(f\) needs v\^-1"),  # weights -1 and 0
+            ("w1 + w1^2", r"E\^0\(f\) needs v\^-2"),  # weights -1 and -2
+            ("w0*w1*w2 + w0*w3", r"E\^1\(f\) needs v\^-1"),  # weights 1 and 0
+            ("w0*w1*w2 + w0*w3 + w0*w2", r"E\^1\(f\) needs v\^-1"),  # a good weight-2 component besides
+        ],
+    )
+    def test_lowest_bad_weight_is_named(self, text, named):
+        """When several weight components are not invariant, the one of lowest weight is named."""
+        with pytest.raises(NonInvariantInput, match=named):
+            extend(PAIR, parse(text, PAIR.coords))
 
     def test_wrong_table_rejected(self):
         with pytest.raises(VariableTableMismatch):
@@ -189,13 +210,11 @@ class TestBoundarySplit:
         extend(TRIPLE, f)
         assert len(runs) == 2  # extend runs its ladder at once
 
-    def test_negative_v_power_raises_on_read(self, monkeypatch):
-        # the split trusts the caller's invariance check; the ladder still convicts
-        triple = sl2_triple(PAIR)
-        blind = Sl2Triple(Derivation(PAIR.coords, {}), triple.raising, triple.diag)
-        monkeypatch.setattr(transfer, "sl2_triple", lambda spec: blind)
-        result = boundary_split(PAIR, parse("w1", PAIR.coords))
-        with pytest.raises(NonInvariantInput, match="v\\^-1"):
+    @pytest.mark.parametrize("text, named", [("w1", r"E\^0\(f\) needs v\^-1"), ("w0*w3", r"E\^1\(f\) needs v\^-1")])
+    def test_negative_v_power_raises_on_read(self, text, named):
+        """The split checks nothing; the ladder convicts a non-invariant input when the extension is read."""
+        result = boundary_split(PAIR, parse(text, PAIR.coords))
+        with pytest.raises(NonInvariantInput, match=named):
             result.extension
 
     @pytest.mark.parametrize("spec, table", [(PAIR, ("x",)), (RepSpec((1,), coord_names=("u", "w")), ("u", "w"))])
@@ -305,6 +324,109 @@ class TestIntegerLadder:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(transfer, "sl2_triple", lambda _: patched)
             _assert_matches_reference(spec, patched, f)
+
+
+# ----------------------------------------------------------------------
+# one invariance route: the ladder's v-power check against applying the derivation
+
+
+def _layer_synchronous_ladder(spec, f):
+    """Reference ladder climbing all of ``f`` one layer at a time on the packed kernel.
+
+    Each layer ``E^j(f)`` gets its own divisor ``(-1)^j * j! * den * Dd^j``;
+    the numerators are rescaled to the last one when the climb ends.
+    """
+    triple = sl2_triple(spec)
+    weights = spec.weights
+    raise_scale = triple.raising._int_images[0]
+    key, unkey, images = _packed(triple.raising, f.total_degree())
+    layer = [(e, key(e), n) for e, n in f.nums.items()]
+    numerators = {}
+    divisors = [f.den]
+    while layer:
+        j = len(divisors) - 1
+        for exponent, _, n in layer:
+            vexp = j + sum(map(mul, exponent, weights))
+            assert vexp >= 0
+            numerators[(j, vexp) + exponent] = n
+        acc = {}
+        _leibniz(acc, images, layer)
+        layer = [(unkey(k), k, n) for k, n in acc.items() if n]
+        if layer:
+            divisors.append(divisors[j] * -(j + 1) * raise_scale)
+    scales = [divisors[-1] // d for d in divisors]
+    return _raw(("u", "v") + spec.coord_names,
+                {k: n * scales[k[0]] for k, n in numerators.items()}, divisors[-1])
+
+
+ORACLE_SPECS = [
+    RepSpec(summands, normalization=normalization)
+    for summands in ((1, 1), (2, 1), (5,), (3, 3), (2, 2, 2))
+    for normalization in ("section5", "unit")
+]
+
+
+@st.composite
+def oracle_inputs(draw):
+    """``c + sum_i a_i * P_i`` over products of kernel generators, optionally plus one monomial of degree at most 3."""
+    spec = draw(st.sampled_from(ORACLE_SPECS))
+    generators = _generators(spec)
+    f = Poly.const(spec.coord_names, draw(rationals))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        product = Poly.const(spec.coord_names, draw(rationals.filter(bool)))
+        for index in draw(st.lists(st.integers(0, len(generators) - 1), min_size=1, max_size=3)):
+            product = product * generators[index]
+        f = f + product
+    if draw(st.booleans()):
+        exponent = [0] * len(spec.coord_names)
+        for i in draw(st.lists(st.integers(0, len(exponent) - 1), min_size=1, max_size=3)):
+            exponent[i] += 1
+        f = f + Poly.monomial(spec.coord_names, exponent, draw(rationals.filter(bool)))
+    return spec, f
+
+
+def _count_apply_calls(mp):
+    """Rebind every ``gaquot`` module binding of ``derivations.apply`` to a wrapper; return its list of calls."""
+    calls = []
+    original = derivations.apply
+
+    def counting(d, p):
+        calls.append(p)
+        return original(d, p)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gaquot" and getattr(module, "apply", None) is original:
+            mp.setattr(module, "apply", counting)
+    return calls
+
+
+class TestOneInvarianceRoute:
+    """``extend`` decides ``D(f) = 0`` by the ladder alone; applying the derivation is the oracle."""
+
+    @seed(33)
+    @settings(max_examples=120)
+    @given(oracle_inputs())
+    def test_ladder_decides_invariance(self, drawn):
+        spec, f = drawn
+        invariant = apply(build_derivation(spec), f).is_zero
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_apply_calls(mp)
+            try:
+                result = extend(spec, f)
+            except NonInvariantInput:
+                result = None
+        assert calls == []
+        assert (result is not None) is invariant
+        if invariant:
+            assert str(result.extension) == str(_layer_synchronous_ladder(spec, f))
+
+    def test_counting_wrapper_sees_apply(self):
+        """The wrapper is live: the benchmark's independent check of ``F`` applies the derivation."""
+        extension = extend(PAIR, parse("w0*w3 - w1*w2", PAIR.coords)).extension
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_apply_calls(mp)
+            assert verify_invariance(PAIR, extension)
+        assert calls
 
 
 def _assert_boundary_part_is_the_difference(spec, f):
