@@ -8,27 +8,29 @@ crosscheck.  A graph of one dependent coordinate ``w_d = h`` is the
 hypersurface ``w_d - h``, so with ``f`` the check is that ``f`` is a
 scalar multiple of ``w_d - h``, by comparing terms; ``f = q*(w_d - h)``
 with ``q`` non-constant is rejected, as the graph is then only one
-component of ``V(f)``.  With more dependent coordinates ``f`` must
-vanish on the graph, by composing it with the graph map.  A slice
-(``D(s) = 1``) exists exactly when the quotient is affine (Freudenburg,
-*Algebraic Theory of Locally Nilpotent Derivations*, ch. 1), so the
-slice is searched only where a find can be read: on an ``Affine``
-verdict it is a crosscheck, on an undecided graph alone it is the
-decision.  The graph's restricted derivation is built
-for that search, and up front only where stability of the graph is not
-a theorem (no ``f``, or several dependent coordinates).  For a certified input
-the quotient is affine exactly when ``F00``, the weight-zero part of
-``f``, is a non-zero constant; routes that only restate this (the
-constant-removed extension, powers in the image) are properties of the
-test suite, not report entries.  The boundary's smoothness is analysed
-only for a certified ``Intersects``: an uncertified input has no
-principal-bundle quotient to bound.
+component of ``V(f)``.  Given alone, it is the input ``w_d - h``
+(``GraphPresentation.equation``), which ``D`` kills: ``D`` keeps the
+graph, and a locally nilpotent derivation that maps ``g`` into ``(g)``
+kills ``g`` (Freudenburg, *Algebraic Theory of Locally Nilpotent
+Derivations*, ch. 1).  With more dependent coordinates ``f`` must
+vanish on the graph, by composing it with the graph map.  The chain
+rule (``restrict_to_graph``) checks that ``D`` keeps a graph only where
+that is no theorem (no ``f``, or several dependent coordinates).  For a
+certified input the quotient is affine exactly when ``F00``, the
+weight-zero part of ``f``, is a non-zero constant ``c``; routes that
+only restate this (the constant-removed extension, powers in the image)
+are properties of the test suite, not report entries.  Then the ladder
+gives ``r`` with ``D(r) = c - f``, and ``r/c`` on a graph, where ``f``
+vanishes, is an exact slice (``D(s) = 1``, ibid.) of the restricted
+derivation; the bounded slice search is the ``slice`` command's alone.
+The boundary's smoothness is analysed only for a certified
+``Intersects``: an uncertified input has no principal-bundle quotient.
 
 Whether the input meets the non-stable subspace is asked once, by
 ``_nonstable_system``: equations on a graph's parameters left after
 zeroing the free positive-weight ones (a bare polynomial is its identity
 graph, and its one equation the certificate's restriction of ``f``).  A
-non-zero constant equation certifies a graph alone; otherwise the
+non-zero constant equation certifies a graph given alone; otherwise the
 witness search runs on exactly those parameters.
 
 One rational-point search serves both the unstable witness and the
@@ -39,15 +41,15 @@ a block on which some polynomial restricts to a non-zero constant is
 passed over without evaluating it.  A miss is evidence, never proof.
 The verdicts:
 
-* ``Affine`` -- the lifted closure misses the boundary (or a graph has a slice);
+* ``Affine`` -- the lifted closure misses the boundary;
 * ``StrictlyQuasiAffine`` -- stability is certified but the closure
   meets the boundary properly;
 * ``NotEverywhereStable`` -- an exact rational point of the variety
   lies in the non-stable subspace;
 * ``Unknown`` -- the certificate failed and the search found no
   *rational* witness (for a defining polynomial the variety then still
-  meets the subspace over an algebraic closure), or neither route
-  decided a graph alone and it has no slice up to ``sliceDeg``.
+  meets the subspace over an algebraic closure), or a certified graph of
+  several dependent coordinates is given alone, with no boundary test.
 
 Disagreement between routes that are theorems of each other never
 produces a verdict: it raises, because it can only mean broken code or
@@ -65,14 +67,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .derivations import (
-    Derivation,
-    GraphPresentation,
-    SliceSearch,
-    apply,
-    restrict_to_graph,
-    slice_search,
-)
+from .derivations import GraphPresentation, SliceSearch, _ladder_membership, apply, restrict_to_graph
 from .errors import (
     GraphInconsistency,
     InternalInconsistency,
@@ -442,15 +437,17 @@ def classify(
         if f.is_constant():
             raise ValueError("a constant polynomial does not define a hypersurface")
 
-    restricted: Optional[Derivation] = None
     if graph is not None:
         # With f a scalar multiple of w_d - h, the graph is V(f), which the connected G_a keeps:
         # D(w_d - h) lies in (w_d - h), so the chain-rule check cannot fail.
         if f is None or len(graph.dependent) > 1:
-            restricted = restrict_to_graph(build_derivation(spec), graph)
+            restrict_to_graph(build_derivation(spec), graph)  # raises unless D keeps the graph
         if f is not None:
             _check_on_graph(f, graph)
             crosschecks.append(("graph-lies-on-hypersurface", True))
+        elif len(graph.dependent) == 1:  # D keeps w_d - h, so kills it: the graph is a polynomial input
+            f = graph.equation(spec.coord_names)
+            certificate = certify_everywhere_stable(spec, f)
 
     witness: Optional[UnstableWitness] = None
     system = None  # built at most once: for a graph-only certificate or for the witness search
@@ -467,10 +464,8 @@ def classify(
     if certified:
         if transfer_result is None:
             verdict = Verdict.UNKNOWN
-            notes.append(
-                "stability certified from the graph alone; no defining polynomial, "
-                "so the boundary test cannot run"
-            )
+            notes.append("stability certified from the graph alone; no defining polynomial, "
+                         "so the boundary test cannot run")
         elif transfer_result.boundary is BoundaryClass.CONTAINS:
             raise InternalInconsistency(
                 "certified input whose extension contains the boundary: "
@@ -487,22 +482,15 @@ def classify(
             verdict = Verdict.NOT_EVERYWHERE_STABLE
         else:
             verdict = Verdict.UNKNOWN
-            notes.append(
-                "certificate failed and no rational point of the non-stable "
-                "subspace was found within the sample budget"
-            )
+            notes.append("certificate failed and no rational point of the non-stable "
+                         "subspace was found within the sample budget")
 
     slice_result: Optional[SliceSearch] = None
-    if graph is not None and (verdict is Verdict.AFFINE or (verdict is Verdict.UNKNOWN and f is None)):
-        restricted = restricted or restrict_to_graph(build_derivation(spec), graph)
-        slice_result = slice_search(restricted, bounds.slice_degree)
-        if slice_result.found is None:
-            notes.append(f"no slice up to degree {bounds.slice_degree}; bounded miss, not a refutation")
-        elif verdict is Verdict.AFFINE:
-            crosschecks.append(("slice-agreement", True))
-        else:  # the slice decides the graph alone; the notes on why nothing else did no longer hold
-            verdict = Verdict.AFFINE
-            notes = [f"affine by the slice s = {slice_result.found}: D(s) = 1, so X is (X/G_a) x A^1"]
+    if graph is not None and verdict is Verdict.AFFINE:
+        c = transfer_result.f00  # a non-zero constant, so c - f has only positive weights
+        r = _ladder_membership(build_derivation(spec), c - f)  # verifies D(r) = c - f
+        slice_result = SliceSearch(graph.pull_back(r * (1 / c.constant_term())), bounds.slice_degree)
+        crosschecks.append(("slice-agreement", True))
 
     smoothness: Optional[SmoothnessReport] = None
     if verdict is Verdict.STRICTLY_QUASI_AFFINE:  # a certified Intersects

@@ -292,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help=f"run a packaged example ({', '.join(NAMED_FIXTURES)}, family-phi(<expr>))",
     )
-    parser.add_argument("--slice-deg", type=int, default=None, help="degree bound for slice search")
+    parser.add_argument("--slice-deg", type=int, default=None, help="degree bound of the slice command's search")
     parser.add_argument("--inv-deg", type=int, default=None, help="degree bound for kernel generators")
     parser.add_argument(
         "--format", choices=OUTPUTS, default=None, help="report format"

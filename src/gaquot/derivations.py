@@ -44,7 +44,8 @@ not fill and the derivation does not kill, checking each dimension.
 The module has no product or composition of its own: kernel generators
 multiply on ``poly._times``, and a graph's pull-back hands its plan to
 ``poly._compose``.  A graph of one dependent coordinate compares its
-equation with a polynomial term by term (``GraphPresentation.defines``).
+equation with a polynomial term by term (``GraphPresentation.defines``)
+and gives it as a polynomial (``GraphPresentation.equation``).
 """
 
 from __future__ import annotations
@@ -500,10 +501,7 @@ class GraphPresentation:
         ``H``.  A graph of another number of dependent coordinates is a
         ``ValueError``.
         """
-        self._check_ambient(p)
-        if len(self.dependent) != 1:
-            raise ValueError(f"a graph of {len(self.dependent)} dependent coordinates is no hypersurface")
-        ((name, h),) = self.dependent.items()
+        name, h = self._hypersurface(p)
         zvars = tuple(self.zvars)
         slot = {z: i for i, z in enumerate(zvars)}
         at = [slot[self.free[x]] if x in self.free else len(zvars) for x in p.vars]  # w reads the 0 appended
@@ -514,6 +512,20 @@ class GraphPresentation:
             return False
         pw, s = nums[w], h.den
         return all(nums.get(relabel((*e, 0)), 0) * s == -c * pw for e, c in h.nums.items())
+
+    def equation(self, table: Tuple[str, ...]) -> Poly:
+        """``w - h`` over the ambient ``table``, as ``defines`` reads it; ``poly._compose`` relabels ``h``."""
+        name, h = self._hypersurface(Poly.zero(table))
+        relabel = [(h.vars.index(z), table.index(x)) for x, z in self.free.items()]
+        return Poly.variable(table, name) - _compose(h, table, relabel, [])
+
+    def _hypersurface(self, p: Poly) -> Tuple[str, Poly]:
+        """``(w, h)`` for the one dependent coordinate ``w = h``, once ``p`` is checked to lie over the ambient table."""
+        self._check_ambient(p)
+        if len(self.dependent) != 1:
+            raise ValueError(f"a graph of {len(self.dependent)} dependent coordinates is no hypersurface")
+        ((name, h),) = self.dependent.items()
+        return name, h
 
     def _check_ambient(self, p: Poly) -> None:
         if sorted(p.vars) != sorted([*self.free, *self.dependent]):

@@ -27,6 +27,7 @@ from gaquot.classify import (
 from gaquot.classify import _candidate_blocks, _rational_zero
 from gaquot.derivations import (
     GraphPresentation,
+    apply,
     graded_kernel_generators,
     power_in_image,
     restrict_to_graph,
@@ -41,6 +42,7 @@ from gaquot.transfer import BoundaryClass, boundary_split, extend
 
 CLASSIFY = importlib.import_module("gaquot.classify")  # the package exports the function by this name
 TRANSFER = importlib.import_module("gaquot.transfer")
+DERIVATIONS = importlib.import_module("gaquot.derivations")
 PAIR = RepSpec((1, 1))
 TRIPLE = RepSpec((1, 1, 1))
 WINKELMANN_F = "1 + w2*w5 - w3*w4 - w0"
@@ -130,28 +132,26 @@ class TestClassifyGraphRoute:
         assert str(report.slice_result.found) == "z1"
         assert dict(report.crosschecks)["slice-agreement"]
 
-    def test_graph_only_input_is_decided_by_the_slice(self):
-        # without a defining polynomial the boundary test cannot run; a
-        # slice proves X = (X/G_a) x A^1, so the slice decides
+    def test_graph_only_input_is_its_equation(self):
+        # without a defining polynomial the graph's equation w0 - 1 takes the polynomial route
         fx = fixture("affine-slice")
         report = classify(fx.spec, None, fx.graph)
         assert report.verdict is Verdict.AFFINE
+        assert report.certificate.certified
+        assert str(report.transfer.f00) == "-1"
         assert str(report.slice_result.found) == "z1"
-        assert report.crosschecks == ()
-        assert report.notes == ("affine by the slice s = z1: D(s) = 1, so X is (X/G_a) x A^1",)
+        assert report.crosschecks == (("slice-agreement", True),)
+        assert report.notes == ()
 
-    def test_graph_only_miss_stays_unknown(self):
+    def test_graph_only_slice_ignores_the_bound(self):
+        # the ladder slice has no degree bound: sliceDeg is only echoed
         fx = fixture("affine-slice")
         report = classify(fx.spec, None, fx.graph, Bounds(slice_degree=0))
-        assert report.verdict is Verdict.UNKNOWN
-        assert report.slice_result.found is None
-        assert report.crosschecks == ()
-        assert report.notes == (
-            "graph avoids the non-stable subspace by a constant constraint",
-            "stability certified from the graph alone; no defining polynomial, "
-            "so the boundary test cannot run",
-            "no slice up to degree 0; bounded miss, not a refutation",
-        )
+        assert report.verdict is Verdict.AFFINE
+        assert str(report.slice_result.found) == "z1"
+        assert report.slice_result.degree_bound == 0
+        assert report.crosschecks == (("slice-agreement", True),)
+        assert report.notes == ()
 
     def test_unstable_witness_point(self):
         fx = fixture("deveney-finston")
@@ -355,25 +355,24 @@ class TestOneBoundaryRead:
         assert report.verdict is Verdict.NOT_EVERYWHERE_STABLE
         assert len(systems) == 1  # the graph-only certificate and the witness search share it
 
-    @pytest.mark.parametrize("name, with_f, searches", [
-        ("winkelmann", True, 0),
-        ("deveney-finston", False, 0),
-        ("affine-slice", True, 1),
-        ("affine-slice", False, 1),
-    ])
-    def test_slice_search_runs_only_where_a_find_is_read(self, monkeypatch, name, with_f, searches):
-        fx = fixture(name)
-        slices = self._count(monkeypatch, "slice_search")
-        report = classify(fx.spec, fx.f if with_f else None, fx.graph)
-        assert len(slices) == searches
-        assert (report.slice_result is None) == (searches == 0)
+    def test_classify_has_no_slice_search(self, monkeypatch):
+        # every slice classify reports comes from the ladder, at no degree bound
+        assert not hasattr(CLASSIFY, "slice_search")
+
+        def refused(*args, **kwargs):
+            raise AssertionError("classify ran the bounded slice search")
+
+        monkeypatch.setattr(DERIVATIONS, "slice_search", refused)
+        for fx in all_named_fixtures():
+            for f in (fx.f, None) if fx.graph is not None else (fx.f,):
+                classify(fx.spec, f, fx.graph)
 
     @pytest.mark.parametrize("name, with_f, restrictions", [
         ("winkelmann", True, 0),  # f vanishes on a one-dependent graph: stability is a theorem
         ("winkelmann", False, 1),  # a graph alone is checked up front
         ("deveney-finston", False, 1),
-        ("affine-slice", True, 1),  # the slice search reads the restriction
-        ("affine-slice", False, 1),  # checked up front, then read by the slice search
+        ("affine-slice", True, 0),  # the slice is the ladder's, pulled back
+        ("affine-slice", False, 1),  # a graph alone is checked up front
     ])
     def test_graph_restriction_runs_only_where_read_or_not_implied(self, monkeypatch, name, with_f, restrictions):
         fx = fixture(name)
@@ -518,7 +517,7 @@ class TestGraphIsTheHypersurface:
             report = classify(fx.spec, fx.f, fx.graph)
             assert dict(report.crosschecks)["graph-lies-on-hypersurface"]
             assert fx.f not in calls, fx.name
-            if report.verdict is not Verdict.AFFINE:  # an affine verdict restricts D for its slice search
+            if report.verdict is not Verdict.AFFINE:  # an affine verdict pulls its ladder slice back
                 assert calls == [], fx.name
         calls.clear()
         fx = fixture("winkelmann")
@@ -539,6 +538,120 @@ class TestGraphIsTheHypersurface:
         calls = self._counting_pull_backs(monkeypatch)
         assert classify(fx.spec, fx.f, graph).verdict is Verdict.STRICTLY_QUASI_AFFINE
         assert fx.f in calls
+
+
+def _two_dependent_affine():
+    """``f = 1 - w0`` on ``(1,1)`` with the graph ``w0 = 1, w2 = 0``: affine, and no hypersurface."""
+    zvars = ("z1", "z2")
+    graph = GraphPresentation(
+        zvars=zvars, free={"w1": "z1", "w3": "z2"}, dependent={"w0": Poly.const(zvars, 1), "w2": Poly.zero(zvars)}
+    )
+    return PAIR, parse("1 - w0", PAIR.coord_names), graph
+
+
+def _stable_one_dependent_graphs():
+    """``(spec, graph)`` for every fixture and golden member of one dependent coordinate, and ``w0 = w2`` on ``(1,1)``."""
+    zvars = ("z1", "z2", "z3")
+    uncertified = GraphPresentation(zvars=zvars, free={"w1": "z1", "w2": "z2", "w3": "z3"},
+                                    dependent={"w0": parse("z2", zvars)})
+    return [(fx.spec, fx.graph) for fx in _one_dependent_members()] + [(PAIR, uncertified)]
+
+
+def _fixture_input(name):
+    fx = fixture(name)
+    return fx.spec, fx.f, fx.graph
+
+
+class TestLadderSlice:
+    """An ``Affine`` verdict with a graph reports the ladder's slice ``r/c``, pulled back, at any ``sliceDeg``."""
+
+    AFFINE_INPUTS = [fx.name for fx in all_named_fixtures() if fx.expected_verdict is Verdict.AFFINE] + [
+        f"family-phi({c})" for c in ("7", "1/2", "-3")
+    ]
+
+    @staticmethod
+    def _assert_slice(spec, f, graph, slice_degree):
+        report = classify(spec, f, graph, Bounds(slice_degree=slice_degree))
+        assert report.verdict is Verdict.AFFINE
+        assert report.slice_result.degree_bound == slice_degree
+        found = report.slice_result.found
+        assert apply(restrict_to_graph(build_derivation(spec), graph), found) == Poly.const(graph.zvars, 1)
+        assert dict(report.crosschecks)["slice-agreement"]
+        assert not any("bounded miss" in note for note in report.notes)
+        return found
+
+    @pytest.mark.parametrize("slice_degree", [0, 3])
+    @pytest.mark.parametrize("with_f", [True, False])
+    @pytest.mark.parametrize("name", AFFINE_INPUTS)
+    def test_every_affine_fixture_reports_a_slice(self, name, with_f, slice_degree):
+        fx = fixture(name)
+        self._assert_slice(fx.spec, fx.f if with_f else None, fx.graph, slice_degree)
+
+    def test_fixture_slices(self):
+        assert str(self._assert_slice(*_fixture_input("affine-slice"), 3)) == "z1"
+        assert str(self._assert_slice(*_fixture_input("family-phi(7)"), 3)) == "1/8*z1"
+        assert str(self._assert_slice(*_fixture_input("family-phi(7)"), 0)) == "1/8*z1"
+
+    @pytest.mark.parametrize("slice_degree", [0, 3])
+    def test_two_dependent_graph_with_f(self, slice_degree):
+        assert str(self._assert_slice(*_two_dependent_affine(), slice_degree)) == "z1"
+
+    def test_two_dependent_graph_alone_stays_unknown(self):
+        # no hypersurface, so no boundary test and no slice; the slice command still searches it
+        spec, _, graph = _two_dependent_affine()
+        report = classify(spec, None, graph)
+        assert report.verdict is Verdict.UNKNOWN
+        assert report.slice_result is None and report.certificate is None
+        assert report.notes == (
+            "graph avoids the non-stable subspace by a constant constraint",
+            "stability certified from the graph alone; no defining polynomial, "
+            "so the boundary test cannot run",
+        )
+        assert str(slice_search(restrict_to_graph(build_derivation(spec), graph), 1).found) == "z1"
+
+
+class TestGraphEquation:
+    """A graph of one dependent coordinate ``w = h``, given alone, is the polynomial input ``w - h``."""
+
+    @pytest.mark.parametrize("spec, graph", _stable_one_dependent_graphs())
+    def test_equation_defines_the_graph(self, spec, graph):
+        equation = graph.equation(spec.coord_names)
+        assert equation.vars == spec.coord_names
+        assert graph.defines(equation)
+        assert graph.pull_back(equation).is_zero
+        assert apply(build_derivation(spec), equation).is_zero  # D keeps the graph, so kills its equation
+
+    def test_fixture_equations(self):
+        for fx in _one_dependent_members():
+            assert fx.graph.equation(fx.spec.coord_names) == -fx.f, fx.name
+
+    def test_equation_guards(self):
+        _, _, graph = _two_dependent_affine()
+        with pytest.raises(ValueError, match="no hypersurface"):
+            graph.equation(PAIR.coord_names)
+        fx = fixture("winkelmann")
+        with pytest.raises(VariableTableMismatch):
+            fx.graph.equation(PAIR.coord_names)
+
+    @pytest.mark.parametrize("spec, graph", _stable_one_dependent_graphs())
+    def test_graph_alone_matches_its_equation(self, spec, graph):
+        alone = classify(spec, None, graph)
+        given = classify(spec, graph.equation(spec.coord_names), graph)
+        assert alone.verdict is given.verdict and alone.verdict is not Verdict.UNKNOWN
+        assert alone.certificate == given.certificate
+        assert alone.transfer == given.transfer
+        assert alone.smoothness == given.smoothness
+        assert alone.witness == given.witness
+        assert alone.slice_result == given.slice_result
+        assert given.crosschecks[0] == ("graph-lies-on-hypersurface", True)
+        assert alone.crosschecks == given.crosschecks[1:]
+
+    def test_graph_alone_decides_winkelmann(self):
+        fx = fixture("winkelmann")
+        report = classify(fx.spec, None, fx.graph)
+        assert report.verdict is Verdict.STRICTLY_QUASI_AFFINE
+        assert report.smoothness.outcome == "SmoothProven"
+        assert report.notes == ()
 
 
 class TestBoundarySmoothness:

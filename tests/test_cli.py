@@ -103,7 +103,9 @@ class TestTextReports:
         assert code == 0
         assert data["verdict"] == "Affine"
         assert data["slice"] == {"degreeBound": 3, "found": "z1"}
-        assert data["crosschecks"] == []
+        assert data["crosschecks"] == [["slice-agreement", True]]
+        assert data["certificate"] == {"restriction": "-1", "certified": True}
+        assert data["notes"] == []
 
     def test_witness_lines_for_unstable_case(self, capsys):
         _, out, _ = _run(capsys, "--fixture", "deveney-finston", "--format", "text")
@@ -187,8 +189,9 @@ class TestBoundedMisses:
         code, data = _run_json(capsys, "--fixture", "affine-slice", "--slice-deg", "0")
         assert code == 0
         assert data["verdict"] == "Affine"
-        assert data["crosschecks"] == [["graph-lies-on-hypersurface", True]]
-        assert data["notes"] == ["no slice up to degree 0; bounded miss, not a refutation"]
+        assert data["slice"] == {"degreeBound": 0, "found": "z1"}  # the ladder slice has no degree bound
+        assert data["crosschecks"] == [["graph-lies-on-hypersurface", True], ["slice-agreement", True]]
+        assert data["notes"] == []
 
 
 class TestJobFiles:
