@@ -93,10 +93,9 @@ class Derivation:
     ):
         vt = tuple(variables)
         table: Dict[str, Poly] = {}
+        zero = Poly.zero(vt)
         for name in vt:
-            img = images.get(name)
-            if img is None:
-                img = Poly.zero(vt)
+            img = images.get(name, zero)
             if img.vars != vt:
                 raise VariableTableMismatch(
                     f"image of {name!r} lives on table {img.vars}, expected {vt}"

@@ -116,7 +116,7 @@ class Poly:
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "Poly":
-        return _raw(tuple(variables), {})
+        return _raw(_table(variables), {})
 
     @classmethod
     def const(cls, variables: Sequence[str], value: Scalar) -> "Poly":
@@ -125,10 +125,9 @@ class Poly:
 
     @classmethod
     def variable(cls, variables: Sequence[str], name: str) -> "Poly":
-        vt = tuple(variables)
+        vt = _table(variables)
         idx = vt.index(name)
-        exponent = tuple(1 if i == idx else 0 for i in range(len(vt)))
-        return cls(vt, {exponent: 1})
+        return _raw(vt, {tuple(1 if i == idx else 0 for i in range(len(vt))): 1})
 
     @classmethod
     def monomial(cls, variables: Sequence[str], exponent: Exponent, coeff: Scalar = 1) -> "Poly":
@@ -231,7 +230,7 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             if not other:
-                return Poly.zero(self.vars)
+                return _raw(self.vars, {})
             c = other.numerator
             return _raw(self.vars, {e: c * n for e, n in self.nums.items()}, self.den * other.denominator)
         if not isinstance(other, Poly):

@@ -24,7 +24,7 @@ difference of two partners commutes with the lowering operator and has
 adjoint weight opposite to it, and on a finite-dimensional space sl2
 theory allows no such non-zero operator.  The closed
 form is therefore the only operator the bracket relations allow, and
-those relations are asserted on every generator at construction time.
+:func:`sl2_triple` asserts them on every generator before caching it.
 That the exponential of the lowering operator reproduces the
 substitution action of the lower-triangular subgroup is checked by the
 test suite, which uses :func:`group_substitution` as its oracle.
@@ -252,55 +252,76 @@ class Sl2Triple:
     diag: Derivation
 
 
-def _ladder_images(spec: RepSpec) -> Tuple[Dict[str, Poly], Dict[str, Poly]]:
-    """Generator images of the lowering and the raising operator.
+def _ladder_images(spec: RepSpec) -> Tuple[Dict[str, Poly], Dict[str, Poly], Dict[str, Poly]]:
+    """Generator images of the lowering, the raising and the diagonal operator, each one monomial ``c * w_j``.
 
-    In either normalization their bracket sends ``w_i`` to
+    In either normalization the bracket of the first two sends ``w_i`` to
     ``((i + 1)(k - i) - i(k - i + 1)) * w_i = (k - 2i) * w_i``, the
     weight operator.  Images not set here are zero.
     """
     coords = spec.coord_names
     lower: Dict[str, Poly] = {}
     raising: Dict[str, Poly] = {}
+    diag: Dict[str, Poly] = {}
     section5 = spec.normalization == "section5"
     for k, names in spec.blocks():
+        w = [Poly.variable(coords, name) for name in names]
+        for i in range(k + 1):
+            diag[names[i]] = w[i] * (k - 2 * i)
         for i in range(k):
             down = k - i if section5 else 1
             up = i + 1 if section5 else (i + 1) * (k - i)
-            lower[names[i + 1]] = Poly.variable(coords, names[i]) * down
-            raising[names[i]] = Poly.variable(coords, names[i + 1]) * up
-    return lower, raising
+            lower[names[i + 1]] = w[i] * down
+            raising[names[i]] = w[i + 1] * up
+    return lower, raising, diag
 
 
-def _check_brackets(coords: Tuple[str, ...], low: Derivation, high: Derivation, diag: Derivation) -> None:
-    for name in coords:
-        # a derivation sends the generator ``name`` to its image
-        h, lo, g = high.images[name], low.images[name], diag.images[name]
-        if apply(high, g) - apply(diag, h) != 2 * h:
-            raise ConstructionFailure(f"diagonal/raising bracket fails on {name}")
-        if apply(low, g) - apply(diag, lo) != -2 * lo:
-            raise ConstructionFailure(f"diagonal/lowering bracket fails on {name}")
-        if apply(low, h) - apply(high, lo) != g:
-            raise ConstructionFailure(f"raising/lowering bracket fails on {name}")
+def _linear_map(d: Derivation, role: str) -> Tuple[int, List[Dict[int, int]]]:
+    """``(Dd, rows)``: ``d(x_i) = sum_j rows[i][j] * x_j / Dd``, from ``d._int_images``; a non-linear term raises."""
+    rows: List[Dict[int, int]] = [{} for _ in d.vars]
+    for i, image in d._int_images[1]:
+        for c, e in image:
+            if sum(e) != 1:
+                raise ConstructionFailure(f"{role} image of {d.vars[i]} is not linear")
+            rows[i][e.index(1)] = c
+    return d._int_images[0], rows
+
+
+def _check_brackets(low: Derivation, high: Derivation, diag: Derivation) -> None:
+    """Assert ``[E, H] = 2E``, ``[D, H] = -2D`` and ``[D, E] = H`` on every generator.
+
+    A derivation is fixed by its generator images, and on linear images a bracket on ``x_i``
+    composes linear maps: each identity is an exact sparse integer product, with no polynomial built.
+    """
+    d, e, h = _linear_map(low, "lowering"), _linear_map(high, "raising"), _linear_map(diag, "diagonal")
+    relations = (("diagonal/raising", e, h, 2, e), ("diagonal/lowering", d, h, -2, d), ("raising/lowering", d, e, 1, h))
+    for i, name in enumerate(low.vars):
+        for label, (da, a), (db, b), scale, (dc, c) in relations:
+            # Da*Db*Dc * ([A, B](x_i) - scale * C(x_i)), with A(B(x_i)) = sum_j b_ij A(x_j)
+            acc = {k: -scale * v * da * db for k, v in c[i].items()}
+            for j, x in b[i].items():
+                for k, y in a[j].items():
+                    acc[k] = acc.get(k, 0) + x * y * dc
+            for j, x in a[i].items():
+                for k, y in b[j].items():
+                    acc[k] = acc.get(k, 0) - x * y * dc
+            if any(acc.values()):
+                raise ConstructionFailure(f"{label} bracket fails on {name}")
 
 
 @lru_cache(maxsize=None)
 def sl2_triple(spec: RepSpec) -> Sl2Triple:
     """The operator triple attached to a representation.
 
-    Closed forms from :func:`_ladder_images`, brackets asserted on every
-    generator; the one-parameter flow is a test oracle, not checked here.
+    Monomial images from :func:`_ladder_images`, brackets asserted by :func:`_check_brackets` on
+    their integer linear maps before the triple is cached; the one-parameter flow is a test oracle.
     """
     coords = spec.coord_names
-    weight_of = spec.weight_of
-    lower_images, raising_images = _ladder_images(spec)
-    diag_images = {
-        name: Poly.variable(coords, name) * weight_of[name] for name in coords
-    }
+    lower_images, raising_images, diag_images = _ladder_images(spec)
     raising = Derivation(coords, raising_images)
     diag = Derivation(coords, diag_images)
-    lower = Derivation(coords, lower_images, weight_of=weight_of, sl2_raise=raising)
-    _check_brackets(coords, lower, raising, diag)
+    lower = Derivation(coords, lower_images, weight_of=spec.weight_of, sl2_raise=raising)
+    _check_brackets(lower, raising, diag)
     return Sl2Triple(lower=lower, raising=raising, diag=diag)
 
 

@@ -53,9 +53,16 @@ class TestConstruction:
         assert Poly(XYZ, {(1, 0, 0): 0}).is_zero
         assert Poly(XYZ, {}) == Poly.zero(XYZ)
 
-    def test_duplicate_variable_rejected(self):
-        with pytest.raises(ValueError):
-            Poly(("x", "x"), {})
+    @pytest.mark.parametrize("make", [
+        lambda table: Poly(table, {}),
+        Poly.zero,
+        lambda table: Poly.const(table, 1),
+        lambda table: Poly.variable(table, "x"),
+        lambda table: Poly.monomial(table, (1, 0)),
+    ], ids=["init", "zero", "const", "variable", "monomial"])
+    def test_duplicate_variable_rejected(self, make):
+        with pytest.raises(ValueError, match="duplicate variable names"):
+            make(("x", "x"))
 
     def test_immutable(self):
         x, _, _ = ring(XYZ)

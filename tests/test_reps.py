@@ -4,13 +4,17 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import random
+import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gaquot.derivations import apply, weight_components
+from gaquot.derivations import Derivation, apply, weight_components
 from gaquot.errors import ConstructionFailure, UnsupportedBlock
 from gaquot.expr import parse
 from gaquot import reps
@@ -26,6 +30,23 @@ from gaquot.reps import (
     spec_from_blocks,
     spec_to_blocks,
 )
+from gaquot.transfer import extended_spec
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from gqbench.workloads import WORKLOADS  # noqa: E402
+
+
+def _pool_summands():
+    """The summands of every spec the benchmark workloads build, in first-seen order."""
+    summands = {}
+    with tempfile.TemporaryDirectory(prefix="gaquot-pools-") as workdir:
+        for workload, build in WORKLOADS.items():
+            for spec in build(random.Random(f"{workload}:1"), workdir).specs:
+                summands[spec.summands] = None
+    return list(summands)
+
+
+POOL_SUMMANDS = _pool_summands()
 
 SMALL_SPECS = [
     RepSpec((1,)),
@@ -159,6 +180,10 @@ class TestDerivationConstruction:
             assert power.is_zero
 
 
+def _doubled(images):
+    return {name: 2 * image for name, image in images.items()}
+
+
 class TestOperatorTriple:
     @pytest.mark.parametrize("spec", SMALL_SPECS)
     def test_diagonal_scales_by_weight(self, spec):
@@ -194,18 +219,46 @@ class TestOperatorTriple:
                     assert image == expected
 
     @pytest.mark.parametrize("normalization", NORMALIZATIONS)
-    def test_construction_rejects_a_wrong_raising_operator(self, monkeypatch, normalization):
-        # the closed form is trusted because the bracket check runs at
-        # construction; twice the raising operator must fail it
+    @pytest.mark.parametrize("mutant, message", [
+        (lambda lower, raising, diag: (_doubled(lower), raising, diag),
+         "raising/lowering bracket fails on w0"),
+        (lambda lower, raising, diag: (lower, _doubled(raising), diag),
+         "raising/lowering bracket fails on w0"),
+        (lambda lower, raising, diag: (lower, raising, {**diag, "w0": 2 * diag["w0"]}),
+         "diagonal/raising bracket fails on w0"),
+        (lambda lower, raising, diag: (lower, {**raising, "w0": raising["w0"] + raising["w0"] ** 2}, diag),
+         "raising image of w0 is not linear"),
+    ], ids=["doubled-lowering", "doubled-raising", "wrong-diagonal-weight", "quadratic-raising-term"])
+    def test_construction_rejects_a_wrong_operator(self, monkeypatch, normalization, mutant, message):
+        # the closed forms are trusted because the bracket check runs at
+        # construction; each wrong operator must fail it
         closed_form = reps._ladder_images
-
-        def doubled(spec):
-            lower, raising = closed_form(spec)
-            return lower, {name: 2 * image for name, image in raising.items()}
-
-        monkeypatch.setattr(reps, "_ladder_images", doubled)
-        with pytest.raises(ConstructionFailure):
+        monkeypatch.setattr(reps, "_ladder_images", lambda spec: mutant(*closed_form(spec)))
+        with pytest.raises(ConstructionFailure, match=message):
             sl2_triple.__wrapped__(RepSpec((1, 3), normalization))
+
+    @pytest.mark.parametrize("normalization", NORMALIZATIONS)
+    @pytest.mark.parametrize("summands", POOL_SUMMANDS)
+    def test_triple_equals_its_closed_forms(self, summands, normalization):
+        # the lowering, raising and diagonal operators of section 5 and
+        # of the unit normalization, on a spec and on its extension by
+        # the plane
+        unit = normalization == "unit"
+        for spec in (RepSpec(summands, normalization), extended_spec(RepSpec(summands, normalization))):
+            lower, raising, diag = {}, {}, {}
+            for k, names in spec.blocks():
+                w = [Poly.variable(spec.coords, name) for name in names]
+                for i in range(k + 1):
+                    diag[names[i]] = (k - 2 * i) * w[i]
+                    if i < k:
+                        lower[names[i + 1]] = (1 if unit else k - i) * w[i]
+                        raising[names[i]] = ((i + 1) * (k - i) if unit else i + 1) * w[i + 1]
+            triple = sl2_triple(spec)
+            assert triple.lower == Derivation(spec.coords, lower)
+            assert triple.raising == Derivation(spec.coords, raising)
+            assert triple.diag == Derivation(spec.coords, diag)
+            assert triple.lower.weight_of == spec.weight_of
+            assert triple.lower.sl2_raise is triple.raising
 
     @pytest.mark.parametrize("spec", SMALL_SPECS)
     def test_bracket_relations_on_coordinates(self, spec):
