@@ -242,6 +242,27 @@ def _ladder_membership(d: Derivation, p: Poly) -> Optional[Poly]:
     return preimage
 
 
+def _transvectant(d: Derivation, a: Poly, b: Poly, r: int) -> Poly:
+    """``τ_r(a, b) = Σ_j (−1)^j C(r, j) a_j b_(r−j)`` for ``a``, ``b`` killed by ``d``, each of one weight.
+
+    With ``E = d.sl2_raise`` and ``p`` the weight of ``a``, ``a_j = E^j(a) / (p)_j``
+    (falling factorial); ``[D, E] = H`` gives ``D(a_j) = j·a_(j−1)``, so ``d`` kills
+    ``τ_r(a, b)`` (Olver, *Classical Invariant Theory*, 1999, ch. 5).  Layers are
+    built up to ``r`` only.
+    """
+    weights = [d.weight_of[name] for name in d.vars]
+
+    def layers(c: Poly) -> List[Poly]:
+        p = sum(map(mul, next(iter(c.nums)), weights))
+        out = [c]
+        for j in range(1, r + 1):
+            out.append(apply(d.sl2_raise, out[-1]) * Fraction(1, p - j + 1))
+        return out
+
+    la, lb = layers(a), layers(b)
+    return sum(((-1) ** j * comb(r, j) * la[j] * lb[r - j] for j in range(r + 1)), Poly.zero(d.vars))
+
+
 def _gradings(d: Derivation) -> List[Tuple[Sequence[int], int]]:
     """A basis of the integer gradings ``(w, e)``: ``d`` adds ``e`` to the weight ``w·c`` of every monomial.
 

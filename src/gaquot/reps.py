@@ -27,7 +27,8 @@ form is therefore the only operator the bracket relations allow, and
 :func:`sl2_triple` asserts them on every generator before caching it.
 That the exponential of the lowering operator reproduces the
 substitution action of the lower-triangular subgroup is checked by the
-test suite, which uses :func:`group_substitution` as its oracle.
+test suite, which uses :func:`group_substitution` as its oracle.  The
+catalogued invariants are transvectants on the same ladder.
 """
 
 from __future__ import annotations
@@ -35,18 +36,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
+from itertools import combinations
 from operator import mul
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
-from .derivations import Derivation, apply
+from .derivations import Derivation, _transvectant, apply
 from .errors import ConstructionFailure, UnsupportedBlock, VariableTableMismatch
 from .poly import Poly
 
 NORMALIZATIONS = ("section5", "unit")
 
 # The largest representation a job may name: the point search's candidate
-# table grows with the cube of the dimension.
+# table grows with the square of the dimension (8n^2 + 4n + 65 points).
 MAX_DIMENSION = 64
 
 
@@ -364,102 +366,46 @@ def nonstable_coordinates(spec: RepSpec) -> Tuple[str, ...]:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A closed-form invariant with its stability marker."""
+    """A closed-form invariant under its label."""
 
     label: str
     poly: Poly
-    stable: bool
-
-
-def _binary_form_coefficients(spec: RepSpec, k: int, names: Tuple[str, ...]) -> List[Poly]:
-    """Coefficients ``c_j`` of the generic form ``sum c_j x^(k-j) y^j``."""
-    coords = spec.coord_names
-    return [
-        Poly.variable(coords, names[j]) * _basis_scale(k, j, spec.normalization)
-        for j in range(k + 1)
-    ]
-
-
-def _determinant(matrix: Sequence[Sequence[Poly]], table: Tuple[str, ...]) -> Poly:
-    """Determinant by Laplace expansion along the rows; it never divides.
-
-    The rows are taken from the last one up.  The minor on the rows
-    taken so far is kept under its set of columns, a bitmask, so an
-    ``n x n`` matrix stores at most ``2^n`` minors (256 for the 8 x 8
-    Sylvester matrix of the quintic).
-    """
-    minors = {0: Poly.const(table, 1)}
-    for row in reversed(matrix):
-        larger: Dict[int, Poly] = {}
-        for cols, minor in minors.items():
-            for j, entry in enumerate(row):
-                if cols >> j & 1 or entry.is_zero:
-                    continue
-                term = entry * minor
-                if (cols & ((1 << j) - 1)).bit_count() % 2:  # odd place among the larger minor's columns
-                    term = -term
-                key = cols | 1 << j
-                larger[key] = larger[key] + term if key in larger else term
-        minors = {cols: minor for cols, minor in larger.items() if not minor.is_zero}
-    return minors.get((1 << len(matrix)) - 1, Poly.zero(table))
-
-
-def _discriminant(spec: RepSpec, k: int, names: Tuple[str, ...]) -> Poly:
-    """Discriminant of an odd binary form via the resultant of its partials."""
-    c = _binary_form_coefficients(spec, k, names)
-    fx = [(k - j) * c[j] for j in range(k)]
-    fy = [(j + 1) * c[j + 1] for j in range(k)]
-    m = k - 1
-    size = 2 * m
-    zero = Poly.zero(spec.coord_names)
-    sylvester: List[List[Poly]] = []
-    for shift in range(m):
-        row = [zero] * size
-        for idx, entry in enumerate(fx):
-            row[shift + idx] = entry
-        sylvester.append(row)
-    for shift in range(m):
-        row = [zero] * size
-        for idx, entry in enumerate(fy):
-            row[shift + idx] = entry
-        sylvester.append(row)
-    resultant = _determinant(sylvester, spec.coord_names)
-    if resultant.is_zero:
-        raise ConstructionFailure("vanishing discriminant resultant")
-    return resultant.normalized()
 
 
 @lru_cache(maxsize=None)
 def catalog_invariants(spec: RepSpec) -> Tuple[CatalogEntry, ...]:
-    """Closed-form invariants for the supported block types.
+    """Closed-form invariants for the supported block types, each built by ``derivations._transvectant``.
 
-    Pairs of one-dimensional summands contribute their two-by-two
-    minors; odd symmetric powers up to the fifth contribute their
-    discriminants.  Every returned polynomial is checked to be killed by
-    all three operators of the triple (:func:`_killed_by_triple`).  A
-    spec providing none of these raises :class:`UnsupportedBlock`.
+    With ``g`` and ``f`` top coordinates of summands: each pair of
+    one-dimensional summands gives its minor ``τ_1(g_a, g_b)``; ``Sym^3``
+    its discriminant ``τ_2(H, H)`` with ``H = τ_2(f, f)``; ``Sym^5`` its
+    discriminant ``A^2 - 64*B`` with ``i = τ_4(f, f)``, ``A = τ_2(i, i)``,
+    ``j = τ_2(f, i)`` and ``B = τ_2(i, τ_2(j, j))`` (Grace and Young,
+    *The Algebra of Invariants*, 1903), both ``normalized()``.  Every
+    polynomial is checked to be non-zero and killed by the whole triple
+    (:func:`_killed_by_triple`).  A spec providing none of these raises
+    :class:`UnsupportedBlock`.
     """
-    coords = spec.coord_names
-    entries: List[CatalogEntry] = []
-    vblocks = [(idx, names) for idx, (k, names) in enumerate(spec.blocks()) if k == 1]
-    for pos_a in range(len(vblocks)):
-        for pos_b in range(pos_a + 1, len(vblocks)):
-            idx_a, names_a = vblocks[pos_a]
-            idx_b, names_b = vblocks[pos_b]
-            minor = (
-                Poly.variable(coords, names_a[0]) * Poly.variable(coords, names_b[1])
-                - Poly.variable(coords, names_a[1]) * Poly.variable(coords, names_b[0])
-            )
-            entries.append(CatalogEntry(f"minor[{idx_a},{idx_b}]", minor, True))
-    for idx, (k, names) in enumerate(spec.blocks()):
-        if k in (3, 5):
-            entries.append(CatalogEntry(f"disc[{idx}]", _discriminant(spec, k, names), True))
+    tv = partial(_transvectant, build_derivation(spec))
+    tops = [(idx, k, Poly.variable(spec.coord_names, names[0])) for idx, (k, names) in enumerate(spec.blocks())]
+    planes = [(idx, g) for idx, k, g in tops if k == 1]
+    entries = [CatalogEntry(f"minor[{a},{b}]", tv(ga, gb, 1)) for (a, ga), (b, gb) in combinations(planes, 2)]
+    for idx, k, f in tops:
+        if k == 3:
+            h = tv(f, f, 2)
+            entries.append(CatalogEntry(f"disc[{idx}]", tv(h, h, 2).normalized()))
+        elif k == 5:
+            i = tv(f, f, 4)
+            j = tv(f, i, 2)
+            entries.append(CatalogEntry(f"disc[{idx}]", (tv(i, i, 2) ** 2 - 64 * tv(i, tv(j, j, 2), 2)).normalized()))
     if not entries:
         raise UnsupportedBlock(
             f"no catalogued invariants for summands {spec.summands}; "
             "supported: paired one-dimensional blocks, odd symmetric powers up to five"
         )
     for entry in entries:
+        if entry.poly.is_zero:
+            raise ConstructionFailure(f"catalog entry {entry.label} vanishes")
         if not _killed_by_triple(spec, entry.poly):
             raise ConstructionFailure(f"catalog entry {entry.label} is not invariant")
     return tuple(entries)

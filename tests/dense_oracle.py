@@ -1,15 +1,23 @@
-"""A dense linear oracle for image membership and slices, shared by the tests.
+"""Dense oracles shared by the tests.
 
-Each solve puts every monomial of the candidate set into one system, with
-no grading: the derivation's own routes (the sl2 ladder for membership,
-the weight-0 block for slices) must agree with it.
+A dense linear oracle for image membership and slices: each solve puts
+every monomial of the candidate set into one system, with no grading,
+and the derivation's own routes (the sl2 ladder for membership, the
+weight-0 block for slices) must agree with it.
+
+A Sylvester oracle for the catalog's discriminants: the resultant of the
+partials of the generic binary form, by a Laplace expansion, with no sl2
+ladder; ``reps.catalog_invariants`` builds them as transvectants.
 """
 
 from __future__ import annotations
 
+from typing import Dict, List, Sequence, Tuple
+
 from gaquot.derivations import _operator_rows, _packed, weight_components
 from gaquot.linalg import solve
 from gaquot.poly import Poly, exponents_of_degree, exponents_up_to_degree
+from gaquot.reps import RepSpec, _basis_scale
 
 
 def dense_solve(d, monos, target):
@@ -39,3 +47,60 @@ def dense_membership(d, p):
         for degree, piece in weight_components(p, dict.fromkeys(p.vars, 1)).items()
     ]
     return None if any(part is None for part in parts) else sum(parts, Poly.zero(d.vars))
+
+
+def _binary_form_coefficients(spec: RepSpec, k: int, names: Tuple[str, ...]) -> List[Poly]:
+    """Coefficients ``c_j`` of the generic form ``sum c_j x^(k-j) y^j``."""
+    coords = spec.coord_names
+    return [
+        Poly.variable(coords, names[j]) * _basis_scale(k, j, spec.normalization)
+        for j in range(k + 1)
+    ]
+
+
+def _determinant(matrix: Sequence[Sequence[Poly]], table: Tuple[str, ...]) -> Poly:
+    """Determinant by Laplace expansion along the rows; it never divides.
+
+    The rows are taken from the last one up.  The minor on the rows
+    taken so far is kept under its set of columns, a bitmask, so an
+    ``n x n`` matrix stores at most ``2^n`` minors (256 for the 8 x 8
+    Sylvester matrix of the quintic).
+    """
+    minors = {0: Poly.const(table, 1)}
+    for row in reversed(matrix):
+        larger: Dict[int, Poly] = {}
+        for cols, minor in minors.items():
+            for j, entry in enumerate(row):
+                if cols >> j & 1 or entry.is_zero:
+                    continue
+                term = entry * minor
+                if (cols & ((1 << j) - 1)).bit_count() % 2:  # odd place among the larger minor's columns
+                    term = -term
+                key = cols | 1 << j
+                larger[key] = larger[key] + term if key in larger else term
+        minors = {cols: minor for cols, minor in larger.items() if not minor.is_zero}
+    return minors.get((1 << len(matrix)) - 1, Poly.zero(table))
+
+
+def _discriminant(spec: RepSpec, k: int, names: Tuple[str, ...]) -> Poly:
+    """Discriminant of an odd binary form via the resultant of its partials, ``normalized()``."""
+    c = _binary_form_coefficients(spec, k, names)
+    fx = [(k - j) * c[j] for j in range(k)]
+    fy = [(j + 1) * c[j + 1] for j in range(k)]
+    m = k - 1
+    size = 2 * m
+    zero = Poly.zero(spec.coord_names)
+    sylvester: List[List[Poly]] = []
+    for shift in range(m):
+        row = [zero] * size
+        for idx, entry in enumerate(fx):
+            row[shift + idx] = entry
+        sylvester.append(row)
+    for shift in range(m):
+        row = [zero] * size
+        for idx, entry in enumerate(fy):
+            row[shift + idx] = entry
+        sylvester.append(row)
+    resultant = _determinant(sylvester, spec.coord_names)
+    assert not resultant.is_zero, "vanishing discriminant resultant"
+    return resultant.normalized()

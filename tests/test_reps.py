@@ -32,6 +32,8 @@ from gaquot.reps import (
 )
 from gaquot.transfer import extended_spec
 
+from dense_oracle import _determinant, _discriminant
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from gqbench.workloads import WORKLOADS  # noqa: E402
 
@@ -324,6 +326,27 @@ random_specs = st.builds(
     st.sampled_from(NORMALIZATIONS),
 )
 
+CATALOG_SPECS = [
+    RepSpec(summands, normalization)
+    for normalization in NORMALIZATIONS
+    for summands in [(1, 1), (1, 1, 1), (3,), (5,), (1, 3), (1, 5), (1, 3, 5), (0, 1, 1, 3), (2, 5, 1, 1)]
+] + [RepSpec((1, 1, 3), "unit", tuple(f"w{i}" for i in range(1, 9)))]
+
+
+def _assert_catalog_matches_oracle(spec):
+    """Each ``minor[a,b]`` is ``w_a0*w_b1 - w_a1*w_b0`` and each ``disc[i]`` the normalized Sylvester resultant."""
+    var = lambda name: Poly.variable(spec.coords, name)
+    planes = [(idx, names) for idx, (k, names) in enumerate(spec.blocks()) if k == 1]
+    expected = [
+        (f"minor[{a},{b}]", var(na[0]) * var(nb[1]) - var(na[1]) * var(nb[0]))
+        for (a, na), (b, nb) in itertools.combinations(planes, 2)
+    ] + [(f"disc[{idx}]", _discriminant(spec, k, names)) for idx, (k, names) in enumerate(spec.blocks()) if k in (3, 5)]
+    if not expected:
+        with pytest.raises(UnsupportedBlock):
+            catalog_invariants(spec)
+        return
+    assert [(entry.label, entry.poly) for entry in catalog_invariants(spec)] == expected
+
 
 class TestGroupSubstitution:
     def test_identity(self):
@@ -371,7 +394,6 @@ class TestCatalog:
         entries = catalog_invariants(RepSpec((1, 1)))
         assert [e.label for e in entries] == ["minor[0,1]"]
         assert str(entries[0].poly) == "w0*w3 - w1*w2"
-        assert entries[0].stable
 
     def test_three_plane_minors(self):
         # block indices are zero-based, pairs in lexicographic order
@@ -420,10 +442,34 @@ class TestCatalog:
             for i in range(4):
                 product = product * matrix[i][perm[i]]
             expected = expected + product
-        assert reps._determinant(matrix, x.vars) == expected
-        assert reps._determinant([matrix[0], matrix[1], matrix[0], matrix[3]], x.vars).is_zero
+        assert _determinant(matrix, x.vars) == expected
+        assert _determinant([matrix[0], matrix[1], matrix[0], matrix[3]], x.vars).is_zero
 
-    @pytest.mark.parametrize("spec", [RepSpec((1, 1)), RepSpec((3,)), RepSpec((1, 3))])
+    @pytest.mark.parametrize("spec", CATALOG_SPECS)
+    def test_entries_match_the_sylvester_oracle(self, spec):
+        _assert_catalog_matches_oracle(spec)
+
+    @given(random_specs)
+    def test_random_spec_entries_match_the_sylvester_oracle(self, spec):
+        _assert_catalog_matches_oracle(spec)
+
+    @pytest.mark.parametrize("summands", [(1, 1), (3,), (5,)])
+    @pytest.mark.parametrize(
+        "entry, message",
+        [(Poly.zero, "vanishes"), (lambda table: Poly.variable(table, "w1"), "is not invariant")],
+        ids=["zero", "non-invariant"],
+    )
+    def test_faulty_transvectant_is_rejected(self, monkeypatch, summands, entry, message):
+        monkeypatch.setattr(reps, "_transvectant", lambda d, a, b, r: entry(d.vars))
+        with pytest.raises(ConstructionFailure, match=message):
+            catalog_invariants.__wrapped__(RepSpec(summands))  # past the cache
+
+    @pytest.mark.parametrize(
+        "spec",
+        [RepSpec(summands, normalization) for normalization in NORMALIZATIONS
+         for summands in [(1, 1), (3,), (1, 3), (5,), (1, 3, 5)]]
+        + [RepSpec((1, 1, 3), normalization, tuple(f"w{i}" for i in range(1, 9))) for normalization in NORMALIZATIONS],
+    )
     def test_entries_killed_by_whole_triple(self, spec):
         triple = sl2_triple(spec)
         for entry in catalog_invariants(spec):
