@@ -37,9 +37,14 @@ operator matrix is the ``int`` matrix of ``Dd * D``, rows keyed by
 packed monomials; ``transfer.extend`` keeps its ladder packed.
 
 On the ladder the derivation raises weight by 2 and its kernel is made
-of highest-weight vectors, of weight ``>= 0``: kernel generators solve
-only the lattice blocks (weight and summand degrees) that products do
-not fill and the derivation does not kill, checking each dimension.
+of highest-weight vectors, of weight ``>= 0``.  Kernel generators solve
+no linear system: a lattice block (weight and summand degrees) that
+products do not fill and the derivation does not kill is spanned by
+transvectants ``τ_r(C, g_s)`` of the kernel rows ``C`` of the degree
+below with the summands' top coordinates, up to its Cayley-Sylvester
+dimension; each new generator is checked to be killed.  The transvectant
+is built once, on ladder layers ``E^j(C)/(p)_j`` over packed keys
+(``_ladder``, ``_tau``), for the kernel and for ``reps``' catalog alike.
 
 The module has no product or composition of its own: kernel generators
 multiply on ``poly._times``, and a graph's pull-back hands its plan to
@@ -54,10 +59,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import mul
 from struct import Struct
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     GraphInconsistency,
@@ -71,6 +76,8 @@ from .poly import Exponent, Poly, _compose, _projector, _raw, _times, exponents_
 # (Dd, ((variable index, ((numerator over Dd, e'), ...)), ...), image
 # degree) over the variables with a non-zero image; see ``apply``
 IntImages = Tuple[int, Tuple[Tuple[int, Tuple[Tuple[int, Exponent], ...]], ...], int]
+# _ladder's layers: numerators per packed monomial over one denominator
+Ladder = List[Tuple[Dict[int, int], int]]
 
 
 class Derivation:
@@ -111,7 +118,7 @@ class Derivation:
         object.__setattr__(self, "_int_images", _compile_images([table[name] for name in vt]))
         object.__setattr__(self, "_packed", {})  # digit width -> _packed's triple
         object.__setattr__(self, "_lattice", None)  # _gradings, once asked for
-        object.__setattr__(self, "_blocks", {})  # degree -> _blocks' triple
+        object.__setattr__(self, "_blocks", {})  # degree -> its _Degree, from _blocks
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Derivation is immutable")
@@ -242,25 +249,75 @@ def _ladder_membership(d: Derivation, p: Poly) -> Optional[Poly]:
     return preimage
 
 
+def _ladder(raising: Derivation, packed: tuple, layers: Ladder, p: int, upto: int) -> Ladder:
+    """``layers`` extended in place to ``a_0 .. a_upto``, with ``a_j = E^j(a) / (p)_j`` for ``a = a_0`` of weight ``p``.
+
+    ``E`` is ``raising``, ``(p)_j`` the falling factorial and ``packed`` the
+    ``_packed`` triple of ``E`` that keys the layers.  A layer is its ``int``
+    numerators per packed monomial over one denominator; ``E`` is applied
+    by ``_leibniz`` as ``Ee * E``, ``Ee`` its common denominator.
+    """
+    _, unkey, images = packed
+    for j in range(len(layers), upto + 1):
+        terms, den = layers[-1]
+        acc: Dict[int, int] = {}
+        _leibniz(acc, images, [(unkey(k), k, v) for k, v in terms.items()])
+        layers.append(({k: v for k, v in acc.items() if v}, den * raising._int_images[0] * (p - j + 1)))
+    return layers
+
+
+def _tau(la: Ladder, lb: Ladder, r: int) -> Tuple[Dict[int, int], int]:
+    """``τ_r(a, b) = Σ_j (−1)^j C(r, j) a_j b_(r−j)`` from the ``_ladder`` layers of ``a`` and ``b``, as packed numerators over a denominator.
+
+    A product of layers adds packed keys, so the digit width must hold the
+    degree of ``a`` plus that of ``b``.  Cancelled terms stay as zeros.
+    """
+    den = lcm(*[la[j][1] * lb[r - j][1] for j in range(r + 1)])
+    acc: Dict[int, int] = {}
+    get = acc.get
+    for j in range(r + 1):
+        (ta, da), (tb, db) = la[j], lb[r - j]
+        scale = (-1) ** j * comb(r, j) * (den // (da * db))
+        for kb, nb in tb.items():
+            c = scale * nb
+            for ka, na in ta.items():
+                k = ka + kb
+                acc[k] = get(k, 0) + c * na
+    return acc, den
+
+
 def _transvectant(d: Derivation, a: Poly, b: Poly, r: int) -> Poly:
     """``τ_r(a, b) = Σ_j (−1)^j C(r, j) a_j b_(r−j)`` for ``a``, ``b`` killed by ``d``, each of one weight.
 
     With ``E = d.sl2_raise`` and ``p`` the weight of ``a``, ``a_j = E^j(a) / (p)_j``
     (falling factorial); ``[D, E] = H`` gives ``D(a_j) = j·a_(j−1)``, so ``d`` kills
-    ``τ_r(a, b)`` (Olver, *Classical Invariant Theory*, 1999, ch. 5).  Layers are
-    built up to ``r`` only.
+    ``τ_r(a, b)`` (Olver, *Classical Invariant Theory*, 1999, ch. 5).  It is zero
+    for ``r`` above either weight, as ``E^(p+1)`` kills ``a``.  Otherwise the
+    layers are built up to ``r`` by ``_ladder`` and combined by ``_tau``, on
+    keys packed for the degree of ``a`` plus that of ``b``: the route of the
+    kernel generators' candidates.  A zero input, or one of several weights,
+    is a ``ValueError``.
     """
+    p, q = _weight(d, a), _weight(d, b)
+    if r > min(p, q):
+        return Poly.zero(d.vars)
+    raising = d.sl2_raise
+    packed = _packed(raising, max(map(sum, a.nums)) + max(map(sum, b.nums)))
+    key, unkey, _ = packed
+    la, lb = ([({key(e): n for e, n in c.nums.items()}, c.den)] for c in (a, b))
+    acc, den = _tau(_ladder(raising, packed, la, p, r), _ladder(raising, packed, lb, q, r), r)
+    return _raw(d.vars, {unkey(k): v for k, v in acc.items() if v}, den)
+
+
+def _weight(d: Derivation, a: Poly) -> int:
+    """The one weight of ``a`` on the ladder of ``d``; ``ValueError`` for zero or several."""
     weights = [d.weight_of[name] for name in d.vars]
-
-    def layers(c: Poly) -> List[Poly]:
-        p = sum(map(mul, next(iter(c.nums)), weights))
-        out = [c]
-        for j in range(1, r + 1):
-            out.append(apply(d.sl2_raise, out[-1]) * Fraction(1, p - j + 1))
-        return out
-
-    la, lb = layers(a), layers(b)
-    return sum(((-1) ** j * comb(r, j) * la[j] * lb[r - j] for j in range(r + 1)), Poly.zero(d.vars))
+    found = {sum(map(mul, e, weights)) for e in a.nums}
+    if not found:
+        raise ValueError("a transvectant needs non-zero inputs, got 0")
+    if len(found) > 1:
+        raise ValueError(f"a transvectant needs inputs of one weight, got {a} of weights {sorted(found)}")
+    return found.pop()
 
 
 def _gradings(d: Derivation) -> List[Tuple[Sequence[int], int]]:
@@ -378,30 +435,70 @@ _slice_candidates = lru_cache(maxsize=None)(lambda n, bound: tuple(exponents_up_
 MAX_MONOMIALS = 50000
 
 
-def _blocks(d: Derivation, degree: int) -> Tuple[Dict[Exponent, int], List[int], List[Tuple[Tuple[int, ...], int, bool]]]:
-    """``(index, block_of, blocks)`` of the monomials of ``degree`` under ``_gradings(d)``, kept on ``d``.
+Signature = Tuple[int, Tuple[int, ...]]  # (weight, degree in each summand, counted at its top coordinate)
 
-    ``index`` maps a monomial to its ``_monomials`` column, ``block_of`` a
-    column to its block ``(columns descending, kernel dimension, whole)``.
+
+class _Degree(NamedTuple):
+    """The monomials of one degree in the blocks of ``_gradings(d)``, as ``_blocks`` keeps them on ``d``."""
+
+    index: Dict[Exponent, int]  # monomial -> its ``_monomials`` column
+    block_of: List[int]  # column -> its block
+    blocks: List[Tuple[Tuple[int, ...], int, bool, Signature]]  # (columns descending, kernel dimension, whole, signature)
+    signatures: Dict[Signature, int]  # signature -> its block
+    slot: Dict[int, int]  # monomial packed by _packed(E, degree) -> its column
+    tops: List[Tuple[int, int, Ladder]]  # (t, k, ladder of x_t) per summand Sym^k, packed by _packed(E, degree)
+
+
+def _blocks(d: Derivation, degree: int) -> _Degree:
+    """The monomials of ``degree`` in the blocks of ``_gradings(d)``, kept on ``d``.
+
     ``D`` maps block ``g`` into block ``g + e``, ``e`` the lattice shifts;
     on the ladder a block is a weight space of one sl2 submodule, so its
     kernel dimension is ``|V_g| - |V_(g+e)|`` at weight ``>= 0`` (Cayley-
-    Sylvester) and 0 below.  ``D`` kills a ``whole`` block: its target is empty.
+    Sylvester) and 0 below.  ``D`` kills a ``whole`` block: its target is
+    empty.  The lattice of the ladder is that of the weight and the
+    summand degrees, so those are a block's signature; ``D`` leads each
+    coordinate to its summand's top one, where that degree is counted.
+    The columns and the ladders of the top coordinates ``x_t`` (``_tops``)
+    are keyed for the transvectants of this degree, by ``_packed(E, degree)``.
     """
     if degree not in d._blocks:
-        monos = _monomials(len(d.vars), degree)
+        n = len(d.vars)
+        monos = _monomials(n, degree)
         groups, _, shift = _weight_groups(monos, _gradings(d))
         weights = [d.weight_of[name] for name in d.vars]
+        lower = {i: image[0][1].index(1) for i, image in d._int_images[1]}  # D(x_(s,j+1)) = c * x_(s,j)
+        summand = []
+        for i in range(n):
+            while i in lower:
+                i = lower[i]
+            summand.append(i)
         block_of = [0] * len(monos)
         blocks = []
+        shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}  # one tuple per summand degrees, for all their weights
         for key, group in groups.items():
             for j in group:
                 block_of[j] = len(blocks)
+            weight = sum(map(mul, monos[group[0]], weights))
+            degrees = [0] * n
+            for i, e in zip(summand, monos[group[0]]):
+                degrees[i] += e
+            degrees = shared.setdefault(tuple(degrees), tuple(degrees))
             target = len(groups.get(key + shift, ()))
-            dimension = len(group) - target if sum(map(mul, monos[group[0]], weights)) >= 0 else 0
-            blocks.append((tuple(group[::-1]), dimension, not target))
-        d._blocks[degree] = ({e: j for j, e in enumerate(monos)}, block_of, blocks)
+            blocks.append((tuple(group[::-1]), len(group) - target if weight >= 0 else 0, not target, (weight, degrees)))
+        packed = _packed(d.sl2_raise, degree)
+        tops = [(t, k, _ladder(d.sl2_raise, packed, [({packed[0](tuple(int(i == t) for i in range(n))): 1}, 1)], k, k))
+                for t, k in _tops(d)]
+        d._blocks[degree] = _Degree({e: j for j, e in enumerate(monos)}, block_of, blocks,
+                                    {block[3]: b for b, block in enumerate(blocks)},
+                                    {packed[0](e): j for j, e in enumerate(monos)}, tops)
     return d._blocks[degree]
+
+
+def _tops(d: Derivation) -> List[Tuple[int, int]]:
+    """``(variable index, k)`` of the top coordinate ``g_s`` of each summand ``Sym^k``: the variables ``d`` kills."""
+    active = {i for i, _ in d._int_images[1]}
+    return [(i, d.weight_of[name]) for i, name in enumerate(d.vars) if i not in active]
 
 
 def graded_kernel_generators(d: Derivation, maxdeg: int) -> List[Poly]:
@@ -411,17 +508,28 @@ def graded_kernel_generators(d: Derivation, maxdeg: int) -> List[Poly]:
     ``reps.build_derivation`` gives it), and the top degree at most
     ``MAX_MONOMIALS`` monomials, else ``ValueError``.  Products of lower
     generators, on integer coefficients, are row-reduced one at a time
-    into their ``_blocks`` block's span.  A full block is skipped, a whole
-    one is its monomials, the rest are solved on reversed columns: each
-    nullspace vector is then non-zero, besides its own free column, only
-    at later pivot columns, so the basis is reduced echelon.  The
-    kernel rows, by pivot column, are reduced modulo their block's span:
-    reduced echelon forms are unique and blocks have disjoint supports,
-    so that is reduction modulo all products.  A primitive integer
-    remainder becomes a generator, signed to a positive leading
-    coefficient.  A product left over in a full block, or a basis of
-    another dimension, raises ``InternalInconsistency``.  The listing is
-    degree ascending, then leading monomial descending.
+    into their ``_blocks`` block's span.  A full block is skipped and a
+    whole one is its monomials.  Each other block is spanned by the
+    transvectants ``τ_r(C, g_s)`` that land in it (``_candidates``), reduced
+    into a copy of its product span until that reaches the block's
+    dimension (``_span_block``).  Here ``C`` runs over the span rows of the
+    degree below, a kernel basis once that degree ends, ``g_s`` over the
+    top coordinates of the summands ``Sym^(k_s)`` (``_tops``), and
+    ``1 <= r <= min(wt C, k_s)``: multiplication ``S^(d-1)(W) ⊗ W -> S^d(W)``
+    is onto and commutes with the triple, so it maps the highest-weight
+    vectors of the tensor product, the transvectants (Clebsch-Gordan),
+    onto the kernel, and ``r = 0`` gives the products.  At degree 1 every
+    kernel block is a top coordinate, killed whole.  The kernel rows, by
+    pivot column, are reduced modulo their block's span: reduced echelon
+    forms are unique and blocks have disjoint supports, so that is
+    reduction modulo all products.  A primitive integer remainder becomes
+    a generator, signed to a positive leading coefficient.  A product left
+    over in a full block, a candidate outside its block, a block left
+    short, or a generator of a spanned block that ``d`` does not kill
+    raises ``InternalInconsistency``: the products lie in the kernel, so
+    generators ``d`` kills and the dimensions prove each span is the
+    kernel.  The listing is degree ascending, then leading monomial
+    descending.
     """
     if d.sl2_raise is None or d.weight_of is None:
         raise ValueError("graded_kernel_generators needs the sl2 ladder of build_derivation(spec)")
@@ -432,11 +540,13 @@ def graded_kernel_generators(d: Derivation, maxdeg: int) -> List[Poly]:
                          f"above the cap of {MAX_MONOMIALS}")
     generators: List[Tuple[int, Dict[Exponent, int]]] = []  # (degree, content-one integer terms)
     products = {0: [(0, {(0,) * n: 1})]}  # per degree: (index of the last factor, terms)
+    below = (_blocks(d, 0), [[(0, {0: 1})]], _monomials(n, 0))  # the degree below: its blocks, spans and monomials
     for degree in range(1, maxdeg + 1):
         products[degree] = [(i, _times(p.items(), terms.items())) for i, (g, terms) in enumerate(generators)
                             for last, p in products[degree - g] if last <= i]
         monos = _monomials(n, degree)
-        index, block_of, blocks = _blocks(d, degree)
+        level = _blocks(d, degree)
+        index, block_of, blocks = level.index, level.block_of, level.blocks
         spans: List[List[Tuple[int, Row]]] = [[] for _ in blocks]
         for _, p in products[degree]:
             row = {index[e]: c for e, c in p.items()}
@@ -446,27 +556,94 @@ def graded_kernel_generators(d: Derivation, maxdeg: int) -> List[Poly]:
                 if len(spans[b]) == blocks[b][1]:
                     raise InternalInconsistency(f"products exceed the kernel dimension {blocks[b][1]} at {next(iter(p))}")
                 extend_rref(spans[b], remainder)
+        ladders: Dict[Tuple[int, int], Ladder] = {}  # (block below, row) -> the ladder of that span row
+        packed = _packed(d.sl2_raise, degree)
         kernel = []  # (pivot column, block, row)
-        for b, (columns, dimension, whole) in enumerate(blocks):
+        for b, (columns, dimension, whole, _) in enumerate(blocks):
             if len(spans[b]) < dimension:
-                basis = ([{c: 1} for c in range(len(columns))] if whole else
-                         nullspace(list(_operator_rows(d, [monos[j] for j in columns], degree).values()), len(columns)))
-                if len(basis) != dimension:
-                    raise InternalInconsistency(f"kernel at {monos[columns[0]]} has the wrong dimension {len(basis)}")
-                for vector in basis:
-                    row = {columns[c]: v for c, v in vector.items()}
-                    kernel.append((min(row), b, row))
+                basis = ([(c, {c: 1}) for c in columns] if whole else
+                         _span_block(spans[b], dimension, _candidates(d.sl2_raise, packed, below, ladders, level, b)))
+                if len(basis) < dimension:
+                    raise InternalInconsistency(f"kernel at {monos[columns[0]]} is left short: "
+                                                f"{len(basis)} of its dimension {dimension}")
+                kernel.extend((pivot, b, row) for pivot, row in basis)
         kernel.sort(key=lambda entry: entry[0])
+        key, _, images = _packed(d, degree)
         for _, b, row in kernel:
             remainder = reduce_against(row, spans[b])
             if remainder:
                 # monos run graded-lex descending, so the first column is the leading monomial
                 sign = 1 if remainder[min(remainder)] > 0 else -1
                 terms = {monos[c]: sign * v for c, v in remainder.items()}
+                if not blocks[b][2]:  # D kills a whole block's monomials: its target is empty
+                    image: Dict[int, int] = {}
+                    _leibniz(image, images, [(e, key(e), v) for e, v in terms.items()])
+                    if any(image.values()):
+                        raise InternalInconsistency(f"kernel generator at {monos[min(remainder)]} is not killed by the derivation")
                 products[degree].append((len(generators), terms))
                 generators.append((degree, terms))
                 extend_rref(spans[b], remainder)
+        below = (level, spans, monos)
     return [_raw(d.vars, terms) for _, terms in generators]
+
+
+def _candidates(raising: Derivation, packed: tuple, below: tuple, ladders: Dict[Tuple[int, int], Ladder],
+                level: _Degree, b: int) -> Iterator[Row]:
+    """The transvectants ``τ_r(C, g_s)`` that land in block ``b`` of ``level``, as primitive rows on its columns.
+
+    ``below`` is the degree below as ``(blocks, spans, monomials)``.  With
+    ``b`` of weight ``w`` and summand degrees ``m``, ``C`` runs over the
+    span rows of the block below of weight ``p = w - k + 2r`` and degrees
+    ``m`` less one at ``t``, for ``r = 1, 2, ...`` and each summand
+    ``Sym^k`` with top coordinate ``x_t`` (``level.tops``), while
+    ``r <= min(p, k)``.  The ladder of a ``C`` is kept in ``ladders``,
+    built as far as asked, so it is built once however many blocks it
+    feeds.  Every candidate comes from ``_ladder`` and ``_tau`` on keys
+    packed by ``packed``, ``_packed`` of ``raising`` for the degree of
+    ``level``, and is checked to lie in block ``b``.
+    """
+    weight, degrees = level.blocks[b][3]
+    slot, block_of = level.slot, level.block_of
+    level_below, spans_below, monos_below = below
+    key = packed[0]
+    for r in range(1, max((k for _, k, _ in level.tops), default=0) + 1):
+        for t, k, lb in level.tops:
+            p = weight - k + 2 * r
+            if r > min(p, k) or not degrees[t]:
+                continue
+            source = level_below.signatures.get((p, (*degrees[:t], degrees[t] - 1, *degrees[t + 1:])))
+            if source is None:
+                continue
+            for i, (_, row) in enumerate(spans_below[source]):
+                la = ladders.get((source, i))
+                if la is None:
+                    la = ladders[source, i] = [({key(monos_below[c]): v for c, v in row.items()}, 1)]
+                candidate = {}
+                for packed_term, v in _tau(_ladder(raising, packed, la, p, r), lb, r)[0].items():
+                    if v:
+                        c = slot.get(packed_term)
+                        if c is None or block_of[c] != b:
+                            raise InternalInconsistency(f"transvectant τ_{r} of a weight-{p} kernel row and Sym^{k} leaves its block")
+                        candidate[c] = v
+                if candidate:
+                    g = gcd(*candidate.values())
+                    yield candidate if g == 1 else {c: v // g for c, v in candidate.items()}
+
+
+def _span_block(span: List[Tuple[int, Row]], dimension: int, candidates: Iterable[Row]) -> List[Tuple[int, Row]]:
+    """A copy of a short block's product ``span``, extended by the primitive ``candidates`` until it has ``dimension`` rows.
+
+    Candidates are drawn only while the copy is short, and it may stay
+    short; the caller checks.
+    """
+    span = list(span)
+    for row in candidates:
+        remainder = reduce_against(row, span)
+        if remainder:
+            extend_rref(span, remainder)
+            if len(span) == dimension:
+                break
+    return span
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,12 @@ every monomial of the candidate set into one system, with no grading,
 and the derivation's own routes (the sl2 ladder for membership, the
 weight-0 block for slices) must agree with it.
 
+A kernel oracle for ``graded_kernel_generators``: every weight block of
+a degree solved by a nullspace of its operator matrix, none skipped, and
+products of the generators found so far reduced on ``Fraction``
+coefficients; the derivation's own route spans each block by
+transvectants and solves nothing.
+
 A Sylvester oracle for the catalog's discriminants: the resultant of the
 partials of the generic binary form, by a Laplace expansion, with no sl2
 ladder; ``reps.catalog_invariants`` builds them as transvectants.
@@ -15,8 +21,8 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from gaquot.derivations import _operator_rows, _packed, weight_components
-from gaquot.linalg import solve
-from gaquot.poly import Poly, exponents_of_degree, exponents_up_to_degree
+from gaquot.linalg import extend_rref, nullspace, reduce_against, rref, solve
+from gaquot.poly import Poly, _cleared, exponents_of_degree, exponents_up_to_degree
 from gaquot.reps import RepSpec, _basis_scale
 
 
@@ -47,6 +53,53 @@ def dense_membership(d, p):
         for degree, piece in weight_components(p, dict.fromkeys(p.vars, 1)).items()
     ]
     return None if any(part is None for part in parts) else sum(parts, Poly.zero(d.vars))
+
+
+def all_weight_blocks(d, monos):
+    """``(source weight, group, nullspace)`` for every weight block of ``monos``, none skipped."""
+    weights = [d.weight_of[name] for name in d.vars]
+    groups = {}
+    for j, c in enumerate(monos):
+        groups.setdefault(sum(w * e for w, e in zip(weights, c)), []).append(j)
+    blocks = []
+    for weight, group in groups.items():
+        columns = group[::-1]
+        rows = _operator_rows(d, [monos[j] for j in columns], max(map(max, monos)))
+        blocks.append((weight, group, nullspace(list(rows.values()), len(columns))))
+    return blocks
+
+
+def oracle_kernel_generators(d, maxdeg):
+    """Kernel generators from every weight block, reduced modulo ``Fraction`` products of generators."""
+    n = len(d.vars)
+    generators = []
+    for degree in range(1, maxdeg + 1):
+        monos = list(exponents_of_degree(n, degree))
+        canonical = sorted(
+            (min(row), row)
+            for _, group, basis in all_weight_blocks(d, monos)
+            for row in ({group[::-1][c]: v for c, v in vector.items()} for vector in basis)
+        )
+        index = {e: i for i, e in enumerate(monos)}
+        products = []
+
+        def recurse(start, remaining, acc):
+            for i in range(start, len(generators)):
+                g = generators[i].total_degree()
+                if g == remaining:
+                    products.append(acc * generators[i])
+                elif g < remaining:
+                    recurse(i, remaining - g, acc * generators[i])
+
+        recurse(0, degree, Poly.const(d.vars, 1))
+        spanned = rref([dict(zip(map(index.get, p.terms), _cleared(list(p.terms.values()))[1])) for p in products],
+                       len(monos))
+        for _, row in canonical:
+            remainder = reduce_against(row, spanned)
+            if remainder:
+                generators.append(Poly(d.vars, {monos[c]: v for c, v in remainder.items()}).normalized())
+                extend_rref(spanned, remainder)
+    return generators
 
 
 def _binary_form_coefficients(spec: RepSpec, k: int, names: Tuple[str, ...]) -> List[Poly]:

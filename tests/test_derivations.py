@@ -15,6 +15,8 @@ from gaquot.derivations import (
     _blocks,
     _gradings,
     _operator_rows,
+    _packed,
+    _transvectant,
     _weight_groups,
     apply,
     graded_kernel_generators,
@@ -31,12 +33,12 @@ from gaquot.errors import (
 )
 from gaquot.expr import parse
 from gaquot.fixtures import NAMED_FIXTURES, fixture
-from gaquot.linalg import extend_rref, nullspace, reduce_against, rref
-from gaquot.poly import Poly, _cleared, exponents_of_degree, exponents_up_to_degree, ring
+from gaquot.linalg import nullspace, reduce_against, rref
+from gaquot.poly import Poly, exponents_of_degree, exponents_up_to_degree, ring
 from gaquot.reps import RepSpec, build_derivation, sl2_triple
 from gaquot.transfer import extend, verify_invariance
 
-from dense_oracle import dense_slice
+from dense_oracle import all_weight_blocks, dense_slice, oracle_kernel_generators
 
 XY = ("x", "y")
 
@@ -208,51 +210,41 @@ class TestKernelGenerators:
         assert first == second
 
 
-def _all_weight_blocks(d, monos):
-    """``(source weight, group, nullspace)`` for every weight block of ``monos``, none skipped."""
-    weights = [d.weight_of[name] for name in d.vars]
-    groups = {}
-    for j, c in enumerate(monos):
-        groups.setdefault(sum(w * e for w, e in zip(weights, c)), []).append(j)
-    blocks = []
-    for weight, group in groups.items():
-        columns = group[::-1]
-        rows = _operator_rows(d, [monos[j] for j in columns], max(map(max, monos)))
-        blocks.append((weight, group, nullspace(list(rows.values()), len(columns))))
-    return blocks
+class TestTransvectant:
+    """``_transvectant`` on the ladder of ``(1, 1)``, where ``w0`` and ``w2`` are the top coordinates."""
 
+    spec = RepSpec((1, 1))
 
-def _oracle_kernel_generators(d, maxdeg):
-    """Kernel generators from every weight block, reduced modulo ``Fraction`` products of generators."""
-    n = len(d.vars)
-    generators = []
-    for degree in range(1, maxdeg + 1):
-        monos = list(exponents_of_degree(n, degree))
-        canonical = sorted(
-            (min(row), row)
-            for _, group, basis in _all_weight_blocks(d, monos)
-            for row in ({group[::-1][c]: v for c, v in vector.items()} for vector in basis)
-        )
-        index = {e: i for i, e in enumerate(monos)}
-        products = []
+    def _tv(self, a, b, r):
+        return _transvectant(build_derivation(self.spec), parse(a, self.spec.coords), parse(b, self.spec.coords), r)
 
-        def recurse(start, remaining, acc):
-            for i in range(start, len(generators)):
-                g = generators[i].total_degree()
-                if g == remaining:
-                    products.append(acc * generators[i])
-                elif g < remaining:
-                    recurse(i, remaining - g, acc * generators[i])
+    @pytest.mark.parametrize("a, b, r, expected", [("w0", "w2", 0, "w0*w2"), ("w0", "w2", 1, "w0*w3 - w1*w2"),
+                                                   ("w2", "w0", 1, "-w0*w3 + w1*w2"), ("w0^2", "w2^2", 2, "w0^2*w3^2 - 2*w0*w1*w2*w3 + w1^2*w2^2")])
+    def test_values(self, a, b, r, expected):
+        assert str(self._tv(a, b, r)) == expected
 
-        recurse(0, degree, Poly.const(d.vars, 1))
-        spanned = rref([dict(zip(map(index.get, p.terms), _cleared(list(p.terms.values()))[1])) for p in products],
-                       len(monos))
-        for _, row in canonical:
-            remainder = reduce_against(row, spanned)
-            if remainder:
-                generators.append(Poly(d.vars, {monos[c]: v for c, v in remainder.items()}).normalized())
-                extend_rref(spanned, remainder)
-    return generators
+    @pytest.mark.parametrize("a, b, r", [("w0", "w2", 2), ("w0^2", "w2", 2), ("w2", "w0^3", 5)])
+    def test_r_above_a_weight_is_zero(self, a, b, r):
+        assert self._tv(a, b, r) == Poly.zero(self.spec.coords)
+
+    @pytest.mark.parametrize("a, b", [("0", "w2"), ("w0", "0")])
+    def test_zero_input_is_refused(self, a, b):
+        with pytest.raises(ValueError, match="non-zero inputs"):
+            self._tv(a, b, 1)
+
+    @pytest.mark.parametrize("a, b", [("w0 + w1", "w2"), ("w0", "w2 + w0*w1")])
+    def test_input_of_several_weights_is_refused(self, a, b):
+        with pytest.raises(ValueError, match="one weight"):
+            self._tv(a, b, 1)
+
+    @pytest.mark.parametrize("spec", [RepSpec((1, 1, 3)), RepSpec((2, 4), "unit"), RepSpec((0, 3))])
+    def test_transvectants_of_kernel_generators_are_killed(self, spec):
+        d = build_derivation(spec)
+        gens = graded_kernel_generators(d, 2)
+        for a in gens:
+            for b in gens:
+                for r in range(4):
+                    assert apply(d, _transvectant(d, a, b, r)).is_zero
 
 
 ladder_specs = st.builds(
@@ -263,13 +255,13 @@ ladder_specs = st.builds(
 
 
 class TestHighestWeightSkip:
-    """On the sl2 ladder kernel generators solve only the lattice blocks of weight ``>= 0`` that products do not fill."""
+    """On the sl2 ladder kernel generators span by transvectants only the lattice blocks of weight ``>= 0`` that products do not fill."""
 
     @settings(max_examples=40)
     @given(ladder_specs, st.integers(min_value=1, max_value=4))
     def test_matches_solving_every_block(self, spec, maxdeg):
         d = build_derivation(spec)
-        expected = _oracle_kernel_generators(d, maxdeg)
+        expected = oracle_kernel_generators(d, maxdeg)
         found = graded_kernel_generators(d, maxdeg)
         assert [g.terms for g in found] == [g.terms for g in expected]
         assert [str(g) for g in found] == [str(g) for g in expected]
@@ -280,17 +272,19 @@ class TestHighestWeightSkip:
         # the first degrees where a product of generators has a term that cancels
         d = build_derivation(RepSpec(summands, normalization))
         assert [g.terms for g in graded_kernel_generators(d, maxdeg)] == [
-            g.terms for g in _oracle_kernel_generators(d, maxdeg)
+            g.terms for g in oracle_kernel_generators(d, maxdeg)
         ]
 
     @settings(max_examples=40)
     @given(ladder_specs, st.integers(min_value=1, max_value=4))
     def test_negative_blocks_are_empty_and_kept_blocks_have_their_dimension(self, spec, degree):
+        # the independent check of the Cayley-Sylvester dimensions the transvectants must reach
         d = build_derivation(spec)
         monos = list(exponents_of_degree(len(d.vars), degree))
         weights = [d.weight_of[name] for name in d.vars]
+        tops = [spec.coord_names.index(names[0]) for _, names in spec.blocks()]
         canonical = []
-        for columns, dimension, whole in _blocks(d, degree)[2]:
+        for columns, dimension, whole, signature in _blocks(d, degree).blocks:
             rows = _operator_rows(d, [monos[j] for j in columns], degree)
             basis = nullspace(list(rows.values()), len(columns))
             if sum(w * e for w, e in zip(weights, monos[columns[0]])) < 0:
@@ -298,25 +292,30 @@ class TestHighestWeightSkip:
             else:
                 assert len(basis) == dimension
             assert whole == (not rows)
+            # every monomial of a block has its weight and its degree in each summand
+            for j in columns:
+                degrees = [0] * len(d.vars)
+                for (k, names), top in zip(spec.blocks(), tops):
+                    degrees[top] = sum(monos[j][top:top + k + 1])
+                assert signature == (sum(w * e for w, e in zip(weights, monos[j])), tuple(degrees))
             canonical.extend((min(row), row) for row in ({columns[c]: v for c, v in vector.items()} for vector in basis))
         # the lattice blocks refine the weight blocks and give the same reduced echelon kernel
-        every = sorted((min(row), row) for _, group, basis in _all_weight_blocks(d, monos) for row in
+        every = sorted((min(row), row) for _, group, basis in all_weight_blocks(d, monos) for row in
                        ({group[::-1][c]: v for c, v in vector.items()} for vector in basis))
         assert sorted(canonical, key=lambda pair: pair[0]) == every
 
     @pytest.mark.parametrize("summands, maxdeg", [((4, 1, 1), 6), ((2, 2, 2), 5), ((3, 2), 6), ((4,), 8)])
     @pytest.mark.parametrize("normalization", ["section5", "unit"])
     def test_blocks_filled_by_products_are_skipped(self, summands, maxdeg, normalization, monkeypatch):
-        d = build_derivation(RepSpec(summands, normalization))
-        found, solved = _generators_and_solved_blocks(d, maxdeg, monkeypatch)
-        assert [g.terms for g in found] == [g.terms for g in _oracle_kernel_generators(d, maxdeg)]
-        assert solved < _kept_blocks(d, maxdeg)
+        spec = RepSpec(summands, normalization)
+        found, spanned = _generators_and_spanned_blocks(spec, maxdeg, monkeypatch)
+        assert [g.terms for g in found] == [g.terms for g in oracle_kernel_generators(build_derivation(spec), maxdeg)]
+        assert spanned < _kept_blocks(build_derivation(spec), maxdeg)
 
-    def test_degree_eight_solves_a_minority_of_the_kept_blocks(self, monkeypatch):
-        d = build_derivation(RepSpec((4, 1, 1)))
-        found, solved = _generators_and_solved_blocks(d, 8, monkeypatch)
+    def test_degree_eight_spans_a_minority_of_the_kept_blocks(self, monkeypatch):
+        found, spanned = _generators_and_spanned_blocks(RepSpec((4, 1, 1)), 8, monkeypatch)
         assert len(found) == 56
-        assert 0 < solved < _kept_blocks(d, 8) // 2
+        assert 0 < spanned < _kept_blocks(build_derivation(RepSpec((4, 1, 1))), 8) // 2
 
     @pytest.mark.parametrize("summands, degree", [((1, 1, 1), 2), ((4, 1, 1), 3), ((3, 2), 4)])
     def test_product_rank_above_the_kernel_dimension_raises(self, summands, degree, monkeypatch):
@@ -328,35 +327,62 @@ class TestHighestWeightSkip:
 
     @pytest.mark.parametrize("summands, degree", [((1, 1, 1), 2), ((4, 1, 1), 3), ((3, 2), 4), ((2,), 2)])
     def test_block_dimension_one_too_small_raises(self, summands, degree, monkeypatch):
-        # the block of the first monomial, w0^degree: D kills it whole, so no solve checks its
-        # dimension, and the power of the first generator fills it
+        # the block of the first monomial, w0^degree: D kills it whole, so no candidate reaches
+        # it, and the power of the first generator fills it
         d = _fresh_derivation(RepSpec(summands))
         _doctor_blocks(monkeypatch, degree, lambda b, block_of, dimension: dimension - (b == block_of[0]))
         with pytest.raises(InternalInconsistency, match="exceed the kernel"):
             graded_kernel_generators(d, degree)
 
     @pytest.mark.parametrize("summands, degree", [((2,), 2), ((1, 1, 1), 2), ((3, 2), 4)])
-    def test_solved_block_of_another_dimension_raises(self, summands, degree, monkeypatch):
-        # one more than the true dimension: products cannot fill a block, so the first one with a target is solved
+    def test_block_of_another_dimension_is_left_short(self, summands, degree, monkeypatch):
+        # one more than the true dimension: products and transvectants span the kernel alone
         d = _fresh_derivation(RepSpec(summands))
         _doctor_blocks(monkeypatch, degree, lambda b, block_of, dimension: dimension + 1)
-        with pytest.raises(InternalInconsistency, match="wrong dimension"):
+        with pytest.raises(InternalInconsistency, match="left short"):
             graded_kernel_generators(d, degree)
 
-    @pytest.mark.parametrize("summands, maxdeg", [((1, 1, 1, 1, 1), 4), ((0, 1, 1, 3), 5)])
+    @pytest.mark.parametrize("summands", [(2,), (3, 2), (1, 1, 3)])
+    def test_candidates_without_a_top_coordinate_leave_a_block_short(self, summands, monkeypatch):
+        # the last summand's top coordinate g_s dropped: its self-transvectant's block in degree 2 has no other candidate
+        d = _fresh_derivation(RepSpec(summands))
+        real = derivations._tops
+        monkeypatch.setattr(derivations, "_tops", lambda d: real(d)[:-1])
+        with pytest.raises(InternalInconsistency, match="left short"):
+            graded_kernel_generators(d, 4)
+
+    @pytest.mark.parametrize("summands", [(2,), (1, 1), (3, 2)])
+    def test_candidate_outside_its_block_raises(self, summands, monkeypatch):
+        # w0^2 added to every candidate: D kills its block whole, so no candidate belongs there
+        d = _fresh_derivation(RepSpec(summands))
+        stray = _packed(d.sl2_raise, 2)[0]((2,) + (0,) * (len(d.vars) - 1))
+        _doctor_candidates(monkeypatch, lambda acc: {**acc, stray: acc.get(stray, 0) + 1})
+        with pytest.raises(InternalInconsistency, match="leaves its block"):
+            graded_kernel_generators(d, 2)
+
+    @pytest.mark.parametrize("summands", [(2,), (1, 1), (1, 1, 3)])
+    def test_candidate_not_killed_raises(self, summands, monkeypatch):
+        # one numerator of every candidate moved by one: the candidate stays in its block of
+        # kernel dimension 1 and fills it, so the generator it gives is not killed
+        d = _fresh_derivation(RepSpec(summands))
+        _doctor_candidates(monkeypatch, lambda acc: {**acc, next(iter(acc)): acc[next(iter(acc))] + 1})
+        with pytest.raises(InternalInconsistency, match="not killed"):
+            graded_kernel_generators(d, 2)
+
+    @pytest.mark.parametrize("summands, maxdeg", [((1, 1, 1, 1, 1), 4), ((0, 1, 1, 3), 5), ((8,), 6), ((3,), 8),
+                                                  ((2,), 6), ((1, 1, 3), 5), ((1, 1, 1), 6)])
     @pytest.mark.parametrize("normalization", ["section5", "unit"])
     def test_matches_the_oracle_on_more_summands(self, summands, maxdeg, normalization):
         d = build_derivation(RepSpec(summands, normalization))
         assert [g.terms for g in graded_kernel_generators(d, maxdeg)] == [
-            g.terms for g in _oracle_kernel_generators(d, maxdeg)
+            g.terms for g in oracle_kernel_generators(d, maxdeg)
         ]
 
     def test_sym_one_solves_no_block(self, monkeypatch):
-        # every block is full or killed whole; the one nullspace is the grading lattice's own
-        d = _fresh_derivation(RepSpec((1,)))
-        operator_rows, nullspaces = _counting(monkeypatch, "_operator_rows"), _counting(monkeypatch, "nullspace")
-        assert [str(g) for g in graded_kernel_generators(d, 6)] == ["w0"]
-        assert (len(operator_rows), len(nullspaces)) == (0, 1)
+        # every block is full or killed whole: no transvectant is built
+        found, spanned = _generators_and_spanned_blocks(RepSpec((1,)), 6, monkeypatch)
+        assert [str(g) for g in found] == ["w0"]
+        assert spanned == 0
 
 
 class TestKernelGeneratorCap:
@@ -405,27 +431,45 @@ def _doctor_blocks(monkeypatch, degree, doctor):
     real = derivations._blocks
 
     def doctored(d, at):
-        index, block_of, blocks = real(d, at)
+        level = real(d, at)
         if at == degree:
-            blocks = [(columns, doctor(b, block_of, dimension), whole)
-                      for b, (columns, dimension, whole) in enumerate(blocks)]
-        return index, block_of, blocks
+            level = level._replace(blocks=[(columns, doctor(b, level.block_of, dimension), whole, signature)
+                                           for b, (columns, dimension, whole, signature) in enumerate(level.blocks)])
+        return level
 
     monkeypatch.setattr(derivations, "_blocks", doctored)
 
 
+def _doctor_candidates(monkeypatch, doctor):
+    """Make ``_tau`` return ``doctor(acc)`` for its packed numerators ``acc``; ``reps``' catalog is not run."""
+    real = derivations._tau
+
+    def doctored(la, lb, r):
+        acc, den = real(la, lb, r)
+        return doctor(acc), den
+
+    monkeypatch.setattr(derivations, "_tau", doctored)
+
+
 def _kept_blocks(d, maxdeg):
-    """Number of lattice blocks in degrees ``1..maxdeg`` that only a solve could fill: a kernel, and a target."""
+    """Number of lattice blocks in degrees ``1..maxdeg`` that products alone may leave short: a kernel, and a target."""
     return sum(dimension > 0 and not whole for degree in range(1, maxdeg + 1)
-               for _, dimension, whole in _blocks(d, degree)[2])
+               for _, dimension, whole, _ in _blocks(d, degree).blocks)
 
 
-def _generators_and_solved_blocks(d, maxdeg, monkeypatch):
-    """``graded_kernel_generators(d, maxdeg)`` and the number of blocks that reached ``_operator_rows``."""
+def _generators_and_spanned_blocks(spec, maxdeg, monkeypatch):
+    """Kernel generators of a fresh lowering operator of ``spec``, and the number of blocks spanned by transvectants.
+
+    No block is solved: there is no ``_operator_rows`` call, and the one
+    ``nullspace`` is the grading lattice's, over its ``n + 1`` columns.
+    """
+    d = _fresh_derivation(spec)
     with monkeypatch.context() as patch:
-        calls = _counting(patch, "_operator_rows")
+        operator_rows, nullspaces, spanned = (_counting(patch, name) for name in ("_operator_rows", "nullspace", "_span_block"))
         found = graded_kernel_generators(d, maxdeg)
-    return found, len(calls)
+    assert operator_rows == [] and [args[1] for args in nullspaces] == [len(d.vars) + 1]
+    assert d._lattice is not None
+    return found, len(spanned)
 
 
 def _graph_map(graph):
