@@ -34,7 +34,8 @@ all variables are kept as one flat list of ``(i, a*Dd, delta)``
 triples, so the kernel runs one loop per input term.  :func:`apply` unpacks
 only the surviving terms, its numerators over ``p.den * Dd``; an
 operator matrix is the ``int`` matrix of ``Dd * D``, rows keyed by
-packed monomials; ``transfer.extend`` keeps its ladder packed.
+packed monomials; ``transfer.extend`` keeps its ladder packed, and
+``reps``' triple check reads the flat triples in its own pass.
 
 On the ladder the derivation raises weight by 2 and its kernel is made
 of highest-weight vectors, of weight ``>= 0``.  Kernel generators solve
@@ -46,9 +47,11 @@ dimension; each new generator is checked to be killed.  The transvectant
 is built once, on ladder layers ``E^j(C)/(p)_j`` over packed keys
 (``_ladder``, ``_tau``), for the kernel and for ``reps``' catalog alike.
 
-The module has no product or composition of its own: kernel generators
-multiply on ``poly._times``, and a graph's pull-back hands its plan to
-``poly._compose``.  A graph of one dependent coordinate compares its
+Kernel generators stay on packed keys from the products to the checks:
+a product of lower generators is ``τ_0``, the loop ``_tau`` runs per
+layer (``_product``), on one digit width for every degree of the call.
+The module has no composition of its own: a graph's pull-back hands its
+plan to ``poly._compose``.  A graph of one dependent coordinate compares its
 equation with a polynomial term by term (``GraphPresentation.defines``)
 and gives it as a polynomial (``GraphPresentation.equation``).
 """
@@ -71,7 +74,7 @@ from .errors import (
     VariableTableMismatch,
 )
 from .linalg import Row, extend_rref, nullspace, reduce_against, solve
-from .poly import Exponent, Poly, _compose, _projector, _raw, _times, exponents_of_degree, exponents_up_to_degree
+from .poly import Exponent, Poly, _compose, _projector, _raw, exponents_of_degree, exponents_up_to_degree
 
 # (Dd, ((variable index, ((numerator over Dd, e'), ...)), ...), image
 # degree) over the variables with a non-zero image; see ``apply``
@@ -274,16 +277,28 @@ def _tau(la: Ladder, lb: Ladder, r: int) -> Tuple[Dict[int, int], int]:
     """
     den = lcm(*[la[j][1] * lb[r - j][1] for j in range(r + 1)])
     acc: Dict[int, int] = {}
-    get = acc.get
     for j in range(r + 1):
         (ta, da), (tb, db) = la[j], lb[r - j]
-        scale = (-1) ** j * comb(r, j) * (den // (da * db))
-        for kb, nb in tb.items():
-            c = scale * nb
-            for ka, na in ta.items():
-                k = ka + kb
-                acc[k] = get(k, 0) + c * na
+        _product(acc, ta, tb, (-1) ** j * comb(r, j) * (den // (da * db)))
     return acc, den
+
+
+def _product(acc: Dict[int, int], ta: Dict[int, int], tb: Dict[int, int], scale: int) -> Dict[int, int]:
+    """``acc`` with ``scale * a * b`` added, ``a`` and ``b`` numerators per packed monomial; returns ``acc``.
+
+    A product of monomials is one ``int`` addition of their keys, which
+    never carries when the digit width holds the degree of ``a`` plus
+    that of ``b``.  The keys enter ``acc`` in the order of ``b``'s terms,
+    each run over ``a``'s; cancelled terms stay as zeros.  ``_tau`` is a
+    sum of these, and a product is ``τ_0``.
+    """
+    get = acc.get
+    for kb, nb in tb.items():
+        c = scale * nb
+        for ka, na in ta.items():
+            k = ka + kb
+            acc[k] = get(k, 0) + c * na
+    return acc
 
 
 def _transvectant(d: Derivation, a: Poly, b: Poly, r: int) -> Poly:
@@ -441,15 +456,16 @@ Signature = Tuple[int, Tuple[int, ...]]  # (weight, degree in each summand, coun
 class _Degree(NamedTuple):
     """The monomials of one degree in the blocks of ``_gradings(d)``, as ``_blocks`` keeps them on ``d``."""
 
-    index: Dict[Exponent, int]  # monomial -> its ``_monomials`` column
     block_of: List[int]  # column -> its block
     blocks: List[Tuple[Tuple[int, ...], int, bool, Signature]]  # (columns descending, kernel dimension, whole, signature)
     signatures: Dict[Signature, int]  # signature -> its block
-    slot: Dict[int, int]  # monomial packed by _packed(E, degree) -> its column
-    tops: List[Tuple[int, int, Ladder]]  # (t, k, ladder of x_t) per summand Sym^k, packed by _packed(E, degree)
+    keys: List[int]  # column -> its monomial packed by ``packed``
+    slot: Dict[int, int]  # packed monomial -> its column
+    tops: List[Tuple[int, int, Ladder]]  # (t, k, ladder of x_t) per summand Sym^k, packed by ``packed``
+    packed: tuple  # the ``_packed`` triple of ``E`` for the call's top degree
 
 
-def _blocks(d: Derivation, degree: int) -> _Degree:
+def _blocks(d: Derivation, degree: int, top: int) -> _Degree:
     """The monomials of ``degree`` in the blocks of ``_gradings(d)``, kept on ``d``.
 
     ``D`` maps block ``g`` into block ``g + e``, ``e`` the lattice shifts;
@@ -460,9 +476,13 @@ def _blocks(d: Derivation, degree: int) -> _Degree:
     summand degrees, so those are a block's signature; ``D`` leads each
     coordinate to its summand's top one, where that degree is counted.
     The columns and the ladders of the top coordinates ``x_t`` (``_tops``)
-    are keyed for the transvectants of this degree, by ``_packed(E, degree)``.
+    are keyed by ``_packed(E, top)``, one digit width for every degree up
+    to ``top``, so that keys of two degrees add to the key of their
+    product.  A degree kept at another width is built again.
     """
-    if degree not in d._blocks:
+    packed = _packed(d.sl2_raise, top)
+    level = d._blocks.get(degree)
+    if level is None or level.packed is not packed:
         n = len(d.vars)
         monos = _monomials(n, degree)
         groups, _, shift = _weight_groups(monos, _gradings(d))
@@ -486,13 +506,12 @@ def _blocks(d: Derivation, degree: int) -> _Degree:
             degrees = shared.setdefault(tuple(degrees), tuple(degrees))
             target = len(groups.get(key + shift, ()))
             blocks.append((tuple(group[::-1]), len(group) - target if weight >= 0 else 0, not target, (weight, degrees)))
-        packed = _packed(d.sl2_raise, degree)
+        keys = list(map(packed[0], monos))
         tops = [(t, k, _ladder(d.sl2_raise, packed, [({packed[0](tuple(int(i == t) for i in range(n))): 1}, 1)], k, k))
                 for t, k in _tops(d)]
-        d._blocks[degree] = _Degree({e: j for j, e in enumerate(monos)}, block_of, blocks,
-                                    {block[3]: b for b, block in enumerate(blocks)},
-                                    {packed[0](e): j for j, e in enumerate(monos)}, tops)
-    return d._blocks[degree]
+        level = d._blocks[degree] = _Degree(block_of, blocks, {block[3]: b for b, block in enumerate(blocks)},
+                                            keys, dict(zip(keys, range(len(keys)))), tops, packed)
+    return level
 
 
 def _tops(d: Derivation) -> List[Tuple[int, int]]:
@@ -506,10 +525,13 @@ def graded_kernel_generators(d: Derivation, maxdeg: int) -> List[Poly]:
 
     ``d`` must carry the sl2 ladder (``sl2_raise`` and ``weight_of``, as
     ``reps.build_derivation`` gives it), and the top degree at most
-    ``MAX_MONOMIALS`` monomials, else ``ValueError``.  Products of lower
-    generators, on integer coefficients, are row-reduced one at a time
-    into their ``_blocks`` block's span.  A full block is skipped and a
-    whole one is its monomials.  Each other block is spanned by the
+    ``MAX_MONOMIALS`` monomials, else ``ValueError``.  Every monomial is
+    packed by ``_packed(E, maxdeg)``, one digit width for the whole call,
+    and the generators keep their integer terms on those keys.  So a
+    product of lower generators is ``τ_0``, one key addition per term pair
+    (``_product``), and is row-reduced one at a time into its ``_blocks``
+    block's span, its columns read off ``slot``.  A full block is skipped
+    and a whole one is its monomials.  Each other block is spanned by the
     transvectants ``τ_r(C, g_s)`` that land in it (``_candidates``), reduced
     into a copy of its product span until that reaches the block's
     dimension (``_span_block``).  Here ``C`` runs over the span rows of the
@@ -531,81 +553,81 @@ def graded_kernel_generators(d: Derivation, maxdeg: int) -> List[Poly]:
     kernel.  The listing is degree ascending, then leading monomial
     descending.
     """
-    if d.sl2_raise is None or d.weight_of is None:
+    if d.sl2_raise is None or d.weight_of is None or d._int_images[2] != d.sl2_raise._int_images[2]:
         raise ValueError("graded_kernel_generators needs the sl2 ladder of build_derivation(spec)")
     n = len(d.vars)
     count = comb(n + maxdeg - 1, maxdeg) if maxdeg > 0 else 0
     if count > MAX_MONOMIALS:
         raise ValueError(f"invariant degree {maxdeg} has {count} monomials in {n} variables, "
                          f"above the cap of {MAX_MONOMIALS}")
-    generators: List[Tuple[int, Dict[Exponent, int]]] = []  # (degree, content-one integer terms)
-    products = {0: [(0, {(0,) * n: 1})]}  # per degree: (index of the last factor, terms)
-    below = (_blocks(d, 0), [[(0, {0: 1})]], _monomials(n, 0))  # the degree below: its blocks, spans and monomials
+    # D and E have one image degree, so _packed(d, maxdeg) has the digit width of every _blocks level
+    _, unkey, images = _packed(d, maxdeg)
+    generators: List[Tuple[int, Dict[int, int]]] = []  # (degree, content-one integer terms per packed monomial)
+    products = {0: [(0, {0: 1})]}  # per degree: (index of the last factor, terms per packed monomial)
+    below = (_blocks(d, 0, maxdeg), [[(0, {0: 1})]])  # the degree below: its blocks and spans
     for degree in range(1, maxdeg + 1):
-        products[degree] = [(i, _times(p.items(), terms.items())) for i, (g, terms) in enumerate(generators)
+        products[degree] = [(i, _product({}, p, terms, 1)) for i, (g, terms) in enumerate(generators)
                             for last, p in products[degree - g] if last <= i]
         monos = _monomials(n, degree)
-        level = _blocks(d, degree)
-        index, block_of, blocks = level.index, level.block_of, level.blocks
+        level = _blocks(d, degree, maxdeg)
+        slot, keys, block_of, blocks = level.slot, level.keys, level.block_of, level.blocks
         spans: List[List[Tuple[int, Row]]] = [[] for _ in blocks]
         for _, p in products[degree]:
-            row = {index[e]: c for e, c in p.items()}
+            row = {slot[k]: c for k, c in p.items() if c}
             b = block_of[next(iter(row))]
             remainder = reduce_against(row, spans[b])
             if remainder:
                 if len(spans[b]) == blocks[b][1]:
-                    raise InternalInconsistency(f"products exceed the kernel dimension {blocks[b][1]} at {next(iter(p))}")
+                    raise InternalInconsistency(f"products exceed the kernel dimension {blocks[b][1]} at {monos[next(iter(row))]}")
                 extend_rref(spans[b], remainder)
         ladders: Dict[Tuple[int, int], Ladder] = {}  # (block below, row) -> the ladder of that span row
-        packed = _packed(d.sl2_raise, degree)
         kernel = []  # (pivot column, block, row)
         for b, (columns, dimension, whole, _) in enumerate(blocks):
             if len(spans[b]) < dimension:
                 basis = ([(c, {c: 1}) for c in columns] if whole else
-                         _span_block(spans[b], dimension, _candidates(d.sl2_raise, packed, below, ladders, level, b)))
+                         _span_block(spans[b], dimension, _candidates(d.sl2_raise, below, ladders, level, b)))
                 if len(basis) < dimension:
                     raise InternalInconsistency(f"kernel at {monos[columns[0]]} is left short: "
                                                 f"{len(basis)} of its dimension {dimension}")
                 kernel.extend((pivot, b, row) for pivot, row in basis)
         kernel.sort(key=lambda entry: entry[0])
-        key, _, images = _packed(d, degree)
         for _, b, row in kernel:
             remainder = reduce_against(row, spans[b])
             if remainder:
                 # monos run graded-lex descending, so the first column is the leading monomial
                 sign = 1 if remainder[min(remainder)] > 0 else -1
-                terms = {monos[c]: sign * v for c, v in remainder.items()}
+                terms = {keys[c]: sign * v for c, v in remainder.items()}
                 if not blocks[b][2]:  # D kills a whole block's monomials: its target is empty
                     image: Dict[int, int] = {}
-                    _leibniz(image, images, [(e, key(e), v) for e, v in terms.items()])
+                    _leibniz(image, images, [(monos[c], keys[c], v) for c, v in remainder.items()])
                     if any(image.values()):
                         raise InternalInconsistency(f"kernel generator at {monos[min(remainder)]} is not killed by the derivation")
                 products[degree].append((len(generators), terms))
                 generators.append((degree, terms))
                 extend_rref(spans[b], remainder)
-        below = (level, spans, monos)
-    return [_raw(d.vars, terms) for _, terms in generators]
+        below = (level, spans)
+    return [_raw(d.vars, {unkey(k): v for k, v in terms.items()}) for _, terms in generators]
 
 
-def _candidates(raising: Derivation, packed: tuple, below: tuple, ladders: Dict[Tuple[int, int], Ladder],
+def _candidates(raising: Derivation, below: tuple, ladders: Dict[Tuple[int, int], Ladder],
                 level: _Degree, b: int) -> Iterator[Row]:
     """The transvectants ``τ_r(C, g_s)`` that land in block ``b`` of ``level``, as primitive rows on its columns.
 
-    ``below`` is the degree below as ``(blocks, spans, monomials)``.  With
-    ``b`` of weight ``w`` and summand degrees ``m``, ``C`` runs over the
-    span rows of the block below of weight ``p = w - k + 2r`` and degrees
-    ``m`` less one at ``t``, for ``r = 1, 2, ...`` and each summand
-    ``Sym^k`` with top coordinate ``x_t`` (``level.tops``), while
+    ``below`` is the degree below as ``(blocks, spans)``.  With ``b`` of
+    weight ``w`` and summand degrees ``m``, ``C`` runs over the span rows
+    of the block below of weight ``p = w - k + 2r`` and degrees ``m``
+    less one at ``t``, for ``r = 1, 2, ...`` and each summand ``Sym^k``
+    with top coordinate ``x_t`` (``level.tops``), while
     ``r <= min(p, k)``.  The ladder of a ``C`` is kept in ``ladders``,
     built as far as asked, so it is built once however many blocks it
-    feeds.  Every candidate comes from ``_ladder`` and ``_tau`` on keys
-    packed by ``packed``, ``_packed`` of ``raising`` for the degree of
-    ``level``, and is checked to lie in block ``b``.
+    feeds.  Every candidate comes from ``_ladder`` and ``_tau`` on the
+    keys of ``level.packed``, ``_packed`` of ``raising``, and is checked
+    to lie in block ``b``.
     """
     weight, degrees = level.blocks[b][3]
-    slot, block_of = level.slot, level.block_of
-    level_below, spans_below, monos_below = below
-    key = packed[0]
+    slot, block_of, packed = level.slot, level.block_of, level.packed
+    level_below, spans_below = below
+    keys_below = level_below.keys
     for r in range(1, max((k for _, k, _ in level.tops), default=0) + 1):
         for t, k, lb in level.tops:
             p = weight - k + 2 * r
@@ -617,7 +639,7 @@ def _candidates(raising: Derivation, packed: tuple, below: tuple, ladders: Dict[
             for i, (_, row) in enumerate(spans_below[source]):
                 la = ladders.get((source, i))
                 if la is None:
-                    la = ladders[source, i] = [({key(monos_below[c]): v for c, v in row.items()}, 1)]
+                    la = ladders[source, i] = [({keys_below[c]: v for c, v in row.items()}, 1)]
                 candidate = {}
                 for packed_term, v in _tau(_ladder(raising, packed, la, p, r), lb, r)[0].items():
                     if v:

@@ -21,9 +21,10 @@ it.  ``_cleared`` clears only the constructor's coefficients, points
 (``evaluate``, the rational-point search) and ``linalg.solve``'s
 right-hand side.
 
-There is one product and one composition.  ``_times`` multiplies lists
-of exact terms as they come: the numerators of ``*``, ``**`` and
-``_compose``, and the parser's and kernel generators' own terms.
+There is one product of exact terms and one composition.  ``_times``
+multiplies lists of exact terms as they come: the numerators of ``*``,
+``**`` and ``_compose``, and the parser's own terms.  Kernel generators
+multiply on packed monomial keys instead (``derivations._product``).
 ``_compose`` runs a plan built by ``Poly.substitute`` or
 ``GraphPresentation.pull_back``: which variables are relabelled and
 which composed with a polynomial.

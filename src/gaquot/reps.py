@@ -37,11 +37,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import combinations
+from itertools import chain, combinations
 from operator import mul
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
-from .derivations import Derivation, _transvectant, apply
+from .derivations import Derivation, _packed, _transvectant
 from .errors import ConstructionFailure, UnsupportedBlock, VariableTableMismatch
 from .poly import Poly
 
@@ -333,7 +333,7 @@ def build_derivation(spec: RepSpec) -> Derivation:
 
 
 def _killed_by_triple(spec: RepSpec, p: Poly) -> bool:
-    """Whether all three operators of the triple of ``spec`` kill ``p``.
+    """Whether all three operators of the triple of ``spec`` kill ``p``, on the table of ``spec``.
 
     The diagonal operator ``H`` scales a monomial by its weight, so the
     answer is whether every monomial has weight 0 and the lowering
@@ -345,9 +345,36 @@ def _killed_by_triple(spec: RepSpec, p: Poly) -> bool:
     exists, so ``E(p) = 0`` (Humphreys, *Introduction to Lie Algebras and
     Representation Theory*, §7).  Conversely, what ``D`` and ``E`` kill,
     their bracket ``H`` kills too.
+
+    One pass over the terms of ``p`` decides both, on the packed Leibniz
+    kernel of ``D`` (``derivations._packed``): a term's weight is added up
+    in the image triples it runs (each variable's weight on its first
+    triple) and over the coordinates with no image, and a term of
+    non-zero weight ends the pass.  No polynomial is built.
     """
+    key, _, images = _packed(build_derivation(spec), max(chain.from_iterable(p.nums), default=0))
     weights = spec.weights
-    return not any(sum(map(mul, e, weights)) for e in p.nums) and apply(build_derivation(spec), p).is_zero
+    steps = []  # (i, a*Dd, packed delta, weight of x_i on the first triple of x_i, else 0)
+    for i, c, delta in images:
+        steps.append((i, c, delta, 0 if steps and steps[-1][0] == i else weights[i]))
+    active = {step[0] for step in steps}
+    still = [(i, w) for i, w in enumerate(weights) if w and i not in active]  # coordinates with no image
+    acc: Dict[int, int] = {}
+    get = acc.get
+    for e, n in p.nums.items():
+        k = key(e)
+        weight = 0
+        for i, w in still:
+            weight += e[i] * w
+        for i, c, delta, w in steps:
+            x = e[i]
+            if x:
+                weight += x * w
+                t = k + delta
+                acc[t] = get(t, 0) + n * x * c
+        if weight:
+            return False
+    return not any(acc.values())
 
 
 def nonstable_coordinates(spec: RepSpec) -> Tuple[str, ...]:

@@ -203,6 +203,13 @@ class TestKernelGenerators:
         with pytest.raises(ValueError, match="sl2 ladder"):
             graded_kernel_generators(generic, 2)
 
+    def test_requires_the_image_degree_of_its_raising_partner(self):
+        # one digit width packs the monomials for both operators
+        d = build_derivation(RepSpec((1, 1, 1)))
+        raising = Derivation(d.vars, {name: image * image for name, image in d.sl2_raise.images.items()})
+        with pytest.raises(ValueError, match="sl2 ladder"):
+            graded_kernel_generators(Derivation(d.vars, d.images, d.weight_of, raising), 2)
+
     def test_deterministic(self):
         d = build_derivation(RepSpec((1, 1, 1)))
         first = [str(g) for g in graded_kernel_generators(d, 2)]
@@ -284,7 +291,7 @@ class TestHighestWeightSkip:
         weights = [d.weight_of[name] for name in d.vars]
         tops = [spec.coord_names.index(names[0]) for _, names in spec.blocks()]
         canonical = []
-        for columns, dimension, whole, signature in _blocks(d, degree).blocks:
+        for columns, dimension, whole, signature in _blocks(d, degree, degree).blocks:
             rows = _operator_rows(d, [monos[j] for j in columns], degree)
             basis = nullspace(list(rows.values()), len(columns))
             if sum(w * e for w, e in zip(weights, monos[columns[0]])) < 0:
@@ -385,6 +392,17 @@ class TestHighestWeightSkip:
         assert spanned == 0
 
 
+class TestOneDigitWidth:
+    def test_degrees_across_one_byte_digits(self):
+        # degree 260 needs two-byte digits: products of every degree must be keyed at that one width
+        assert [str(g) for g in graded_kernel_generators(build_derivation(RepSpec((0, 0))), 260)] == ["w0", "w1"]
+
+    def test_levels_kept_at_another_width_are_built_again(self):
+        d = _fresh_derivation(RepSpec((0, 0)))
+        for maxdeg in (3, 260, 3):
+            assert [str(g) for g in graded_kernel_generators(d, maxdeg)] == ["w0", "w1"]
+
+
 class TestKernelGeneratorCap:
     def test_over_sized_top_degree_is_refused_before_any_work(self, monkeypatch):
         d = _fresh_derivation(RepSpec((4, 1, 1)))
@@ -430,8 +448,8 @@ def _doctor_blocks(monkeypatch, degree, doctor):
     """
     real = derivations._blocks
 
-    def doctored(d, at):
-        level = real(d, at)
+    def doctored(d, at, top):
+        level = real(d, at, top)
         if at == degree:
             level = level._replace(blocks=[(columns, doctor(b, level.block_of, dimension), whole, signature)
                                            for b, (columns, dimension, whole, signature) in enumerate(level.blocks)])
@@ -454,7 +472,7 @@ def _doctor_candidates(monkeypatch, doctor):
 def _kept_blocks(d, maxdeg):
     """Number of lattice blocks in degrees ``1..maxdeg`` that products alone may leave short: a kernel, and a target."""
     return sum(dimension > 0 and not whole for degree in range(1, maxdeg + 1)
-               for _, dimension, whole, _ in _blocks(d, degree).blocks)
+               for _, dimension, whole, _ in _blocks(d, degree, maxdeg).blocks)
 
 
 def _generators_and_spanned_blocks(spec, maxdeg, monkeypatch):
