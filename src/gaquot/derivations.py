@@ -68,6 +68,7 @@ from struct import Struct
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
+    ExponentOverflow,
     GraphInconsistency,
     InternalInconsistency,
     NonInvariantInput,
@@ -176,7 +177,7 @@ def _packed(d: Derivation, top: int) -> Tuple[Callable[[Exponent], int], Callabl
         if bits <= 8 * width:
             break
     else:
-        raise OverflowError(f"exponent {top} is too large for the packed Leibniz kernel")
+        raise ExponentOverflow(f"exponent {top} is too large for the packed Leibniz kernel")
     if width not in d._packed:
         form = Struct(f"<{len(d.vars)}{code}")
         key = lambda exponent: int.from_bytes(form.pack(*exponent), "little")

@@ -23,6 +23,10 @@ class ExprSyntaxError(GaquotError, ValueError):
         self.position = position
 
 
+class ExponentOverflow(GaquotError, OverflowError):
+    """An exponent is too large for the packed integer kernel."""
+
+
 class NonInvariantInput(GaquotError, ValueError):
     """A polynomial that must be killed by the derivation is not."""
 

@@ -18,15 +18,17 @@ checks identifiers against it, ``parse(text)`` takes them in order of
 first appearance, and every exponent is as wide as the table.
 
 Each rule returns a list of ``(exponent, coefficient)`` terms, which a
-sum extends.  A product of two monomials adds their exponents and a
-power of one scales its exponent; a product with a longer operand runs
-on ``poly._times``, which merges like monomials.  A vanished
-coefficient leaves an empty list either way.  Three caps bound the work
-of one parse: an exponent above ``MAX_EXPONENT``, a product of two
-factors with more than ``MAX_TERMS`` term pairs and parentheses nested
-deeper than ``MAX_DEPTH`` are syntax errors.  An all-integer result is
-already canonical: only its table goes through ``Poly``'s duplicate-name
-check (``poly._table``) before ``poly._raw`` builds it.
+sum extends.  A term folds its leading run of number and name factors
+into one exponent list and coefficient, then multiplies on left to
+right: two monomials add exponents, a longer product runs on
+``poly._times``, which merges like monomials, and a power of one
+monomial scales its exponent.  Four caps bound one parse: an exponent
+above ``MAX_EXPONENT``, a coefficient power that could pass
+``MAX_COEFFICIENT_BITS`` bits, a product of two factors with more than
+``MAX_TERMS`` term pairs and parentheses nested deeper than
+``MAX_DEPTH`` are syntax errors.  An all-integer result is already
+canonical: only its table goes through ``Poly``'s duplicate-name check
+(``poly._table``) before ``poly._raw`` builds it.
 """
 
 from __future__ import annotations
@@ -38,9 +40,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .errors import ExprSyntaxError
 from .poly import Poly, _raw, _table, _times
 
-_OPS = set("+-*^/()")
+_OPS = frozenset("+-*^/()")
+_DIGITS = frozenset("0123456789")
+_NAME = frozenset("_0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")  # so "x²" is not a name
 
 MAX_EXPONENT = 100
+MAX_COEFFICIENT_BITS = 1 << 20
 MAX_TERMS = 50000
 MAX_DEPTH = 100
 _SLASH_MESSAGE = "'/' is only allowed inside rational literals"
@@ -56,28 +61,25 @@ def _tokenize(text: str) -> List[_Token]:
     n = len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
         if ch in _OPS:
             tokens.append((ch, ch, i))
             i += 1
-            continue
-        if "0" <= ch <= "9":  # not ``str.isdigit``, which also takes "²" (``int`` refuses it) and "٣" (read as 3)
-            j = i
-            while j < n and "0" <= text[j] <= "9":
+        elif ch in _DIGITS:  # not ``str.isdigit``, which also takes "²" (``int`` refuses it) and "٣" (read as 3)
+            j = i + 1
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
-            continue
-        if ch.isascii() and (ch.isalpha() or ch == "_"):  # so "x²" is not a name
-            j = i
-            while j < n and text[j].isascii() and (text[j].isalnum() or text[j] == "_"):
+        elif ch in _NAME:  # a letter or "_": digits were taken above
+            j = i + 1
+            while j < n and text[j] in _NAME:
                 j += 1
             tokens.append(("ident", text[i:j], i))
             i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
+        elif ch.isspace():
+            i += 1
+        else:
+            raise ExprSyntaxError(f"unexpected character {ch!r}", i)
     tokens.append(("end", "", n))
     return tokens
 
@@ -108,64 +110,102 @@ class _Parser:
     # each parse method returns a fresh list of terms, which its caller may extend
 
     def parse_expr(self) -> List[_Term]:
-        terms = self.parse_term()
-        while self.peek()[0] in "+-":
-            op = self.advance()[0]
-            rhs = self.parse_term()
-            terms.extend(rhs if op == "+" else [(m, -c) for m, c in rhs])
+        terms, tokens = self.parse_term(1), self.tokens
+        while tokens[self.index][0] in "+-":
+            self.index += 1
+            terms += self.parse_term(-1 if tokens[self.index - 1][0] == "-" else 1)
         return terms
 
-    def parse_term(self) -> List[_Term]:
-        acc = self.parse_factor()
+    def parse_term(self, sign: int) -> List[_Term]:
+        """The factors' product, its leading run folded; ``sign`` joins the first factor's signs."""
+        tokens, place = self.tokens, self.place
+        exponent, coeff, folded = [0] * len(self.variables), 1, 0  # folded counts the run's factors
+        while True:
+            while tokens[self.index][0] in "+-":
+                sign = -sign if tokens[self.index][0] == "-" else sign
+                self.index += 1
+            kind = tokens[self.index][0]
+            if kind == "int":
+                value = self.parse_rational()
+                bare = tokens[self.index][0] != "^"  # a lone zero literal stays one term
+                coeff *= value if bare else self.parse_power(value)[1]
+            elif kind == "ident":
+                i = place.get(tokens[self.index][1])
+                if i is None:
+                    self.parse_atom()  # refuses the unknown name
+                self.index += 1
+                exponent[i] += 1 if tokens[self.index][0] != "^" else self.parse_power()[0]
+            else:
+                break
+            folded += 1
+            if tokens[self.index][0] != "*":
+                break
+            star = tokens[self.index][2]
+            self.index += 1
+        if folded:  # the run enters as one term, or as none if a product or power in it vanished
+            acc = [(tuple(exponent), -coeff if sign < 0 else coeff)] if coeff or (folded == 1 and bare) else []
+        if kind != "int" and kind != "ident":  # a parenthesized factor ends the run
+            acc = self.multiply(acc, self.parse_factor(), star) if folded else self.parse_factor(sign)
         while self.peek()[0] == "*":
             star = self.advance()[2]
             acc = self.multiply(acc, self.parse_factor(), star)
-        if self.peek()[0] == "/":  # a rational literal has consumed its own slash
-            raise ExprSyntaxError(_SLASH_MESSAGE, self.peek()[2])
+        if tokens[self.index][0] == "/":  # a rational literal has consumed its own slash
+            raise ExprSyntaxError(_SLASH_MESSAGE, tokens[self.index][2])
         return acc
 
-    def parse_factor(self) -> List[_Term]:
-        sign = 1
+    def parse_factor(self, sign: int = 1) -> List[_Term]:
         while self.peek()[0] in "+-":
             if self.advance()[0] == "-":
                 sign = -sign
         base = self.parse_atom()
         if self.peek()[0] == "^":
-            caret = self.advance()[2]
-            kind, text, pos = self.peek()
-            if kind != "int":
-                raise ExprSyntaxError("exponent must be a non-negative integer", pos if kind != "end" else caret)
-            self.advance()
-            power = int(text)
-            if power > MAX_EXPONENT:
-                raise ExprSyntaxError(f"exponent {power} exceeds the cap of {MAX_EXPONENT}", pos)
+            caret = self.peek()[2]
             if len(base) == 1:  # one monomial: scale its exponent, power its coefficient
                 (e, c), = base
-                c = c ** power
+                power, c = self.parse_power(c)
                 base = [(tuple([x * power for x in e]), c)] if c else []
             else:
                 result: List[_Term] = [(self.one, 1)]
-                for _ in range(power):
+                for _ in range(self.parse_power()[0]):
                     result = self.multiply(result, base, caret)
                 base = result
         if sign < 0:
             base = [(m, -c) for m, c in base]
         return base
 
+    def parse_power(self, c: Union[int, Fraction] = 1) -> Tuple[int, Union[int, Fraction]]:
+        """The exponent after the current ``^``, and ``c`` to that power if it cannot pass the bit cap."""
+        caret = self.advance()[2]
+        kind, text, pos = self.peek()
+        if kind != "int":
+            raise ExprSyntaxError("exponent must be a non-negative integer", pos if kind != "end" else caret)
+        self.advance()
+        power = int(text)
+        if power > MAX_EXPONENT:
+            raise ExprSyntaxError(f"exponent {power} exceeds the cap of {MAX_EXPONENT}", pos)
+        bits = power * max(c.numerator.bit_length(), c.denominator.bit_length())
+        if bits > MAX_COEFFICIENT_BITS:
+            raise ExprSyntaxError(f"coefficient power of up to {bits} bits exceeds the cap of {MAX_COEFFICIENT_BITS} bits", pos)
+        return power, c ** power
+
+    def parse_rational(self) -> Union[int, Fraction]:
+        value: Union[int, Fraction] = int(self.tokens[self.index][1])
+        self.index += 1
+        if self.tokens[self.index][0] == "/":
+            self.index += 1
+            kind, den, pos = self.advance()
+            if kind != "int":
+                raise ExprSyntaxError("expected an integer denominator", pos)
+            if int(den) == 0:
+                raise ExprSyntaxError("zero denominator", pos)
+            value = Fraction(value, int(den))
+        return value
+
     def parse_atom(self) -> List[_Term]:
-        kind, text, pos = self.advance()
+        kind, text, pos = self.peek()
         if kind == "int":
-            value: Union[int, Fraction] = int(text)
-            if self.peek()[0] == "/":
-                self.advance()
-                kind, den, pos = self.peek()
-                if kind != "int":
-                    raise ExprSyntaxError("expected an integer denominator", pos)
-                self.advance()
-                if int(den) == 0:
-                    raise ExprSyntaxError("zero denominator", pos)
-                value = Fraction(value, int(den))
-            return [(self.one, value)]
+            return [(self.one, self.parse_rational())]
+        self.index += 1
         if kind == "ident":
             i = self.place.get(text)
             if i is None:  # only a given table can miss a name

@@ -303,6 +303,20 @@ class TestMalformedJobs:
         err = self._run_job(tmp_path, capsys, polynomial="(w0+w1+w2+w3+w4+w5)^30")
         assert "cap" in err
 
+    @pytest.mark.parametrize("command", ["classify", "transfer"])
+    def test_nested_powers_of_a_variable(self, tmp_path, capsys, command):
+        polynomial = "w0"
+        for _ in range(10):
+            polynomial = f"({polynomial})^100"
+        err = self._run_job(tmp_path, capsys, command=command, representation={"blocks": [{"vblock": 3}]},
+                            polynomial=polynomial)
+        assert err == "error: exponent 100000000000000000000 is too large for the packed Leibniz kernel\n"
+
+    def test_nested_powers_of_a_constant(self, tmp_path, capsys):
+        err = self._run_job(tmp_path, capsys, representation={"blocks": [{"vblock": 3}]},
+                            polynomial="((((2^100)^100)^100)^100)^100")
+        assert err == "error: coefficient power of up to 100000100 bits exceeds the cap of 1048576 bits (at position 21)\n"
+
     def test_deeply_nested_polynomial(self, tmp_path, capsys):
         err = self._run_job(tmp_path, capsys, polynomial="(" * 250 + "w0" + ")" * 250)
         assert err == "error: parentheses nested deeper than the cap of 100 (at position 100)\n"

@@ -8,33 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from expr_cases import LEFT_TO_RIGHT, LEFT_TO_RIGHT_REFUSED, MALFORMED, W
 from gaquot.errors import ExprSyntaxError
-from gaquot.expr import MAX_DEPTH, MAX_EXPONENT, MAX_TERMS, parse
+from gaquot.expr import MAX_COEFFICIENT_BITS, MAX_DEPTH, MAX_EXPONENT, MAX_TERMS, parse
 from gaquot.poly import Poly, ring
-
-W = ("w0", "w1", "w2")
-
-# (text, error position) pairs; positions are part of the contract
-MALFORMED = [
-    ("w0 + ", 5),
-    ("(w0", 3),
-    ("w0 ^^ 2", 4),
-    ("w0 + $", 5),
-    ("", 0),
-    ("2 ** w0", 3),
-    ("w0 w1", 3),
-    ("w0 + q*w1", 5),
-    ("3/0", 2),
-    ("w0^(2)", 3),
-    (")w0", 0),
-    ("1..5", 1),
-    ("w0^\u00b2", 3),  # a superscript two is a digit to ``str.isdigit`` but not to ``int``
-    ("1 + w0^\u0663", 7),  # an Arabic-Indic three, which ``int`` would read as 3
-    ("w0\u00b2", 2),  # identifiers are ASCII: the superscript is not part of the name
-    ("x\u00b2 + 1", 1),
-    ("w\u0663", 1),
-    ("w0 + \u00e9", 5),
-]
 
 
 class TestParsing:
@@ -62,6 +39,7 @@ class TestParsing:
 
     def test_whitespace_insensitive(self):
         assert parse("w0+w1", W) == parse("  w0 +  w1 ", W)
+        assert parse("w0 + w1\x1c*\u3000 2", W) == parse("w0 + 2*w1", W)  # str.isspace takes both
 
     def test_constant_expression(self):
         assert parse("7", W) == Poly.const(W, 7)
@@ -87,6 +65,24 @@ class TestExpansion:
             parse(f"w0 + w1^{MAX_EXPONENT + 1}", W)
         assert info.value.position == 8
 
+    def test_coefficient_bit_cap(self):
+        assert parse("(2^100)^100", W) == Poly.const(W, 2 ** 10000)
+        assert parse("-((2^100)^100)^100", W) == Poly.const(W, -2 ** 1000000)  # 100 * 10001 bits at most
+        with pytest.raises(ExprSyntaxError, match=f"cap of {MAX_COEFFICIENT_BITS} bits") as info:
+            parse("((((2^100)^100)^100)^100)^100", W)
+        assert info.value.position == 21
+
+    @pytest.mark.parametrize("text,position", [
+        ("9" * 4000 + "^100", 4001),
+        ("w0*(" + "9" * 4000 + ")^100", 4006),
+        ("1/" + "9" * 4000 + "^100", 4003),
+    ], ids=["run", "one-term factor", "denominator"])
+    def test_coefficient_bit_cap_is_checked_before_the_power(self, text, position):
+        # 4000 digits are 13,288 bits: a hundredth power would pass the cap of 2^20
+        with pytest.raises(ExprSyntaxError, match=f"cap of {MAX_COEFFICIENT_BITS} bits") as info:
+            parse(text, W)
+        assert info.value.position == position
+
     def test_term_cap(self):
         with pytest.raises(ExprSyntaxError, match=str(MAX_TERMS)) as info:
             parse("(w0+w1+w2+w3+w4+w5)^30")
@@ -111,6 +107,22 @@ class TestExpansion:
         with pytest.raises(ExprSyntaxError, match=f"cap of {MAX_DEPTH}") as info:
             parse("w0 + " + "(" * 250 + "w1" + ")" * 250, W)
         assert info.value.position == 5 + MAX_DEPTH
+
+
+class TestLeftToRight:
+    """A term's products run left to right, each merging like terms before the next."""
+
+    @pytest.mark.parametrize("text,expected", [case[1:] for case in LEFT_TO_RIGHT],
+                             ids=[case[0] for case in LEFT_TO_RIGHT])
+    def test_merged_products(self, text, expected):
+        assert parse(text, W) == parse(expected, W)
+
+    @pytest.mark.parametrize("text,position,pairs", [case[1:] for case in LEFT_TO_RIGHT_REFUSED],
+                             ids=[case[0] for case in LEFT_TO_RIGHT_REFUSED])
+    def test_refused_products(self, text, position, pairs):
+        with pytest.raises(ExprSyntaxError, match=f"product of {pairs} terms exceeds the cap of {MAX_TERMS}") as info:
+            parse(text, W)
+        assert info.value.position == position
 
 
 class TestErrors:
